@@ -11,6 +11,8 @@ deduplicates graphs that describe the same physical object.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from refground import GenerationConfig, generate_room, realize
 from refground.config import PipelineConfig
 from refground.aggregation import merge_regions
@@ -32,7 +34,8 @@ print(f"accumulated {stats.detections} detections over {stats.frames} frames")
 
 print("\n=== registered object graphs ===")
 for oid, graph in session.registry.items():
-    print(f"  oid {oid}: {realize(graph)!r} ({len(session.cell_map(oid))} occupied cells)")
+    _, freq = session.occupancy(oid)
+    print(f"  oid {oid}: {realize(graph)!r} ({np.count_nonzero(freq)} occupied cells)")
 
 oid = session.registry.oids_for_root("cup")[0]
 grid = session.region_scores(oid, config.region_dx, config.region_dy)

@@ -11,12 +11,9 @@ from .geometry import (
     DepthFrame,
     GridSpec,
     Pose,
-    WeightedPoint,
     backproject,
-    bbox_to_weighted_cloud,
     soft_mask_weight,
     to_world,
-    voxelize_bev,
 )
 from .graph import (
     AttributeKind,

@@ -1,10 +1,12 @@
 """Multi-view evidence aggregation on a sparse BEV occupancy grid.
 
 Every distinct canonical object graph observed in the stream gets an
-auto-incremented id. Two hash maps per id mirror the accumulator design:
-object id -> occupied cells, and cell -> (running mean weight, detection
-frequency). Region scoring normalizes summed cell weights into a
-distribution over fixed-size regions, greedy non-maximal merging groups
+auto-incremented id. Each id owns two dense (d1, d2) arrays over the grid,
+the accumulator's pair of maps: the running mean weight of every cell and
+its detection frequency; a cell is occupied when its frequency is nonzero.
+Every sum over cells runs in row-major cell order, so a session and its
+dump-and-reload give bit-identical results. Region scoring normalizes
+summed cell weights into a distribution over fixed-size regions, greedy non-maximal merging groups
 neighboring above-threshold regions into instances, and fusion overlays
 the per-graph instance maps to deduplicate graphs that describe the same
 physical object.
@@ -18,11 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .geometry import CellObservation, GridSpec
+from .geometry import GridSpec
 from .graph import ObjectGraph, canonicalize, from_dict, to_dict
 
 
@@ -162,44 +163,45 @@ class AggregationSession:
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.registry = GraphRegistry()
-        # oid -> {cell -> (running mean weight, frame frequency)}
-        self._occupancy: dict[int, dict[tuple[int, int], tuple[float, int]]] = {}
+        # indexed by oid: (d1, d2) running mean weight and detection frequency
+        self._mean: list[np.ndarray] = []
+        self._freq: list[np.ndarray] = []
 
     # -- accumulation ------------------------------------------------------
 
     def register_graph(self, g: ObjectGraph) -> int:
         oid = self.registry.register(g)
-        self._occupancy.setdefault(oid, {})
+        if oid == len(self._mean):
+            self._mean.append(np.zeros((self.grid.d1, self.grid.d2)))
+            self._freq.append(np.zeros((self.grid.d1, self.grid.d2), dtype=np.int64))
         return oid
 
-    def accumulate(self, oid: int, cells: Iterable[CellObservation]) -> None:
-        """Fold one frame's cell observations into the running means."""
+    def accumulate(self, oid: int, cells: np.ndarray, weights: np.ndarray) -> None:
+        """Fold one frame's cells into the running means.
+
+        `cells` (M, 2) are distinct in-grid cells and `weights` (M,) their
+        mean point weights, as voxelize_bev_arrays returns them.
+        """
         if oid not in self.registry:
             raise RegistryError(oid)
-        store = self._occupancy.setdefault(oid, {})
-        for obs in cells:
-            cell = (int(obs.cell[0]), int(obs.cell[1]))
-            prev = store.get(cell)
-            if prev is None:
-                store[cell] = (float(obs.weight), 1)
-            else:
-                w, freq = prev
-                store[cell] = ((w * freq + float(obs.weight)) / (freq + 1), freq + 1)
+        index = (cells[:, 0], cells[:, 1])
+        mean, freq = self._mean[oid], self._freq[oid]
+        seen = freq[index]
+        mean[index] = (mean[index] * seen + weights) / (seen + 1)
+        freq[index] = seen + 1
 
-    def observe(self, g: ObjectGraph, cells: Iterable[CellObservation]) -> int:
+    def observe(self, g: ObjectGraph, cells: np.ndarray, weights: np.ndarray) -> int:
         oid = self.register_graph(g)
-        self.accumulate(oid, cells)
+        self.accumulate(oid, cells, weights)
         return oid
 
     # -- queries -----------------------------------------------------------
 
-    def cell_map(self, oid: int) -> dict[tuple[int, int], tuple[float, int]]:
+    def occupancy(self, oid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the graph's (d1, d2) mean-weight and frequency arrays."""
         if oid not in self.registry:
             raise RegistryError(oid)
-        return dict(self._occupancy.get(oid, {}))
-
-    def occupied_cells(self, oid: int) -> frozenset[tuple[int, int]]:
-        return frozenset(self._occupancy.get(oid, {}))
+        return self._mean[oid].copy(), self._freq[oid].copy()
 
     def region_scores(self, oid: int, dx: int, dy: int) -> RegionGrid:
         """Sum cell weights per region and normalize over the whole grid.
@@ -213,47 +215,52 @@ class AggregationSession:
             raise RegistryError(oid)
         nx = -(-self.grid.d1 // dx)
         ny = -(-self.grid.d2 // dy)
-        sums = np.zeros((nx, ny))
-        for (cx, cy), (w, _freq) in self._occupancy.get(oid, {}).items():
-            sums[cx // dx, cy // dy] += w
+        ix, iy = np.nonzero(self._freq[oid])
+        # bincount adds in input order, here row-major cell order
+        sums = np.bincount(
+            (ix // dx) * ny + iy // dy, weights=self._mean[oid][ix, iy], minlength=nx * ny
+        ).reshape(nx, ny)
         total = float(sums.sum())
         scores = sums / total if total > 0 else sums
         return RegionGrid(dx, dy, scores, total)
 
     def count_instances(self, oid: int, dx: int, dy: int, gamma: float) -> list[InstanceGroup]:
         """Region scoring followed by greedy merging; one group per instance."""
-        grid = self.region_scores(oid, dx, dy)
+        return self._instances(oid, self.region_scores(oid, dx, dy), gamma)
+
+    def _instances(self, oid: int, grid: RegionGrid, gamma: float) -> list[InstanceGroup]:
+        """Merge the graph's scored regions into groups.
+
+        A group's centroid is the accumulated-weight (mean * frequency)
+        weighted mean of its member cell centers, in meters.
+        """
         if grid.total_mass <= 0:
             return []
         labels = merge_regions(grid, gamma)
         by_label: dict[int, list[tuple[int, int]]] = {}
+        region_label = np.full(grid.scores.shape, -1, dtype=np.int64)
         for region, label in labels.items():
             by_label.setdefault(label, []).append(region)
+            region_label[region] = label
+        ix, iy = np.nonzero(self._freq[oid])
+        cell_label = region_label[ix // grid.dx, iy // grid.dy]
+        member = cell_label >= 0
+        ix, iy, cell_label = ix[member], iy[member], cell_label[member]
+        mass = self._mean[oid][ix, iy] * self._freq[oid][ix, iy]
+        xs = self.grid.origin_x + (ix + 0.5) * self.grid.cell_size
+        ys = self.grid.origin_y + (iy + 0.5) * self.grid.cell_size
+        n = len(by_label)
+        acc = np.bincount(cell_label, weights=mass, minlength=n).tolist()
+        wx = np.bincount(cell_label, weights=mass * xs, minlength=n).tolist()
+        wy = np.bincount(cell_label, weights=mass * ys, minlength=n).tolist()
         groups = []
         for label in sorted(by_label):
             regions = frozenset(by_label[label])
-            centroid, acc = self._group_centroid(oid, regions, dx, dy)
+            a = acc[label]
+            centroid = (wx[label] / a, wy[label] / a) if a > 0 else (0.0, 0.0)
             score = float(sum(grid.scores[r] for r in regions))
-            groups.append(InstanceGroup(label, regions, score, centroid, acc))
+            groups.append(InstanceGroup(label, regions, score, centroid, a if a > 0 else 0.0))
         return groups
-
-    def _group_cells(self, oid: int, regions: frozenset[tuple[int, int]], dx: int, dy: int):
-        for cell, stat in self._occupancy.get(oid, {}).items():
-            if (cell[0] // dx, cell[1] // dy) in regions:
-                yield cell, stat
-
-    def _group_centroid(self, oid, regions, dx, dy) -> tuple[tuple[float, float], float]:
-        """Accumulated-weight-weighted mean of member cell centers, in meters."""
-        wx = wy = acc = 0.0
-        for cell, (w, freq) in self._group_cells(oid, regions, dx, dy):
-            mass = w * freq
-            cxm, cym = self.grid.cell_center(cell)
-            wx += mass * cxm
-            wy += mass * cym
-            acc += mass
-        if acc <= 0:
-            return (0.0, 0.0), 0.0
-        return (wx / acc, wy / acc), acc
 
     def fuse_across_graphs(
         self, root: str, dx: int, dy: int, gamma: float
@@ -266,10 +273,10 @@ class AggregationSession:
         the contributing graph with the highest accumulated weight as its
         instance graph, the rest as alternates.
         """
-        oids = self.registry.oids_for_root(root)
+        grids = {oid: self.region_scores(oid, dx, dy) for oid in self.registry.oids_for_root(root)}
         members: list[tuple[int, InstanceGroup]] = []
-        for oid in oids:
-            for group in self.count_instances(oid, dx, dy, gamma):
+        for oid, grid in grids.items():
+            for group in self._instances(oid, grid, gamma):
                 members.append((oid, group))
         if not members:
             return []
@@ -299,7 +306,6 @@ class AggregationSession:
 
         # pooled score per region = max over contributing graphs
         pooled: dict[tuple[int, int], float] = {}
-        grids = {oid: self.region_scores(oid, dx, dy) for oid in oids}
         for oid, group in members:
             for region in group.regions:
                 val = float(grids[oid].scores[region])
@@ -345,20 +351,27 @@ class AggregationSession:
                 "d2": self.grid.d2,
             },
             "graphs": [{"oid": oid, "graph": to_dict(g)} for oid, g in self.registry.items()],
-            "cells": {
-                str(oid): [
-                    [cell[0], cell[1], stat[0], stat[1]]
-                    for cell, stat in sorted(self._occupancy.get(oid, {}).items())
-                ]
-                for oid, _ in self.registry.items()
-            },
+            "cells": {str(oid): self._cell_rows(oid) for oid, _ in self.registry.items()},
         }
         Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
+    def _cell_rows(self, oid: int) -> list[tuple[int, int, float, int]]:
+        """Occupied cells as (cx, cy, mean weight, frequency), in row-major order."""
+        mean, freq = self._mean[oid], self._freq[oid]
+        ix, iy = np.nonzero(freq)
+        return list(zip(ix.tolist(), iy.tolist(), mean[ix, iy].tolist(), freq[ix, iy].tolist()))
+
     @classmethod
     def load(cls, path: str | Path) -> "AggregationSession":
+        """Read a dump; SessionFormatError names the first malformed entry.
+
+        Cells outside the grid, frequencies below 1 and non-finite weights
+        are refused.
+        """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SessionFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
         except json.JSONDecodeError as exc:
             raise SessionFormatError(f"{path}: invalid JSON: {exc.msg}") from exc
         try:
@@ -371,18 +384,31 @@ class AggregationSession:
                 session.register_graph(from_dict(entry["graph"]))
             for oid_text, cells in payload["cells"].items():
                 oid = int(oid_text)
-                store = session._occupancy.setdefault(oid, {})
-                for cx, cy, w, freq in cells:
-                    store[(int(cx), int(cy))] = (float(w), int(freq))
-        except (KeyError, TypeError, ValueError) as exc:
+                if oid not in session.registry:
+                    raise SessionFormatError(f"{path}: cells for unknown oid {oid}")
+                if cells:
+                    session._load_cells(path, oid, cells)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SessionFormatError):
                 raise
             raise SessionFormatError(f"{path}: malformed session payload: {exc}") from exc
         return session
 
-
-def fuse_across_graphs(
-    session: AggregationSession, root: str, dx: int, dy: int, gamma: float
-) -> list[InstanceRecord]:
-    """Module-level alias for AggregationSession.fuse_across_graphs."""
-    return session.fuse_across_graphs(root, dx, dy, gamma)
+    def _load_cells(self, path, oid: int, cells: list) -> None:
+        rows = np.asarray(cells, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise SessionFormatError(f"{path}: oid {oid}: cells must be [cx, cy, weight, freq] rows")
+        cx, cy, w, freq = rows.T
+        # NaN fails every comparison, so it is refused as out-of-grid or below 1
+        inside = (cx >= 0) & (cx < self.grid.d1) & (cy >= 0) & (cy < self.grid.d2)
+        for ok, problem in (
+            (inside, f"lies outside the {self.grid.d1}x{self.grid.d2} grid"),
+            (freq >= 1, "has frequency below 1"),
+            (np.isfinite(w), "has a non-finite weight"),
+        ):
+            if not ok.all():
+                bad = cells[int(np.argmin(ok))]
+                raise SessionFormatError(f"{path}: oid {oid}: cell ({bad[0]}, {bad[1]}) {problem}")
+        index = (cx.astype(np.int64), cy.astype(np.int64))
+        self._mean[oid][index] = w
+        self._freq[oid][index] = freq.astype(np.int64)

@@ -11,7 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, PipelineConfig, load_config
+from .aggregation import AggregationSession, SessionFormatError
+from .config import NOISE_PRESETS, ConfigError, PipelineConfig, load_config
 from .discriminator import outcome_to_dict
 from .episodes import DatasetError
 from .evaluation import (
@@ -42,6 +43,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
+def _add_noise(parser: argparse.ArgumentParser):
+    parser.add_argument("--noise", choices=tuple(NOISE_PRESETS), default="none")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="refground", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -56,20 +61,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("episode", metavar="EPISODE_DIR")
     p.add_argument("instruction")
-    p.add_argument("--noise", choices=("none", "cs", "cs+sd", "cs+sd+fn", "fp", "all"), default="none")
+    _add_noise(p)
     p.add_argument("--session", metavar="PATH", help="reuse a dumped aggregation session")
     p.add_argument("--out", metavar="PATH", help="write the outcome record here")
 
     p = sub.add_parser("aggregate", help="build and dump an aggregation session")
     _add_common(p)
     p.add_argument("episode", metavar="EPISODE_DIR")
-    p.add_argument("--noise", choices=("none", "cs", "cs+sd", "cs+sd+fn", "fp", "all"), default="none")
+    _add_noise(p)
     p.add_argument("--out", required=True, metavar="PATH")
 
     p = sub.add_parser("eval", help="evaluate a dataset directory")
     _add_common(p)
     p.add_argument("dataset", metavar="DATASET_DIR")
-    p.add_argument("--noise", choices=("none", "cs", "cs+sd", "cs+sd+fn", "fp", "all"), default="none")
+    _add_noise(p)
     p.add_argument("--out", metavar="PATH", help="report path (.json; a .txt table is written too)")
 
     p = sub.add_parser("parse", help="parse text into an object graph")
@@ -93,12 +98,15 @@ def cmd_ground(args) -> int:
     config = _load_config(args)
     try:
         if args.session:
-            from .aggregation import AggregationSession
-
             session = AggregationSession.load(args.session)
+            if session.grid != config.grid_spec():
+                raise SessionFormatError(
+                    f"{args.session}: session grid {session.grid} differs from config grid "
+                    f"{config.grid_spec()}"
+                )
         else:
             session = session_for_episode(args.episode, config, args.noise)
-    except (OSError, DatasetError) as exc:
+    except (OSError, DatasetError, SessionFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

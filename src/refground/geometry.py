@@ -11,7 +11,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,18 +142,6 @@ class DepthFrame:
 
 
 @dataclass(frozen=True)
-class WeightedPoint:
-    x: float
-    y: float
-    z: float
-    weight: float
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("point weight must be positive")
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """2D occupancy grid: d1 cells along x, d2 along y, cell_size meters each."""
 
@@ -175,19 +162,6 @@ class GridSpec:
             self.origin_x + (cell[0] + 0.5) * self.cell_size,
             self.origin_y + (cell[1] + 0.5) * self.cell_size,
         )
-
-
-class CellObservation(NamedTuple):
-    """One frame's evidence for a grid cell: mean point weight and point count."""
-
-    cell: tuple[int, int]
-    weight: float
-    count: int
-
-
-class BevCells(NamedTuple):
-    cells: tuple[CellObservation, ...]
-    dropped: int
 
 
 def backproject(u: float, v: float, d: float, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -227,10 +201,11 @@ def bbox_cloud_arrays(
     sigma_frac: float = 0.25,
     stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized core of bbox_to_weighted_cloud: (points (N, 3), weights (N,)).
+    """Back-project every valid-depth pixel in the box to a weighted world point.
 
-    Pixels with invalid depth are skipped; an all-invalid box yields empty
-    arrays (no evidence).
+    Returns (points (N, 3), weights (N,)); a weight is the box's Gaussian
+    soft mask at the pixel center. Pixels with invalid depth are skipped;
+    an all-invalid box yields empty arrays (no evidence).
     """
     if sigma_frac <= 0:
         raise ValueError("sigma_frac must be positive")
@@ -261,26 +236,16 @@ def bbox_cloud_arrays(
     return world, weights
 
 
-def bbox_to_weighted_cloud(
-    bbox: BoundingBox,
-    depth: DepthFrame,
-    intrinsics: CameraIntrinsics,
-    pose: Pose,
-    sigma_frac: float = 0.25,
-    stride: int = 1,
-) -> list[WeightedPoint]:
-    """Back-project every valid-depth pixel in the box to a weighted world point."""
-    pts, w = bbox_cloud_arrays(bbox, depth, intrinsics, pose, sigma_frac, stride)
-    return [WeightedPoint(float(p[0]), float(p[1]), float(p[2]), float(wi)) for p, wi in zip(pts, w)]
-
-
 def voxelize_bev_arrays(
     points: np.ndarray, weights: np.ndarray, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Bin world points into grid cells: (cells (M, 2), mean weights, counts, dropped).
+    """Top-down BEV projection of weighted world points onto the grid.
 
-    Cells are keyed by floor((coord - origin) / cell_size); boundary points
-    land in the higher-index cell. Output rows are sorted by (x, y).
+    Returns (cells (M, 2), mean weights (M,), point counts (M,), dropped):
+    each occupied cell with the arithmetic mean weight and the number of
+    its member points, and the number of out-of-grid points. Cells are
+    keyed by floor((coord - origin) / cell_size); boundary points land in
+    the higher-index cell. Output rows are sorted by (x, y).
     """
     if len(points) == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 0
@@ -298,22 +263,6 @@ def voxelize_bev_arrays(
     sums = np.bincount(inverse, weights=w[inside])
     cells = np.stack([uniq // grid.d2, uniq % grid.d2], axis=1)
     return cells, sums / counts, counts, dropped
-
-
-def voxelize_bev(points: Sequence[WeightedPoint], grid: GridSpec) -> BevCells:
-    """Top-down BEV projection of weighted points onto the occupancy grid.
-
-    Each occupied cell reports the arithmetic mean weight of its member
-    points and the point count; out-of-grid points are counted as dropped.
-    """
-    pts = np.array([[p.x, p.y, p.z] for p in points], dtype=np.float64).reshape(-1, 3)
-    w = np.array([p.weight for p in points], dtype=np.float64)
-    cells, means, counts, dropped = voxelize_bev_arrays(pts, w, grid)
-    obs = tuple(
-        CellObservation((int(c[0]), int(c[1])), float(m), int(n))
-        for c, m, n in zip(cells, means, counts)
-    )
-    return BevCells(obs, dropped)
 
 
 DEPTH_MAGIC = b"DORODPTH"

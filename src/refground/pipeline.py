@@ -16,7 +16,7 @@ from .aggregation import AggregationSession, InstanceRecord
 from .config import PipelineConfig
 from .discriminator import DialogueState, GroundingOutcome, classify, generate_query
 from .episodes import FrameRecord, load_episode
-from .geometry import bbox_cloud_arrays, voxelize_bev_arrays, CellObservation
+from .geometry import bbox_cloud_arrays, voxelize_bev_arrays
 from .graph import AttributePath, ObjectGraph, canonicalize
 from .language import PhraseError, phrase_to_graph, realize
 from .lexicon import Lexicon
@@ -134,16 +134,10 @@ def build_session(
             points, weights = bbox_cloud_arrays(
                 det.bbox, depth, frame.intrinsics, frame.pose, config.sigma_frac, config.stride
             )
-            cells, means, counts, dropped = voxelize_bev_arrays(points, weights, session.grid)
+            cells, means, _, dropped = voxelize_bev_arrays(points, weights, session.grid)
             stats.dropped_points += dropped
             if len(cells):
-                session.observe(
-                    graph,
-                    [
-                        CellObservation((int(c[0]), int(c[1])), float(m), int(n))
-                        for c, m, n in zip(cells, means, counts)
-                    ],
-                )
+                session.observe(graph, cells, means)
             stats.detections += 1
         stats.frames += 1
     return session, stats

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,10 @@ from refground.aggregation import (
     GraphRegistry,
     RegionGrid,
     RegistryError,
+    SessionFormatError,
     merge_regions,
 )
-from refground.geometry import CellObservation, GridSpec
+from refground.geometry import GridSpec
 from refground.graph import ObjectGraph, canonicalize
 from refground.oracle import cluster_count
 
@@ -18,8 +22,14 @@ CUP_RED = ObjectGraph.build("cup", [("color", "red")])
 CUP_BLACK = ObjectGraph.build("cup", [("color", "black")])
 
 
-def obs(cell, weight, count=1):
-    return CellObservation(cell, weight, count)
+def obs(*entries):
+    """One frame's (cells (M, 2), weights (M,)) from ((cx, cy), weight) pairs."""
+    cells = np.array([cell for cell, _ in entries], dtype=np.int64).reshape(-1, 2)
+    return cells, np.array([weight for _, weight in entries], dtype=np.float64)
+
+
+def occupied(s, oid):
+    return {(int(x), int(y)) for x, y in zip(*np.nonzero(s.occupancy(oid)[1]))}
 
 
 def session():
@@ -62,43 +72,47 @@ def test_registry_lookup_and_roots():
 def test_accumulate_running_mean():
     s = session()
     oid = s.register_graph(CUP_RED)
-    s.accumulate(oid, [obs((3, 4), 0.2)])
-    s.accumulate(oid, [obs((3, 4), 0.4)])
-    assert s.cell_map(oid)[(3, 4)] == (pytest.approx(0.3), 2)
+    s.accumulate(oid, *obs(((3, 4), 0.2)))
+    s.accumulate(oid, *obs(((3, 4), 0.4)))
+    mean, freq = s.occupancy(oid)
+    assert (mean[3, 4], freq[3, 4]) == (pytest.approx(0.3), 2)
+    assert occupied(s, oid) == {(3, 4)}
 
 
 def test_accumulate_single_frame():
     s = session()
     oid = s.register_graph(CUP_RED)
-    s.accumulate(oid, [obs((3, 4), 0.7)])
-    assert s.cell_map(oid)[(3, 4)] == (pytest.approx(0.7), 1)
+    s.accumulate(oid, *obs(((3, 4), 0.7)))
+    mean, freq = s.occupancy(oid)
+    assert (mean[3, 4], freq[3, 4]) == (0.7, 1)
 
 
 def test_accumulate_no_cross_talk():
     s = session()
     a = s.register_graph(CUP_RED)
     b = s.register_graph(CUP_BLACK)
-    s.accumulate(a, [obs((1, 1), 0.5)])
-    s.accumulate(b, [obs((9, 9), 0.25)])
-    assert set(s.cell_map(a)) == {(1, 1)}
-    assert set(s.cell_map(b)) == {(9, 9)}
+    s.accumulate(a, *obs(((1, 1), 0.5)))
+    s.accumulate(b, *obs(((9, 9), 0.25)))
+    assert occupied(s, a) == {(1, 1)}
+    assert occupied(s, b) == {(9, 9)}
 
 
 def test_accumulate_unknown_oid():
     with pytest.raises(RegistryError):
-        session().accumulate(5, [obs((0, 0), 1.0)])
+        session().accumulate(5, *obs(((0, 0), 1.0)))
 
 
 def test_accumulate_order_free_over_multiset():
-    frames = [[obs((2, 2), w)] for w in (0.1, 0.7, 0.4, 0.9, 0.3)]
+    frames = [obs(((2, 2), w)) for w in (0.1, 0.7, 0.4, 0.9, 0.3)]
     rng = np.random.default_rng(0)
     reference = None
     for _ in range(6):
         s = session()
         oid = s.register_graph(CUP_RED)
         for i in rng.permutation(len(frames)):
-            s.accumulate(oid, frames[int(i)])
-        w, freq = s.cell_map(oid)[(2, 2)]
+            s.accumulate(oid, *frames[int(i)])
+        mean, freqs = s.occupancy(oid)
+        w, freq = mean[2, 2], freqs[2, 2]
         assert freq == len(frames)
         if reference is None:
             reference = w
@@ -111,7 +125,7 @@ def test_accumulate_order_free_over_multiset():
 def test_region_scores_all_mass_one_region():
     s = session()
     oid = s.register_graph(CUP_RED)
-    s.accumulate(oid, [obs((3, 4), 0.5), obs((5, 6), 0.2)])
+    s.accumulate(oid, *obs(((3, 4), 0.5), ((5, 6), 0.2)))
     grid = s.region_scores(oid, 10, 10)
     assert grid.scores[0, 0] == pytest.approx(1.0)
     assert grid.scores.sum() == pytest.approx(1.0)
@@ -120,7 +134,7 @@ def test_region_scores_all_mass_one_region():
 def test_region_scores_equal_split():
     s = session()
     oid = s.register_graph(CUP_RED)
-    s.accumulate(oid, [obs((3, 4), 0.5), obs((13, 4), 0.5)])
+    s.accumulate(oid, *obs(((3, 4), 0.5), ((13, 4), 0.5)))
     grid = s.region_scores(oid, 10, 10)
     assert grid.scores[0, 0] == pytest.approx(0.5)
     assert grid.scores[1, 0] == pytest.approx(0.5)
@@ -129,10 +143,7 @@ def test_region_scores_equal_split():
 def test_region_scores_hand_normalization():
     s = session()
     oid = s.register_graph(CUP_RED)
-    s.accumulate(
-        oid,
-        [obs((0, 0), 1.5), obs((1, 1), 1.5), obs((10, 0), 1.0)],
-    )
+    s.accumulate(oid, *obs(((0, 0), 1.5), ((1, 1), 1.5), ((10, 0), 1.0)))
     grid = s.region_scores(oid, 10, 10)
     assert grid.scores[0, 0] == pytest.approx(0.75)
     assert grid.scores[1, 0] == pytest.approx(0.25)
@@ -151,9 +162,9 @@ def test_region_scores_nonnegative_and_normalized():
     rng = np.random.default_rng(8)
     s = session()
     oid = s.register_graph(CUP_RED)
-    cells = [obs((int(x), int(y)), float(w)) for x, y, w in
+    cells = [((int(x), int(y)), float(w)) for x, y, w in
              zip(rng.integers(0, 100, 60), rng.integers(0, 100, 60), rng.uniform(0.01, 1, 60))]
-    s.accumulate(oid, cells)
+    s.accumulate(oid, *obs(*cells))
     grid = s.region_scores(oid, 7, 13)  # padding path: 7 and 13 do not divide 100
     assert (grid.scores >= 0).all()
     assert grid.scores.sum() == pytest.approx(1.0, abs=1e-9)
@@ -252,8 +263,8 @@ def splat(s, oid, cx, cy, weight=1.0, spread=2):
     cells = []
     for dx in range(-spread, spread + 1):
         for dy in range(-spread, spread + 1):
-            cells.append(obs((cx + dx, cy + dy), weight / (1 + abs(dx) + abs(dy))))
-    s.accumulate(oid, cells)
+            cells.append(((cx + dx, cy + dy), weight / (1 + abs(dx) + abs(dy))))
+    s.accumulate(oid, *obs(*cells))
 
 
 def test_count_instances_empty():
@@ -356,12 +367,62 @@ def test_session_round_trip_bit_exact(tmp_path):
     )
     splat(s, a, 15, 15, weight=0.37)
     splat(s, b, 40, 60, weight=0.81)
-    s.accumulate(a, [obs((15, 15), 0.1234567890123)])
+    s.accumulate(a, *obs(((15, 15), 0.1234567890123)))
     first = tmp_path / "session.json"
     s.dump(first)
     loaded = AggregationSession.load(first)
     second = tmp_path / "again.json"
     loaded.dump(second)
     assert first.read_bytes() == second.read_bytes()
-    assert loaded.cell_map(a) == s.cell_map(a)
+    for oid in (a, b):
+        for got, want in zip(loaded.occupancy(oid), s.occupancy(oid)):
+            assert np.array_equal(got, want)
     assert [g for _, g in loaded.registry.items()] == [g for _, g in s.registry.items()]
+
+
+def dump_with_row(tmp_path, row):
+    """A valid session dump whose first graph holds one extra cell row."""
+    s = session()
+    oid = s.register_graph(CUP_RED)
+    s.accumulate(oid, *obs(((3, 4), 0.5)))
+    path = tmp_path / "session.json"
+    s.dump(path)
+    payload = json.loads(path.read_text())
+    payload["cells"][str(oid)].append(row)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def refusal(path, cell, problem):
+    return rf"^{re.escape(str(path))}: .*cell \({cell[0]}, {cell[1]}\) .*{problem}"
+
+
+@pytest.mark.parametrize("row", [[-3, 5, 0.5, 1], [100, 5, 0.5, 1], [5, 100, 0.5, 1]])
+def test_load_refuses_cell_outside_grid(tmp_path, row):
+    path = dump_with_row(tmp_path, row)
+    with pytest.raises(SessionFormatError, match=refusal(path, row, "outside the 100x100 grid")):
+        AggregationSession.load(path)
+
+
+def test_load_refuses_frequency_below_one(tmp_path):
+    path = dump_with_row(tmp_path, [7, 8, 0.5, 0])
+    with pytest.raises(SessionFormatError, match=refusal(path, (7, 8), "frequency below 1")):
+        AggregationSession.load(path)
+
+
+def test_load_refuses_non_finite_weight(tmp_path):
+    path = dump_with_row(tmp_path, [7, 8, float("nan"), 2])
+    with pytest.raises(SessionFormatError, match=refusal(path, (7, 8), "non-finite weight")):
+        AggregationSession.load(path)
+
+
+def test_load_refuses_cells_for_unknown_graph(tmp_path):
+    s = session()
+    s.register_graph(CUP_RED)
+    path = tmp_path / "session.json"
+    s.dump(path)
+    payload = json.loads(path.read_text())
+    payload["cells"]["-1"] = [[7, 8, 0.5, 1]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SessionFormatError, match="cells for unknown oid -1"):
+        AggregationSession.load(path)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from refground.aggregation import AggregationSession
 from refground.cli import main
 from refground.config import ConfigError, PipelineConfig, load_config, save_config
+from refground.geometry import GridSpec
 
 
 def tree_digest(root: Path) -> str:
@@ -132,6 +134,38 @@ def test_aggregate_session_reusable(dataset, tmp_path, capsys):
         == 0
     )
     assert capsys.readouterr().out == direct
+
+
+def write_bad_session(kind, path, dataset):
+    if kind == "not_json":
+        path.write_text("this is not a session\n")
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe\x00session")
+    elif kind == "other_grid":
+        AggregationSession(GridSpec(0.0, 0.0, 0.1, 50, 50)).dump(path)
+    else:  # a dumped session with one cell moved outside the grid
+        assert main(["aggregate", str(episode_dir(dataset)), "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        rows = next(rows for rows in payload["cells"].values() if rows)
+        rows[0][0] = -3
+        path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("kind", ["not_json", "not_utf8", "other_grid", "cell_outside_grid"])
+def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
+    session_file = tmp_path / "session.json"
+    write_bad_session(kind, session_file, dataset)
+    capsys.readouterr()
+    args = ["ground", str(episode_dir(dataset)), "bring a cup", "--session", str(session_file)]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {session_file}: ")
+    if kind == "other_grid":
+        assert str(PipelineConfig().grid_spec()) in lines[0]
+        assert "cell_size=0.1, d1=50, d2=50" in lines[0]
 
 
 # -- eval --------------------------------------------------------------------------

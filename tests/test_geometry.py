@@ -11,14 +11,12 @@ from refground.geometry import (
     GridSpec,
     InvalidDepthError,
     Pose,
-    WeightedPoint,
     backproject,
     bbox_cloud_arrays,
-    bbox_to_weighted_cloud,
     read_depth_file,
     soft_mask_weight,
     to_world,
-    voxelize_bev,
+    voxelize_bev_arrays,
     write_depth_file,
 )
 
@@ -140,10 +138,10 @@ def flat_depth(value=2.0, w=100, h=100):
 
 def test_single_pixel_bbox_center_weight():
     bbox = BoundingBox(40.0, 40.0, 41.0, 41.0)
-    cloud = bbox_to_weighted_cloud(bbox, flat_depth(), K_SIMPLE, Pose.identity(), 0.25)
-    assert len(cloud) == 1
+    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, Pose.identity(), 0.25)
+    assert pts.shape == (1, 3) and w.shape == (1,)
     sigma = 0.25 * 1.0
-    assert cloud[0].weight == pytest.approx(1.0 / (2 * sigma * sigma))
+    assert w[0] == pytest.approx(1.0 / (2 * sigma * sigma))
 
 
 def test_flat_wall_cloud():
@@ -160,7 +158,8 @@ def test_flat_wall_cloud():
 def test_zeroed_depth_yields_empty_cloud():
     bbox = BoundingBox(30.0, 30.0, 70.0, 70.0)
     frame = DepthFrame(100, 100, np.zeros((100, 100), dtype=np.float32))
-    assert bbox_to_weighted_cloud(bbox, frame, K_SIMPLE, Pose.identity()) == []
+    pts, w = bbox_cloud_arrays(bbox, frame, K_SIMPLE, Pose.identity())
+    assert pts.shape == (0, 3) and w.shape == (0,)
 
 
 def test_bbox_fully_outside_frame_is_empty():
@@ -181,44 +180,39 @@ def test_stride_subsamples():
 GRID = GridSpec(0.0, 0.0, 0.5, 10, 10)
 
 
+def voxelize(points, weights):
+    return voxelize_bev_arrays(np.asarray(points, dtype=float), np.asarray(weights, dtype=float), GRID)
+
+
 def test_voxelize_single_point():
-    result = voxelize_bev([WeightedPoint(1.1, 2.2, 0.0, 0.4)], GRID)
-    assert result.dropped == 0
-    assert result.cells == (((2, 4), 0.4, 1),)
+    cells, means, counts, dropped = voxelize([[1.1, 2.2, 0.0]], [0.4])
+    assert dropped == 0
+    assert cells.tolist() == [[2, 4]]
+    assert means.tolist() == [0.4] and counts.tolist() == [1]
 
 
 def test_voxelize_mean_of_two():
-    pts = [WeightedPoint(1.1, 2.2, 0.0, 0.2), WeightedPoint(1.2, 2.3, 0.5, 0.4)]
-    result = voxelize_bev(pts, GRID)
-    ((cell, weight, count),) = result.cells
-    assert cell == (2, 4) and count == 2
-    assert weight == pytest.approx(0.3)
+    cells, means, counts, _ = voxelize([[1.1, 2.2, 0.0], [1.2, 2.3, 0.5]], [0.2, 0.4])
+    assert cells.tolist() == [[2, 4]] and counts.tolist() == [2]
+    assert means[0] == pytest.approx(0.3)
 
 
 def test_voxelize_boundary_goes_to_higher_cell():
-    result = voxelize_bev([WeightedPoint(0.5, 0.0, 0.0, 1.0)], GRID)
-    assert result.cells[0][0] == (1, 0)
+    cells, _, _, _ = voxelize([[0.5, 0.0, 0.0]], [1.0])
+    assert cells.tolist() == [[1, 0]]
 
 
 def test_voxelize_conserves_points():
     rng = np.random.default_rng(11)
-    pts = [
-        WeightedPoint(float(x), float(y), 0.0, float(w))
-        for x, y, w in zip(
-            rng.uniform(-1, 6, 300), rng.uniform(-1, 6, 300), rng.uniform(0.1, 1, 300)
-        )
-    ]
-    result = voxelize_bev(pts, GRID)
-    assert sum(c.count for c in result.cells) + result.dropped == 300
+    pts = np.column_stack([rng.uniform(-1, 6, 300), rng.uniform(-1, 6, 300), np.zeros(300)])
+    _, _, counts, dropped = voxelize(pts, rng.uniform(0.1, 1, 300))
+    assert counts.sum() + dropped == 300
 
 
 def test_voxelize_sorted_by_cell():
     rng = np.random.default_rng(5)
-    pts = [
-        WeightedPoint(float(x), float(y), 0.0, 1.0)
-        for x, y in zip(rng.uniform(0, 5, 50), rng.uniform(0, 5, 50))
-    ]
-    cells = [c.cell for c in voxelize_bev(pts, GRID).cells]
+    pts = np.column_stack([rng.uniform(0, 5, 50), rng.uniform(0, 5, 50), np.zeros(50)])
+    cells = [tuple(c) for c in voxelize(pts, np.ones(50))[0].tolist()]
     assert cells == sorted(cells)
 
 
@@ -276,11 +270,6 @@ def test_depth_frame_validation():
         DepthFrame(4, 4, np.full((4, 4), np.nan, dtype=np.float32))
     with pytest.raises(ValueError):
         DepthFrame(4, 4, np.full((4, 4), 99.0, dtype=np.float32), max_range=10.0)
-
-
-def test_weighted_point_requires_positive_weight():
-    with pytest.raises(ValueError):
-        WeightedPoint(0.0, 0.0, 0.0, 0.0)
 
 
 def test_grid_spec_validation():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from refground.aggregation import AggregationSession
 from refground.config import PipelineConfig
-from refground.discriminator import DialogueState
+from refground.discriminator import DialogueState, outcome_to_dict
 from refground.episodes import (
     DatasetError,
     load_episode,
@@ -145,6 +146,21 @@ def test_session_for_episode_with_noise(episode):
     cfg, _, out = episode
     session = session_for_episode(out, cfg, "cs+sd+fn")
     assert len(session.registry) > 0
+
+
+@pytest.mark.parametrize("preset", ["none", "cs+sd+fn"])
+def test_ground_same_bytes_on_fresh_and_reloaded_session(episode, tmp_path, preset):
+    cfg, _, out = episode
+    fresh = session_for_episode(out, cfg, preset)
+    fresh.dump(tmp_path / "session.json")
+    loaded = AggregationSession.load(tmp_path / "session.json")
+    for case in load_instructions(out):
+        seed = query_seed_for(cfg.seed, f"{out.name}:{case.text}")
+        texts = [
+            json.dumps(outcome_to_dict(ground_in_session(s, case.text, cfg, None, seed)[0]))
+            for s in (fresh, loaded)
+        ]
+        assert texts[0] == texts[1]
 
 
 def test_oracle_outcome_candidates_sorted_by_description(episode):
