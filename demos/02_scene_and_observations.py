@@ -54,11 +54,7 @@ for index, pose in enumerate(poses[:4]):
 
 print("\n=== episode files on disk ===")
 out = Path(tempfile.mkdtemp()) / "episode_00000"
-simulate_episode(
-    out, room, K, config.n_waypoints, config.cam_height, config.traj_margin,
-    config.look_height, config.tau_near, config.min_pixels, config.max_range,
-    config.look_frac,
-)
+simulate_episode(out, room, config)
 for path in sorted(out.iterdir())[:6]:
     print(f"  {path.name:<22} {path.stat().st_size:>8} bytes")
 frames = load_episode(out)

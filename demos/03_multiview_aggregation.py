@@ -24,11 +24,7 @@ room = generate_room(
     35, GenerationConfig(copies={"cup": 3, "table": 1, "desk": 1, "counter": 1, "sofa": 1})
 )
 out = Path(tempfile.mkdtemp()) / "ep"
-simulate_episode(
-    out, room, config.intrinsics(), config.n_waypoints, config.cam_height,
-    config.traj_margin, config.look_height, config.tau_near, config.min_pixels,
-    config.max_range, config.look_frac,
-)
+simulate_episode(out, room, config)
 session, stats = build_session(load_episode(out), config)
 print(f"accumulated {stats.detections} detections over {stats.frames} frames")
 

@@ -20,11 +20,7 @@ room = generate_room(
     77, GenerationConfig(copies={"cup": 2, "table": 1, "counter": 1, "lamp": 1, "book": 1})
 )
 out = Path(tempfile.mkdtemp()) / "ep"
-simulate_episode(
-    out, room, config.intrinsics(), config.n_waypoints, config.cam_height,
-    config.traj_margin, config.look_height, config.tau_near, config.min_pixels,
-    config.max_range, config.look_frac,
-)
+simulate_episode(out, room, config)
 session, _ = build_session(load_episode(out), config)
 
 print("the room contains:")

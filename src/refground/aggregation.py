@@ -365,7 +365,8 @@ class AggregationSession:
     def load(cls, path: str | Path) -> "AggregationSession":
         """Read a dump; SessionFormatError names the first malformed entry.
 
-        Cells outside the grid, frequencies below 1 and non-finite weights
+        Grid sizes that are not positive integers or cannot be allocated,
+        cells outside the grid, frequencies below 1 and non-finite weights
         are refused.
         """
         try:
@@ -376,6 +377,10 @@ class AggregationSession:
             raise SessionFormatError(f"{path}: invalid JSON: {exc.msg}") from exc
         try:
             g = payload["grid"]
+            if not all(type(g[k]) is int and g[k] >= 1 for k in ("d1", "d2")):
+                raise SessionFormatError(
+                    f"{path}: grid size {g['d1']!r}x{g['d2']!r} is not two positive integers"
+                )
             session = cls(GridSpec(g["origin_x"], g["origin_y"], g["cell_size"], g["d1"], g["d2"]))
             entries = sorted(payload["graphs"], key=lambda e: e["oid"])
             for expected, entry in enumerate(entries):
@@ -388,6 +393,8 @@ class AggregationSession:
                     raise SessionFormatError(f"{path}: cells for unknown oid {oid}")
                 if cells:
                     session._load_cells(path, oid, cells)
+        except MemoryError as exc:
+            raise SessionFormatError(f"{path}: cannot allocate the {g['d1']}x{g['d2']} grid") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SessionFormatError):
                 raise

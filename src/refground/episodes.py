@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import PipelineConfig
 from .geometry import BoundingBox, CameraIntrinsics, DepthFrame, Pose, read_depth_file, write_depth_file
 from .render import gt_detections, render_scene
 from .simulator import (
@@ -130,26 +131,16 @@ def write_episode(
     return out
 
 
-def simulate_episode(
-    out_dir: str | Path,
-    room: RoomSpec,
-    intrinsics: CameraIntrinsics,
-    n_waypoints: int = 12,
-    cam_height: float = 2.2,
-    traj_margin: float = 0.45,
-    look_height: float = 0.0,
-    tau_near: float = 0.75,
-    min_pixels: int = 25,
-    max_range: float = 2.4,
-    look_frac: float = 0.42,
-) -> Path:
+def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig) -> Path:
     """Trajectory + rendering + labels for one generated room."""
-    relations = derive_relations(room, tau_near)
+    relations = derive_relations(room, config.tau_near)
     captions = {o.id: caption_for(room, o, relations) for o in room.objects}
-    poses = plan_trajectory(room, n_waypoints, cam_height, traj_margin, look_height, look_frac)
+    poses = plan_trajectory(
+        room, config.n_waypoints, config.cam_height, config.traj_margin, config.look_height, config.look_frac
+    )
     instructions = emit_instructions(room, relations)
     return write_episode(
-        out_dir, room, poses, intrinsics, instructions, captions, min_pixels, max_range
+        out_dir, room, poses, config.intrinsics(), instructions, captions, config.min_pixels, config.max_range
     )
 
 

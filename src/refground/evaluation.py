@@ -196,19 +196,7 @@ def simulate_counting_dataset(
             seed = config.seed * 100000 + count * 1000 + r
             room = _generate_with_retries(seed, target, count, config)
             name = f"episode_{index:05d}"
-            simulate_episode(
-                out / name,
-                room,
-                config.intrinsics(),
-                config.n_waypoints,
-                config.cam_height,
-                config.traj_margin,
-                config.look_height,
-                config.tau_near,
-                config.min_pixels,
-                config.max_range,
-                config.look_frac,
-            )
+            simulate_episode(out / name, room, config)
             manifest.append(
                 {"dir": name, "target": target, "count": count, "seed": seed, "kind": "counting"}
             )
@@ -249,19 +237,7 @@ def simulate_dialogue_dataset(
         if room is None:
             raise GenerationError(f"dialogue room {index}: {last}")
         name = f"episode_{index:05d}"
-        simulate_episode(
-            out / name,
-            room,
-            config.intrinsics(),
-            config.n_waypoints,
-            config.cam_height,
-            config.traj_margin,
-            config.look_height,
-            config.tau_near,
-            config.min_pixels,
-            config.max_range,
-            config.look_frac,
-        )
+        simulate_episode(out / name, room, config)
         manifest.append({"dir": name, "seed": seed, "kind": "dialogue"})
     (out / "manifest.jsonl").write_text(
         "\n".join(dump_json_line(m) for m in manifest) + "\n", encoding="utf-8"

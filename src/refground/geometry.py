@@ -288,4 +288,10 @@ def read_depth_file(path: str | Path, max_range: float = 10.0) -> DepthFrame:
     if len(raw) != expected:
         raise DepthFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
     depth = np.frombuffer(raw[16:], dtype="<f4").reshape(height, width)
-    return DepthFrame(width, height, depth.copy(), max_range=max_range)
+    try:
+        return DepthFrame(width, height, depth.copy(), max_range=max_range)
+    except ValueError as exc:  # e.g. written under a larger max_range than configured
+        raise DepthFormatError(
+            f"{path}: {exc}: largest depth {float(depth.max(initial=0.0))}, "
+            f"configured max_range {max_range}"
+        ) from exc

@@ -1,10 +1,28 @@
 """Ray-cast depth rendering of box scenes and ground-truth detections.
 
-Each pixel's ray is intersected with every axis-aligned box (objects plus
-floor and walls) by the slab method; the reported value is z-depth along
-the optical axis, not ray length, so a frontal wall renders at constant
-depth. Visibility for detections comes from the same pass: a pixel belongs
-to the object whose intersection is nearest.
+Each pixel's ray is intersected with axis-aligned boxes (objects plus floor
+and walls) by the slab method (Williams et al., "An Efficient and Robust
+Ray-Box Intersection Algorithm", JGT 2005); the reported value is z-depth
+along the optical axis, not ray length, so a frontal wall renders at
+constant depth. Visibility for detections comes from the same pass: a
+pixel belongs to the object whose intersection is nearest, the first box
+in `scene_boxes` order on a tie.
+
+Boxes are visited one at a time with a running nearest hit, and each box
+is slab-tested only over the pixel rectangle its depth-clipped projection
+can cover. Every ray direction has camera z = 1, so a hit at ray parameter
+t lies at camera depth t, and only hits with 1e-9 < t <= max_range reach
+the output. A hit also lies at least the box's distance D from the camera,
+which bounds t from below by D / K, K being the longest ray per unit of
+depth. The box is therefore clipped to the band z_lo <= z <= z_hi with
+z_lo = D / K * (1 - 1e-6) - 1e-6 and z_hi = max_range * (1 + 1e-6) + 1e-6,
+both padded outward; the band's vertices (in-band corners and the points
+where the 12 edges cross the two planes) are projected, and their bounding
+rectangle, floored, ceiled and padded by one pixel, contains every pixel
+the box can win. A box whose clipped set is empty or off-frame is skipped;
+a box that contains the camera or nearly touches it (z_lo <= 0) is tested
+over the full frame. Pixels inside a rectangle run the same per-element
+arithmetic as a dense test, so the output is the same to the byte.
 """
 
 from __future__ import annotations
@@ -52,6 +70,57 @@ def scene_boxes(
     )
 
 
+# Box corner k takes the max along axis a when bit (2 - a) of k is set; the
+# 12 edges join corners that differ in one bit.
+_CORNER_BITS = ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1).astype(bool)
+_EDGES = np.array([(a, a | bit) for a in range(8) for bit in (1, 2, 4) if not a & bit])
+
+
+def _pixel_rects(
+    mins: np.ndarray,
+    maxs: np.ndarray,
+    pose: Pose,
+    intrinsics: CameraIntrinsics,
+    ray_len: float,
+    max_range: float,
+) -> np.ndarray:
+    """(B, 4) int rows (u0, u1, v0, v1): the half-open pixel rectangle each box can win.
+
+    An empty row (u0 == u1) means the box cannot be hit within max_range;
+    the module docstring gives the bound.
+    """
+    origin = pose.translation
+    gap = np.maximum(np.maximum(mins - origin, origin - maxs), 0.0)
+    z_lo = np.sqrt((gap * gap).sum(axis=1)) / ray_len * (1 - 1e-6) - 1e-6
+    z_hi = max_range * (1 + 1e-6) + 1e-6
+    # camera coordinates that invert the ray construction dirs = R @ d_cam
+    corners = np.where(_CORNER_BITS, maxs[:, None, :], mins[:, None, :])
+    cam = (corners - origin) @ np.linalg.inv(pose.rotation).T  # (B, 8, 3)
+    a, b = cam[:, _EDGES[:, 0]], cam[:, _EDGES[:, 1]]  # (B, 12, 3)
+    points, valid = [cam], [(cam[..., 2] >= z_lo[:, None]) & (cam[..., 2] <= z_hi)]
+    for plane in (z_lo[:, None], z_hi):
+        crosses = (a[..., 2] - plane) * (b[..., 2] - plane) < 0
+        s = (plane - a[..., 2]) / np.where(crosses, b[..., 2] - a[..., 2], 1.0)
+        p = a + s[..., None] * (b - a)
+        p[..., 2] = plane
+        points.append(p)
+        valid.append(crosses)
+    points = np.concatenate(points, axis=1)
+    valid = np.concatenate(valid, axis=1) & (z_lo > 0)[:, None]
+    z = np.where(valid, points[..., 2], 1.0)
+    u = intrinsics.fx * points[..., 0] / z + intrinsics.cx
+    v = intrinsics.fy * points[..., 1] / z + intrinsics.cy
+    w, h = intrinsics.width, intrinsics.height
+    u0 = np.clip(np.floor(np.where(valid, u, np.inf).min(axis=1)) - 1, 0, w)
+    u1 = np.clip(np.ceil(np.where(valid, u, -np.inf).max(axis=1)) + 2, 0, w)
+    v0 = np.clip(np.floor(np.where(valid, v, np.inf).min(axis=1)) - 1, 0, h)
+    v1 = np.clip(np.ceil(np.where(valid, v, -np.inf).max(axis=1)) + 2, 0, h)
+    rects = np.stack([u0, u1, v0, v1], axis=1).astype(np.int64)
+    rects[(u0 >= u1) | (v0 >= v1)] = 0  # nothing in the band, or off-frame
+    rects[z_lo <= 0] = (0, w, 0, h)  # contains the camera or nearly touches it
+    return rects
+
+
 def render_scene(
     room: RoomSpec,
     pose: Pose,
@@ -69,30 +138,36 @@ def render_scene(
     vs = (np.arange(h) + 0.5 - intrinsics.cy) / intrinsics.fy
     uu, vv = np.meshgrid(us, vs)
     dirs_cam = np.stack([uu.ravel(), vv.ravel(), np.ones(w * h)], axis=1)
-    dirs = dirs_cam @ pose.rotation.T
+    # planar (3, N) rays, so the slab reductions below run over the leading axis
+    dirs = np.ascontiguousarray((dirs_cam @ pose.rotation.T).T)
     dirs = np.where(np.abs(dirs) < 1e-12, 1e-12, dirs)
     origin = pose.translation
+    inv = (1.0 / dirs).reshape(3, h, w)
+    ray_len = float(np.sqrt(np.einsum("ij,ij->j", dirs, dirs).max()))
 
     mins, maxs, ids = scene_boxes(room, include_structure)
-    if len(ids) == 0:
-        zero = np.zeros((h, w), dtype=np.float32)
-        return zero, np.full((h, w), NO_HIT, dtype=np.int64)
-    inv = 1.0 / dirs  # (N, 3)
-    t1 = (mins[None, :, :] - origin) * inv[:, None, :]
-    t2 = (maxs[None, :, :] - origin) * inv[:, None, :]
-    tnear = np.minimum(t1, t2).max(axis=2)
-    tfar = np.maximum(t1, t2).min(axis=2)
-    hit = (tnear <= tfar) & (tfar > 1e-9)
-    tval = np.where(tnear > 1e-9, tnear, tfar)  # camera inside a box: exit face
-    tval = np.where(hit, tval, np.inf)
+    best = np.full((h, w), np.inf)
+    winner = np.full((h, w), NO_HIT, dtype=np.int64)
+    rects = _pixel_rects(mins, maxs, pose, intrinsics, ray_len, max_range)
+    for box, (u0, u1, v0, v1) in enumerate(rects):
+        if u0 == u1:
+            continue
+        inv_r = inv[:, v0:v1, u0:u1]
+        t1 = (mins[box] - origin)[:, None, None] * inv_r
+        t2 = (maxs[box] - origin)[:, None, None] * inv_r
+        tnear = np.minimum(t1, t2).max(axis=0)
+        tfar = np.maximum(t1, t2).min(axis=0)
+        hit = (tnear <= tfar) & (tfar > 1e-9)
+        tval = np.where(tnear > 1e-9, tnear, tfar)  # camera inside a box: exit face
+        tval = np.where(hit, tval, np.inf)
+        closer = tval < best[v0:v1, u0:u1]  # strict: the first box keeps a tie
+        np.copyto(best[v0:v1, u0:u1], tval, where=closer)
+        np.copyto(winner[v0:v1, u0:u1], ids[box], where=closer)
 
-    best = np.argmin(tval, axis=1)
-    depth = tval[np.arange(tval.shape[0]), best]
-    winner = ids[best]
-    miss = ~np.isfinite(depth) | (depth > max_range)
-    depth = np.where(miss, 0.0, depth)
-    winner = np.where(miss, NO_HIT, winner)
-    return depth.reshape(h, w).astype(np.float32), winner.reshape(h, w)
+    miss = ~np.isfinite(best) | (best > max_range)
+    depth = np.where(miss, 0.0, best)
+    winner[miss] = NO_HIT
+    return depth.astype(np.float32), winner
 
 
 def render_depth(

@@ -426,3 +426,26 @@ def test_load_refuses_cells_for_unknown_graph(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(SessionFormatError, match="cells for unknown oid -1"):
         AggregationSession.load(path)
+
+
+def dump_with_grid(tmp_path, d1, d2):
+    """A valid one-graph session dump that declares a d1 x d2 grid."""
+    path = dump_with_row(tmp_path, [7, 8, 0.5, 1])
+    payload = json.loads(path.read_text())
+    payload["grid"].update(d1=d1, d2=d2)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("d1, d2", [(0, 100), (100, -1), (100.0, 100), (100, "100"), (True, 100)])
+def test_load_refuses_grid_size_that_is_not_positive_int(tmp_path, d1, d2):
+    path = dump_with_grid(tmp_path, d1, d2)
+    with pytest.raises(SessionFormatError, match=r"grid size .* is not two positive integers"):
+        AggregationSession.load(path)
+
+
+def test_load_refuses_grid_too_large_to_allocate(tmp_path):
+    # 10^9 x 10^9 float64 cells: numpy refuses the request without allocating
+    path = dump_with_grid(tmp_path, 10**9, 10**9)
+    with pytest.raises(SessionFormatError, match=r"cannot allocate the 1000000000x1000000000 grid"):
+        AggregationSession.load(path)

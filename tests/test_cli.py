@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -143,15 +144,18 @@ def write_bad_session(kind, path, dataset):
         path.write_bytes(b"\xff\xfe\x00session")
     elif kind == "other_grid":
         AggregationSession(GridSpec(0.0, 0.0, 0.1, 50, 50)).dump(path)
-    else:  # a dumped session with one cell moved outside the grid
+    else:  # a dumped session with one cell moved outside the grid, or a grid too large to allocate
         assert main(["aggregate", str(episode_dir(dataset)), "--out", str(path)]) == 0
         payload = json.loads(path.read_text())
-        rows = next(rows for rows in payload["cells"].values() if rows)
-        rows[0][0] = -3
+        if kind == "huge_grid":
+            payload["grid"].update(d1=10**9, d2=10**9)
+        else:
+            rows = next(rows for rows in payload["cells"].values() if rows)
+            rows[0][0] = -3
         path.write_text(json.dumps(payload))
 
 
-@pytest.mark.parametrize("kind", ["not_json", "not_utf8", "other_grid", "cell_outside_grid"])
+@pytest.mark.parametrize("kind", ["not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid"])
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
     session_file = tmp_path / "session.json"
     write_bad_session(kind, session_file, dataset)
@@ -166,6 +170,26 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
     if kind == "other_grid":
         assert str(PipelineConfig().grid_spec()) in lines[0]
         assert "cell_size=0.1, d1=50, d2=50" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["ground", "aggregate", "eval"])
+def test_depth_beyond_configured_max_range_is_io_error(dataset, tmp_path, capsys, command):
+    # the dataset is written at the default max_range 2.4, so its depths run past 2.0
+    config = tmp_path / "short.cfg"
+    config.write_text("max_range = 2.0\n")
+    args = {
+        "ground": ["ground", str(episode_dir(dataset)), "bring a cup"],
+        "aggregate": ["aggregate", str(episode_dir(dataset)), "--out", str(tmp_path / "s.json")],
+        "eval": ["eval", str(dataset)],
+    }[command]
+    assert main(args + ["--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and ".depth: " in lines[0]
+    largest = re.search(r"largest depth ([0-9.]+), configured max_range 2.0$", lines[0])
+    assert largest and 2.0 < float(largest.group(1)) <= 2.4
 
 
 # -- eval --------------------------------------------------------------------------

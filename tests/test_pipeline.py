@@ -34,19 +34,7 @@ def episode(tmp_path_factory):
     gen = GenerationConfig(copies={"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1})
     room = generate_room(42, gen)
     out = tmp_path_factory.mktemp("episodes") / "episode_00000"
-    simulate_episode(
-        out,
-        room,
-        cfg.intrinsics(),
-        cfg.n_waypoints,
-        cfg.cam_height,
-        cfg.traj_margin,
-        cfg.look_height,
-        cfg.tau_near,
-        cfg.min_pixels,
-        cfg.max_range,
-        cfg.look_frac,
-    )
+    simulate_episode(out, room, cfg)
     return cfg, room, out
 
 
