@@ -7,13 +7,13 @@ captions describe each object in lexicon words.
 """
 
 import tempfile
+from itertools import islice
 from pathlib import Path
 
-from refground import GenerationConfig, derive_relations, generate_room, gt_detections
+from refground import GenerationConfig, derive_relations, generate_room
 from refground.config import PipelineConfig
-from refground.episodes import load_episode, simulate_episode
-from refground.render import render_scene
-from refground.simulator import caption_for, plan_trajectory
+from refground.episodes import load_episode, simulate_episode, trajectory_frames
+from refground.simulator import caption_for
 
 config = PipelineConfig()
 recipe = GenerationConfig(
@@ -33,16 +33,9 @@ for obj in room.objects:
     print(f"  #{obj.id}: {caption_for(room, obj, relations)!r}")
 
 print("\n=== trajectory and rendered views ===")
-poses = plan_trajectory(
-    room, config.n_waypoints, config.cam_height, config.traj_margin,
-    config.look_height, config.look_frac,
-)
-K = config.intrinsics()
-captions = {o.id: caption_for(room, o, relations) for o in room.objects}
-for index, pose in enumerate(poses[:4]):
-    depth, winner = render_scene(room, pose, K, config.max_range)
-    detections = gt_detections(room, pose, K, captions, config.min_pixels, config.max_range,
-                               winner=winner)
+# the same trajectory -> render -> detect loop writes episodes and builds
+# the false-positive bank; it renders lazily, so only four views are drawn here
+for index, (pose, depth, detections) in enumerate(islice(trajectory_frames(room, config), 4)):
     valid = depth[depth > 0]
     x, y, z = pose.translation
     print(

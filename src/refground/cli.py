@@ -1,7 +1,11 @@
 """Command line front end: simulate, ground, aggregate, eval, parse.
 
 Exit codes for `ground`: 0 success, 2 instruction parse failure, 3 I/O
-error. No query is printed on a nonzero exit.
+error. No query is printed on a nonzero exit. Exit codes for `simulate`:
+0 success, 1 when a room cannot be placed, 3 I/O error (for instance an
+--out path that is a file or lies under one). Every command exits 3 with
+one line on an I/O error, a missing config file or a bad config key or
+value.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from pathlib import Path
 
 from .aggregation import AggregationSession, SessionFormatError
 from .config import NOISE_PRESETS, ConfigError, PipelineConfig, load_config
-from .discriminator import outcome_to_dict
+from .discriminator import write_outcome
 from .episodes import DatasetError
 from .evaluation import (
     evaluate_dataset,
@@ -106,7 +110,7 @@ def cmd_ground(args) -> int:
                 )
         else:
             session = session_for_episode(args.episode, config, args.noise)
-    except (OSError, DatasetError, SessionFormatError) as exc:
+    except (DatasetError, SessionFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -118,13 +122,7 @@ def cmd_ground(args) -> int:
         print(f"error: cannot parse instruction: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.out:
-        try:
-            Path(args.out).write_text(
-                json.dumps(outcome_to_dict(outcome), sort_keys=True) + "\n", encoding="utf-8"
-            )
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        write_outcome(outcome, args.out)
     print(outcome.query)
     return 0
 
@@ -134,7 +132,7 @@ def cmd_aggregate(args) -> int:
     try:
         session = session_for_episode(args.episode, config, args.noise)
         session.dump(args.out)
-    except (OSError, DatasetError) as exc:
+    except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"session written to {args.out}")
@@ -145,7 +143,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     try:
         report = evaluate_dataset(args.dataset, config, args.noise)
-    except (OSError, DatasetError) as exc:
+    except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.out:
@@ -183,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except GenerationError as exc:
         print(f"generation error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from .discriminator import (
 )
 from .geometry import CameraIntrinsics, GridSpec
 from .lexicon import Lexicon, default_lexicon, load_lexicon
-from .simulator import ErrorConfig
+from .simulator import ErrorConfig, GenerationConfig
 
 NOISE_PRESETS = {
     "none": frozenset(),
@@ -124,6 +124,18 @@ class PipelineConfig:
             cy=self.frame_height / 2.0,
             width=self.frame_width,
             height=self.frame_height,
+        )
+
+    def generation_config(self, copies: dict[str, int], min_extent: float = 0.0) -> GenerationConfig:
+        """Placement recipe for a room holding `copies`, each floor side at least min_extent."""
+        return GenerationConfig(
+            extents=(max(min_extent, self.room_x), max(min_extent, self.room_y), self.room_z),
+            copies=copies,
+            wall_margin=self.wall_margin,
+            min_separation=self.min_separation,
+            floor_clearance=self.floor_clearance,
+            support_inset=self.support_inset,
+            max_attempts=self.max_attempts,
         )
 
     def grid_spec(self) -> GridSpec:

@@ -81,67 +81,65 @@ def _detection_from_dict(d: dict) -> Detection:
     return Detection(BoundingBox(u0, v0, u1, v1), d["caption"], d.get("gt_id"))
 
 
-def write_episode(
-    out_dir: str | Path,
-    room: RoomSpec,
-    poses: list[Pose],
-    intrinsics: CameraIntrinsics,
-    instructions: list[InstructionCase],
-    captions: dict[int, str],
-    min_pixels: int = 25,
-    max_range: float = 10.0,
-) -> Path:
-    """Render every pose, write depth frames and all episode files."""
+def trajectory_frames(room: RoomSpec, config: PipelineConfig, n_poses: int | None = None):
+    """Yield (pose, depth, detections) for each pose of the room's camera loop.
+
+    The loop has config.n_waypoints poses unless n_poses is given; depth is
+    the rendered float32 map, detections the visible objects with captions.
+    """
+    relations = derive_relations(room, config.tau_near)
+    captions = {o.id: caption_for(room, o, relations) for o in room.objects}
+    intrinsics = config.intrinsics()
+    poses = plan_trajectory(
+        room, config.n_waypoints if n_poses is None else n_poses, config.cam_height, config.traj_margin,
+        config.look_height, config.look_frac,
+    )
+    for pose in poses:
+        depth, winner = render_scene(room, pose, intrinsics, config.max_range)
+        detections = gt_detections(
+            room, pose, intrinsics, captions, config.min_pixels, config.max_range, winner=winner
+        )
+        yield pose, depth, detections
+
+
+def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig) -> Path:
+    """Render every trajectory pose of one generated room; write depth frames and all episode files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "room.json").write_text(
         json.dumps(jsonify(room.to_dict()), sort_keys=True) + "\n", encoding="utf-8"
     )
+    k = config.intrinsics()
+    intrinsics = {
+        "fx": k.fx,
+        "fy": k.fy,
+        "cx": k.cx,
+        "cy": k.cy,
+        "width": k.width,
+        "height": k.height,
+    }
     frame_lines = []
-    for index, pose in enumerate(poses):
-        depth, winner = render_scene(room, pose, intrinsics, max_range)
-        detections = gt_detections(
-            room, pose, intrinsics, captions, min_pixels, max_range, winner=winner
-        )
+    for index, (pose, depth, detections) in enumerate(trajectory_frames(room, config)):
         depth_name = f"frame_{index:05d}.depth"
-        write_depth_file(out / depth_name, DepthFrame(intrinsics.width, intrinsics.height, depth, max_range))
+        write_depth_file(out / depth_name, DepthFrame(k.width, k.height, depth, config.max_range))
         frame_lines.append(
             dump_json_line(
                 {
                     "frame": index,
                     "pose": [float(x) for x in pose.matrix().reshape(-1)],
-                    "intrinsics": {
-                        "fx": intrinsics.fx,
-                        "fy": intrinsics.fy,
-                        "cx": intrinsics.cx,
-                        "cy": intrinsics.cy,
-                        "width": intrinsics.width,
-                        "height": intrinsics.height,
-                    },
+                    "intrinsics": intrinsics,
                     "detections": [_detection_dict(d) for d in detections],
                     "depth_file": depth_name,
                 }
             )
         )
     (out / "episode.jsonl").write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
+    instructions = emit_instructions(room, derive_relations(room, config.tau_near))
     (out / "instructions.jsonl").write_text(
         "\n".join(dump_json_line(case.to_dict()) for case in instructions) + "\n",
         encoding="utf-8",
     )
     return out
-
-
-def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig) -> Path:
-    """Trajectory + rendering + labels for one generated room."""
-    relations = derive_relations(room, config.tau_near)
-    captions = {o.id: caption_for(room, o, relations) for o in room.objects}
-    poses = plan_trajectory(
-        room, config.n_waypoints, config.cam_height, config.traj_margin, config.look_height, config.look_frac
-    )
-    instructions = emit_instructions(room, relations)
-    return write_episode(
-        out_dir, room, poses, config.intrinsics(), instructions, captions, config.min_pixels, config.max_range
-    )
 
 
 def load_room(episode_dir: str | Path) -> RoomSpec:

@@ -29,7 +29,7 @@ from .pipeline import (
     query_seed_for,
     session_for_episode,
 )
-from .simulator import PALETTE, GenerationConfig, GenerationError, generate_room
+from .simulator import PALETTE, GenerationError, generate_room
 
 COUNTING_TARGETS = ("cup", "book", "lamp", "bowl", "laptop", "chair", "plant", "armchair")
 DIALOGUE_MULTI = ("cup", "book", "lamp", "bowl", "chair")
@@ -130,53 +130,49 @@ def eval_parser_corpus(cases: list[CorpusCase], lexicon: Lexicon):
 # -- dataset simulation -------------------------------------------------------
 
 
-def _counting_generation(target: str, count: int, seed: int, config: PipelineConfig):
-    """Room recipe for a counting episode: the target class in `count` copies,
-    enough supporters, and a few distractor classes."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 606]))
+_SUPPORTERS = ("table", "desk", "counter", "dining table")
+_STREAMS = {"counting": 606, "dialogue": 707}  # random stream of each kind's distractor draw
+
+
+def _room_recipe(target: str, count: int, seed: int, stream: int, config: PipelineConfig):
+    """The target class in `count` copies, enough supporters to hold them,
+    and three distractor classes."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
     copies: dict[str, int] = {target: count}
-    supporters = ["table", "desk", "counter", "dining table"]
     needed = count if PALETTE[target].supported else 2
-    for sup in supporters[: max(2, needed)]:
-        if sup != target:
-            copies[sup] = max(copies.get(sup, 0), 1)
-    pool = [c for c in sorted(PALETTE) if c not in copies and not PALETTE[c].supporter]
-    picks = rng.permutation(len(pool))[:3]
-    for i in picks:
-        copies[pool[int(i)]] = 1
-    return GenerationConfig(
-        extents=(config.room_x, config.room_y, config.room_z),
-        copies=copies,
-        wall_margin=config.wall_margin,
-        min_separation=config.min_separation,
-        floor_clearance=config.floor_clearance,
-        support_inset=config.support_inset,
-        max_attempts=config.max_attempts,
-    )
-
-
-def _dialogue_generation(index: int, seed: int, config: PipelineConfig):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 707]))
-    multi = DIALOGUE_MULTI[index % len(DIALOGUE_MULTI)]
-    count = 2 + (index % 2)
-    copies: dict[str, int] = {multi: count}
-    supporters = ["table", "desk", "counter", "dining table"]
-    needed = count if PALETTE[multi].supported else 2
-    for sup in supporters[: max(2, needed)]:
+    for sup in _SUPPORTERS[: max(2, needed)]:
         copies[sup] = 1
     pool = [c for c in sorted(PALETTE) if c not in copies and not PALETTE[c].supporter]
-    picks = rng.permutation(len(pool))[:3]
-    for i in picks:
+    for i in rng.permutation(len(pool))[:3]:
         copies[pool[int(i)]] = 1
-    return GenerationConfig(
-        extents=(config.room_x, config.room_y, config.room_z),
-        copies=copies,
-        wall_margin=config.wall_margin,
-        min_separation=config.min_separation,
-        floor_clearance=config.floor_clearance,
-        support_inset=config.support_inset,
-        max_attempts=config.max_attempts,
+    return config.generation_config(copies)
+
+
+def _generate_with_retries(kind: str, seed: int, target: str, count: int, config: PipelineConfig):
+    last: GenerationError | None = None
+    for bump in range(8):
+        room_seed = seed + bump * 97
+        try:
+            return generate_room(room_seed, _room_recipe(target, count, room_seed, _STREAMS[kind], config))
+        except GenerationError as exc:
+            last = exc
+    raise GenerationError(f"{kind} room {target} x{count} (seed {seed}): {last}")
+
+
+def _write_dataset(out_dir: str | Path, config: PipelineConfig, kind: str, rooms) -> Path:
+    """Generate and simulate one episode per (seed, target, count, manifest fields)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for index, (seed, target, count, fields) in enumerate(rooms):
+        room = _generate_with_retries(kind, seed, target, count, config)
+        name = f"episode_{index:05d}"
+        simulate_episode(out / name, room, config)
+        manifest.append({"dir": name, "seed": seed, "kind": kind, **fields})
+    (out / "manifest.jsonl").write_text(
+        "\n".join(dump_json_line(m) for m in manifest) + "\n", encoding="utf-8"
     )
+    return out
 
 
 def simulate_counting_dataset(
@@ -186,63 +182,24 @@ def simulate_counting_dataset(
     counts: tuple[int, ...] = (1, 2, 3),
 ) -> Path:
     """Seeded rooms cycling target classes for each instance count."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    index = 0
+    rooms = []
     for count in counts:
         for r in range(rooms_per_count):
             target = COUNTING_TARGETS[r % len(COUNTING_TARGETS)]
-            seed = config.seed * 100000 + count * 1000 + r
-            room = _generate_with_retries(seed, target, count, config)
-            name = f"episode_{index:05d}"
-            simulate_episode(out / name, room, config)
-            manifest.append(
-                {"dir": name, "target": target, "count": count, "seed": seed, "kind": "counting"}
-            )
-            index += 1
-    (out / "manifest.jsonl").write_text(
-        "\n".join(dump_json_line(m) for m in manifest) + "\n", encoding="utf-8"
-    )
-    return out
-
-
-def _generate_with_retries(seed: int, target: str, count: int, config: PipelineConfig):
-    last: GenerationError | None = None
-    for bump in range(8):
-        try:
-            return generate_room(seed + bump * 97, _counting_generation(target, count, seed + bump * 97, config))
-        except GenerationError as exc:
-            last = exc
-    raise GenerationError(f"target {target} x{count}: {last}")
+            fields = {"target": target, "count": count}
+            rooms.append((config.seed * 100000 + count * 1000 + r, target, count, fields))
+    return _write_dataset(out_dir, config, "counting", rooms)
 
 
 def simulate_dialogue_dataset(
     out_dir: str | Path, config: PipelineConfig, n_rooms: int = 12
 ) -> Path:
     """Rooms with one multi-copy class plus distractors, for end-to-end eval."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for index in range(n_rooms):
-        seed = config.seed * 100000 + 50000 + index
-        last: GenerationError | None = None
-        room = None
-        for bump in range(8):
-            try:
-                room = generate_room(seed + bump * 97, _dialogue_generation(index, seed + bump * 97, config))
-                break
-            except GenerationError as exc:
-                last = exc
-        if room is None:
-            raise GenerationError(f"dialogue room {index}: {last}")
-        name = f"episode_{index:05d}"
-        simulate_episode(out / name, room, config)
-        manifest.append({"dir": name, "seed": seed, "kind": "dialogue"})
-    (out / "manifest.jsonl").write_text(
-        "\n".join(dump_json_line(m) for m in manifest) + "\n", encoding="utf-8"
-    )
-    return out
+    rooms = [
+        (config.seed * 100000 + 50000 + i, DIALOGUE_MULTI[i % len(DIALOGUE_MULTI)], 2 + i % 2, {})
+        for i in range(n_rooms)
+    ]
+    return _write_dataset(out_dir, config, "dialogue", rooms)
 
 
 def load_manifest(dataset_dir: str | Path) -> list[dict]:

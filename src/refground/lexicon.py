@@ -73,12 +73,6 @@ class Lexicon:
             if not kind.startswith("is-"):
                 raise LexiconError(f"relation cue {cue!r} maps to non-relational kind {kind!r}")
 
-    def value_kind(self, token: str) -> str | None:
-        for kind, values in self.self_values.items():
-            if token in values:
-                return kind
-        return None
-
 
 def default_lexicon() -> Lexicon:
     return Lexicon(

@@ -15,7 +15,7 @@ from pathlib import Path
 from .aggregation import AggregationSession, InstanceRecord
 from .config import PipelineConfig
 from .discriminator import DialogueState, GroundingOutcome, classify, generate_query
-from .episodes import FrameRecord, load_episode
+from .episodes import FrameRecord, load_episode, trajectory_frames
 from .geometry import bbox_cloud_arrays, voxelize_bev_arrays
 from .graph import AttributePath, ObjectGraph, canonicalize
 from .language import PhraseError, phrase_to_graph, realize
@@ -24,16 +24,12 @@ from .oracle import oracle_classify, oracle_paths
 from .simulator import (
     ErrorConfig,
     FrameContext,
-    GenerationConfig,
     RoomSpec,
     apply_errors,
-    caption_for,
     derive_relations,
     generate_room,
     object_graph,
-    plan_trajectory,
 )
-from .render import gt_detections
 
 
 def stream_seed_for(name: str) -> int:
@@ -46,42 +42,22 @@ def query_seed_for(base_seed: int, key: str) -> int:
     return (base_seed * 1000003 + zlib.crc32(key.encode("utf-8"))) & 0x7FFFFFFF
 
 
-def build_observation_bank(
-    config: PipelineConfig, bank_seed: int | None = None, n_frames: int = 10
-) -> tuple:
-    """Detections from a different seeded room, used by the false-positive model."""
-    seed = (config.seed + 9999) if bank_seed is None else bank_seed
-    gen = GenerationConfig(
-        extents=(max(6.5, config.room_x), max(6.5, config.room_y), config.room_z),
-        copies={
-            "cup": 1,
-            "book": 1,
-            "lamp": 1,
-            "bowl": 1,
-            "laptop": 1,
-            "plant": 1,
-            "chair": 1,
-            "armchair": 1,
-            "sofa": 1,
-            "table": 1,
-            "desk": 1,
-            "counter": 1,
-        },
-        wall_margin=config.wall_margin,
-        min_separation=config.min_separation,
-        floor_clearance=config.floor_clearance,
-        support_inset=config.support_inset,
-        max_attempts=config.max_attempts,
+_BANK_CLASSES = (
+    "cup", "book", "lamp", "bowl", "laptop", "plant",
+    "chair", "armchair", "sofa", "table", "desk", "counter",
+)
+
+
+def build_observation_bank(config: PipelineConfig) -> tuple:
+    """(bbox, caption) of every detection along 10 poses of a different seeded
+    room, one object of each bank class; used by the false-positive model."""
+    gen = config.generation_config(dict.fromkeys(_BANK_CLASSES, 1), min_extent=6.5)
+    room = generate_room(config.seed + 9999, gen)
+    return tuple(
+        (det.bbox, det.caption)
+        for _, _, detections in trajectory_frames(room, config, n_poses=10)
+        for det in detections
     )
-    room = generate_room(seed, gen)
-    relations = derive_relations(room, config.tau_near)
-    captions = {o.id: caption_for(room, o, relations) for o in room.objects}
-    intrinsics = config.intrinsics()
-    entries = []
-    for pose in plan_trajectory(room, max(4, n_frames), config.cam_height, config.traj_margin, config.look_height, config.look_frac):
-        for det in gt_detections(room, pose, intrinsics, captions, config.min_pixels, config.max_range):
-            entries.append((det.bbox, det.caption))
-    return tuple(entries)
 
 
 @dataclass
@@ -164,23 +140,6 @@ def ground_in_session(
     outcome = classify(g, records)
     outcome = outcome.with_query(generate_query(outcome, query_seed, config.templates()))
     return outcome, g
-
-
-def ground_episode(
-    episode_dir: str | Path,
-    instruction: str,
-    config: PipelineConfig,
-    noise_preset: str = "none",
-    lexicon: Lexicon | None = None,
-    session: AggregationSession | None = None,
-) -> tuple[GroundingOutcome, ObjectGraph]:
-    """Full pipeline for one stored episode and one instruction."""
-    episode_dir = Path(episode_dir)
-    lexicon = lexicon or config.lexicon()
-    if session is None:
-        session = session_for_episode(episode_dir, config, noise_preset, lexicon)
-    seed = query_seed_for(config.seed, f"{episode_dir.name}:{instruction}")
-    return ground_in_session(session, instruction, config, lexicon, seed)
 
 
 def session_for_episode(

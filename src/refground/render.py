@@ -194,13 +194,20 @@ def gt_detections(
     """
     if winner is None:
         _, winner = render_scene(room, pose, intrinsics, max_range)
+    # one pass over the map: each object's pixel count and occupied rows and columns
+    h, w = winner.shape
+    n = len(room.objects)
+    ys, xs = np.nonzero(winner >= 0)
+    ids = winner[ys, xs]
+    pixels = np.bincount(ids, minlength=n)
+    rows = np.bincount(ids * h + ys, minlength=n * h).reshape(n, h) > 0
+    cols = np.bincount(ids * w + xs, minlength=n * w).reshape(n, w) > 0
     detections: list[Detection] = []
     for idx, obj in enumerate(room.objects):
-        ys, xs = np.nonzero(winner == idx)
-        if xs.size < min_pixels:
+        if pixels[idx] < max(min_pixels, 1):
             continue
-        bbox = BoundingBox(
-            float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1)
-        )
+        u0, u1 = cols[idx].argmax(), w - cols[idx, ::-1].argmax()
+        v0, v1 = rows[idx].argmax(), h - rows[idx, ::-1].argmax()
+        bbox = BoundingBox(float(u0), float(v0), float(u1), float(v1))
         detections.append(Detection(bbox, captions[obj.id], obj.id))
     return detections

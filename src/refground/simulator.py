@@ -389,7 +389,6 @@ def plan_trajectory(
     margin: float = 0.45,
     look_height: float = 0.0,
     look_frac: float = 0.42,
-    seed: int | None = None,
 ) -> list[Pose]:
     """Inset perimeter loop plus jittered interior poses, all oriented toward
     the room center.
@@ -401,7 +400,7 @@ def plan_trajectory(
     """
     if n_waypoints < 4:
         raise ValueError("n_waypoints must be at least 4")
-    rng = np.random.default_rng(np.random.SeedSequence([room.seed if seed is None else seed, 202]))
+    rng = np.random.default_rng(np.random.SeedSequence([room.seed, 202]))
     ex, ey, _ = room.extents
     cx, cy = ex / 2.0, ey / 2.0
     x0, x1 = margin, ex - margin
@@ -600,14 +599,13 @@ def _article(word: str) -> str:
 def emit_instructions(
     room: RoomSpec,
     relations: dict[int, list[tuple[str, int]]],
-    seed: int | None = None,
 ) -> list[InstructionCase]:
     """Three referring-expression types per class plus missing/mismatch probes.
 
     Expected states come from the brute-force grounding oracle over the
     ground-truth object graphs, so they serve directly as evaluation labels.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([room.seed if seed is None else seed, 404]))
+    rng = np.random.default_rng(np.random.SeedSequence([room.seed, 404]))
     cases: list[InstructionCase] = []
     class_graphs: dict[str, list[ObjectGraph]] = {}
     for cls_name in room.classes():

@@ -47,6 +47,36 @@ def test_simulate_rerun_byte_identical(dataset, tmp_path):
     assert tree_digest(again) == tree_digest(dataset)
 
 
+@pytest.mark.parametrize("kind", ["counting", "dialogue"])
+@pytest.mark.parametrize("under_file", [False, True])
+def test_simulate_out_blocked_by_file_is_io_error(tmp_path, capsys, kind, under_file):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under_file else blocker
+    assert main(["simulate", "--out", str(out), "--kind", kind, "--rooms", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(blocker) in lines[0]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate_config", "ground_out", "eval_out"])
+def test_missing_or_blocked_path_is_io_error(dataset, tmp_path, capsys, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    args = {
+        "simulate_config": ["simulate", "--out", str(tmp_path / "d"), "--config", str(tmp_path / "nope.cfg")],
+        "ground_out": ["ground", str(episode_dir(dataset)), "bring a cup", "--out", str(blocker / "o.json")],
+        "eval_out": ["eval", str(dataset), "--out", str(blocker / "r.json")],
+    }[command]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # -- parse --------------------------------------------------------------------
 
 

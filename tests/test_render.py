@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from refground.config import PipelineConfig
-from refground.evaluation import _dialogue_generation, _generate_with_retries
+from refground.evaluation import DIALOGUE_MULTI, _generate_with_retries
 from refground.geometry import CameraIntrinsics
 from refground.render import NO_HIT, render_scene, scene_boxes
-from refground.simulator import GenerationError, RoomSpec, SceneObject, generate_room, look_at_pose, plan_trajectory
+from refground.simulator import RoomSpec, SceneObject, look_at_pose, plan_trajectory
 
 RANGES = (1.0, 2.0, 2.4, 10.0)
 K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
@@ -67,17 +67,11 @@ def manual_room(boxes, extents=(6.0, 6.0, 2.5)):
 
 
 def counting_room(config):
-    return _generate_with_retries(config.seed * 100000 + 3 * 1000, "cup", 3, config)
+    return _generate_with_retries("counting", config.seed * 100000 + 3 * 1000, "cup", 3, config)
 
 
 def dialogue_room(config):
-    seed = config.seed * 100000 + 50000 + 1
-    for bump in range(8):
-        try:
-            return generate_room(seed + bump * 97, _dialogue_generation(1, seed + bump * 97, config))
-        except GenerationError:
-            continue
-    raise AssertionError("no dialogue room generated")
+    return _generate_with_retries("dialogue", config.seed * 100000 + 50000 + 1, DIALOGUE_MULTI[1], 3, config)
 
 
 @pytest.mark.parametrize("make_room", [counting_room, dialogue_room])

@@ -292,6 +292,26 @@ def test_min_pixels_threshold():
     assert few == []
 
 
+def test_detections_match_per_object_scan_of_winner_map():
+    """One pass over the map gives each object's tight box, as a scan per object would."""
+    rng = np.random.default_rng(5)
+    objects = [box_obj(i, "cup", 0.5 * i, 1.0, 0.1, 0.1, 0.1) for i in range(6)]
+    room = manual_room(objects)
+    captions = {o.id: f"a cup {o.id}" for o in objects}
+    K = CameraIntrinsics(fx=40.0, fy=40.0, cx=24.0, cy=15.0, width=48, height=30)
+    pose = look_at_pose((0.0, 0.0, 1.0), (1.0, 1.0, 0.0))
+    for _ in range(40):
+        winner = rng.choice(np.arange(-2, 6), size=(30, 48), p=rng.dirichlet(np.ones(8) * 0.3))
+        for min_pixels in (0, 1, 25):
+            want = []
+            for idx, obj in enumerate(objects):
+                ys, xs = np.nonzero(winner == idx)
+                if xs.size and xs.size >= min_pixels:
+                    bbox = BoundingBox(float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1))
+                    want.append(Detection(bbox, captions[obj.id], obj.id))
+            assert gt_detections(room, pose, K, captions, min_pixels, winner=winner) == want
+
+
 # -- error models -------------------------------------------------------------------
 
 
