@@ -4,7 +4,7 @@ a clarifying question when the grounding is ambiguous, mismatched, or missing.
 
 from .aggregation import AggregationSession, GraphRegistry, InstanceRecord, merge_regions
 from .config import PipelineConfig, load_config, save_config
-from .discriminator import DialogueState, GroundingOutcome, classify, generate_query, resolve
+from .discriminator import DialogueState, GroundingOutcome, classify, generate_query
 from .geometry import (
     BoundingBox,
     CameraIntrinsics,
@@ -26,8 +26,8 @@ from .graph import (
     graph_equal,
     serialize,
 )
-from .language import ExternalTagger, TagLabel, Token, parse_tags, phrase_to_graph, realize, tag, tokenize
-from .lexicon import Lexicon, default_lexicon, load_lexicon, save_lexicon
+from .language import TagLabel, Token, parse_tags, phrase_to_graph, realize, tag, tokenize
+from .lexicon import Lexicon, default_lexicon, load_lexicon
 from .metrics import bleu, corpus_bleu
 from .simulator import (
     Detection,
@@ -41,6 +41,6 @@ from .simulator import (
     generate_room,
     plan_trajectory,
 )
-from .render import gt_detections, render_depth
+from .render import gt_detections
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ Exit codes for `ground`: 0 success, 2 instruction parse failure, 3 I/O
 error. No query is printed on a nonzero exit. Exit codes for `simulate`:
 0 success, 1 when a room cannot be placed, 3 I/O error (for instance an
 --out path that is a file or lies under one). Every command exits 3 with
-one line on an I/O error, a missing config file or a bad config key or
-value.
+one line on an I/O error, a missing or non-UTF-8 config file, a bad config
+key or value, or a malformed lexicon file.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .evaluation import (
 )
 from .graph import to_dict as graph_to_dict
 from .language import PhraseError, phrase_to_graph, tag, tokenize
+from .lexicon import LexiconError
 from .pipeline import query_seed_for, session_for_episode
 from .simulator import GenerationError
 
@@ -181,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except LexiconError as exc:
+        print(f"lexicon error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

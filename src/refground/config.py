@@ -180,17 +180,17 @@ class PipelineConfig:
 
 def _coerce(name: str, kind, raw: str, lineno: int):
     try:
-        if kind is bool or kind == "bool":
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind is int or kind == "int":
+        if kind is int:
             return int(raw)
-        if kind is float or kind == "float":
+        if kind is float:
             return float(raw)
-        if kind is str or kind == "str":
+        if kind is str:
             return raw
         return tuple(part.strip() for part in raw.split("|") if part.strip())
     except ValueError as exc:
@@ -200,12 +200,12 @@ def _coerce(name: str, kind, raw: str, lineno: int):
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key = value config file with line-precise error messages."""
     config = PipelineConfig()
-    types = {f.name: f.type for f in fields(PipelineConfig)}
-    kinds = {
-        f.name: (bool if f.name == "fp_per_detection" else type(getattr(config, f.name)))
-        for f in fields(PipelineConfig)
-    }
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    kinds = {f.name: type(getattr(config, f.name)) for f in fields(PipelineConfig)}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -213,7 +213,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in types:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         setattr(config, key, _coerce(key, kinds[key], value, lineno))
     try:

@@ -143,17 +143,6 @@ def generate_query(
     return f"I found {listed}. {suffix}"
 
 
-def resolve(
-    g: ObjectGraph,
-    instances: list[InstanceRecord],
-    rng_seed: int,
-    templates: QueryTemplates | None = None,
-) -> GroundingOutcome:
-    """classify + generate_query in one step."""
-    outcome = classify(g, instances)
-    return outcome.with_query(generate_query(outcome, rng_seed, templates))
-
-
 # -- outcome records ---------------------------------------------------------
 
 

@@ -142,22 +142,35 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
     return out
 
 
+def read_json_lines(path: Path, parse) -> list:
+    """parse(record) for every non-blank UTF-8 JSON line of path; a line that
+    fails to decode or parse is a DatasetError naming the file and line."""
+    out = []
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(json.loads(line.decode("utf-8"))))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
+    return out
+
+
 def load_room(episode_dir: str | Path) -> RoomSpec:
     path = Path(episode_dir) / "room.json"
     if not path.exists():
         raise DatasetError(f"{episode_dir}: missing room.json")
-    return RoomSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return RoomSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def load_instructions(episode_dir: str | Path) -> list[InstructionCase]:
     path = Path(episode_dir) / "instructions.jsonl"
     if not path.exists():
         raise DatasetError(f"{episode_dir}: missing instructions.jsonl")
-    cases = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            cases.append(InstructionCase.from_dict(json.loads(line)))
-    return cases
+    return read_json_lines(path, InstructionCase.from_dict)
 
 
 def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
@@ -165,23 +178,16 @@ def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
     path = episode_dir / "episode.jsonl"
     if not path.exists():
         raise DatasetError(f"{episode_dir}: missing episode.jsonl")
-    frames = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            pose = Pose.from_matrix(np.asarray(rec["pose"], dtype=np.float64).reshape(4, 4))
-            k = rec["intrinsics"]
-            intrinsics = CameraIntrinsics(
-                k["fx"], k["fy"], k["cx"], k["cy"], int(k["width"]), int(k["height"])
-            )
-            detections = tuple(_detection_from_dict(d) for d in rec["detections"])
-            frames.append(
-                FrameRecord(
-                    int(rec["frame"]), pose, intrinsics, detections, episode_dir / rec["depth_file"]
-                )
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
-    return frames
+
+    def frame(rec: dict) -> FrameRecord:
+        pose = Pose.from_matrix(np.asarray(rec["pose"], dtype=np.float64).reshape(4, 4))
+        k = rec["intrinsics"]
+        intrinsics = CameraIntrinsics(
+            k["fx"], k["fy"], k["cx"], k["cy"], int(k["width"]), int(k["height"])
+        )
+        detections = tuple(_detection_from_dict(d) for d in rec["detections"])
+        return FrameRecord(
+            int(rec["frame"]), pose, intrinsics, detections, episode_dir / rec["depth_file"]
+        )
+
+    return read_json_lines(path, frame)

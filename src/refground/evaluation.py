@@ -17,8 +17,15 @@ import numpy as np
 
 from .config import PipelineConfig
 from .discriminator import DialogueState, GroundingOutcome
-from .episodes import DatasetError, dump_json_line, load_instructions, load_room, simulate_episode
-from .graph import ObjectGraph, canonicalize, serialize
+from .episodes import (
+    DatasetError,
+    dump_json_line,
+    load_instructions,
+    load_room,
+    read_json_lines,
+    simulate_episode,
+)
+from .graph import ObjectGraph, serialize
 from .language import phrase_to_graph, tag, tokenize
 from .lexicon import COLORS, MATERIALS, Lexicon
 from .metrics import binary_f1, corpus_bleu, counting_f1, weighted_label_f1
@@ -29,7 +36,7 @@ from .pipeline import (
     query_seed_for,
     session_for_episode,
 )
-from .simulator import PALETTE, GenerationError, generate_room
+from .simulator import INSTRUCTION_VERBS, PALETTE, GenerationError, generate_room, instruction
 
 COUNTING_TARGETS = ("cup", "book", "lamp", "bowl", "laptop", "chair", "plant", "armchair")
 DIALOGUE_MULTI = ("cup", "book", "lamp", "bowl", "chair")
@@ -46,21 +53,6 @@ class CorpusCase:
     re_type: str
 
 
-_VERB_LABELS = {
-    "bring me": ("O", "O"),
-    "bring": ("O",),
-    "take": ("O",),
-    "fetch": ("O",),
-    "pick up": ("O", "O"),
-    "grab": ("O",),
-    "find": ("O",),
-    "get me": ("O", "O"),
-    "please bring": ("O", "O"),
-}
-
-_CUES = {"is-on": "on", "is-near": "near", "is-at": "at"}
-
-
 def build_parser_corpus(n: int, seed: int = 0) -> list[CorpusCase]:
     """Templated instructions cycling the three referring-expression types.
 
@@ -68,47 +60,28 @@ def build_parser_corpus(n: int, seed: int = 0) -> list[CorpusCase]:
     a tagger benchmark with known spans.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 505]))
-    verbs = sorted(_VERB_LABELS)
+    verbs = sorted(INSTRUCTION_VERBS)
     classes = sorted(PALETTE)
     kinds = ("color", "material")
     cases: list[CorpusCase] = []
-    article = lambda w: "an" if w[0] in "aeiou" else "a"
 
     for i in range(n):
         verb = verbs[int(rng.integers(len(verbs)))]
         cls = classes[int(rng.integers(len(classes)))]
         kind = kinds[int(rng.integers(2))]
-        value = (COLORS if kind == "color" else MATERIALS)[
-            int(rng.integers(len(COLORS if kind == "color" else MATERIALS)))
-        ]
-        cls_labels = ["B-r(g)"] + ["I-r(g)"] * (len(cls.split()) - 1)
+        values = COLORS if kind == "color" else MATERIALS
+        value = values[int(rng.integers(len(values)))]  # drawn for bare cases too
         re_type = ("self", "self+rel", "bare")[i % 3]
-
-        if re_type == "self":
-            text = f"{verb} {article(value)} {value} {cls}"
-            labels = list(_VERB_LABELS[verb]) + ["O", f"B-{kind}"] + cls_labels
-            g = ObjectGraph.build(cls, [(kind, value)])
-        elif re_type == "bare":
-            text = f"{verb} {article(cls)} {cls}"
-            labels = list(_VERB_LABELS[verb]) + ["O"] + cls_labels
-            g = ObjectGraph.build(cls)
-        else:
-            rel = ("is-on", "is-near", "is-at")[int(rng.integers(3))]
-            cue = _CUES[rel]
+        rel = None
+        if re_type == "self+rel":
+            rel_kind = ("is-on", "is-near", "is-at")[int(rng.integers(3))]
             landmark = classes[int(rng.integers(len(classes)))]
             if landmark == cls:
                 landmark = classes[(classes.index(cls) + 1) % len(classes)]
-            lm_labels = ["B-av_R"] + ["I-av_R"] * (len(landmark.split()) - 1)
-            text = f"{verb} the {value} {cls} {cue} the {landmark}"
-            labels = (
-                list(_VERB_LABELS[verb])
-                + ["O", f"B-{kind}"]
-                + cls_labels
-                + [f"B-{rel}", "O"]
-                + lm_labels
-            )
-            g = ObjectGraph.build(cls, [(kind, value)], [(rel, ObjectGraph.build(landmark))])
-        cases.append(CorpusCase(text, canonicalize(g), tuple(labels), re_type))
+            rel = (rel_kind, landmark)
+        attr = None if re_type == "bare" else (kind, value)
+        text, labels, g = instruction(verb, cls, attr, rel)
+        cases.append(CorpusCase(text, g, labels, re_type))
     return cases
 
 
@@ -206,7 +179,13 @@ def load_manifest(dataset_dir: str | Path) -> list[dict]:
     path = Path(dataset_dir) / "manifest.jsonl"
     if not path.exists():
         raise DatasetError(f"{dataset_dir}: missing manifest.jsonl")
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    return read_json_lines(path, _manifest_entry)
+
+
+def _manifest_entry(record) -> dict:
+    if not isinstance(record, dict) or not isinstance(record.get("dir"), str):
+        raise ValueError('manifest entry must be an object with a "dir" string')
+    return record
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -195,14 +195,6 @@ def graph_difference(g: ObjectGraph, h: ObjectGraph) -> frozenset[AttributePath]
     return frozenset(attribute_paths(cg) - attribute_paths(ch))
 
 
-def symmetric_difference(g: ObjectGraph, h: ObjectGraph) -> frozenset[AttributePath]:
-    """Paths present in exactly one of the two graphs (query-generation helper)."""
-    cg, ch = canonicalize(g), canonicalize(h)
-    if cg.root != ch.root:
-        raise GraphStructureError(f"symmetric_difference root mismatch: {cg.root!r} vs {ch.root!r}")
-    return frozenset(attribute_paths(cg) ^ attribute_paths(ch))
-
-
 def to_dict(g: ObjectGraph) -> dict:
     """Plain-dict form with fixed field order: root, self, rel."""
     return {

@@ -5,17 +5,12 @@ with a BIO tag over the symbol set {r(g), av_R, color, material, is-on,
 is-near, is-at, ...}, then a grammar-driven top-down parser assembles the
 labeled spans into an object graph. The inverse path (realize) renders a
 canonical graph as an English noun phrase via pre-order traversal.
-
-A learned tagger can replace the lexicon tagger through the line protocol
-implemented by ExternalTagger; its output is validated against the same
-BIO scheme before parsing.
+Parsing always uses the lexicon tagger.
 """
 
 from __future__ import annotations
 
 import re
-import select
-import subprocess
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,10 +43,6 @@ class DanglingRelationError(TagParseError):
     """A relational cue has no landmark noun to attach to."""
 
 
-class TaggerProtocolError(PhraseError):
-    """External tagger violated the line protocol."""
-
-
 @dataclass(frozen=True)
 class Token:
     text: str
@@ -77,15 +68,6 @@ class TagLabel:
 
     def __str__(self) -> str:
         return self.prefix if self.prefix == "O" else f"{self.prefix}-{self.symbol}"
-
-    @classmethod
-    def parse(cls, text: str) -> "TagLabel":
-        text = text.strip()
-        if text == "O":
-            return cls("O")
-        if len(text) > 2 and text[1] == "-" and text[0] in "BI":
-            return cls(text[0], text[2:])
-        raise TaggerProtocolError(f"unparseable label {text!r}")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -279,13 +261,13 @@ def phrase_to_graph(text: str, lexicon: Lexicon | None = None) -> ObjectGraph:
     return parse_tags(tokens, tag(tokens, lexicon))
 
 
-def _article(word: str) -> str:
+def article(word: str) -> str:
     return "an" if word[:1] in "aeiou" else "a"
 
 
 def _noun_phrase(g: ObjectGraph) -> str:
     words = [value for _, value in g.self_attrs] + g.root.split()
-    parts = [_article(words[0])] + words
+    parts = [article(words[0])] + words
     for kind, child in g.rel_attrs:
         surface = RELATION_SURFACE.get(kind.name, kind.name[3:].replace("-", " "))
         parts.append(surface)
@@ -301,62 +283,3 @@ def realize(g: ObjectGraph) -> str:
     edges). Articles are chosen by leading vowel.
     """
     return _noun_phrase(g)
-
-
-class ExternalTagger:
-    """Line-protocol client for a drop-in replacement tagger.
-
-    Request: one line of tab-separated tokens. Response: one line of
-    tab-separated labels ("B-color", "I-r(g)", "O"). One request is in
-    flight at a time. Responses are validated as BIO-correct.
-    """
-
-    def __init__(self, argv: Sequence[str], timeout: float = 10.0):
-        self.timeout = timeout
-        self._proc = subprocess.Popen(
-            list(argv),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
-
-    def tag(self, tokens: Sequence[Token]) -> list[TagLabel]:
-        if not tokens:
-            raise PhraseError("cannot tag an empty token sequence")
-        if self._proc.poll() is not None:
-            raise TaggerProtocolError("tagger process has exited")
-        for t in tokens:
-            if "\t" in t.text or "\n" in t.text:
-                raise TaggerProtocolError(f"token {t.text!r} cannot cross the line protocol")
-        assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write("\t".join(t.text for t in tokens) + "\n")
-        self._proc.stdin.flush()
-        ready, _, _ = select.select([self._proc.stdout], [], [], self.timeout)
-        if not ready:
-            raise TaggerProtocolError(f"tagger timed out after {self.timeout}s")
-        line = self._proc.stdout.readline()
-        if not line:
-            raise TaggerProtocolError("tagger closed the stream mid-request")
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != len(tokens):
-            raise TaggerProtocolError(f"expected {len(tokens)} labels, got {len(fields)}")
-        labels = [TagLabel.parse(f) for f in fields]
-        if not bio_valid(labels):
-            raise TaggerProtocolError("tagger emitted a BIO-invalid sequence")
-        return labels
-
-    def close(self):
-        if self._proc.poll() is None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

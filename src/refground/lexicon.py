@@ -84,29 +84,18 @@ def default_lexicon() -> Lexicon:
     )
 
 
-def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    """Write the key-value lexicon file (comma-separated token lists)."""
-    lines = ["# refground lexicon", f"object_classes = {', '.join(sorted(lexicon.object_classes))}"]
-    for kind in sorted(lexicon.self_values):
-        lines.append(f"self.{kind} = {', '.join(sorted(lexicon.self_values[kind]))}")
-    by_kind: dict[str, list[str]] = {}
-    for cue, kind in lexicon.relation_cues.items():
-        by_kind.setdefault(kind, []).append(cue)
-    for kind in sorted(by_kind):
-        lines.append(f"rel.{kind} = {', '.join(sorted(by_kind[kind]))}")
-    lines.append(f"stopwords = {', '.join(sorted(lexicon.stopwords))}")
-    lines.append(f"verbs = {', '.join(sorted(lexicon.verbs))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Read a lexicon file written by save_lexicon (or by hand)."""
+    """Read a key-value lexicon file (comma-separated token lists)."""
     object_classes: set[str] = set()
     self_values: dict[str, frozenset[str]] = {}
     relation_cues: dict[str, str] = {}
     stopwords: set[str] = set()
     verbs: set[str] = set()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

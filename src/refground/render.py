@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import BoundingBox, CameraIntrinsics, DepthFrame, Pose
+from .geometry import BoundingBox, CameraIntrinsics, Pose
 from .simulator import Detection, RoomSpec
 
 STRUCTURE_ID = -2  # walls and floor
@@ -168,13 +168,6 @@ def render_scene(
     depth = np.where(miss, 0.0, best)
     winner[miss] = NO_HIT
     return depth.astype(np.float32), winner
-
-
-def render_depth(
-    room: RoomSpec, pose: Pose, intrinsics: CameraIntrinsics, max_range: float = 10.0
-) -> DepthFrame:
-    depth, _ = render_scene(room, pose, intrinsics, max_range)
-    return DepthFrame(intrinsics.width, intrinsics.height, depth, max_range=max_range)
 
 
 def gt_detections(

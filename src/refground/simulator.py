@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import BoundingBox, Pose
 from .graph import ObjectGraph, canonicalize
-from .language import realize
+from .language import LANDMARK_SYMBOL, ROOT_SYMBOL, article, realize
 from .lexicon import COLORS, MATERIALS, OBJECT_CLASSES
 from .oracle import oracle_classify
 
@@ -592,8 +592,38 @@ class InstructionCase:
         )
 
 
-def _article(word: str) -> str:
-    return "an" if word[:1] in "aeiou" else "a"
+def _span(symbol: str, phrase: str) -> list[str]:
+    return [f"B-{symbol}"] + [f"I-{symbol}"] * (len(phrase.split()) - 1)
+
+
+def instruction(
+    verb: str,
+    cls: str,
+    attr: tuple[str, str] | None = None,
+    rel: tuple[str, str] | None = None,
+) -> tuple[str, tuple[str, ...], ObjectGraph]:
+    """One templated instruction: its text, gold BIO labels and canonical graph.
+
+    Templates: bare "<verb> a <cls>"; self "<verb> a <value> <cls>" for
+    attr=(kind, value); self+rel "<verb> the <value> <cls> <cue> the
+    <landmark>" for attr plus rel=(relation kind, landmark class).
+    """
+    labels = ["O"] * len(verb.split())
+    if attr is None:
+        labels += ["O"] + _span(ROOT_SYMBOL, cls)
+        return f"{verb} {article(cls)} {cls}", tuple(labels), canonicalize(ObjectGraph.build(cls))
+    kind, value = attr
+    labels += ["O"] + _span(kind, value) + _span(ROOT_SYMBOL, cls)
+    if rel is None:
+        text = f"{verb} {article(value)} {value} {cls}"
+        g = ObjectGraph.build(cls, [attr])
+    else:
+        rel_kind, landmark = rel
+        cue = _CUE_FOR_KIND[rel_kind]
+        text = f"{verb} the {value} {cls} {cue} the {landmark}"
+        labels += _span(rel_kind, cue) + ["O"] + _span(LANDMARK_SYMBOL, landmark)
+        g = ObjectGraph.build(cls, [attr], [(rel_kind, ObjectGraph.build(landmark))])
+    return text, tuple(labels), canonicalize(g)
 
 
 def emit_instructions(
@@ -613,10 +643,9 @@ def emit_instructions(
             object_graph(room, o, relations) for o in room.objects_of(cls_name)
         ]
 
-    def verb() -> str:
-        return INSTRUCTION_VERBS[int(rng.integers(len(INSTRUCTION_VERBS)))]
-
-    def add(text: str, cls_name: str, re_type: str, g: ObjectGraph, target_id: int | None):
+    def add(re_type: str, cls_name: str, target_id: int | None, attr=None, rel=None):
+        verb = INSTRUCTION_VERBS[int(rng.integers(len(INSTRUCTION_VERBS)))]
+        text, _, g = instruction(verb, cls_name, attr, rel)
         state, _ = oracle_classify(g, class_graphs.get(cls_name, []))
         cases.append(InstructionCase(text, cls_name, state.value, re_type, target_id, g))
 
@@ -626,8 +655,7 @@ def emit_instructions(
 
         attr_kind = "color" if rng.random() < 0.5 else "material"
         value = target.color if attr_kind == "color" else target.material
-        g_self = canonicalize(ObjectGraph.build(cls_name, [(attr_kind, value)]))
-        add(f"{verb()} {_article(value)} {value} {cls_name}", cls_name, "self", g_self, target.id)
+        add("self", cls_name, target.id, (attr_kind, value))
 
         with_rel = [
             o for o in instances if preferred_relation(room, o, relations) is not None
@@ -637,30 +665,13 @@ def emit_instructions(
             kind, landmark = preferred_relation(room, rel_target, relations)
             attr_kind = "color" if rng.random() < 0.5 else "material"
             value = rel_target.color if attr_kind == "color" else rel_target.material
-            g_rel = canonicalize(
-                ObjectGraph.build(
-                    cls_name, [(attr_kind, value)], [(kind, ObjectGraph.build(landmark.cls))]
-                )
-            )
-            text = (
-                f"{verb()} the {value} {cls_name} {_CUE_FOR_KIND[kind]} the {landmark.cls}"
-            )
-            add(text, cls_name, "self+rel", g_rel, rel_target.id)
+            add("self+rel", cls_name, rel_target.id, (attr_kind, value), (kind, landmark.cls))
 
-        g_bare = canonicalize(ObjectGraph.build(cls_name))
-        add(f"{verb()} {_article(cls_name)} {cls_name}", cls_name, "bare", g_bare, target.id)
+        add("bare", cls_name, target.id)
 
     absent = sorted(set(OBJECT_CLASSES) - set(room.classes()))
     if absent:
-        missing_cls = absent[int(rng.integers(len(absent)))]
-        g_missing = canonicalize(ObjectGraph.build(missing_cls))
-        add(
-            f"{verb()} {_article(missing_cls)} {missing_cls}",
-            missing_cls,
-            "missing",
-            g_missing,
-            None,
-        )
+        add("missing", absent[int(rng.integers(len(absent)))], None)
 
     probe_classes = [c for c in room.classes()]
     if probe_classes:
@@ -668,13 +679,5 @@ def emit_instructions(
         used_colors = {o.color for o in room.objects_of(cls_name)}
         unused = sorted(set(COLORS) - used_colors)
         if unused:
-            value = unused[int(rng.integers(len(unused)))]
-            g_probe = canonicalize(ObjectGraph.build(cls_name, [("color", value)]))
-            add(
-                f"{verb()} {_article(value)} {value} {cls_name}",
-                cls_name,
-                "mismatch",
-                g_probe,
-                None,
-            )
+            add("mismatch", cls_name, None, ("color", unused[int(rng.integers(len(unused)))]))
     return cases

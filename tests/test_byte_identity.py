@@ -1,20 +1,25 @@
-"""Simulated datasets and the false-positive bank, pinned to the byte.
+"""Simulated datasets, the false-positive bank and the parser corpus,
+pinned to the byte.
 
-The digests below were recorded before the simulator's room recipes,
-episode writer and bank were merged into one trajectory loop; any change
-to the bytes a seed produces fails here, not only a rerun mismatch.
+The dataset and bank digests were recorded before the simulator's room
+recipes, episode writer and bank were merged into one trajectory loop; the
+corpus digest before the corpus and the episode instructions shared one
+template function. Any change to the bytes a seed produces fails here, not
+only a rerun mismatch.
 """
 
 import hashlib
 import json
 
 from refground.config import PipelineConfig
-from refground.evaluation import simulate_counting_dataset, simulate_dialogue_dataset
+from refground.evaluation import build_parser_corpus, simulate_counting_dataset, simulate_dialogue_dataset
+from refground.graph import serialize
 from refground.pipeline import build_observation_bank
 
 COUNTING_SHA256 = "2d472d020dfefb87daeea71509b81a98fbb51562d57d43b19f02c613c92986f6"
 DIALOGUE_SHA256 = "9a6d96cfe310d6cc3d305c96fac5196ea1d1c750f7574b51991ffdf2401ac2bf"
 BANK_SHA256 = "060ee6d54a9fac98d348a53367ab1ca198414d9d61f8f5ba302bf6d251a34efb"
+CORPUS_SHA256 = "a51d7d533e195100e6c570256e04fd1421937340022c3c9ef9d0127230460d2c"
 
 
 def tree_sha256(root) -> str:
@@ -43,3 +48,12 @@ def test_observation_bank_bytes():
     assert len(bank) == 27
     rows = [[b.u_min, b.v_min, b.u_max, b.v_max, caption] for b, caption in bank]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == BANK_SHA256
+
+
+def test_parser_corpus_bytes():
+    h = hashlib.sha256()
+    for case in build_parser_corpus(600, seed=7):
+        for part in (case.text, "\t".join(case.labels), case.re_type, serialize(case.graph)):
+            h.update(part.encode())
+            h.update(b"\n")
+    assert h.hexdigest() == CORPUS_SHA256

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,36 @@ def test_eval_missing_manifest(tmp_path, capsys):
     assert main(["eval", str(tmp_path)]) == 3
 
 
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["manifest_json", "manifest_without_dir", "room_json", "instructions_json", "episode_not_utf8"],
+)
+def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, damage):
+    copy = tmp_path / "dataset"
+    shutil.copytree(dataset, copy)
+    manifest = copy / "manifest.jsonl"
+    entries = manifest.read_text().splitlines()
+    path, lineno, text = {
+        "manifest_json": (manifest, 2, "\n".join([entries[0], "{not json"]) + "\n"),
+        "manifest_without_dir": (manifest, 2, "\n".join([entries[0], '{"kind": "dialogue"}']) + "\n"),
+        "room_json": (copy / "episode_00000" / "room.json", 1, "{]\n"),
+        "instructions_json": (copy / "episode_00000" / "instructions.jsonl", 1, "{bad\n"),
+        "episode_not_utf8": (copy / "episode_00000" / "episode.jsonl", 1, b"\xff\xfe\n"),
+    }[damage]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["eval", str(copy)]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: {path}: ") and f"line {lineno}" in line
+
+
 # -- config ------------------------------------------------------------------------
 
 
@@ -275,6 +306,34 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("gamma = 2.0\n")
     assert main(["parse", "bring a cup", "--config", str(path)]) == 3
+
+
+def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["parse", "a cup", "--config", str(path)]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"config error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "content, fault",
+    [(b"object_classes = cup\nbogus line\n", "line 2: "), (b"object_classes = cup\xff\n", "not UTF-8")],
+)
+@pytest.mark.parametrize("command", ["parse", "ground", "eval"])
+def test_malformed_lexicon_is_io_error(dataset, tmp_path, capsys, command, content, fault):
+    lexicon = tmp_path / "bad.lex"
+    lexicon.write_bytes(content)
+    config = tmp_path / "lexicon.cfg"
+    config.write_text(f"lexicon_path = {lexicon}\n")
+    args = {
+        "parse": ["parse", "a cup"],
+        "ground": ["ground", str(episode_dir(dataset)), "bring a cup"],
+        "eval": ["eval", str(dataset)],
+    }[command]
+    assert main(args + ["--config", str(config)]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"lexicon error: {lexicon}: {fault}")
 
 
 def test_cli_seed_override(dataset, capsys):

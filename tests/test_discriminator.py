@@ -12,7 +12,6 @@ from refground.discriminator import (
     classify,
     generate_query,
     outcome_to_dict,
-    resolve,
 )
 from refground.graph import GraphStructureError, ObjectGraph, canonicalize
 from refground.language import realize
@@ -202,7 +201,8 @@ def test_identical_descriptions_get_location_hint():
 
 
 def test_resolve_fills_query():
-    outcome = resolve(g_cup(("color", "red")), [], rng_seed=0)
+    outcome = classify(g_cup(("color", "red")), [])
+    outcome = outcome.with_query(generate_query(outcome, 0))
     assert outcome.state is DialogueState.INFORM_MISSING
     assert outcome.query == MISSING_QUERY
 
@@ -225,7 +225,8 @@ def test_missing_carries_no_candidates():
 
 def test_outcome_record_shape():
     g = g_cup(("color", "red"))
-    outcome = resolve(g, [record(g_cup(("color", "black")), centroid=(2.0, 1.0))], rng_seed=1)
+    outcome = classify(g, [record(g_cup(("color", "black")), centroid=(2.0, 1.0))])
+    outcome = outcome.with_query(generate_query(outcome, 1))
     payload = outcome_to_dict(outcome)
     assert payload["state"] == "inform-mismatch"
     assert payload["query"] == outcome.query

@@ -16,7 +16,6 @@ from refground.graph import (
     graph_difference,
     graph_equal,
     serialize,
-    symmetric_difference,
     to_dict,
 )
 
@@ -225,15 +224,6 @@ def test_empty_differences_iff_equal(a, b):
     a2 = ObjectGraph(canonicalize(b).root, canonicalize(a).self_attrs, canonicalize(a).rel_attrs)
     both_empty = not graph_difference(a2, b) and not graph_difference(b, a2)
     assert both_empty == graph_equal(a2, b)
-
-
-def test_symmetric_difference_helper():
-    a = ObjectGraph.build("cup", [("color", "red")])
-    b = ObjectGraph.build("cup", [("color", "black")])
-    assert {tuple(p.path) for p in symmetric_difference(a, b)} == {
-        (("color", "red"),),
-        (("color", "black"),),
-    }
 
 
 # -- serialization ------------------------------------------------------------

@@ -1,17 +1,13 @@
-import sys
-
 import numpy as np
 import pytest
 
 from refground.graph import ObjectGraph, canonicalize, graph_equal
 from refground.language import (
     DanglingRelationError,
-    ExternalTagger,
     NoReferredObjectError,
     PhraseError,
     TagLabel,
     TagParseError,
-    TaggerProtocolError,
     bio_valid,
     parse_tags,
     phrase_to_graph,
@@ -243,78 +239,17 @@ def test_round_trip_seeded_sample(lexicon):
         assert graph_equal(phrase_to_graph(realize(g), lexicon), g)
 
 
-# -- external tagger protocol ---------------------------------------------------
-
-GOLD_STUB = r"""
-import sys
-gold = {
-    "bring\ta\tcup": "O\tO\tB-r(g)",
-}
-for line in sys.stdin:
-    line = line.rstrip("\n")
-    print(gold.get(line, "\t".join(["O"] * len(line.split("\t")))), flush=True)
-"""
-
-ALL_O_STUB = r"""
-import sys
-for line in sys.stdin:
-    print("\t".join(["O"] * len(line.rstrip("\n").split("\t"))), flush=True)
-"""
-
-BROKEN_BIO_STUB = r"""
-import sys
-for line in sys.stdin:
-    n = len(line.rstrip("\n").split("\t"))
-    print("\t".join(["I-color"] * n), flush=True)
-"""
-
-WRONG_COUNT_STUB = r"""
-import sys
-for line in sys.stdin:
-    print("O", flush=True)
-"""
-
-
-def _tagger(stub):
-    return ExternalTagger([sys.executable, "-u", "-c", stub], timeout=10.0)
-
-
-def test_external_tagger_gold_passthrough(lexicon):
-    tokens = tokenize("bring a cup")
-    with _tagger(GOLD_STUB) as tagger:
-        labels = tagger.tag(tokens)
-    assert parse_tags(tokens, labels) == phrase_to_graph("bring a cup", lexicon)
-
-
-def test_external_tagger_all_o_propagates_no_object():
-    tokens = tokenize("bring a cup")
-    with _tagger(ALL_O_STUB) as tagger:
-        labels = tagger.tag(tokens)
-    with pytest.raises(TagParseError):
-        parse_tags(tokens, labels)
-
-
-def test_external_tagger_rejects_bio_invalid():
-    with _tagger(BROKEN_BIO_STUB) as tagger:
-        with pytest.raises(TaggerProtocolError):
-            tagger.tag(tokenize("bring a cup"))
-
-
-def test_external_tagger_rejects_wrong_count():
-    with _tagger(WRONG_COUNT_STUB) as tagger:
-        with pytest.raises(TaggerProtocolError):
-            tagger.tag(tokenize("bring a cup"))
-
-
-def test_tag_label_parse_and_format():
-    for text in ["O", "B-color", "I-r(g)", "B-av_R", "I-is-on"]:
-        assert str(TagLabel.parse(text)) == text
-    with pytest.raises(TaggerProtocolError):
-        TagLabel.parse("Q-color")
+# -- labels -------------------------------------------------------------------
 
 
 def test_bio_valid_rules():
     B, I, O = TagLabel("B", "color"), TagLabel("I", "color"), TagLabel("O")
+    assert [str(lab) for lab in (B, I, O)] == ["B-color", "I-color", "O"]
+    assert [str(TagLabel(p, s)) for p, s in [("I", "r(g)"), ("B", "av_R"), ("I", "is-on")]] == [
+        "I-r(g)",
+        "B-av_R",
+        "I-is-on",
+    ]
     assert bio_valid([B, I, O])
     assert not bio_valid([I])
     assert not bio_valid([O, I])

@@ -5,10 +5,10 @@ import pytest
 
 from refground.config import PipelineConfig
 from refground.geometry import BoundingBox, CameraIntrinsics
-from refground.language import phrase_to_graph
+from refground.language import phrase_to_graph, tag, tokenize
 from refground.lexicon import default_lexicon
 from refground.oracle import oracle_classify
-from refground.render import NO_HIT, gt_detections, render_depth, render_scene
+from refground.render import NO_HIT, gt_detections, render_scene
 from refground.simulator import (
     Detection,
     ErrorConfig,
@@ -22,6 +22,7 @@ from refground.simulator import (
     derive_relations,
     emit_instructions,
     generate_room,
+    instruction,
     look_at_pose,
     object_graph,
     plan_trajectory,
@@ -216,8 +217,8 @@ def test_render_frontal_wall_depth():
     room = manual_room([], extents=(6.0, 6.0, 2.5))
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((4.0, 3.0, 1.2), (6.0, 3.0, 1.2))  # facing the x=6 wall, 2 m away
-    frame = render_depth(room, pose, K, max_range=10.0)
-    assert abs(float(frame.depth[64, 64]) - 2.0) < 1e-6
+    depth, _ = render_scene(room, pose, K, max_range=10.0)
+    assert abs(float(depth[64, 64]) - 2.0) < 1e-6
 
 
 def test_render_empty_scene_all_zero():
@@ -417,6 +418,25 @@ def test_instructions_cover_types_and_parse():
     assert {"self", "self+rel", "bare", "missing"} <= types
     for case in cases:
         assert phrase_to_graph(case.text, lexicon) == case.graph
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (("pick up", "dining table"), "pick up a dining table"),
+        (("grab", "armchair", ("color", "orange")), "grab an orange armchair"),
+        (
+            ("bring me", "cup", ("material", "wooden"), ("is-on", "dining table")),
+            "bring me the wooden cup on the dining table",
+        ),
+    ],
+)
+def test_instruction_templates_match_tagger_and_parser(args, text):
+    lexicon = default_lexicon()
+    got, labels, graph = instruction(*args)
+    assert got == text
+    assert list(labels) == [str(lab) for lab in tag(tokenize(text), lexicon)]
+    assert graph == phrase_to_graph(text, lexicon)
 
 
 def test_instruction_expected_states_match_oracle():
