@@ -11,8 +11,13 @@ neighboring above-threshold regions into instances, and fusion overlays
 the per-graph instance maps to deduplicate graphs that describe the same
 physical object.
 
-Accumulation is single-writer: one session per stream. Read-only queries
-(region_scores and onward) are safe once accumulation stops.
+A session is single-threaded: one session per stream, used by one thread,
+queries included. fuse_across_graphs keeps each fusion it computes in a
+per-session memo keyed by (root, dx, dy, gamma) and hands back a fresh
+list of the stored records on a repeat call. accumulate clears the memo;
+registering a graph leaves it valid, since a graph with no accumulated
+weight contributes to no fusion. A session built by load starts with an
+empty memo.
 """
 
 from __future__ import annotations
@@ -166,6 +171,7 @@ class AggregationSession:
         # indexed by oid: (d1, d2) running mean weight and detection frequency
         self._mean: list[np.ndarray] = []
         self._freq: list[np.ndarray] = []
+        self._fused: dict[tuple[str, int, int, float], list[InstanceRecord]] = {}
 
     # -- accumulation ------------------------------------------------------
 
@@ -184,6 +190,7 @@ class AggregationSession:
         """
         if oid not in self.registry:
             raise RegistryError(oid)
+        self._fused.clear()
         index = (cells[:, 0], cells[:, 1])
         mean, freq = self._mean[oid], self._freq[oid]
         seen = freq[index]
@@ -272,7 +279,17 @@ class AggregationSession:
         the same physical object and are united. Each fused record keeps
         the contributing graph with the highest accumulated weight as its
         instance graph, the rest as alternates.
+
+        The fusion is computed once per (root, dx, dy, gamma) until the
+        next accumulate; every call returns a new list the caller may sort.
         """
+        key = (root, dx, dy, gamma)
+        records = self._fused.get(key)
+        if records is None:
+            records = self._fused[key] = self._fuse(root, dx, dy, gamma)
+        return list(records)
+
+    def _fuse(self, root: str, dx: int, dy: int, gamma: float) -> list[InstanceRecord]:
         grids = {oid: self.region_scores(oid, dx, dy) for oid in self.registry.oids_for_root(root)}
         members: list[tuple[int, InstanceGroup]] = []
         for oid, grid in grids.items():

@@ -185,6 +185,10 @@ def load_manifest(dataset_dir: str | Path) -> list[dict]:
 def _manifest_entry(record) -> dict:
     if not isinstance(record, dict) or not isinstance(record.get("dir"), str):
         raise ValueError('manifest entry must be an object with a "dir" string')
+    if record.get("kind") == "counting" and not (
+        isinstance(record.get("target"), str) and type(record.get("count")) is int
+    ):
+        raise ValueError('counting manifest entry must have a "target" string and an integer "count"')
     return record
 
 
@@ -216,7 +220,7 @@ def eval_counting(
             entry["target"], config.region_dx, config.region_dy, config.gamma
         )
         predicted = len(records)
-        true = int(entry["count"])
+        true = entry["count"]
         buckets.setdefault(true, []).append((true, predicted))
         result.records.append(
             {

@@ -356,7 +356,62 @@ def test_fuse_score_is_pooled_sum():
     assert record.score == pytest.approx(sum(grid.scores[r] for r in record.regions))
 
 
+# -- fusion memo ------------------------------------------------------------------
+
+
+def fuse_cup(s):
+    return s.fuse_across_graphs("cup", 10, 10, 0.05)
+
+
+def test_fuse_repeat_returns_equal_records_in_new_list():
+    s = session()
+    splat(s, s.register_graph(CUP_RED), 15, 15)
+    splat(s, s.register_graph(CUP_BLACK), 75, 75)
+    first = fuse_cup(s)
+    second = fuse_cup(s)
+    assert len(first) == 2 and second == first and second is not first
+    second.reverse()
+    second.pop()
+    assert fuse_cup(s) == first
+
+
+def test_fuse_after_accumulate_matches_fresh_session():
+    def fed(s, frames):
+        for cx, cy, weight in frames:
+            splat(s, s.register_graph(CUP_RED), cx, cy, weight)
+        return s
+
+    s = fed(session(), [(15, 15, 1.0), (16, 15, 0.5)])
+    before = fuse_cup(s)
+    fed(s, [(75, 75, 0.8)])
+    after = fuse_cup(s)
+    assert after != before
+    assert after == fuse_cup(fed(session(), [(15, 15, 1.0), (16, 15, 0.5), (75, 75, 0.8)]))
+
+
+def test_fuse_includes_newly_registered_graph_of_same_root():
+    s = session()
+    splat(s, s.register_graph(CUP_RED), 15, 15)
+    assert [r.graph for r in fuse_cup(s)] == [canonicalize(CUP_RED)]
+    s.observe(CUP_BLACK, *obs(((75, 75), 1.0), ((76, 75), 0.5)))
+    assert [r.graph for r in fuse_cup(s)] == [canonicalize(CUP_RED), canonicalize(CUP_BLACK)]
+
+
 # -- dump/load --------------------------------------------------------------------
+
+
+def test_loaded_session_fuses_like_dumped_session(tmp_path):
+    s = session()
+    splat(s, s.register_graph(CUP_RED), 15, 15)
+    splat(s, s.register_graph(CUP_BLACK), 16, 15, weight=0.5)
+    dumped = fuse_cup(s)
+    s.dump(tmp_path / "session.json")
+    loaded = AggregationSession.load(tmp_path / "session.json")
+    assert fuse_cup(loaded) == dumped
+    # each session keeps its own memo: new evidence in one leaves the other's fusion alone
+    splat(loaded, 1, 75, 75)
+    assert fuse_cup(loaded) != dumped
+    assert fuse_cup(s) == dumped
 
 
 def test_session_round_trip_bit_exact(tmp_path):

@@ -270,6 +270,36 @@ def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, dama
     assert line.startswith(f"error: {path}: ") and f"line {lineno}" in line
 
 
+@pytest.fixture(scope="module")
+def counting_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "counting"
+    assert main(["simulate", "--out", str(out), "--kind", "counting", "--rooms", "1"]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("target", None), ("count", None), ("count", "two"), ("count", 2.5)],
+    ids=["no_target", "no_count", "count_text", "count_fraction"],
+)
+def test_eval_counting_manifest_entry_without_target_or_integer_count_is_io_error(
+    counting_dataset, tmp_path, capsys, key, value
+):
+    copy = tmp_path / "counting"
+    shutil.copytree(counting_dataset, copy)
+    manifest = copy / "manifest.jsonl"
+    entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+    if value is None:
+        del entries[1][key]
+    else:
+        entries[1][key] = value
+    manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    assert main(["eval", str(copy)]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: {manifest}: line 2: ")
+    assert '"target" string and an integer "count"' in line
+
+
 # -- config ------------------------------------------------------------------------
 
 
