@@ -9,7 +9,6 @@ The inverse direction renders a graph back into an English noun phrase.
 
 from refground import (
     ObjectGraph,
-    canonicalize,
     default_lexicon,
     phrase_to_graph,
     realize,
@@ -43,12 +42,10 @@ for text in [
     print(f"{text!r}\n    -> {serialize(graph)}")
 
 print("\n=== realization (graph -> English) ===")
-cup = canonicalize(
-    ObjectGraph.build(
-        "cup",
-        [("color", "red"), ("material", "plastic")],
-        [("is-on", ObjectGraph.build("table", [("color", "white")]))],
-    )
+cup = ObjectGraph.build(
+    "cup",
+    [("color", "red"), ("material", "plastic")],
+    [("is-on", ObjectGraph.build("table", [("color", "white")]))],
 )
 print(serialize(cup))
 print(f"    -> {realize(cup)!r}")

@@ -15,17 +15,7 @@ from .geometry import (
     soft_mask_weight,
     to_world,
 )
-from .graph import (
-    AttributeKind,
-    AttributePath,
-    ObjectGraph,
-    attribute_paths,
-    canonicalize,
-    deserialize,
-    graph_difference,
-    graph_equal,
-    serialize,
-)
+from .graph import ObjectGraph, attribute_paths, deserialize, graph_difference, serialize
 from .language import TagLabel, Token, parse_tags, phrase_to_graph, realize, tag, tokenize
 from .lexicon import Lexicon, default_lexicon, load_lexicon
 from .metrics import bleu, corpus_bleu

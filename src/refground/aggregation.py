@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import GridSpec
-from .graph import ObjectGraph, canonicalize, from_dict, to_dict
+from .graph import ObjectGraph, from_dict, to_dict
 
 
 class RegistryError(KeyError):
@@ -48,7 +48,6 @@ class GraphRegistry:
         self._graphs: list[ObjectGraph] = []
 
     def register(self, g: ObjectGraph) -> int:
-        g = canonicalize(g)
         oid = self._ids.get(g)
         if oid is None:
             oid = len(self._graphs)
@@ -392,6 +391,8 @@ class AggregationSession:
             raise SessionFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
         except json.JSONDecodeError as exc:
             raise SessionFormatError(f"{path}: invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise SessionFormatError(f"{path}: JSON nested too deeply") from exc
         try:
             g = payload["grid"]
             if not all(type(g[k]) is int and g[k] >= 1 for k in ("d1", "d2")):

@@ -107,7 +107,7 @@ class PipelineConfig:
         for name in ("p_fn", "p_fp"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"config key {name} must lie in [0, 1]")
-        for name in ("sigma_c", "sigma_s"):
+        for name in ("sigma_c", "sigma_s", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"config key {name} must be non-negative")
         for name in ("mismatch_suffixes", "wh_suffixes", "acknowledgements"):

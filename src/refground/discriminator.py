@@ -19,14 +19,7 @@ from enum import Enum
 from pathlib import Path
 
 from .aggregation import InstanceRecord
-from .graph import (
-    AttributePath,
-    GraphStructureError,
-    ObjectGraph,
-    canonicalize,
-    graph_difference,
-    to_dict,
-)
+from .graph import GraphStructureError, ObjectGraph, graph_difference, to_dict
 from .language import realize
 
 MISSING_QUERY = "I could not find that."
@@ -54,7 +47,7 @@ class QueryTemplates:
 class GroundingOutcome:
     state: DialogueState
     matched: InstanceRecord | None = None
-    candidates: tuple[tuple[InstanceRecord, frozenset[AttributePath]], ...] = ()
+    candidates: tuple[tuple[InstanceRecord, frozenset[tuple[tuple[str, str], ...]]], ...] = ()
     query: str = ""
 
     def __post_init__(self):
@@ -77,7 +70,6 @@ def classify(g: ObjectGraph, instances: list[InstanceRecord]) -> GroundingOutcom
     when a single instance exists and ambiguity otherwise; no instance at
     all is the missing state.
     """
-    g = canonicalize(g)
     for record in instances:
         if record.graph.root != g.root:
             raise GraphStructureError(
@@ -163,7 +155,7 @@ def outcome_to_dict(outcome: GroundingOutcome) -> dict:
         "candidates": [
             {
                 **_record_dict(record),
-                "difference": sorted([list(step) for step in p.path] for p in diff),
+                "difference": sorted([list(step) for step in p] for p in diff),
             }
             for record, diff in outcome.candidates
         ],

@@ -151,7 +151,7 @@ def read_json_lines(path: Path, parse) -> list:
             continue
         try:
             out.append(parse(json.loads(line.decode("utf-8"))))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return out
 
@@ -162,7 +162,7 @@ def load_room(episode_dir: str | Path) -> RoomSpec:
         raise DatasetError(f"{episode_dir}: missing room.json")
     try:
         return RoomSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
 

@@ -3,15 +3,20 @@
 An object graph is a tree whose root is an object class name. Edges carry
 either a self attribute (an intrinsic property such as color or material,
 ending in a value token) or a relational attribute (a spatial relation such
-as "is-on" whose child is another object graph). Graphs are immutable value
-types; all pipeline stages share them freely across threads.
+as "is-on" whose child is another object graph). Attribute kinds are plain
+strings, and a kind names a relation exactly when it starts with "is-".
+
+Construction puts every graph in canonical form: the root and value tokens
+are lowercased, the edges sorted and duplicates dropped, so graphs describing
+the same tree compare and hash equal whatever order their edges came in. An
+attribute path is a root-to-node tuple of (kind, token) steps. Graphs are
+immutable value types; all pipeline stages share them freely across threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from typing import Iterable
 
 MAX_TREE_DEPTH = 32
@@ -29,96 +34,63 @@ class GraphParseError(ValueError):
         self.offset = offset
 
 
-class AttributeCategory(Enum):
-    SELF = "self"
-    RELATIONAL = "relational"
+def _check_kind(kind: str, relational: bool) -> None:
+    if not kind or kind != kind.lower():
+        raise GraphStructureError(f"attribute kind must be lowercase, non-empty: {kind!r}")
+    if any(ch.isspace() for ch in kind):
+        raise GraphStructureError(f"attribute kind must not contain whitespace: {kind!r}")
+    if kind.startswith("is-") != relational:
+        edge = "relational" if relational else "self"
+        raise GraphStructureError(f"kind {kind!r} on a {edge} edge; only relations start with 'is-'")
 
 
-@dataclass(frozen=True)
-class AttributeKind:
-    """A named attribute edge type. Relational kind names start with "is-"."""
-
-    category: AttributeCategory
-    name: str
-
-    def __post_init__(self):
-        if not self.name or self.name != self.name.lower():
-            raise GraphStructureError(f"attribute kind must be lowercase, non-empty: {self.name!r}")
-        if any(ch.isspace() for ch in self.name):
-            raise GraphStructureError(f"attribute kind must not contain whitespace: {self.name!r}")
-        relational = self.name.startswith("is-")
-        if relational != (self.category is AttributeCategory.RELATIONAL):
-            raise GraphStructureError(
-                f"kind {self.name!r} inconsistent with category {self.category.value}"
-            )
-
-    @classmethod
-    def of(cls, name: str) -> "AttributeKind":
-        """Build a kind, inferring the category from the "is-" prefix."""
-        category = AttributeCategory.RELATIONAL if name.startswith("is-") else AttributeCategory.SELF
-        return cls(category, name)
-
-
-@dataclass(frozen=True)
-class AttributePath:
-    """A root-to-node edge sequence, e.g. (("is-on", "table"), ("color", "white"))."""
-
-    path: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        if not self.path:
-            raise GraphStructureError("attribute path must be non-empty")
-
-    def __iter__(self):
-        return iter(self.path)
-
-    def __len__(self):
-        return len(self.path)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ObjectGraph:
     """Tree with the referred object class at the root.
 
     self_attrs holds (kind, value-token) pairs, rel_attrs holds
-    (kind, child graph) pairs. A node may carry several self attribute
-    kinds but only one value per kind.
+    (kind, child graph) pairs, each sorted and free of duplicates. A node
+    may carry several self attribute kinds but only one value per kind, and
+    one landmark per (relation, class). depth counts the relational edges
+    on the longest path down from this node, at most MAX_TREE_DEPTH.
     """
 
     root: str
-    self_attrs: tuple[tuple[AttributeKind, str], ...] = ()
-    rel_attrs: tuple[tuple[AttributeKind, "ObjectGraph"], ...] = ()
+    self_attrs: tuple[tuple[str, str], ...] = ()
+    rel_attrs: tuple[tuple[str, "ObjectGraph"], ...] = ()
+    depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.root or not self.root.strip():
+        root = self.root.lower().strip()
+        if not root:
             raise GraphStructureError("graph root must be a non-empty class name")
-        object.__setattr__(self, "self_attrs", tuple(self.self_attrs))
-        object.__setattr__(self, "rel_attrs", tuple(self.rel_attrs))
-        seen: dict[str, str] = {}
         for kind, value in self.self_attrs:
-            if kind.category is not AttributeCategory.SELF:
-                raise GraphStructureError(f"self edge with relational kind {kind.name!r}")
+            _check_kind(kind, relational=False)
             if not value:
-                raise GraphStructureError(f"empty value for self attribute {kind.name!r}")
-            low = value.lower()
-            if seen.setdefault(kind.name, low) != low:
-                raise GraphStructureError(
-                    f"node {self.root!r} carries two values for {kind.name!r}"
-                )
-        children: dict[tuple[str, str], ObjectGraph] = {}
+                raise GraphStructureError(f"empty value for self attribute {kind!r}")
+        selfs = sorted({(kind, value.lower()) for kind, value in self.self_attrs})
+        for (kind, _), (other, _) in zip(selfs, selfs[1:]):
+            if kind == other:
+                raise GraphStructureError(f"node {root!r} carries two values for {kind!r}")
         for kind, child in self.rel_attrs:
-            if kind.category is not AttributeCategory.RELATIONAL:
-                raise GraphStructureError(f"relational edge with self kind {kind.name!r}")
+            _check_kind(kind, relational=True)
             if not isinstance(child, ObjectGraph):
-                raise GraphStructureError(f"relational edge {kind.name!r} has a non-graph child")
-            # one landmark per (relation, class): two different subtrees under
-            # the same edge name and root would be indistinguishable as paths
-            key = (kind.name, child.root.lower())
-            other = children.setdefault(key, child)
-            if other is not child and canonicalize(other) != canonicalize(child):
+                raise GraphStructureError(f"relational edge {kind!r} has a non-graph child")
+        rels = sorted(set(self.rel_attrs))
+        # one landmark per (relation, class): two different subtrees under
+        # the same edge name and root would be indistinguishable as paths
+        for (kind, child), (other, twin) in zip(rels, rels[1:]):
+            if kind == other and child.root == twin.root:
                 raise GraphStructureError(
-                    f"node {self.root!r} has conflicting {key[0]!r} edges to {key[1]!r}"
+                    f"node {root!r} has conflicting {kind!r} edges to {child.root!r}"
                 )
+        depth = max((1 + child.depth for _, child in rels), default=0)
+        if depth > MAX_TREE_DEPTH:
+            raise GraphStructureError(f"graph nests more than {MAX_TREE_DEPTH} relations")
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "self_attrs", tuple(selfs))
+        object.__setattr__(self, "rel_attrs", tuple(rels))
+        object.__setattr__(self, "depth", depth)
 
     @classmethod
     def build(
@@ -127,80 +99,47 @@ class ObjectGraph:
         self_attrs: Iterable[tuple[str, str]] = (),
         rel_attrs: Iterable[tuple[str, "ObjectGraph"]] = (),
     ) -> "ObjectGraph":
-        """Convenience constructor taking plain-string kind names."""
-        return cls(
-            root,
-            tuple((AttributeKind.of(k), v) for k, v in self_attrs),
-            tuple((AttributeKind.of(k), g) for k, g in rel_attrs),
-        )
+        """Constructor taking any iterables of edges."""
+        return cls(root, tuple(self_attrs), tuple(rel_attrs))
 
     def edge_count(self) -> int:
         return len(self.self_attrs) + sum(1 + c.edge_count() for _, c in self.rel_attrs)
 
 
-def _sort_key(g: ObjectGraph):
-    return (
-        g.root,
-        tuple((k.name, v) for k, v in g.self_attrs),
-        tuple((k.name, _sort_key(c)) for k, c in g.rel_attrs),
-    )
-
-
-def canonicalize(g: ObjectGraph, _depth: int = 0) -> ObjectGraph:
-    """Return the canonical form: lowercased tokens, sorted edges, duplicates removed.
-
-    Idempotent. Raises GraphStructureError on malformed trees (runaway depth).
-    """
-    if _depth > MAX_TREE_DEPTH:
-        raise GraphStructureError("graph exceeds maximum depth; not a finite tree")
-    selfs = sorted({(k, v.lower()) for k, v in g.self_attrs}, key=lambda e: (e[0].name, e[1]))
-    children = [(k, canonicalize(c, _depth + 1)) for k, c in g.rel_attrs]
-    uniq: dict[tuple, tuple[AttributeKind, ObjectGraph]] = {}
-    for k, c in children:
-        uniq.setdefault((k.name, _sort_key(c)), (k, c))
-    rels = [uniq[key] for key in sorted(uniq)]
-    return ObjectGraph(g.root.lower().strip(), tuple(selfs), tuple(rels))
-
-
-def graph_equal(a: ObjectGraph, b: ObjectGraph) -> bool:
-    """True iff the canonical forms are structurally identical."""
-    return canonicalize(a) == canonicalize(b)
-
-
-def attribute_paths(g: ObjectGraph) -> frozenset[AttributePath]:
-    """Every root-to-node edge sequence of a canonical graph, one per edge."""
-    out: set[AttributePath] = set()
+def attribute_paths(g: ObjectGraph) -> frozenset[tuple[tuple[str, str], ...]]:
+    """Every root-to-node edge sequence, one per edge, e.g.
+    (("is-on", "table"), ("color", "white"))."""
+    out: set[tuple[tuple[str, str], ...]] = set()
 
     def walk(node: ObjectGraph, prefix: tuple[tuple[str, str], ...]):
         for kind, value in node.self_attrs:
-            out.add(AttributePath(prefix + ((kind.name, value),)))
+            out.add(prefix + ((kind, value),))
         for kind, child in node.rel_attrs:
-            step = prefix + ((kind.name, child.root),)
-            out.add(AttributePath(step))
+            step = prefix + ((kind, child.root),)
+            out.add(step)
             walk(child, step)
 
     walk(g, ())
     return frozenset(out)
 
 
-def graph_difference(g: ObjectGraph, h: ObjectGraph) -> frozenset[AttributePath]:
+def graph_difference(g: ObjectGraph, h: ObjectGraph) -> frozenset[tuple[tuple[str, str], ...]]:
     """Attribute paths requested by g that h does not satisfy.
 
     Directed difference attribute_paths(g) minus attribute_paths(h); an empty
     result means h satisfies every attribute of g. Roots must match.
     """
-    cg, ch = canonicalize(g), canonicalize(h)
-    if cg.root != ch.root:
-        raise GraphStructureError(f"graph_difference root mismatch: {cg.root!r} vs {ch.root!r}")
-    return frozenset(attribute_paths(cg) - attribute_paths(ch))
+    if g.root != h.root:
+        raise GraphStructureError(f"graph_difference root mismatch: {g.root!r} vs {h.root!r}")
+    return attribute_paths(g) - attribute_paths(h)
 
 
 def to_dict(g: ObjectGraph) -> dict:
     """Plain-dict form with fixed field order: root, self, rel."""
     return {
         "root": g.root,
-        "self": [[k.name, v] for k, v in g.self_attrs],
-        "rel": [[k.name, to_dict(c)] for k, c in g.rel_attrs],
+        "self": [[k, v] for k, v in g.self_attrs],
+        "rel": [[k, to_dict(c)] for k, c in g.rel_attrs],
     }
 
 

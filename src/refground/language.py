@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import ObjectGraph, canonicalize
+from .graph import GraphStructureError, ObjectGraph
 from .lexicon import Lexicon, default_lexicon
 
 ROOT_SYMBOL = "r(g)"
@@ -207,7 +207,9 @@ def parse_tags(tokens: Sequence[Token], labels: Sequence[TagLabel]) -> ObjectGra
     Grammar: the root expands to self and relational attribute edges; each
     relational edge opens a landmark node that expands the same way. A self
     value span attaches to the nearest following noun; a relational span
-    connects the nearest preceding noun to the nearest following noun.
+    connects the nearest preceding noun to the nearest following noun. A
+    graph that ObjectGraph refuses, such as two colors on one noun, is a
+    TagParseError.
     """
     if len(tokens) != len(labels):
         raise TagParseError(f"{len(tokens)} tokens vs {len(labels)} labels")
@@ -250,7 +252,10 @@ def parse_tags(tokens: Sequence[Token], labels: Sequence[TagLabel]) -> ObjectGra
                 raise TagParseError(f"attribute {text!r} at token {start} has no following noun")
             target.selfs.append((symbol, text))
 
-    return canonicalize(root_node.build())
+    try:
+        return root_node.build()
+    except GraphStructureError as exc:
+        raise TagParseError(str(exc)) from exc
 
 
 def phrase_to_graph(text: str, lexicon: Lexicon | None = None) -> ObjectGraph:
@@ -269,7 +274,7 @@ def _noun_phrase(g: ObjectGraph) -> str:
     words = [value for _, value in g.self_attrs] + g.root.split()
     parts = [article(words[0])] + words
     for kind, child in g.rel_attrs:
-        surface = RELATION_SURFACE.get(kind.name, kind.name[3:].replace("-", " "))
+        surface = RELATION_SURFACE.get(kind, kind[3:].replace("-", " "))
         parts.append(surface)
         parts.append(_noun_phrase(child))
     return " ".join(parts)

@@ -20,9 +20,9 @@ def oracle_paths(g: ObjectGraph) -> set[tuple[tuple[str, str], ...]]:
 
     def walk(node: ObjectGraph, prefix: tuple[tuple[str, str], ...]):
         for kind, value in node.self_attrs:
-            found.add(prefix + ((kind.name, value.lower()),))
+            found.add(prefix + ((kind, value.lower()),))
         for kind, child in node.rel_attrs:
-            step = prefix + ((kind.name, child.root.lower()),)
+            step = prefix + ((kind, child.root.lower()),)
             found.add(step)
             walk(child, step)
 

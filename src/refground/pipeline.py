@@ -17,7 +17,7 @@ from .config import PipelineConfig
 from .discriminator import DialogueState, GroundingOutcome, classify, generate_query
 from .episodes import FrameRecord, load_episode, trajectory_frames
 from .geometry import bbox_cloud_arrays, voxelize_bev_arrays
-from .graph import AttributePath, ObjectGraph, canonicalize
+from .graph import ObjectGraph
 from .language import PhraseError, phrase_to_graph, realize
 from .lexicon import Lexicon
 from .oracle import oracle_classify, oracle_paths
@@ -132,7 +132,7 @@ def ground_in_session(
 ) -> tuple[GroundingOutcome, ObjectGraph]:
     """Parse the instruction, fuse instances of its class, classify, phrase."""
     if isinstance(instruction, ObjectGraph):
-        g = canonicalize(instruction)
+        g = instruction
     else:
         g = phrase_to_graph(instruction, lexicon or config.lexicon())
     records = session.fuse_across_graphs(g.root, config.region_dx, config.region_dy, config.gamma)
@@ -201,14 +201,13 @@ def oracle_outcome(
     query phrasing shares the pipeline's templates and seed so a correct
     pipeline reproduces the reference text exactly.
     """
-    g = canonicalize(g)
     records = oracle_records(room, g.root, config.tau_near)
     state, indices = oracle_classify(g, [r.graph for r in records])
 
     def diff_for(record: InstanceRecord) -> frozenset:
         want = oracle_paths(g)
         have = oracle_paths(record.graph)
-        return frozenset(AttributePath(p) for p in want - have)
+        return frozenset(want - have)
 
     if state is DialogueState.INFORM_MISSING:
         outcome = GroundingOutcome(state)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import BoundingBox, Pose
-from .graph import ObjectGraph, canonicalize
+from .graph import ObjectGraph
 from .language import LANDMARK_SYMBOL, ROOT_SYMBOL, article, realize
 from .lexicon import COLORS, MATERIALS, OBJECT_CLASSES
 from .oracle import oracle_classify
@@ -350,9 +350,7 @@ def object_graph(
     if preferred is not None:
         kind, landmark = preferred
         rel_attrs.append((kind, ObjectGraph.build(landmark.cls)))
-    return canonicalize(
-        ObjectGraph.build(obj.cls, [("color", obj.color), ("material", obj.material)], rel_attrs)
-    )
+    return ObjectGraph.build(obj.cls, [("color", obj.color), ("material", obj.material)], rel_attrs)
 
 
 def caption_for(
@@ -611,7 +609,7 @@ def instruction(
     labels = ["O"] * len(verb.split())
     if attr is None:
         labels += ["O"] + _span(ROOT_SYMBOL, cls)
-        return f"{verb} {article(cls)} {cls}", tuple(labels), canonicalize(ObjectGraph.build(cls))
+        return f"{verb} {article(cls)} {cls}", tuple(labels), ObjectGraph.build(cls)
     kind, value = attr
     labels += ["O"] + _span(kind, value) + _span(ROOT_SYMBOL, cls)
     if rel is None:
@@ -623,7 +621,7 @@ def instruction(
         text = f"{verb} the {value} {cls} {cue} the {landmark}"
         labels += _span(rel_kind, cue) + ["O"] + _span(LANDMARK_SYMBOL, landmark)
         g = ObjectGraph.build(cls, [attr], [(rel_kind, ObjectGraph.build(landmark))])
-    return text, tuple(labels), canonicalize(g)
+    return text, tuple(labels), g
 
 
 def emit_instructions(

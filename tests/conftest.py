@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from refground.graph import ObjectGraph, canonicalize
+from refground.graph import ObjectGraph
 from refground.lexicon import COLORS, MATERIALS, OBJECT_CLASSES, default_lexicon
 
 
@@ -33,4 +33,4 @@ def random_expressible_graph(rng: np.random.Generator, depth: int = 0, budget: i
             child = random_expressible_graph(rng, depth + 1, budget - 1)
         relation = ("is-on", "is-near", "is-at")[int(rng.integers(3))]
         rel_attrs.append((relation, child))
-    return canonicalize(ObjectGraph.build(cls, self_attrs, rel_attrs))
+    return ObjectGraph.build(cls, self_attrs, rel_attrs)

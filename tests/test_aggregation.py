@@ -13,7 +13,7 @@ from refground.aggregation import (
     merge_regions,
 )
 from refground.geometry import GridSpec
-from refground.graph import ObjectGraph, canonicalize
+from refground.graph import ObjectGraph
 from refground.oracle import cluster_count
 
 GRID = GridSpec(0.0, 0.0, 0.05, 100, 100)
@@ -60,7 +60,7 @@ def test_register_permuted_duplicates_one_id():
 def test_registry_lookup_and_roots():
     reg = GraphRegistry()
     oid = reg.register(CUP_RED)
-    assert reg.graph(oid) == canonicalize(CUP_RED)
+    assert reg.graph(oid) == CUP_RED
     assert reg.oids_for_root("cup") == [oid]
     with pytest.raises(RegistryError):
         reg.graph(99)
@@ -310,7 +310,7 @@ def test_fuse_single_oid_identity():
     records = s.fuse_across_graphs("cup", 10, 10, 0.05)
     assert len(records) == len(groups) == 2
     assert {r.regions for r in records} == {g.regions for g in groups}
-    assert all(r.graph == canonicalize(CUP_RED) for r in records)
+    assert all(r.graph == CUP_RED for r in records)
 
 
 def test_fuse_same_region_group_collapses():
@@ -321,7 +321,7 @@ def test_fuse_same_region_group_collapses():
     splat(s, b, 16, 15, weight=0.5)
     records = s.fuse_across_graphs("cup", 10, 10, 0.05)
     assert len(records) == 1
-    assert records[0].graph == canonicalize(CUP_RED)  # higher accumulated weight wins
+    assert records[0].graph == CUP_RED  # higher accumulated weight wins
     assert len(records[0].contributors) == 2
 
 
@@ -333,7 +333,7 @@ def test_fuse_disjoint_groups_stay_separate():
     splat(s, b, 75, 75)
     records = s.fuse_across_graphs("cup", 10, 10, 0.05)
     assert len(records) == 2
-    assert {r.graph for r in records} == {canonicalize(CUP_RED), canonicalize(CUP_BLACK)}
+    assert {r.graph for r in records} == {CUP_RED, CUP_BLACK}
 
 
 def test_fuse_filters_by_root():
@@ -392,9 +392,9 @@ def test_fuse_after_accumulate_matches_fresh_session():
 def test_fuse_includes_newly_registered_graph_of_same_root():
     s = session()
     splat(s, s.register_graph(CUP_RED), 15, 15)
-    assert [r.graph for r in fuse_cup(s)] == [canonicalize(CUP_RED)]
+    assert [r.graph for r in fuse_cup(s)] == [CUP_RED]
     s.observe(CUP_BLACK, *obs(((75, 75), 1.0), ((76, 75), 0.5)))
-    assert [r.graph for r in fuse_cup(s)] == [canonicalize(CUP_RED), canonicalize(CUP_BLACK)]
+    assert [r.graph for r in fuse_cup(s)] == [CUP_RED, CUP_BLACK]
 
 
 # -- dump/load --------------------------------------------------------------------

@@ -99,6 +99,15 @@ def test_parse_failure_exit_code(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["parse", "ground"])
+def test_conflicting_attributes_are_a_parse_failure(dataset, capsys, command):
+    text = "bring the red blue cup"
+    args = ["parse", text] if command == "parse" else ["ground", str(episode_dir(dataset)), text]
+    assert main(args) == 2
+    line = one_error_line(capsys)
+    assert "two values for 'color'" in line
+
+
 # -- ground ---------------------------------------------------------------------
 
 
@@ -168,6 +177,12 @@ def test_aggregate_session_reusable(dataset, tmp_path, capsys):
     assert capsys.readouterr().out == direct
 
 
+def deep_graph_json(relations: int) -> str:
+    """Graph text nesting `relations` is-on edges; too deep for json.dumps to write."""
+    leaf = '{"root": "box", "self": [], "rel": []}'
+    return '{"root": "box", "self": [], "rel": [["is-on", ' * relations + leaf + "]]}" * relations
+
+
 def write_bad_session(kind, path, dataset):
     if kind == "not_json":
         path.write_text("this is not a session\n")
@@ -175,6 +190,10 @@ def write_bad_session(kind, path, dataset):
         path.write_bytes(b"\xff\xfe\x00session")
     elif kind == "other_grid":
         AggregationSession(GridSpec(0.0, 0.0, 0.1, 50, 50)).dump(path)
+    elif kind == "deep_graph":
+        AggregationSession(PipelineConfig().grid_spec()).dump(path)
+        graphs = f'"graphs": [{{"graph": {deep_graph_json(400)}, "oid": 0}}]'
+        path.write_text(path.read_text().replace('"graphs": []', graphs))
     else:  # a dumped session with one cell moved outside the grid, or a grid too large to allocate
         assert main(["aggregate", str(episode_dir(dataset)), "--out", str(path)]) == 0
         payload = json.loads(path.read_text())
@@ -186,7 +205,9 @@ def write_bad_session(kind, path, dataset):
         path.write_text(json.dumps(payload))
 
 
-@pytest.mark.parametrize("kind", ["not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid"])
+@pytest.mark.parametrize(
+    "kind", ["not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph"]
+)
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
     session_file = tmp_path / "session.json"
     write_bad_session(kind, session_file, dataset)
@@ -250,7 +271,15 @@ def one_error_line(capsys) -> str:
 
 @pytest.mark.parametrize(
     "damage",
-    ["manifest_json", "manifest_without_dir", "room_json", "instructions_json", "episode_not_utf8"],
+    [
+        "manifest_json",
+        "manifest_without_dir",
+        "room_json",
+        "room_deep_json",
+        "instructions_json",
+        "instructions_deep_graph",
+        "episode_not_utf8",
+    ],
 )
 def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, damage):
     copy = tmp_path / "dataset"
@@ -261,13 +290,19 @@ def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, dama
         "manifest_json": (manifest, 2, "\n".join([entries[0], "{not json"]) + "\n"),
         "manifest_without_dir": (manifest, 2, "\n".join([entries[0], '{"kind": "dialogue"}']) + "\n"),
         "room_json": (copy / "episode_00000" / "room.json", 1, "{]\n"),
+        "room_deep_json": (copy / "episode_00000" / "room.json", None, "[" * 5000 + "]" * 5000),
         "instructions_json": (copy / "episode_00000" / "instructions.jsonl", 1, "{bad\n"),
+        "instructions_deep_graph": (
+            copy / "episode_00000" / "instructions.jsonl", 1, f'{{"graph": {deep_graph_json(400)}}}\n'
+        ),
         "episode_not_utf8": (copy / "episode_00000" / "episode.jsonl", 1, b"\xff\xfe\n"),
     }[damage]
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["eval", str(copy)]) == 3
     line = one_error_line(capsys)
-    assert line.startswith(f"error: {path}: ") and f"line {lineno}" in line
+    assert line.startswith(f"error: {path}: ")
+    if lineno is not None:
+        assert f"line {lineno}" in line
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +371,22 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("gamma = 2.0\n")
     assert main(["parse", "bring a cup", "--config", str(path)]) == 3
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_config_error(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    args = ["simulate", "--out", str(out), "--rooms", "1"]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    else:
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed = -1\n")
+        args += ["--config", str(config)]
+    assert main(args) == 3
+    line = one_error_line(capsys)
+    assert line.startswith("config error: ") and "seed must be non-negative" in line
+    assert not out.exists()
 
 
 def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):

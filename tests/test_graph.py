@@ -4,17 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refground.graph import (
-    AttributeCategory,
-    AttributeKind,
-    AttributePath,
+    MAX_TREE_DEPTH,
     GraphParseError,
     GraphStructureError,
     ObjectGraph,
     attribute_paths,
-    canonicalize,
     deserialize,
+    from_dict,
     graph_difference,
-    graph_equal,
     serialize,
     to_dict,
 )
@@ -24,7 +21,15 @@ CUP_BLACK = ObjectGraph.build("cup", [("color", "black")])
 
 
 def paths_set(g):
-    return {tuple(p.path) for p in attribute_paths(canonicalize(g))}
+    return set(attribute_paths(g))
+
+
+def nested(relations: int) -> dict:
+    """Plain-dict form of a chain of `relations` nested is-on edges."""
+    d = {"root": "box", "self": [], "rel": []}
+    for _ in range(relations):
+        d = {"root": "box", "self": [], "rel": [["is-on", d]]}
+    return d
 
 
 # -- strategies ---------------------------------------------------------------
@@ -55,20 +60,19 @@ def graph_strategy(depth: int = 2):
 # -- construction and kinds ---------------------------------------------------
 
 
-def test_attribute_kind_inference():
-    assert AttributeKind.of("color").category is AttributeCategory.SELF
-    assert AttributeKind.of("is-on").category is AttributeCategory.RELATIONAL
-
-
 @pytest.mark.parametrize("name", ["", "Color", "has space", "IS-ON"])
 def test_attribute_kind_rejects_bad_names(name):
     with pytest.raises(GraphStructureError):
-        AttributeKind.of(name)
+        ObjectGraph.build("cup", [(name, "red")])
+    with pytest.raises(GraphStructureError):
+        ObjectGraph.build("cup", [], [(name, ObjectGraph.build("table"))])
 
 
 def test_kind_category_mismatch_rejected():
     with pytest.raises(GraphStructureError):
-        AttributeKind(AttributeCategory.SELF, "is-on")
+        ObjectGraph.build("cup", [("is-on", "table")])
+    with pytest.raises(GraphStructureError):
+        ObjectGraph.build("cup", [], [("color", ObjectGraph.build("table"))])
 
 
 def test_two_values_for_one_kind_rejected():
@@ -78,12 +82,12 @@ def test_two_values_for_one_kind_rejected():
 
 def test_identical_duplicate_self_attrs_allowed_and_deduped():
     g = ObjectGraph.build("cup", [("color", "red"), ("color", "red")])
-    assert canonicalize(g).self_attrs == ((AttributeKind.of("color"), "red"),)
+    assert g.self_attrs == (("color", "red"),)
 
 
 def test_relational_kind_in_self_position_rejected():
     with pytest.raises(GraphStructureError):
-        ObjectGraph("cup", ((AttributeKind.of("is-on"), "table"),), ())
+        ObjectGraph("cup", (("is-on", "table"),), ())
 
 
 def test_conflicting_same_relation_children_rejected():
@@ -93,53 +97,60 @@ def test_conflicting_same_relation_children_rejected():
         ObjectGraph.build("lamp", [], [("is-near", white), ("is-near", black)])
 
 
-# -- canonicalize -------------------------------------------------------------
+def test_nesting_beyond_max_depth_rejected():
+    deepest = from_dict(nested(MAX_TREE_DEPTH))
+    assert deepest.depth == MAX_TREE_DEPTH
+    with pytest.raises(GraphStructureError):
+        ObjectGraph.build("box", [], [("is-on", deepest)])
+    with pytest.raises(GraphParseError):
+        from_dict(nested(MAX_TREE_DEPTH + 1))
+
+
+# -- canonical construction ---------------------------------------------------
 
 
 def test_canonicalize_sorts_self_attrs():
     g = ObjectGraph.build("cup", [("material", "plastic"), ("color", "red")])
-    assert [(k.name, v) for k, v in canonicalize(g).self_attrs] == [
-        ("color", "red"),
-        ("material", "plastic"),
-    ]
+    assert g.self_attrs == (("color", "red"), ("material", "plastic"))
 
 
 def test_canonicalize_identity_on_empty():
     g = ObjectGraph.build("cup")
-    assert canonicalize(g) == ObjectGraph.build("cup")
+    assert g == ObjectGraph("cup") and g.self_attrs == () and g.rel_attrs == ()
 
 
 def test_canonicalize_dedups_identical_relational_edges():
     table = ObjectGraph.build("table", [("color", "white")])
     g = ObjectGraph.build("lamp", [], [("is-near", table), ("is-near", table)])
-    assert len(canonicalize(g).rel_attrs) == 1
+    assert len(g.rel_attrs) == 1
 
 
 def test_canonicalize_lowercases_tokens():
     g = ObjectGraph.build("Cup", [("color", "RED")])
-    c = canonicalize(g)
-    assert c.root == "cup" and c.self_attrs[0][1] == "red"
+    assert g.root == "cup" and g.self_attrs[0][1] == "red"
 
 
 @settings(max_examples=60, deadline=None)
 @given(graph_strategy())
 def test_canonicalize_idempotent(g):
-    assert canonicalize(canonicalize(g)) == canonicalize(g)
+    assert ObjectGraph(g.root, g.self_attrs, g.rel_attrs) == g
 
 
 # -- equality -----------------------------------------------------------------
 
 
 def test_graph_equal_basic():
-    assert graph_equal(CUP_RED, ObjectGraph.build("cup", [("color", "red")]))
-    assert not graph_equal(CUP_RED, CUP_BLACK)
+    assert CUP_RED == ObjectGraph.build("cup", [("color", "red")])
+    assert CUP_RED != CUP_BLACK
 
 
 def test_graph_equal_is_order_insensitive():
-    table = ObjectGraph.build("table")
-    a = ObjectGraph.build("cup", [("color", "red")], [("is-on", table)])
-    b = ObjectGraph.build("cup", [("color", "red")], [("is-on", table)])
-    assert graph_equal(a, b)
+    table = ObjectGraph.build("Table")
+    a = ObjectGraph.build("cup", [("color", "red"), ("material", "metal")], [("is-on", table)])
+    b = ObjectGraph.build(
+        "CUP", [("material", "Metal"), ("color", "red"), ("color", "RED")], [("is-on", table)] * 2
+    )
+    assert a == b and hash(a) == hash(b)
     # oracle: sorted attribute-path sets agree
     assert sorted(paths_set(a)) == sorted(paths_set(b))
 
@@ -148,7 +159,7 @@ def test_graph_equal_is_order_insensitive():
 @given(graph_strategy())
 def test_graph_equal_matches_path_sets_for_permutations(g):
     flipped = ObjectGraph(g.root, tuple(reversed(g.self_attrs)), tuple(reversed(g.rel_attrs)))
-    assert graph_equal(g, flipped)
+    assert g == flipped and hash(g) == hash(flipped)
     assert paths_set(g) == paths_set(flipped)
 
 
@@ -156,19 +167,17 @@ def test_graph_equal_matches_path_sets_for_permutations(g):
 
 
 def test_paths_empty_graph():
-    assert attribute_paths(canonicalize(ObjectGraph.build("cup"))) == frozenset()
+    assert attribute_paths(ObjectGraph.build("cup")) == frozenset()
 
 
 def test_paths_single_self_attr():
-    g = canonicalize(ObjectGraph.build("cup", [("material", "plastic")]))
+    g = ObjectGraph.build("cup", [("material", "plastic")])
     assert paths_set(g) == {(("material", "plastic"),)}
 
 
 def test_paths_nested_relational():
-    g = canonicalize(
-        ObjectGraph.build(
-            "cup", [], [("is-on", ObjectGraph.build("table", [("color", "white")]))]
-        )
+    g = ObjectGraph.build(
+        "cup", [], [("is-on", ObjectGraph.build("table", [("color", "white")]))]
     )
     assert paths_set(g) == {
         (("is-on", "table"),),
@@ -179,13 +188,7 @@ def test_paths_nested_relational():
 @settings(max_examples=60, deadline=None)
 @given(graph_strategy())
 def test_path_count_equals_edge_count(g):
-    c = canonicalize(g)
-    assert len(attribute_paths(c)) == c.edge_count()
-
-
-def test_attribute_path_nonempty():
-    with pytest.raises(GraphStructureError):
-        AttributePath(())
+    assert len(attribute_paths(g)) == g.edge_count()
 
 
 # -- difference ---------------------------------------------------------------
@@ -200,7 +203,7 @@ def test_difference_subset_is_empty():
 def test_difference_subtraction_by_hand():
     g = ObjectGraph.build("cup", [("material", "plastic")])
     h = ObjectGraph.build("cup", [("color", "red")])
-    assert {tuple(p.path) for p in graph_difference(g, h)} == {(("material", "plastic"),)}
+    assert graph_difference(g, h) == {(("material", "plastic"),)}
 
 
 def test_difference_empty_minuend():
@@ -221,18 +224,16 @@ def test_difference_with_self_is_empty(g):
 @settings(max_examples=60, deadline=None)
 @given(graph_strategy(), graph_strategy())
 def test_empty_differences_iff_equal(a, b):
-    a2 = ObjectGraph(canonicalize(b).root, canonicalize(a).self_attrs, canonicalize(a).rel_attrs)
+    a2 = ObjectGraph(b.root, a.self_attrs, a.rel_attrs)
     both_empty = not graph_difference(a2, b) and not graph_difference(b, a2)
-    assert both_empty == graph_equal(a2, b)
+    assert both_empty == (a2 == b)
 
 
 # -- serialization ------------------------------------------------------------
 
 
 def test_serialize_golden_form():
-    g = canonicalize(
-        ObjectGraph.build("cup", [("color", "red")], [("is-on", ObjectGraph.build("table"))])
-    )
+    g = ObjectGraph.build("cup", [("color", "red")], [("is-on", ObjectGraph.build("table"))])
     assert serialize(g) == (
         '{"root": "cup", "self": [["color", "red"]],'
         ' "rel": [["is-on", {"root": "table", "self": [], "rel": []}]]}'
@@ -250,15 +251,13 @@ def test_round_trip_on_corpus():
         ),
     ]
     for g in corpus:
-        c = canonicalize(g)
-        assert deserialize(serialize(c)) == c
+        assert deserialize(serialize(g)) == g
 
 
 @settings(max_examples=60, deadline=None)
 @given(graph_strategy())
 def test_round_trip_random(g):
-    c = canonicalize(g)
-    assert graph_equal(deserialize(serialize(c)), c)
+    assert deserialize(serialize(g)) == g
 
 
 def test_deserialize_empty_string_fails():
@@ -281,5 +280,5 @@ def test_deserialize_rejects_wrong_shapes():
 
 
 def test_to_dict_field_order():
-    d = to_dict(canonicalize(CUP_RED))
+    d = to_dict(CUP_RED)
     assert list(d.keys()) == ["root", "self", "rel"]

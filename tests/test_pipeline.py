@@ -102,13 +102,17 @@ def test_build_session_registers_graphs(episode):
 def test_build_session_counts_unparseable_captions(episode):
     cfg, _, out = episode
     frames = load_episode(out)
-    bad = Detection(frames[0].detections[0].bbox, "weird unknown caption", None)
+    # an unknown word, and two values for one attribute kind
+    bad = tuple(
+        Detection(frames[0].detections[0].bbox, caption, None)
+        for caption in ("weird unknown caption", "a red blue cup")
+    )
     patched = [frames[0].__class__(
         frames[0].index, frames[0].pose, frames[0].intrinsics,
-        tuple(frames[0].detections) + (bad,), frames[0].depth_path,
+        tuple(frames[0].detections) + bad, frames[0].depth_path,
     )] + frames[1:]
     _, stats = build_session(patched, cfg)
-    assert stats.skipped_captions == 1
+    assert stats.skipped_captions == 2
 
 
 def test_ground_states_match_oracle(episode):

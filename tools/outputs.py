@@ -7,7 +7,7 @@
 tool), so one copy of the tool writes the outputs of any checkout. To
 show that a change leaves every output as its parent commit wrote it:
 
-    git worktree add /tmp/parent HEAD~1
+    mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python tools/outputs.py write /tmp/out-parent --src /tmp/parent/src
     python tools/outputs.py write /tmp/out-change
     python tools/outputs.py diff /tmp/out-parent /tmp/out-change
@@ -24,7 +24,9 @@ The set, all from seeded simulation with the default config apart from
     - `sessions/<kind>/<episode>_<preset>.json`, every episode's session dump;
     - `outcomes/<episode>_<preset>_{fresh,loaded}.jsonl`: every
       instruction of a dialogue episode grounded in turn on the session as
-      built and on its reloaded dump.
+      built and on its reloaded dump;
+- `demos/<demo>.txt`: the stdout of each script in the `demos/` beside
+  SRC, run with `PYTHONPATH=SRC`.
 
 `diff` prints each file that differs or exists on one side only, then
 "N files identical, M differ"; it exits 1 when any differ.
@@ -34,7 +36,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 CORPUS_SEEDS = (0, 7, 11)
@@ -119,6 +124,15 @@ def write(out: Path, src: Path) -> None:
                             outcome, _ = ground_in_session(grounded, case.text, config, lexicon, seed)
                             outcomes.append(outcome_to_dict(outcome))
                         write_lines(base / "outcomes" / f"{entry['dir']}_{preset}_{side}.jsonl", outcomes)
+
+    (out / "demos").mkdir()
+    with tempfile.TemporaryDirectory() as scratch:  # the demos write their episodes under TMPDIR
+        env = {**os.environ, "PYTHONPATH": str(src), "TMPDIR": scratch}
+        for demo in sorted((src.parent / "demos").glob("*.py")):
+            run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True)
+            if run.returncode:
+                raise SystemExit(f"error: {demo} exited {run.returncode}: {run.stderr.decode()[-500:]}")
+            (out / "demos" / f"{demo.stem}.txt").write_bytes(run.stdout)
 
 
 def diff(a: Path, b: Path) -> int:
