@@ -46,9 +46,10 @@ for index, (pose, depth, detections) in enumerate(islice(trajectory_frames(room,
     )
 
 print("\n=== episode files on disk ===")
-out = Path(tempfile.mkdtemp()) / "episode_00000"
-simulate_episode(out, room, config)
-for path in sorted(out.iterdir())[:6]:
-    print(f"  {path.name:<22} {path.stat().st_size:>8} bytes")
-frames = load_episode(out)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "episode_00000"
+    simulate_episode(out, room, config)
+    for path in sorted(out.iterdir())[:6]:
+        print(f"  {path.name:<22} {path.stat().st_size:>8} bytes")
+    frames = load_episode(out)
 print(f"  ... {len(frames)} frames total; rerunning with the same seed is byte-identical")

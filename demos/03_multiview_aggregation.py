@@ -23,9 +23,10 @@ config = PipelineConfig()
 room = generate_room(
     35, GenerationConfig(copies={"cup": 3, "table": 1, "desk": 1, "counter": 1, "sofa": 1})
 )
-out = Path(tempfile.mkdtemp()) / "ep"
-simulate_episode(out, room, config)
-session, stats = build_session(load_episode(out), config)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "ep"
+    simulate_episode(out, room, config)
+    session, stats = build_session(load_episode(out), config)
 print(f"accumulated {stats.detections} detections over {stats.frames} frames")
 
 print("\n=== registered object graphs ===")

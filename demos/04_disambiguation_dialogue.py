@@ -19,9 +19,11 @@ config = PipelineConfig()
 room = generate_room(
     77, GenerationConfig(copies={"cup": 2, "table": 1, "counter": 1, "lamp": 1, "book": 1})
 )
-out = Path(tempfile.mkdtemp()) / "ep"
-simulate_episode(out, room, config)
-session, _ = build_session(load_episode(out), config)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "ep"
+    simulate_episode(out, room, config)
+    session, _ = build_session(load_episode(out), config)
+    cases = load_instructions(out)
 
 print("the room contains:")
 for obj in room.objects:
@@ -29,7 +31,7 @@ for obj in room.objects:
     print(f"  #{obj.id} {obj.color} {obj.material} {obj.cls} {where}")
 
 print("\n=== instructions and generated queries ===")
-for case in load_instructions(out):
+for case in cases:
     seed = query_seed_for(config.seed, f"{out.name}:{case.text}")
     outcome, _ = ground_in_session(session, case.text, config, None, seed)
     flag = "ok" if outcome.state.value == case.expected_state else "STATE MISMATCH"

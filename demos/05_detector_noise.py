@@ -38,15 +38,14 @@ print(f"  false negatives: deletion rate = {deleted/10_000:.4f}  (configured p_f
 
 print("\n=== instance counting under noise presets ===")
 config = PipelineConfig()
-dataset = Path(tempfile.mkdtemp()) / "counting"
-simulate_counting_dataset(dataset, config, rooms_per_count=16, counts=(1, 2, 3))
 print(f"  {'preset':<10} {'count=1':>8} {'count=2':>8} {'count=3':>8} {'avg':>8}")
-averages = {}
-for preset in ("none", "cs", "cs+sd", "cs+sd+fn", "fp"):
-    result = eval_counting(dataset, config, preset)
-    averages[preset] = result.average
-    row = " ".join(f"{result.per_count[c]:>8.3f}" for c in (1, 2, 3))
-    print(f"  {preset:<10} {row} {result.average:>8.3f}")
+with tempfile.TemporaryDirectory() as tmp:
+    dataset = Path(tmp) / "counting"
+    simulate_counting_dataset(dataset, config, rooms_per_count=16, counts=(1, 2, 3))
+    for preset in ("none", "cs", "cs+sd", "cs+sd+fn", "fp"):
+        result = eval_counting(dataset, config, preset)
+        row = " ".join(f"{result.per_count[c]:>8.3f}" for c in (1, 2, 3))
+        print(f"  {preset:<10} {row} {result.average:>8.3f}")
 print(
     "\nfalse positives mint phantom object graphs of unrelated classes; on the"
     " full acceptance dataset (50 rooms per count) the fp preset is reliably"

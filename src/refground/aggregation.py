@@ -117,19 +117,19 @@ _NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 
 def merge_regions(grid: RegionGrid, gamma: float) -> dict[tuple[int, int], int]:
     """Greedy non-maximal region merging with explicit instance labels.
 
-    Regions are visited in descending score order; a region scoring below
-    gamma is zeroed out and stays unlabeled. A surviving region adopts the
-    label of an already-labeled 8-neighbor, else it starts a new label;
-    when it touches several labeled groups those groups are united (the
+    Regions scoring at least gamma are visited in descending score order
+    (ties by region index); a region below gamma is zeroed out: it is never
+    visited and stays unlabeled. A surviving region adopts the label of an
+    already-labeled 8-neighbor, else it starts a new label; when it
+    touches several labeled groups those groups are united (the
     score-propagation of the greedy merge read as label propagation).
     Surviving regions therefore partition into connected groups, one per
     instance, with labels numbered by each group's best-scoring region.
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    nx, ny = grid.scores.shape
     order = sorted(
-        ((rx, ry) for rx in range(nx) for ry in range(ny)),
+        map(tuple, np.argwhere(grid.scores >= gamma).tolist()),
         key=lambda r: (-grid.scores[r], r),
     )
     parent: dict[tuple[int, int], tuple[int, int]] = {}
@@ -141,8 +141,6 @@ def merge_regions(grid: RegionGrid, gamma: float) -> dict[tuple[int, int], int]:
         return r
 
     for region in order:
-        if grid.scores[region] < gamma:
-            continue  # zeroed: below threshold, never labeled
         parent[region] = region
         for dx, dy in _NEIGHBORS:
             nb = (region[0] + dx, region[1] + dy)

@@ -86,26 +86,6 @@ def bio_valid(labels: Sequence[TagLabel]) -> bool:
     return True
 
 
-def _phrase_table(lexicon: Lexicon) -> list[tuple[tuple[str, ...], str, str]]:
-    """(token tuple, span role, symbol) entries, longest phrases first.
-
-    Roles: "verb" and "stop" produce O labels, "cue" a relational kind span,
-    "noun" an object class span, "value" a self attribute kind span.
-    """
-    entries: list[tuple[tuple[str, ...], str, str]] = []
-    for phrase in lexicon.verbs:
-        entries.append((tuple(phrase.split()), "verb", ""))
-    for cue, kind in lexicon.relation_cues.items():
-        entries.append((tuple(cue.split()), "cue", kind))
-    for cls in lexicon.object_classes:
-        entries.append((tuple(cls.split()), "noun", ""))
-    for kind, values in lexicon.self_values.items():
-        for value in values:
-            entries.append(((value,), "value", kind))
-    entries.sort(key=lambda e: -len(e[0]))
-    return entries
-
-
 def tag(tokens: Sequence[Token], lexicon: Lexicon | None = None) -> list[TagLabel]:
     """Label each token with a BIO tag.
 
@@ -116,7 +96,7 @@ def tag(tokens: Sequence[Token], lexicon: Lexicon | None = None) -> list[TagLabe
     if not tokens:
         raise PhraseError("cannot tag an empty token sequence")
     lexicon = lexicon or default_lexicon()
-    table = _phrase_table(lexicon)
+    index = lexicon.phrase_index
     lowered = [t.text.lower() for t in tokens]
     n = len(tokens)
     labels: list[TagLabel] = [TagLabel("O")] * n
@@ -124,15 +104,13 @@ def tag(tokens: Sequence[Token], lexicon: Lexicon | None = None) -> list[TagLabe
     spans: list[tuple[int, int, str, str]] = []  # (start, end, role, symbol)
     i = 0
     while i < n:
-        matched = False
-        for words, role, symbol in table:
+        for words, role, symbol in index.get(lowered[i], ()):
             k = len(words)
             if i + k <= n and tuple(lowered[i : i + k]) == words:
                 spans.append((i, i + k, role, symbol))
                 i += k
-                matched = True
                 break
-        if not matched:
+        else:
             i += 1  # stopword or unknown token stays O
 
     pending_relation = False

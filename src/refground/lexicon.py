@@ -8,9 +8,14 @@ instruction is parseable by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
+
+# A tagger entry: (token tuple, span role, symbol). Roles: "verb" produces O
+# labels, "cue" a relational kind span, "noun" an object class span, "value"
+# a self attribute kind span.
+PhraseEntry = tuple[tuple[str, ...], str, str]
 
 
 class LexiconError(ValueError):
@@ -50,15 +55,27 @@ VERBS = ("bring", "take", "fetch", "grab", "find", "get", "pick up", "pick", "pl
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Token tables used by the deterministic tagger."""
+    """Token tables used by the deterministic tagger.
+
+    `phrase_index` maps each phrase's first token to its entries, longest
+    phrase first; it is built once, here, so tagging a token tries only the
+    phrases that can start with it.
+    """
 
     object_classes: frozenset[str]
     self_values: Mapping[str, frozenset[str]]
     relation_cues: Mapping[str, str]
     stopwords: frozenset[str] = frozenset()
     verbs: frozenset[str] = frozenset()
+    phrase_index: Mapping[str, tuple[PhraseEntry, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        words = [*self.object_classes, *self.relation_cues, *self.stopwords, *self.verbs]
+        for values in self.self_values.values():
+            words.extend(values)
+        blank = sorted({w for w in words if not w.strip()})
+        if blank:
+            raise LexiconError(f"lexicon words must not be empty or whitespace: {blank}")
         all_values: set[str] = set()
         for kind, values in self.self_values.items():
             if kind != kind.lower() or kind.startswith("is-"):
@@ -72,6 +89,27 @@ class Lexicon:
                 raise LexiconError(f"relation cue must be lowercase: {cue!r}")
             if not kind.startswith("is-"):
                 raise LexiconError(f"relation cue {cue!r} maps to non-relational kind {kind!r}")
+        object.__setattr__(self, "phrase_index", self._build_phrase_index())
+
+    def _build_phrase_index(self) -> dict[str, tuple[PhraseEntry, ...]]:
+        # A stable sort on length, longest first, over verbs, cues, classes
+        # and values in that order: within one first token the entries keep
+        # the order a scan of the whole sorted table would try them in.
+        entries: list[PhraseEntry] = []
+        for phrase in self.verbs:
+            entries.append((tuple(phrase.split()), "verb", ""))
+        for cue, kind in self.relation_cues.items():
+            entries.append((tuple(cue.split()), "cue", kind))
+        for cls in self.object_classes:
+            entries.append((tuple(cls.split()), "noun", ""))
+        for kind, values in self.self_values.items():
+            for value in values:
+                entries.append(((value,), "value", kind))
+        entries.sort(key=lambda e: -len(e[0]))
+        index: dict[str, list[PhraseEntry]] = {}
+        for entry in entries:
+            index.setdefault(entry[0][0], []).append(entry)
+        return {first: tuple(group) for first, group in index.items()}
 
 
 def default_lexicon() -> Lexicon:

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refground.aggregation import (
+    _NEIGHBORS,
     AggregationSession,
     GraphRegistry,
     RegionGrid,
@@ -254,6 +256,61 @@ def test_merge_monotone_in_gamma_on_blob_grids():
             labels = merge_regions(grid, gamma)
             counts.append(len(set(labels.values())))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def reference_merge_regions(grid, gamma):
+    """merge_regions before pruning: sort every region, skip those below gamma."""
+    nx, ny = grid.scores.shape
+    order = sorted(
+        ((rx, ry) for rx in range(nx) for ry in range(ny)),
+        key=lambda r: (-grid.scores[r], r),
+    )
+    parent = {}
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    for region in order:
+        if grid.scores[region] < gamma:
+            continue
+        parent[region] = region
+        for dx, dy in _NEIGHBORS:
+            nb = (region[0] + dx, region[1] + dy)
+            if nb in parent:
+                ra, rb = find(nb), find(region)
+                if ra != rb:
+                    parent[rb] = ra
+    position = {region: i for i, region in enumerate(order)}
+    first_member = {}
+    for region in parent:
+        root = find(region)
+        if root not in first_member or position[region] < position[first_member[root]]:
+            first_member[root] = region
+    ordered_roots = sorted(first_member, key=lambda root: position[first_member[root]])
+    label_of_root = {root: i for i, root in enumerate(ordered_roots)}
+    return {region: label_of_root[find(region)] for region in parent}
+
+
+@st.composite
+def tied_score_grids(draw):
+    """Grids whose scores repeat a few values, gamma itself and its neighbors among them."""
+    gamma = draw(st.sampled_from([0.05, 0.1, 0.3]) | st.floats(0.001, 0.999))
+    below, above = float(np.nextafter(gamma, 0.0)), float(np.nextafter(gamma, 1.0))
+    value = st.sampled_from([0.0, below, gamma, above, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(value, min_size=ny, max_size=ny), min_size=nx, max_size=nx))
+    return grid_of(rows), gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_score_grids())
+def test_pruned_merge_matches_full_sort(grid_and_gamma):
+    grid, gamma = grid_and_gamma
+    # equal labels, and equal iteration order of the returned dict
+    assert list(merge_regions(grid, gamma).items()) == list(reference_merge_regions(grid, gamma).items())
 
 
 # -- count_instances --------------------------------------------------------------

@@ -24,3 +24,4 @@ def test_demo_runs(tmp_path, demo):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip()
+    assert list(tmp_path.iterdir()) == []  # the demo removed what it wrote

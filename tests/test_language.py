@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from refground.evaluation import build_parser_corpus
 from refground.graph import ObjectGraph
 from refground.language import (
+    LANDMARK_SYMBOL,
+    ROOT_SYMBOL,
     DanglingRelationError,
     NoReferredObjectError,
     PhraseError,
@@ -15,6 +19,7 @@ from refground.language import (
     tag,
     tokenize,
 )
+from refground.lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
 
 from conftest import random_expressible_graph
 
@@ -102,6 +107,149 @@ def test_tag_output_is_bio_valid(lexicon):
         "pick up a book",
     ]:
         assert bio_valid(tag(tokenize(text), lexicon))
+
+
+# -- indexed tagger against the linear table scan ------------------------------
+
+
+def reference_tag(tokens, lexicon):
+    """The tagger before the per-lexicon phrase index: it rebuilds and sorts
+    the whole phrase table on every call and scans all of it at every token."""
+    if not tokens:
+        raise PhraseError("cannot tag an empty token sequence")
+    table = []
+    for phrase in lexicon.verbs:
+        table.append((tuple(phrase.split()), "verb", ""))
+    for cue, kind in lexicon.relation_cues.items():
+        table.append((tuple(cue.split()), "cue", kind))
+    for cls in lexicon.object_classes:
+        table.append((tuple(cls.split()), "noun", ""))
+    for kind, values in lexicon.self_values.items():
+        for value in values:
+            table.append(((value,), "value", kind))
+    table.sort(key=lambda e: -len(e[0]))
+    lowered = [t.text.lower() for t in tokens]
+    n = len(tokens)
+    labels = [TagLabel("O")] * n
+    spans = []
+    i = 0
+    while i < n:
+        matched = False
+        for words, role, symbol in table:
+            k = len(words)
+            if i + k <= n and tuple(lowered[i : i + k]) == words:
+                spans.append((i, i + k, role, symbol))
+                i += k
+                matched = True
+                break
+        if not matched:
+            i += 1
+    pending_relation = False
+    root_found = False
+    for start, end, role, symbol in spans:
+        if role == "cue":
+            labels[start] = TagLabel("B", symbol)
+            for j in range(start + 1, end):
+                labels[j] = TagLabel("I", symbol)
+            pending_relation = True
+        elif role == "noun":
+            if pending_relation:
+                noun_symbol = LANDMARK_SYMBOL
+                pending_relation = False
+            elif not root_found:
+                noun_symbol = ROOT_SYMBOL
+                root_found = True
+            else:
+                continue
+            labels[start] = TagLabel("B", noun_symbol)
+            for j in range(start + 1, end):
+                labels[j] = TagLabel("I", noun_symbol)
+        elif role == "value":
+            labels[start] = TagLabel("B", symbol)
+    if not root_found:
+        raise NoReferredObjectError(f"no referred object class in: {' '.join(lowered)}")
+    return labels
+
+
+def tag_outcome(tagger, text, lexicon):
+    try:
+        return [str(lab) for lab in tagger(tokenize(text), lexicon)]
+    except PhraseError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# "pick up" is a verb, a cue and a class, "red" a class and a value: the
+# stable sort puts verbs before cues before classes before values.
+AMBIGUOUS_LEXICON = Lexicon(
+    object_classes=frozenset({"cup", "pick up", "table", "dining table", "red"}),
+    self_values={"color": frozenset({"red", "blue"})},
+    relation_cues={"on": "is-on", "on top of": "is-on", "pick up": "is-near", "next to": "is-near"},
+    stopwords=frozenset({"a", "the"}),
+    verbs=frozenset({"pick", "pick up", "bring"}),
+)
+
+
+def lexicon_pieces(lexicon):
+    """Every lexicon phrase and each of its tokens, plus unknown words."""
+    words = {*lexicon.object_classes, *lexicon.relation_cues, *lexicon.stopwords, *lexicon.verbs}
+    for values in lexicon.self_values.values():
+        words |= values
+    words |= {token for phrase in list(words) for token in phrase.split()}
+    unknown = {"thing", "xyzzy", "it", ",", ".", "Cup", "ON", "Dining"}
+    return sorted(words | unknown)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_indexed_tag_matches_table_scan_on_parser_corpus(lexicon, seed):
+    for case in build_parser_corpus(600, seed):
+        assert tag_outcome(tag, case.text, lexicon) == tag_outcome(reference_tag, case.text, lexicon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_indexed_tag_matches_table_scan_on_token_sequences(data):
+    lexicon = data.draw(st.sampled_from([default_lexicon(), AMBIGUOUS_LEXICON]))
+    pieces = data.draw(st.lists(st.sampled_from(lexicon_pieces(lexicon)), min_size=1, max_size=12))
+    text = " ".join(pieces)
+    assert tag_outcome(tag, text, lexicon) == tag_outcome(reference_tag, text, lexicon)
+
+
+def test_overlapping_phrases_take_the_longest_match(lexicon):
+    assert labels_of("pick up the cup on top of the dining table next to a lamp", lexicon) == [
+        "O", "O", "O", "B-r(g)", "B-is-on", "I-is-on", "I-is-on", "O", "B-av_R", "I-av_R",
+        "B-is-near", "I-is-near", "O", "B-av_R",
+    ]
+
+
+# -- lexicon ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("blank", ["", " ", "\t"])
+@pytest.mark.parametrize("field", ["object_classes", "value", "cue", "stopwords", "verbs"])
+def test_lexicon_refuses_blank_words(field, blank):
+    tables = {
+        "object_classes": frozenset({"cup"}),
+        "self_values": {"color": frozenset({"red"})},
+        "relation_cues": {"on": "is-on"},
+        "stopwords": frozenset({"a"}),
+        "verbs": frozenset({"bring"}),
+    }
+    if field == "value":
+        tables["self_values"] = {"color": frozenset({"red", blank})}
+    elif field == "cue":
+        tables["relation_cues"] = {"on": "is-on", blank: "is-near"}
+    else:
+        tables[field] = tables[field] | {blank}
+    with pytest.raises(LexiconError, match="empty or whitespace"):
+        Lexicon(**tables)
+
+
+def test_lexicon_file_drops_empty_tokens(tmp_path):
+    path = tmp_path / "lexicon.txt"
+    path.write_text("object_classes = cup, , table\nself.color = red,\nverbs = , bring\n")
+    lexicon = load_lexicon(path)
+    assert lexicon.object_classes == {"cup", "table"} and lexicon.verbs == {"bring"}
+    assert labels_of("bring a red cup", lexicon) == ["O", "O", "B-color", "B-r(g)"]
 
 
 # -- parsing ------------------------------------------------------------------
