@@ -194,7 +194,7 @@ def lexicon_pieces(lexicon):
     words = {*lexicon.object_classes, *lexicon.relation_cues, *lexicon.stopwords, *lexicon.verbs}
     for values in lexicon.self_values.values():
         words |= values
-    words |= {token for phrase in list(words) for token in phrase.split()}
+    words |= {token for phrase in words for token in phrase.split()}
     unknown = {"thing", "xyzzy", "it", ",", ".", "Cup", "ON", "Dining"}
     return sorted(words | unknown)
 
