@@ -98,10 +98,12 @@ class PipelineConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"config key {name} must be positive")
-        for name in ("region_dx", "region_dy", "frame_width", "frame_height", "n_waypoints",
+        for name in ("region_dx", "region_dy", "frame_width", "frame_height",
                      "min_pixels", "stride", "max_attempts"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"config key {name} must be >= 1")
+        if int(self.n_waypoints) < 4:  # plan_trajectory's ring takes at least four poses
+            raise ConfigError("config key n_waypoints must be >= 4")
         if not 0 < self.gamma < 1:
             raise ConfigError("config key gamma must lie in (0, 1)")
         for name in ("p_fn", "p_fp"):

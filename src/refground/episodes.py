@@ -37,23 +37,15 @@ class DatasetError(ValueError):
     """Episode directory is missing required files or has malformed records."""
 
 
-def jsonify(value):
-    """Convert numpy scalars/arrays and tuples so json.dumps stays deterministic."""
-    if isinstance(value, dict):
-        return {k: jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+def _plain(value):
+    """json.dumps fallback: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def dump_json_line(obj) -> str:
-    return json.dumps(jsonify(obj), sort_keys=True)
+    return json.dumps(obj, sort_keys=True, default=_plain)
 
 
 @dataclass(frozen=True)
@@ -106,9 +98,7 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
     """Render every trajectory pose of one generated room; write depth frames and all episode files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "room.json").write_text(
-        json.dumps(jsonify(room.to_dict()), sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / "room.json").write_text(dump_json_line(room.to_dict()) + "\n", encoding="utf-8")
     k = config.intrinsics()
     intrinsics = {
         "fx": k.fx,
@@ -126,7 +116,7 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
             dump_json_line(
                 {
                     "frame": index,
-                    "pose": [float(x) for x in pose.matrix().reshape(-1)],
+                    "pose": pose.matrix().reshape(-1),
                     "intrinsics": intrinsics,
                     "detections": [_detection_dict(d) for d in detections],
                     "depth_file": depth_name,

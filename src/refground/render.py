@@ -14,7 +14,8 @@ can cover. Every ray direction has camera z = 1, so a hit at ray parameter
 t lies at camera depth t, and only hits with 1e-9 < t <= max_range reach
 the output. A hit also lies at least the box's distance D from the camera,
 which bounds t from below by D / K, K being the longest ray per unit of
-depth. The box is therefore clipped to the band z_lo <= z <= z_hi with
+depth (the frame corner's, sqrt(1 + max u^2 + max v^2)). The box is
+therefore clipped to the band z_lo <= z <= z_hi with
 z_lo = D / K * (1 - 1e-6) - 1e-6 and z_hi = max_range * (1 + 1e-6) + 1e-6,
 both padded outward; the band's vertices (in-band corners and the points
 where the 12 edges cross the two planes) are projected, and their bounding
@@ -23,6 +24,22 @@ the box can win. A box whose clipped set is empty or off-frame is skipped;
 a box that contains the camera or nearly touches it (z_lo <= 0) is tested
 over the full frame. Pixels inside a rectangle run the same per-element
 arithmetic as a dense test, so the output is the same to the byte.
+
+The room shell (floor and four walls) takes one full-frame pass after the
+objects when the camera is strictly inside the room: each of its six
+distances to the floor, the wall planes and the top of the walls exceeds
+1e-6 * K. Per axis the ray meets the inner face it points at, at
+tx = (ex - ox) * ix if ix > 0 else (0 - ox) * ix, with ix = 1 / dx
+(likewise y and z). A ray pointing down meets the shell at
+min(tx, ty, tz); a ray pointing up meets a wall at min(tx, ty) if that is
+<= tz, and otherwise leaves over the top. These are the very products the
+slab test forms for the walls' inner faces and the floor's top face, and
+the nearest shell box's t_near is one of them, so depth is the same to the
+byte; the pass updates only where it is strictly nearer, so objects keep
+their ties, as earlier boxes do. The margin keeps every such hit at
+t >= 1e-6, above the 1e-9 below which the slab test would take a box's
+exit face instead. A camera outside that interior (above the walls, say)
+tests the five boxes in the loop like any other.
 """
 
 from __future__ import annotations
@@ -136,19 +153,25 @@ def render_scene(
     w, h = intrinsics.width, intrinsics.height
     us = (np.arange(w) + 0.5 - intrinsics.cx) / intrinsics.fx
     vs = (np.arange(h) + 0.5 - intrinsics.cy) / intrinsics.fy
-    uu, vv = np.meshgrid(us, vs)
-    dirs_cam = np.stack([uu.ravel(), vv.ravel(), np.ones(w * h)], axis=1)
-    # planar (3, N) rays, so the slab reductions below run over the leading axis
-    dirs = np.ascontiguousarray((dirs_cam @ pose.rotation.T).T)
+    # planar (3, h, w) rays, so the slab reductions below run over the leading axis
+    dirs_cam = np.empty((3, h, w))
+    dirs_cam[0] = us
+    dirs_cam[1] = vs[:, None]
+    dirs_cam[2] = 1.0
+    dirs = pose.rotation @ dirs_cam.reshape(3, -1)
     dirs = np.where(np.abs(dirs) < 1e-12, 1e-12, dirs)
     origin = pose.translation
     inv = (1.0 / dirs).reshape(3, h, w)
-    ray_len = float(np.sqrt(np.einsum("ij,ij->j", dirs, dirs).max()))
+    ray_len = float(np.sqrt(1.0 + np.abs(us).max() ** 2 + np.abs(vs).max() ** 2))
 
     mins, maxs, ids = scene_boxes(room, include_structure)
+    extents = np.asarray(room.extents, dtype=np.float64)
+    gaps = np.concatenate([origin, extents - origin])
+    shell = include_structure and bool((gaps > 1e-6 * ray_len).all())
+    n_loop = len(room.objects) if shell else len(ids)  # the shell pass replaces the structure boxes
     best = np.full((h, w), np.inf)
     winner = np.full((h, w), NO_HIT, dtype=np.int64)
-    rects = _pixel_rects(mins, maxs, pose, intrinsics, ray_len, max_range)
+    rects = _pixel_rects(mins[:n_loop], maxs[:n_loop], pose, intrinsics, ray_len, max_range)
     for box, (u0, u1, v0, v1) in enumerate(rects):
         if u0 == u1:
             continue
@@ -163,6 +186,17 @@ def render_scene(
         closer = tval < best[v0:v1, u0:u1]  # strict: the first box keeps a tie
         np.copyto(best[v0:v1, u0:u1], tval, where=closer)
         np.copyto(winner[v0:v1, u0:u1], ids[box], where=closer)
+
+    if shell:
+        # each axis's inner wall (or floor) face the ray points at
+        o = origin[:, None, None]
+        tx, ty, tz = np.where(inv > 0, extents[:, None, None] - o, 0.0 - o) * inv
+        walls = np.minimum(tx, ty)
+        # a rising ray that reaches the top of the walls first leaves the room
+        tval = np.where(walls <= tz, walls, np.where(inv[2] < 0, tz, np.inf))
+        closer = tval < best  # strict: objects keep a tie
+        np.copyto(best, tval, where=closer)
+        np.copyto(winner, STRUCTURE_ID, where=closer)
 
     miss = ~np.isfinite(best) | (best > max_range)
     depth = np.where(miss, 0.0, best)

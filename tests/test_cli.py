@@ -389,6 +389,17 @@ def test_negative_seed_is_config_error(tmp_path, capsys, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_waypoints", [1, 3])
+def test_too_few_waypoints_is_config_error(tmp_path, capsys, n_waypoints):
+    config = tmp_path / "waypoints.cfg"
+    config.write_text(f"n_waypoints = {n_waypoints}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--rooms", "1"]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith("config error: ") and "n_waypoints must be >= 4" in line
+    assert not out.exists()
+
+
 def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_bytes(b"\xff\xfe")

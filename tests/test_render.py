@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refground.config import PipelineConfig
 from refground.evaluation import DIALOGUE_MULTI, _generate_with_retries
 from refground.geometry import CameraIntrinsics
-from refground.render import NO_HIT, render_scene, scene_boxes
+from refground.render import NO_HIT, STRUCTURE_ID, render_scene, scene_boxes
 from refground.simulator import RoomSpec, SceneObject, look_at_pose, plan_trajectory
 
 RANGES = (1.0, 2.0, 2.4, 10.0)
@@ -183,3 +184,104 @@ def test_nearest_hit_at_exactly_max_range():
         pose = look_at_pose(eye, eye + forward)
         _, _, nearest = dense_render_with_hits(room, pose, intrinsics, include_structure=False)
         assert_same_render(room, pose, intrinsics, ranges=(float(nearest.min()),), include_structure=False)
+
+
+# -- the room shell pass: camera strictly inside the room ---------------------
+
+EXTENTS = (6.0, 6.0, 2.5)
+SHELL_ROOM = manual_room(
+    [
+        ((1.0, 1.0, -0.05), (3.0, 3.0, 0.0)),  # a rug flush with the floor's top face
+        ((6.0, 2.0, 0.5), (6.05, 3.0, 1.5)),  # a poster flush with the x = ex wall's inner face
+        ((2.5, 4.0, 0.0), (3.5, 4.6, 0.9)),  # a table
+    ],
+    EXTENTS,
+)
+# odd size with the principal point on the middle pixel: in axis-aligned
+# views, the middle row and column have world ray components of exactly 0
+SHELL_K = CameraIntrinsics(fx=40.0, fy=40.0, cx=16.5, cy=16.5, width=33, height=33)
+SHELL_RAY_LEN = float(np.sqrt(1.0 + 2 * (16.0 / 40.0) ** 2))  # the corner ray, per unit of depth
+CENTER = np.array([3.0, 3.0, 1.25])
+
+
+def face_eyes():
+    """(axis, side, gap) for an eye `gap` inside each of the room's six faces."""
+    for axis in range(3):
+        for side in (0, 1):
+            for gap in (1e-12, 1e-9 * SHELL_RAY_LEN, 1e-6 * SHELL_RAY_LEN, 1e-3):
+                yield axis, side, gap
+
+
+@pytest.mark.parametrize("axis, side, gap", list(face_eyes()))
+def test_eye_near_a_face_matches_dense(axis, side, gap):
+    eye = CENTER.copy()
+    eye[axis] = EXTENTS[axis] - gap if side else gap
+    outward = np.zeros(3)
+    outward[axis] = 1.0 if side else -1.0
+    tilt = np.array([0.3, -0.2, 0.25])
+    tilt[axis] = 0.0
+    # straight at the face, tilted toward it, along it, and back into the room
+    for direction in (outward, outward + tilt, tilt, CENTER - eye):
+        pose = look_at_pose(eye, eye + direction)
+        assert_same_render(SHELL_ROOM, pose, SHELL_K, ranges=(0.5, 2.4, 10.0))
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        (9.0, 3.0, 1.25), (-3.0, 3.0, 1.25), (3.0, 9.0, 1.25), (3.0, -3.0, 1.25),
+        (3.0, 3.0, -5.0), (3.0, 3.0, 9.0),
+    ],
+)
+def test_axis_aligned_views_match_dense(target):
+    """Rays along the axes, with world components clamped to 1e-12."""
+    for eye in (CENTER, (0.7, 5.5, 0.3), (5.9, 0.1, 2.4)):
+        pose = look_at_pose(eye, np.asarray(eye) + (np.asarray(target) - CENTER))
+        assert_same_render(SHELL_ROOM, pose, SHELL_K, ranges=(0.5, 2.4, 10.0))
+
+
+def test_straight_down_and_into_corners_matches_dense():
+    poses = [
+        look_at_pose((2.0, 2.0, 2.2), (2.0, 2.0, 0.0)),
+        look_at_pose((6.0 - 1e-3, 2.5, 2.0), (6.0 - 1e-3, 2.5, 0.0)),  # down along a wall
+    ]
+    for corner in [(x, y, z) for x in (0.0, 6.0) for y in (0.0, 6.0) for z in (0.0, 2.5)]:
+        poses.append(look_at_pose(CENTER, corner))
+        near = 0.9 * np.asarray(corner) + 0.1 * CENTER  # close to the corner, looking into it
+        poses.append(look_at_pose(near, corner))
+    for pose in poses:
+        assert_same_render(SHELL_ROOM, pose, SHELL_K, ranges=(0.5, 2.4, 10.0))
+
+
+def test_structure_loses_ties_to_flush_objects():
+    _, winner = render_scene(SHELL_ROOM, look_at_pose((2.0, 2.0, 2.2), (2.0, 2.0, 0.0)), SHELL_K)
+    assert winner[16, 16] == 0  # the rug, not the floor it lies flush with
+    _, winner = render_scene(SHELL_ROOM, look_at_pose((3.0, 2.5, 1.0), (6.0, 2.5, 1.0)), SHELL_K)
+    assert winner[16, 16] == 1  # the poster, not the wall behind it
+
+
+def test_rays_leaving_exactly_over_the_top_of_a_wall():
+    """Dyadic rays from (2, 3, 1.5) along +x: row 8 has direction (1, -u, 1/4),
+    so it reaches the x = 6 wall at t = 4 exactly as it reaches z = 2.5; the
+    slab test counts that as a hit and so must the shell pass."""
+    intrinsics = CameraIntrinsics(fx=32.0, fy=32.0, cx=16.5, cy=16.5, width=33, height=33)
+    room = manual_room([], EXTENTS)
+    pose = look_at_pose((2.0, 3.0, 1.5), (6.0, 3.0, 1.5))
+    assert_same_render(room, pose, intrinsics, ranges=(2.4, 4.0, 10.0))
+    depth, winner = render_scene(room, pose, intrinsics, 10.0)
+    assert (winner[:8] == NO_HIT).all()
+    assert (winner[8] == STRUCTURE_ID).all() and (depth[8] == 4.0).all()
+
+
+def interior(extent):
+    return st.floats(0.0, extent, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eye=st.tuples(*(interior(e) for e in EXTENTS)),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: np.linalg.norm(d) > 0.1),
+)
+def test_random_interior_views_match_dense(eye, direction):
+    pose = look_at_pose(eye, np.add(eye, direction))
+    assert_same_render(SHELL_ROOM, pose, SHELL_K, ranges=(0.5, 2.4, 10.0))
