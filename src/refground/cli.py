@@ -1,11 +1,12 @@
 """Command line front end: simulate, ground, aggregate, eval, parse.
 
-Exit codes for `ground`: 0 success, 2 instruction parse failure, 3 I/O
-error. No query is printed on a nonzero exit. Exit codes for `simulate`:
-0 success, 1 when a room cannot be placed, 3 I/O error (for instance an
---out path that is a file or lies under one). Every command exits 3 with
-one line on an I/O error, a missing or non-UTF-8 config file, a bad config
-key or value, or a malformed lexicon file.
+Exit codes of every command once its arguments parse (argparse exits 2
+with its usage otherwise); a nonzero exit prints one line on stderr and
+nothing on stdout:
+    0  ok
+    1  a room cannot be placed
+    2  text does not parse under the configured lexicon
+    3  bad input: I/O, config, lexicon, session, dataset or allocation
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from .evaluation import (
 from .graph import to_dict as graph_to_dict
 from .language import PhraseError, phrase_to_graph, tag, tokenize
 from .lexicon import LexiconError
-from .pipeline import query_seed_for, session_for_episode
+from .pipeline import ground_in_session, query_seed_for, session_for_episode
 from .simulator import GenerationError
-
-EXIT_PARSE = 2
-EXIT_IO = 3
 
 
 def _load_config(args) -> PipelineConfig:
@@ -53,7 +51,9 @@ def _add_noise(parser: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="refground", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="refground", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate episode directories")
@@ -89,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
+def cmd_simulate(args, config: PipelineConfig) -> int:
     if args.kind == "counting":
         simulate_counting_dataset(args.out, config, rooms_per_count=args.rooms)
     else:
@@ -99,74 +98,60 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_ground(args) -> int:
-    config = _load_config(args)
-    try:
-        if args.session:
-            session = AggregationSession.load(args.session)
-            if session.grid != config.grid_spec():
-                raise SessionFormatError(
-                    f"{args.session}: session grid {session.grid} differs from config grid "
-                    f"{config.grid_spec()}"
-                )
-        else:
-            session = session_for_episode(args.episode, config, args.noise)
-    except (DatasetError, SessionFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        from .pipeline import ground_in_session
-
-        seed = query_seed_for(config.seed, f"{Path(args.episode).name}:{args.instruction}")
-        outcome, _ = ground_in_session(session, args.instruction, config, None, seed)
-    except PhraseError as exc:
-        print(f"error: cannot parse instruction: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+def cmd_ground(args, config: PipelineConfig) -> int:
+    if args.session:
+        session = AggregationSession.load(args.session)
+        if session.grid != config.grid_spec():
+            raise SessionFormatError(
+                f"{args.session}: session grid {session.grid} differs from config grid "
+                f"{config.grid_spec()}"
+            )
+    else:
+        session = session_for_episode(args.episode, config, args.noise)
+    seed = query_seed_for(config.seed, f"{Path(args.episode).name}:{args.instruction}")
+    outcome, _ = ground_in_session(session, args.instruction, config, None, seed)
     if args.out:
         write_outcome(outcome, args.out)
     print(outcome.query)
     return 0
 
 
-def cmd_aggregate(args) -> int:
-    config = _load_config(args)
-    try:
-        session = session_for_episode(args.episode, config, args.noise)
-        session.dump(args.out)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def cmd_aggregate(args, config: PipelineConfig) -> int:
+    session_for_episode(args.episode, config, args.noise).dump(args.out)
     print(f"session written to {args.out}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args)
-    try:
-        report = evaluate_dataset(args.dataset, config, args.noise)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def cmd_eval(args, config: PipelineConfig) -> int:
+    report = evaluate_dataset(args.dataset, config, args.noise)
     if args.out:
         write_report(report, args.out)
     print(report.render_table())
     return 0
 
 
-def cmd_parse(args) -> int:
-    config = _load_config(args)
+def cmd_parse(args, config: PipelineConfig) -> int:
     lexicon = config.lexicon()
-    try:
-        tokens = tokenize(args.text)
-        if args.tags:
-            labels = tag(tokens, lexicon)
-            print("\t".join(str(lab) for lab in labels))
-        graph = phrase_to_graph(args.text, lexicon)
-    except PhraseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    tokens = tokenize(args.text)
+    labels = tag(tokens, lexicon) if args.tags else ()
+    graph = phrase_to_graph(args.text, lexicon)  # parse before printing anything
+    if args.tags:
+        print("\t".join(str(lab) for lab in labels))
     print(json.dumps(graph_to_dict(graph)))
     return 0
+
+
+# error class -> (exit code, message prefix); the first class the error is an instance of wins
+EXIT_CODES = {
+    ConfigError: (3, "config error: "),
+    LexiconError: (3, "lexicon error: "),
+    PhraseError: (2, "error: cannot parse: "),
+    DatasetError: (3, "error: "),
+    SessionFormatError: (3, "error: "),
+    OSError: (3, "error: "),
+    MemoryError: (3, "error: "),
+    GenerationError: (1, "generation error: "),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -179,19 +164,11 @@ def main(argv: list[str] | None = None) -> int:
         "parse": cmd_parse,
     }
     try:
-        return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except LexiconError as exc:
-        print(f"lexicon error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except GenerationError as exc:
-        print(f"generation error: {exc}", file=sys.stderr)
-        return 1
+        return handlers[args.command](args, _load_config(args))
+    except tuple(EXIT_CODES) as exc:
+        code, prefix = next(EXIT_CODES[error] for error in EXIT_CODES if isinstance(exc, error))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -83,6 +83,10 @@ class PipelineConfig:
     acknowledgements: tuple[str, ...] = DEFAULT_ACKNOWLEDGEMENTS
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not (value == 0 or 1e-9 <= abs(value) <= 1e9):
+                raise ConfigError(f"config key {f.name} must be 0 or a finite magnitude in [1e-9, 1e9]")
         positive = [
             "cell_size",
             "gamma",
@@ -104,6 +108,13 @@ class PipelineConfig:
                 raise ConfigError(f"config key {name} must be >= 1")
         if int(self.n_waypoints) < 4:  # plan_trajectory's ring takes at least four poses
             raise ConfigError("config key n_waypoints must be >= 4")
+        # beyond this numpy cannot even address the grid; below it, a grid too
+        # large for memory fails to allocate (MemoryError)
+        if max(self.room_x, self.room_y) / self.cell_size > 1e8:
+            raise ConfigError("config keys room_x, room_y and cell_size give a grid side over 1e8 cells")
+        # with look_frac 0 a ring pose aims straight down its own (x, y)
+        if self.look_frac == 0 and abs(self.look_height - self.cam_height) < 1e-9:
+            raise ConfigError("config key look_frac = 0 with look_height = cam_height aims poses at their eye")
         if not 0 < self.gamma < 1:
             raise ConfigError("config key gamma must lie in (0, 1)")
         for name in ("p_fn", "p_fp"):

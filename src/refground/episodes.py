@@ -68,8 +68,12 @@ def _detection_dict(det: Detection) -> dict:
     }
 
 
-def _detection_from_dict(d: dict) -> Detection:
+def _detection_from_dict(d: dict, k: CameraIntrinsics) -> Detection:
     u0, v0, u1, v1 = (float(x) for x in d["bbox"])
+    if not (0 <= u0 < u1 <= k.width and 0 <= v0 < v1 <= k.height):
+        raise ValueError(f"bbox {d['bbox']} is not a box inside the {k.width}x{k.height} frame")
+    if not isinstance(d["caption"], str):
+        raise TypeError(f"caption must be a string, got {d['caption']!r}")
     return Detection(BoundingBox(u0, v0, u1, v1), d["caption"], d.get("gt_id"))
 
 
@@ -133,41 +137,36 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
 
 
 def read_json_lines(path: Path, parse) -> list:
-    """parse(record) for every non-blank UTF-8 JSON line of path; a line that
-    fails to decode or parse is a DatasetError naming the file and line."""
+    """parse(record) for every non-blank UTF-8 JSON line of path; a missing
+    file, or a line that fails to decode or parse, is a DatasetError."""
+    if not path.exists():
+        raise DatasetError(f"{path.parent}: missing {path.name}")
     out = []
     for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             out.append(parse(json.loads(line.decode("utf-8"))))
-        except (KeyError, ValueError, TypeError, RecursionError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return out
 
 
 def load_room(episode_dir: str | Path) -> RoomSpec:
+    """The one JSON line of room.json that simulate_episode writes."""
     path = Path(episode_dir) / "room.json"
-    if not path.exists():
-        raise DatasetError(f"{episode_dir}: missing room.json")
-    try:
-        return RoomSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (KeyError, ValueError, TypeError, RecursionError) as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
+    rooms = read_json_lines(path, RoomSpec.from_dict)
+    if len(rooms) != 1:
+        raise DatasetError(f"{path}: expected one room record, found {len(rooms)}")
+    return rooms[0]
 
 
 def load_instructions(episode_dir: str | Path) -> list[InstructionCase]:
-    path = Path(episode_dir) / "instructions.jsonl"
-    if not path.exists():
-        raise DatasetError(f"{episode_dir}: missing instructions.jsonl")
-    return read_json_lines(path, InstructionCase.from_dict)
+    return read_json_lines(Path(episode_dir) / "instructions.jsonl", InstructionCase.from_dict)
 
 
 def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
     episode_dir = Path(episode_dir)
-    path = episode_dir / "episode.jsonl"
-    if not path.exists():
-        raise DatasetError(f"{episode_dir}: missing episode.jsonl")
 
     def frame(rec: dict) -> FrameRecord:
         pose = Pose.from_matrix(np.asarray(rec["pose"], dtype=np.float64).reshape(4, 4))
@@ -175,9 +174,10 @@ def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
         intrinsics = CameraIntrinsics(
             k["fx"], k["fy"], k["cx"], k["cy"], int(k["width"]), int(k["height"])
         )
-        detections = tuple(_detection_from_dict(d) for d in rec["detections"])
-        return FrameRecord(
-            int(rec["frame"]), pose, intrinsics, detections, episode_dir / rec["depth_file"]
-        )
+        detections = tuple(_detection_from_dict(d, intrinsics) for d in rec["detections"])
+        index = int(rec["frame"])
+        if index < 0:  # it seeds the frame's noise draws
+            raise ValueError(f"frame index {index} is negative")
+        return FrameRecord(index, pose, intrinsics, detections, episode_dir / rec["depth_file"])
 
-    return read_json_lines(path, frame)
+    return read_json_lines(episode_dir / "episode.jsonl", frame)

@@ -176,15 +176,14 @@ def simulate_dialogue_dataset(
 
 
 def load_manifest(dataset_dir: str | Path) -> list[dict]:
-    path = Path(dataset_dir) / "manifest.jsonl"
-    if not path.exists():
-        raise DatasetError(f"{dataset_dir}: missing manifest.jsonl")
-    return read_json_lines(path, _manifest_entry)
+    return read_json_lines(Path(dataset_dir) / "manifest.jsonl", _manifest_entry)
 
 
 def _manifest_entry(record) -> dict:
     if not isinstance(record, dict) or not isinstance(record.get("dir"), str):
         raise ValueError('manifest entry must be an object with a "dir" string')
+    if not isinstance(record.get("kind", ""), str):
+        raise ValueError('manifest entry "kind" must be a string')
     if record.get("kind") == "counting" and not (
         isinstance(record.get("target"), str) and type(record.get("count")) is int
     ):

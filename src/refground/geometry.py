@@ -33,7 +33,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):  # NaN too
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the frame")
@@ -54,6 +54,8 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if R.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
+        if not np.all(np.abs(R) <= 1 + 1e-6) or not np.all(np.isfinite(t)):
+            raise ValueError("rotation entries must lie in [-1, 1] and translation must be finite")
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-6:
             raise ValueError("rotation is not orthonormal within 1e-6")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:

@@ -89,15 +89,14 @@ class SceneObject:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneObject":
-        return cls(
-            int(d["id"]),
-            d["class"],
-            d["color"],
-            d["material"],
-            tuple(float(v) for v in d["box_min"]),
-            tuple(float(v) for v in d["box_max"]),
-            None if d.get("support") is None else int(d["support"]),
-        )
+        names = (d["class"], d["color"], d["material"])
+        if not all(isinstance(name, str) and name.strip() for name in names):
+            raise ValueError(f"object class, color and material must be non-empty strings, got {names!r}")
+        corners = [tuple(float(v) for v in d[key]) for key in ("box_min", "box_max")]
+        if any(len(corner) != 3 for corner in corners):
+            raise ValueError(f"box_min and box_max must hold three numbers, got {corners!r}")
+        support = None if d.get("support") is None else int(d["support"])
+        return cls(int(d["id"]), *names, *corners, support)
 
 
 @dataclass(frozen=True)
@@ -580,6 +579,8 @@ class InstructionCase:
     def from_dict(cls, d: dict) -> "InstructionCase":
         from .graph import from_dict as graph_from_dict
 
+        if not isinstance(d["text"], str):
+            raise TypeError(f"instruction text must be a string, got {d['text']!r}")
         return cls(
             d["text"],
             d["target_class"],

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,9 @@ from refground.aggregation import AggregationSession
 from refground.cli import main
 from refground.config import ConfigError, PipelineConfig, load_config, save_config
 from refground.geometry import GridSpec
+from refground.lexicon import default_lexicon, load_lexicon
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tree_digest(root: Path) -> str:
@@ -276,6 +280,8 @@ def one_error_line(capsys) -> str:
         "manifest_without_dir",
         "room_json",
         "room_deep_json",
+        "room_no_record",
+        "room_two_records",
         "instructions_json",
         "instructions_deep_graph",
         "episode_not_utf8",
@@ -286,11 +292,14 @@ def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, dama
     shutil.copytree(dataset, copy)
     manifest = copy / "manifest.jsonl"
     entries = manifest.read_text().splitlines()
+    room_line = (copy / "episode_00000" / "room.json").read_text()
     path, lineno, text = {
         "manifest_json": (manifest, 2, "\n".join([entries[0], "{not json"]) + "\n"),
         "manifest_without_dir": (manifest, 2, "\n".join([entries[0], '{"kind": "dialogue"}']) + "\n"),
         "room_json": (copy / "episode_00000" / "room.json", 1, "{]\n"),
         "room_deep_json": (copy / "episode_00000" / "room.json", None, "[" * 5000 + "]" * 5000),
+        "room_no_record": (copy / "episode_00000" / "room.json", None, "\n"),
+        "room_two_records": (copy / "episode_00000" / "room.json", None, room_line * 2),
         "instructions_json": (copy / "episode_00000" / "instructions.jsonl", 1, "{bad\n"),
         "instructions_deep_graph": (
             copy / "episode_00000" / "instructions.jsonl", 1, f'{{"graph": {deep_graph_json(400)}}}\n'
@@ -303,6 +312,58 @@ def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, dama
     assert line.startswith(f"error: {path}: ")
     if lineno is not None:
         assert f"line {lineno}" in line
+
+
+@pytest.mark.parametrize(
+    "name, key_path, value",
+    [
+        pytest.param("episode.jsonl", ("detections", 0, "caption"), 3, id="caption_int"),
+        pytest.param("episode.jsonl", ("detections", 0, "caption"), None, id="caption_null"),
+        pytest.param("episode.jsonl", ("detections", 0, "caption"), {"k": 1}, id="caption_object"),
+        pytest.param("episode.jsonl", ("detections", 0, "bbox", 0), -1e308, id="bbox_outside_frame"),
+        pytest.param("episode.jsonl", ("pose", 0), 1e308, id="pose_1e308"),
+        pytest.param("episode.jsonl", ("intrinsics", "fx"), float("nan"), id="focal_nan"),
+        pytest.param("episode.jsonl", ("frame",), -1, id="frame_negative"),
+        pytest.param("room.json", ("objects", 0, "class"), 3, id="room_class_int"),
+        pytest.param("room.json", ("objects", 0, "color"), [], id="room_color_list"),
+        pytest.param("room.json", ("objects", 0, "box_max"), [0, 0], id="room_box_two_numbers"),
+        pytest.param("room.json", ("copies", "cup"), float("-inf"), id="room_copies_inf"),
+        pytest.param("instructions.jsonl", ("text",), 2.5, id="instruction_text_float"),
+        pytest.param("manifest.jsonl", ("kind",), {"k": 1}, id="kind_object"),
+        pytest.param("manifest.jsonl", ("kind",), ["dialogue"], id="kind_list"),
+    ],
+)
+def test_eval_wrongly_typed_dataset_value_is_io_error(dataset, tmp_path, capsys, name, key_path, value):
+    copy = tmp_path / "dataset"
+    shutil.copytree(dataset, copy)
+    path = copy / name if name == "manifest.jsonl" else copy / "episode_00000" / name
+    lines = path.read_text().splitlines()
+    # the first record, or for episode.jsonl the first frame with a detection
+    lineno = next(
+        i for i, line in enumerate(lines, 1) if name != "episode.jsonl" or json.loads(line)["detections"]
+    )
+    record = json.loads(lines[lineno - 1])
+    node = record
+    for key in key_path[:-1]:
+        node = node[key]
+    node[key_path[-1]] = value
+    lines[lineno - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        assert main(["eval", str(copy)]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: {path}: line {lineno}: ")
+
+
+def test_eval_instruction_outside_configured_lexicon_is_parse_failure(dataset, tmp_path, capsys):
+    lexicon = tmp_path / "tables.lex"
+    lexicon.write_text("object_classes = table\n")
+    config = tmp_path / "lexicon.cfg"
+    config.write_text(f"lexicon_path = {lexicon}\n")
+    assert main(["eval", str(dataset), "--config", str(config)]) == 2
+    line = one_error_line(capsys)
+    assert line.startswith("error: cannot parse: no referred object class in: ")
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +459,39 @@ def test_too_few_waypoints_is_config_error(tmp_path, capsys, n_waypoints):
     line = one_error_line(capsys)
     assert line.startswith("config error: ") and "n_waypoints must be >= 4" in line
     assert not out.exists()
+
+
+def test_ring_aimed_at_its_own_eye_is_config_error(tmp_path, capsys):
+    config = tmp_path / "rig.cfg"
+    config.write_text("look_frac = 0.0\nlook_height = 2.2\ncam_height = 2.2\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--rooms", "1"]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"config error: {config}: ") and "look_frac" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ("cell_size = nan", "config error: {config}: config key cell_size must be 0 or a finite"),
+        ("room_x = inf", "config error: {config}: config key room_x must be 0 or a finite"),
+        ("focal_px = nan", "config error: {config}: config key focal_px must be 0 or a finite"),
+        ("room_y = 1e308", "config error: {config}: config key room_y must be 0 or a finite"),
+        ("cell_size = 0.0000001", "error: Unable to allocate"),  # 5e7 x 5e7 cells: petabytes per array
+    ],
+)
+def test_bad_config_number_exits_3(dataset, tmp_path, capsys, text, prefix):
+    config = tmp_path / "number.cfg"
+    config.write_text(text + "\n")
+    args = ["aggregate", str(episode_dir(dataset)), "--out", str(tmp_path / "s.json"), "--config", str(config)]
+    assert main(args) == 3
+    assert one_error_line(capsys).startswith(prefix.format(config=config))
+
+
+def test_shipped_config_and_lexicon_match_code_defaults():
+    assert load_config(CONFIGS / "default.cfg") == PipelineConfig()
+    assert load_lexicon(CONFIGS / "lexicon.txt") == default_lexicon()
 
 
 def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):

@@ -1,0 +1,177 @@
+"""Fuzz the command line with one damaged input file per example.
+
+Each example damages one file of a tiny dialogue dataset, a tiny counting
+dataset, a session dump or the config file, then runs `eval`, `aggregate`,
+`ground` and `ground --session` in-process. Every run must exit 0, 2 or 3
+(or 1 when a damaged config leaves a room unplaceable); a nonzero exit
+prints exactly one stderr line and nothing on stdout, and no run emits a
+warning.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import struct
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, note, settings, strategies as st
+
+from refground.cli import main
+from refground.config import PipelineConfig, save_config
+from refground.evaluation import simulate_counting_dataset, simulate_dialogue_dataset
+
+# values swapped in for a JSON value, whatever its type
+JSON_VALUES = (
+    0, -1, 2.5, 1e308, -1e308, math.nan, math.inf, -math.inf,
+    "x", "", None, True, [], {}, [0, 0], {"k": 1},
+)
+# values swapped in for a config value; none gives a grid between a few cells
+# and one too large to allocate, so no example fills memory
+CONFIG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-9", "2.5", "1e9", "1e308", "1e-300", "x", "", "True")
+DEPTH_VALUES = (math.nan, math.inf, -math.inf, -1.0, 1e30)
+
+FILES = (
+    "dialogue/manifest.jsonl",
+    "dialogue/episode_00000/room.json",
+    "dialogue/episode_00000/episode.jsonl",
+    "dialogue/episode_00000/instructions.jsonl",
+    "dialogue/episode_00000/frame_00001.depth",
+    "counting/manifest.jsonl",
+    "counting/episode_00000/episode.jsonl",
+    "counting/episode_00000/frame_00002.depth",
+    "session.json",
+    "small.cfg",
+)
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    config = PipelineConfig(n_waypoints=4)
+    save_config(config, root / "small.cfg")
+    simulate_dialogue_dataset(root / "dialogue", config, n_rooms=1)
+    simulate_counting_dataset(root / "counting", config, rooms_per_count=1, counts=(2,))
+    episode = str(root / "dialogue" / "episode_00000")
+    args = ["aggregate", episode, "--out", str(root / "session.json"), "--config", str(root / "small.cfg")]
+    assert run(args)[0] == 0
+    return root
+
+
+def run(args: list[str]) -> tuple[int, str, list[str]]:
+    """(exit code, stdout, stderr lines plus one line per warning) of main(args)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(args)
+    return code, out.getvalue(), err.getvalue().splitlines() + [f"warning: {w.message}" for w in caught]
+
+
+def json_nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from json_nodes(value[key], path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_nodes(item, path + (i,))
+
+
+def draw_node(record, data, keep=lambda node: True):
+    """(path, node) of one node of record, drawn by field first: list indices
+    in the path collapse, so each field is as likely as any other."""
+    fields: dict[tuple, list] = {}
+    for path, node in json_nodes(record):
+        if keep(node):
+            fields.setdefault(tuple("*" if type(k) is int else k for k in path), []).append((path, node))
+    if not fields:
+        return None
+    return data.draw(st.sampled_from(fields[data.draw(st.sampled_from(sorted(fields, key=str)))]))
+
+
+def damage_json(record, data):
+    op = data.draw(st.sampled_from(("retype", "delete_key", "unknown_key")))
+    if op == "retype":
+        path, _ = draw_node(record, data)
+        value = data.draw(st.sampled_from(JSON_VALUES))
+        if not path:
+            return value
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return record
+    drawn = draw_node(record, data, lambda node: isinstance(node, dict) and (node or op == "unknown_key"))
+    if drawn:
+        node = drawn[1]
+        if op == "delete_key":
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        else:
+            node["zz_unknown"] = data.draw(st.sampled_from(JSON_VALUES))
+    return record
+
+
+def damage(name: str, raw: bytes, data) -> bytes:
+    ops = ["truncate", "bad_magic", "bad_byte"]
+    ops += {".depth": ["depth_value"], ".cfg": ["config_value", "delete_line", "unknown_line"]}.get(
+        name[name.rindex("."):], ["json_value"]
+    )
+    op = data.draw(st.sampled_from(ops))
+    note(f"{name}: {op}")
+    if op == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if op == "bad_magic":
+        return data.draw(st.binary(min_size=8, max_size=8)) + raw[8:]
+    if op == "bad_byte":
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:pos] + bytes([data.draw(st.integers(0, 255))]) + raw[pos + 1 :]
+    if op == "depth_value":
+        pos = 16 + 4 * data.draw(st.integers(0, (len(raw) - 16) // 4 - 1))
+        return raw[:pos] + struct.pack("<f", data.draw(st.sampled_from(DEPTH_VALUES))) + raw[pos + 4 :]
+    lines = raw.decode("utf-8").splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    if op == "json_value":
+        lines[index] = json.dumps(damage_json(json.loads(lines[index]), data))
+    elif op == "config_value":
+        key = lines[index].partition("=")[0].strip()
+        lines[index] = f"{key} = {data.draw(st.sampled_from(CONFIG_VALUES))}"
+    elif op == "delete_line":
+        del lines[index]
+    else:
+        lines.insert(index, "zz_unknown = 1")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_damaged_file_exits_0_2_or_3_with_one_line(world, data):
+    name = data.draw(st.sampled_from(FILES))
+    path = world / name
+    raw = path.read_bytes()
+    path.write_bytes(damage(name, raw, data))
+    try:
+        dataset = world / ("counting" if name.startswith("counting") else "dialogue")
+        episode = str(dataset / "episode_00000")
+        common = ["--config", str(world / "small.cfg")]
+        noise = ["--noise", data.draw(st.sampled_from(("none", "all")))]
+        commands = [
+            ["eval", str(dataset)] + noise,
+            ["aggregate", episode, "--out", str(world / "out.json")] + noise,
+            ["ground", episode, "bring a cup"] + noise,
+            ["ground", episode, "bring a cup", "--session", str(world / "session.json")],
+        ]
+        for args in commands:
+            code, out, err = run(args + common)
+            note(f"{args[0]} -> {code}: {err}")
+            # a damaged config may leave the false-positive bank's room unplaceable
+            unplaceable = name == "small.cfg" and err[:1] and err[0].startswith("generation error: ")
+            assert code in (0, 2, 3) or (code == 1 and unplaceable)
+            if code:
+                assert out == "" and len(err) == 1
+            else:
+                assert err == []
+    finally:
+        path.write_bytes(raw)
