@@ -11,7 +11,6 @@ from .geometry import (
     DepthFrame,
     GridSpec,
     Pose,
-    backproject,
     soft_mask_weight,
     to_world,
 )

@@ -202,10 +202,14 @@ class CountingResult:
 
 
 def eval_counting(
-    dataset_dir: str | Path, config: PipelineConfig, noise_preset: str = "none"
+    dataset_dir: str | Path,
+    config: PipelineConfig,
+    noise_preset: str = "none",
+    manifest: list[dict] | None = None,
 ) -> CountingResult:
     dataset_dir = Path(dataset_dir)
-    manifest = [m for m in load_manifest(dataset_dir) if m.get("kind") == "counting"]
+    entries = load_manifest(dataset_dir) if manifest is None else manifest
+    manifest = [m for m in entries if m.get("kind") == "counting"]
     if not manifest:
         raise DatasetError(f"{dataset_dir}: no counting episodes in manifest")
     lexicon = config.lexicon()
@@ -258,10 +262,14 @@ class DialogueResult:
 
 
 def eval_dialogue(
-    dataset_dir: str | Path, config: PipelineConfig, noise_preset: str = "none"
+    dataset_dir: str | Path,
+    config: PipelineConfig,
+    noise_preset: str = "none",
+    manifest: list[dict] | None = None,
 ) -> DialogueResult:
     dataset_dir = Path(dataset_dir)
-    manifest = [m for m in load_manifest(dataset_dir) if m.get("kind") == "dialogue"]
+    entries = load_manifest(dataset_dir) if manifest is None else manifest
+    manifest = [m for m in entries if m.get("kind") == "dialogue"]
     if not manifest:
         raise DatasetError(f"{dataset_dir}: no dialogue episodes in manifest")
     lexicon = config.lexicon()
@@ -378,9 +386,9 @@ def evaluate_dataset(
     kinds = {m.get("kind") for m in manifest}
     report = EvalReport(config_echo=config.to_dict(), noise_preset=noise_preset)
     if "counting" in kinds:
-        report.counting = eval_counting(dataset_dir, config, noise_preset)
+        report.counting = eval_counting(dataset_dir, config, noise_preset, manifest)
     if "dialogue" in kinds:
-        report.dialogue = eval_dialogue(dataset_dir, config, noise_preset)
+        report.dialogue = eval_dialogue(dataset_dir, config, noise_preset, manifest)
     return report
 
 

@@ -15,10 +15,6 @@ from pathlib import Path
 import numpy as np
 
 
-class InvalidDepthError(ValueError):
-    """Depth value is non-positive; the point carries no range information."""
-
-
 class DepthFormatError(IOError):
     """Depth file does not follow the DORODPTH layout."""
 
@@ -159,21 +155,6 @@ class GridSpec:
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("grid dimensions must be >= 1")
 
-    def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
-        return (
-            self.origin_x + (cell[0] + 0.5) * self.cell_size,
-            self.origin_y + (cell[1] + 0.5) * self.cell_size,
-        )
-
-
-def backproject(u: float, v: float, d: float, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Image point (u, v) with depth d to camera-space (x, y, z); z equals d."""
-    if d <= 0:
-        raise InvalidDepthError(f"depth must be positive, got {d}")
-    return np.array(
-        [(u - intrinsics.cx) * d / intrinsics.fx, (v - intrinsics.cy) * d / intrinsics.fy, d]
-    )
-
 
 def to_world(p_cam: np.ndarray, pose: Pose) -> np.ndarray:
     """Apply the rigid transform; accepts a single (3,) point or an (N, 3) batch."""
@@ -217,23 +198,18 @@ def bbox_cloud_arrays(
     us, vs = box.pixel_indices(stride)
     if us.size == 0 or vs.size == 0:
         return np.empty((0, 3)), np.empty(0)
-    uu, vv = np.meshgrid(us, vs)
-    d = depth.depth[vv, uu].astype(np.float64)
-    valid = d > 0
-    if not np.any(valid):
+    d = depth.depth[np.ix_(vs, us)]
+    rows, cols = np.nonzero(d > 0)  # row-major: the box's pixels in reading order
+    if rows.size == 0:
         return np.empty((0, 3)), np.empty(0)
-    ucent = uu[valid] + 0.5
-    vcent = vv[valid] + 0.5
-    dval = d[valid]
-    cam = np.stack(
-        [
-            (ucent - intrinsics.cx) * dval / intrinsics.fx,
-            (vcent - intrinsics.cy) * dval / intrinsics.fy,
-            dval,
-        ],
-        axis=1,
-    )
-    world = cam @ pose.rotation.T + pose.translation
+    ucent = us[cols] + 0.5
+    vcent = vs[rows] + 0.5
+    dval = d[rows, cols].astype(np.float64)
+    cam = np.empty((rows.size, 3))
+    cam[:, 0] = (ucent - intrinsics.cx) * dval / intrinsics.fx
+    cam[:, 1] = (vcent - intrinsics.cy) * dval / intrinsics.fy
+    cam[:, 2] = dval
+    world = to_world(cam, pose)
     weights = soft_mask_weight(ucent, vcent, box, sigma_frac * box.width, sigma_frac * box.height)
     return world, weights
 
@@ -248,6 +224,11 @@ def voxelize_bev_arrays(
     its member points, and the number of out-of-grid points. Cells are
     keyed by floor((coord - origin) / cell_size); boundary points land in
     the higher-index cell. Output rows are sorted by (x, y).
+
+    The in-grid points are counted into the window of cells they span,
+    never larger than the grid, so the occupied cells come out in (x, y)
+    order with no sort, and weights add up per cell in input order. The
+    window's bounds also show whether any point left the grid.
     """
     if len(points) == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 0
@@ -255,16 +236,23 @@ def voxelize_bev_arrays(
     w = np.asarray(weights, dtype=np.float64)
     ix = np.floor((pts[:, 0] - grid.origin_x) / grid.cell_size).astype(np.int64)
     iy = np.floor((pts[:, 1] - grid.origin_y) / grid.cell_size).astype(np.int64)
-    inside = (ix >= 0) & (ix < grid.d1) & (iy >= 0) & (iy < grid.d2)
-    dropped = int((~inside).sum())
-    if not np.any(inside):
-        return np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), dropped
-    key = ix[inside] * grid.d2 + iy[inside]
-    uniq, inverse = np.unique(key, return_inverse=True)
-    counts = np.bincount(inverse)
-    sums = np.bincount(inverse, weights=w[inside])
-    cells = np.stack([uniq // grid.d2, uniq % grid.d2], axis=1)
-    return cells, sums / counts, counts, dropped
+    x0, x1, y0, y1 = ix.min(), ix.max(), iy.min(), iy.max()
+    dropped = 0
+    if x0 < 0 or y0 < 0 or x1 >= grid.d1 or y1 >= grid.d2:  # the window leaves the grid
+        inside = (ix >= 0) & (ix < grid.d1) & (iy >= 0) & (iy < grid.d2)
+        dropped = len(ix) - int(np.count_nonzero(inside))
+        if dropped == len(ix):
+            return np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), dropped
+        ix, iy, w = ix[inside], iy[inside], w[inside]
+        x0, y0, y1 = ix.min(), iy.min(), iy.max()
+    ny = int(y1 - y0) + 1
+    local = (ix - x0) * ny + (iy - y0)
+    counts = np.bincount(local)
+    sums = np.bincount(local, weights=w)
+    occupied = np.flatnonzero(counts)
+    counts = counts[occupied]
+    cells = np.stack([occupied // ny + x0, occupied % ny + y0], axis=1)
+    return cells, sums[occupied] / counts, counts, dropped
 
 
 DEPTH_MAGIC = b"DORODPTH"

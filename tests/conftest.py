@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from refground.geometry import GridSpec
 from refground.graph import ObjectGraph
 from refground.lexicon import COLORS, MATERIALS, OBJECT_CLASSES, default_lexicon
 
@@ -10,6 +11,14 @@ from refground.lexicon import COLORS, MATERIALS, OBJECT_CLASSES, default_lexicon
 @pytest.fixture(scope="session")
 def lexicon():
     return default_lexicon()
+
+
+def cell_center(grid: GridSpec, cell: tuple[int, int]) -> tuple[float, float]:
+    """World (x, y) of a grid cell's center."""
+    return (
+        grid.origin_x + (cell[0] + 0.5) * grid.cell_size,
+        grid.origin_y + (cell[1] + 0.5) * grid.cell_size,
+    )
 
 
 def random_expressible_graph(rng: np.random.Generator, depth: int = 0, budget: int = 3) -> ObjectGraph:

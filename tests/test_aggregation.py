@@ -18,6 +18,8 @@ from refground.geometry import GridSpec
 from refground.graph import ObjectGraph
 from refground.oracle import cluster_count
 
+from conftest import cell_center
+
 GRID = GridSpec(0.0, 0.0, 0.05, 100, 100)
 
 CUP_RED = ObjectGraph.build("cup", [("color", "red")])
@@ -337,7 +339,7 @@ def test_count_instances_two_clusters_matches_oracle():
     for cx, cy in centers:
         splat(s, oid, cx, cy)
     groups = s.count_instances(oid, 10, 10, 0.05)
-    world = [GRID.cell_center(c) for c in centers]
+    world = [cell_center(GRID, c) for c in centers]
     assert len(groups) == cluster_count(world, threshold=1.0)
     for group in groups:
         assert any(

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from refground import evaluation
 from refground.config import PipelineConfig
 from refground.evaluation import (
     build_parser_corpus,
@@ -77,6 +78,19 @@ def test_eval_report_bytes(request, tmp_path, kind, preset):
     h = hashlib.sha256(report.read_bytes())
     h.update(report.with_suffix(".txt").read_bytes())
     assert h.hexdigest() == REPORT_SHA256[kind, preset]
+
+
+@pytest.mark.parametrize("kind", ["counting", "dialogue"])
+def test_eval_reads_manifest_once(request, monkeypatch, kind):
+    reads, load_manifest = [], evaluation.load_manifest
+
+    def counted(dataset_dir):
+        reads.append(dataset_dir)
+        return load_manifest(dataset_dir)
+
+    monkeypatch.setattr(evaluation, "load_manifest", counted)
+    evaluate_dataset(request.getfixturevalue(kind), PipelineConfig(), "none")
+    assert len(reads) == 1
 
 
 def test_session_dump_bytes(dialogue, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refground.geometry import (
     BoundingBox,
@@ -9,9 +10,7 @@ from refground.geometry import (
     DepthFrame,
     DepthFormatError,
     GridSpec,
-    InvalidDepthError,
     Pose,
-    backproject,
     bbox_cloud_arrays,
     read_depth_file,
     soft_mask_weight,
@@ -19,6 +18,8 @@ from refground.geometry import (
     voxelize_bev_arrays,
     write_depth_file,
 )
+
+from conftest import cell_center
 
 K_SIMPLE = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
@@ -29,6 +30,15 @@ def yaw_pose(angle, t=(0.0, 0.0, 0.0)):
 
 
 # -- backproject --------------------------------------------------------------
+
+
+def backproject(u: float, v: float, d: float, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Reference: image point (u, v) with depth d to camera-space (x, y, z); z equals d."""
+    if d <= 0:
+        raise ValueError(f"depth must be positive, got {d}")
+    return np.array(
+        [(u - intrinsics.cx) * d / intrinsics.fx, (v - intrinsics.cy) * d / intrinsics.fy, d]
+    )
 
 
 def test_backproject_principal_ray():
@@ -45,7 +55,7 @@ def test_backproject_arithmetic():
 
 
 def test_backproject_rejects_invalid_depth():
-    with pytest.raises(InvalidDepthError):
+    with pytest.raises(ValueError):
         backproject(10.0, 10.0, 0.0, K_SIMPLE)
 
 
@@ -175,6 +185,109 @@ def test_stride_subsamples():
     assert 0 < len(strided) < len(full)
 
 
+def reference_bbox_cloud(bbox, depth, intrinsics, pose, sigma_frac=0.25, stride=1):
+    """Reference: the meshgrid form of bbox_cloud_arrays, kept to compare bytes."""
+    box = bbox.clamp(depth.width, depth.height)
+    if box is None:
+        return np.empty((0, 3)), np.empty(0)
+    us, vs = box.pixel_indices(stride)
+    if us.size == 0 or vs.size == 0:
+        return np.empty((0, 3)), np.empty(0)
+    uu, vv = np.meshgrid(us, vs)
+    d = depth.depth[vv, uu].astype(np.float64)
+    valid = d > 0
+    if not np.any(valid):
+        return np.empty((0, 3)), np.empty(0)
+    ucent = uu[valid] + 0.5
+    vcent = vv[valid] + 0.5
+    dval = d[valid]
+    cam = np.stack(
+        [
+            (ucent - intrinsics.cx) * dval / intrinsics.fx,
+            (vcent - intrinsics.cy) * dval / intrinsics.fy,
+            dval,
+        ],
+        axis=1,
+    )
+    world = cam @ pose.rotation.T + pose.translation
+    weights = soft_mask_weight(ucent, vcent, box, sigma_frac * box.width, sigma_frac * box.height)
+    return world, weights
+
+
+def assert_same_bytes(got, want):
+    """Equal result tuples: arrays in dtype, shape and bytes, other values by ==."""
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        if isinstance(r, np.ndarray):
+            assert (g.dtype, g.shape, g.tobytes()) == (r.dtype, r.shape, r.tobytes())
+        else:
+            assert g == r
+
+
+def random_pose(data):
+    q = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4)))
+    if np.linalg.norm(q) < 1e-3:
+        return Pose.identity()
+    w, x, y, z = q / np.linalg.norm(q)
+    rotation = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    translation = data.draw(st.lists(st.floats(-5, 5), min_size=3, max_size=3))
+    return Pose(rotation, np.array(translation))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_bbox_cloud_matches_reference_bytes(data):
+    width, height = data.draw(st.integers(1, 14)), data.draw(st.integers(1, 14))
+    intrinsics = CameraIntrinsics(
+        fx=data.draw(st.floats(0.5, 200)),
+        fy=data.draw(st.floats(0.5, 200)),
+        cx=data.draw(st.floats(0, width, exclude_max=True)),
+        cy=data.draw(st.floats(0, height, exclude_max=True)),
+        width=width,
+        height=height,
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.05, 9.5, (height, width)).astype(np.float32)
+    holes = rng.random((height, width)) < data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    depth = DepthFrame(width, height, np.where(holes, np.float32(0.0), values))
+    u0 = data.draw(st.floats(-4, width + 2))
+    v0 = data.draw(st.floats(-4, height + 2))
+    u1 = u0 + data.draw(st.floats(0.01, width + 6))
+    v1 = v0 + data.draw(st.floats(0.01, height + 6))
+    sigma_frac, stride = data.draw(st.floats(0.05, 1.0)), data.draw(st.integers(1, 3))
+    args = (BoundingBox(u0, v0, u1, v1), depth, intrinsics, random_pose(data), sigma_frac, stride)
+    assert_same_bytes(bbox_cloud_arrays(*args), reference_bbox_cloud(*args))
+
+
+def test_bbox_cloud_all_zero_depth_matches_reference():
+    frame = DepthFrame(100, 100, np.zeros((100, 100), dtype=np.float32))
+    pose = yaw_pose(0.4, (1.0, 2.0, 0.5))
+    args = (BoundingBox(-3.5, 10.25, 20.75, 40.5), frame, K_SIMPLE, pose)
+    assert_same_bytes(bbox_cloud_arrays(*args), reference_bbox_cloud(*args))
+
+
+def test_cloud_matches_scalar_backproject():
+    rng = np.random.default_rng(4)
+    frame = DepthFrame(100, 100, rng.uniform(0.5, 3.0, (100, 100)).astype(np.float32))
+    pose = yaw_pose(1.1, t=(0.3, -0.7, 1.2))
+    bbox = BoundingBox(20.3, 61.8, 27.9, 66.2)
+    pts, _ = bbox_cloud_arrays(bbox, frame, K_SIMPLE, pose)
+    us, vs = bbox.pixel_indices()
+    expected = [
+        to_world(backproject(u + 0.5, v + 0.5, float(frame.depth[v, u]), K_SIMPLE), pose)
+        for v in vs
+        for u in us
+    ]
+    assert pts.shape == (len(expected), 3)
+    assert np.allclose(pts, expected, rtol=0, atol=1e-12)
+
+
 # -- voxelize -----------------------------------------------------------------
 
 GRID = GridSpec(0.0, 0.0, 0.5, 10, 10)
@@ -214,6 +327,65 @@ def test_voxelize_sorted_by_cell():
     pts = np.column_stack([rng.uniform(0, 5, 50), rng.uniform(0, 5, 50), np.zeros(50)])
     cells = [tuple(c) for c in voxelize(pts, np.ones(50))[0].tolist()]
     assert cells == sorted(cells)
+
+
+def reference_voxelize(points, weights, grid):
+    """Reference: the np.unique form of voxelize_bev_arrays, kept to compare bytes."""
+    if len(points) == 0:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 0
+    pts = np.asarray(points, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    ix = np.floor((pts[:, 0] - grid.origin_x) / grid.cell_size).astype(np.int64)
+    iy = np.floor((pts[:, 1] - grid.origin_y) / grid.cell_size).astype(np.int64)
+    inside = (ix >= 0) & (ix < grid.d1) & (iy >= 0) & (iy < grid.d2)
+    dropped = int((~inside).sum())
+    if not np.any(inside):
+        return np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), dropped
+    key = ix[inside] * grid.d2 + iy[inside]
+    uniq, inverse = np.unique(key, return_inverse=True)
+    counts = np.bincount(inverse)
+    sums = np.bincount(inverse, weights=w[inside])
+    cells = np.stack([uniq // grid.d2, uniq % grid.d2], axis=1)
+    return cells, sums / counts, counts, dropped
+
+
+def grid_coordinate(origin, cell_size, cells):
+    """Exact cell boundaries of one axis, a little beyond it, or anywhere around it."""
+    boundary = st.integers(-1, cells + 1).map(lambda k: origin + k * cell_size)
+    return st.one_of(boundary, st.floats(origin - 2 * cell_size, origin + (cells + 2) * cell_size))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_voxelize_matches_reference_bytes(data):
+    d1, d2 = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    size = data.draw(st.sampled_from([0.05, 0.25, 0.3, 1.0]))
+    origin_x = data.draw(st.sampled_from([0.0, -1.2, 3.7]))
+    origin_y = data.draw(st.sampled_from([0.0, -0.6, 2.1]))
+    grid = GridSpec(origin_x, origin_y, size, d1, d2)
+    n = data.draw(st.integers(0, 40))
+    xs = data.draw(st.lists(grid_coordinate(grid.origin_x, size, d1), min_size=n, max_size=n))
+    ys = data.draw(st.lists(grid_coordinate(grid.origin_y, size, d2), min_size=n, max_size=n))
+    points = np.column_stack([xs, ys, np.zeros(n)]).reshape(n, 3)
+    weights = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    got = voxelize_bev_arrays(points, weights, grid)
+    assert_same_bytes(got, reference_voxelize(points, weights, grid))
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 7), (7, 1), (1, 1), (5, 4)])
+def test_voxelize_window_spans_whole_grid(d1, d2):
+    grid = GridSpec(-0.5, 0.25, 0.5, d1, d2)
+    far = (grid.origin_x + d1 * 0.5 - 1e-9, grid.origin_y + d2 * 0.5 - 1e-9)
+    points = np.array([[grid.origin_x, grid.origin_y, 0.0], [*far, 1.0], [*far, 2.0]])
+    weights = np.array([0.3, 0.7, 0.2])
+    got = voxelize_bev_arrays(points, weights, grid)
+    assert_same_bytes(got, reference_voxelize(points, weights, grid))
+    assert got[0].tolist() == ([[0, 0]] if d1 == d2 == 1 else [[0, 0], [d1 - 1, d2 - 1]])
+
+
+def test_voxelize_single_point_matches_reference():
+    points, weights = np.array([[1.0, 2.5, 0.0]]), np.array([0.25])
+    assert_same_bytes(voxelize(points, weights), reference_voxelize(points, weights, GRID))
 
 
 # -- depth files ----------------------------------------------------------------
@@ -275,4 +447,6 @@ def test_depth_frame_validation():
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(0.0, 0.0, 0.0, 10, 10)
-    assert GridSpec(0.0, 0.0, 0.5, 10, 10).cell_center((0, 0)) == (0.25, 0.25)
+    grid = GridSpec(0.0, 0.0, 0.5, 10, 10)
+    assert cell_center(grid, (0, 0)) == (0.25, 0.25)
+    assert voxelize([[*cell_center(grid, (3, 7)), 0.0]], [1.0])[0].tolist() == [[3, 7]]
