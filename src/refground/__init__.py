@@ -3,7 +3,7 @@ a clarifying question when the grounding is ambiguous, mismatched, or missing.
 """
 
 from .aggregation import AggregationSession, GraphRegistry, InstanceRecord, merge_regions
-from .config import PipelineConfig, load_config, save_config
+from .config import PipelineConfig, load_config
 from .discriminator import DialogueState, GroundingOutcome, classify, generate_query
 from .geometry import (
     BoundingBox,
@@ -14,10 +14,10 @@ from .geometry import (
     soft_mask_weight,
     to_world,
 )
-from .graph import ObjectGraph, attribute_paths, deserialize, graph_difference, serialize
+from .graph import ObjectGraph, attribute_paths, graph_difference, serialize
 from .language import TagLabel, Token, parse_tags, phrase_to_graph, realize, tag, tokenize
 from .lexicon import Lexicon, default_lexicon, load_lexicon
-from .metrics import bleu, corpus_bleu
+from .metrics import corpus_bleu
 from .simulator import (
     Detection,
     ErrorConfig,

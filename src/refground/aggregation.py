@@ -9,7 +9,8 @@ dump-and-reload give bit-identical results. Region scoring normalizes
 summed cell weights into a distribution over fixed-size regions, greedy non-maximal merging groups
 neighboring above-threshold regions into instances, and fusion overlays
 the per-graph instance maps to deduplicate graphs that describe the same
-physical object.
+physical object. Fusion is the one instance query: the records it returns
+for a root class are that class's instances, so counting is their number.
 
 A session is single-threaded: one session per stream, used by one thread,
 queries included. fuse_across_graphs keeps each fusion it computes in a
@@ -67,9 +68,6 @@ class GraphRegistry:
     def items(self):
         return enumerate(self._graphs)
 
-    def __len__(self):
-        return len(self._graphs)
-
     def __contains__(self, oid: int) -> bool:
         return 0 <= oid < len(self._graphs)
 
@@ -93,9 +91,7 @@ class RegionGrid:
 class InstanceGroup:
     """One merged group of regions for a single object graph."""
 
-    label: int
     regions: frozenset[tuple[int, int]]
-    score: float
     centroid: tuple[float, float]
     accumulated_weight: float
 
@@ -112,6 +108,14 @@ class InstanceRecord:
 
 
 _NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def _find(parent, x):
+    """Union-find root of x with path halving; parent is a dict or a list."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def merge_regions(grid: RegionGrid, gamma: float) -> dict[tuple[int, int], int]:
@@ -133,30 +137,23 @@ def merge_regions(grid: RegionGrid, gamma: float) -> dict[tuple[int, int], int]:
         key=lambda r: (-grid.scores[r], r),
     )
     parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
     for region in order:
         parent[region] = region
         for dx, dy in _NEIGHBORS:
             nb = (region[0] + dx, region[1] + dy)
             if nb in parent:
-                ra, rb = find(nb), find(region)
+                ra, rb = _find(parent, nb), _find(parent, region)
                 if ra != rb:
                     parent[rb] = ra
     position = {region: i for i, region in enumerate(order)}
     first_member: dict[tuple[int, int], tuple[int, int]] = {}
     for region in parent:
-        root = find(region)
+        root = _find(parent, region)
         if root not in first_member or position[region] < position[first_member[root]]:
             first_member[root] = region
     ordered_roots = sorted(first_member, key=lambda root: position[first_member[root]])
     label_of_root = {root: i for i, root in enumerate(ordered_roots)}
-    return {region: label_of_root[find(region)] for region in parent}
+    return {region: label_of_root[_find(parent, region)] for region in parent}
 
 
 class AggregationSession:
@@ -228,12 +225,8 @@ class AggregationSession:
         scores = sums / total if total > 0 else sums
         return RegionGrid(dx, dy, scores, total)
 
-    def count_instances(self, oid: int, dx: int, dy: int, gamma: float) -> list[InstanceGroup]:
-        """Region scoring followed by greedy merging; one group per instance."""
-        return self._instances(oid, self.region_scores(oid, dx, dy), gamma)
-
     def _instances(self, oid: int, grid: RegionGrid, gamma: float) -> list[InstanceGroup]:
-        """Merge the graph's scored regions into groups.
+        """Merge the graph's scored regions into groups, for fusion.
 
         A group's centroid is the accumulated-weight (mean * frequency)
         weighted mean of its member cell centers, in meters.
@@ -262,8 +255,7 @@ class AggregationSession:
             regions = frozenset(by_label[label])
             a = acc[label]
             centroid = (wx[label] / a, wy[label] / a) if a > 0 else (0.0, 0.0)
-            score = float(sum(grid.scores[r] for r in regions))
-            groups.append(InstanceGroup(label, regions, score, centroid, a if a > 0 else 0.0))
+            groups.append(InstanceGroup(regions, centroid, a if a > 0 else 0.0))
         return groups
 
     def fuse_across_graphs(
@@ -297,18 +289,11 @@ class AggregationSession:
 
         # union-find over groups sharing any region
         parent = list(range(len(members)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         region_owner: dict[tuple[int, int], int] = {}
         for idx, (_, group) in enumerate(members):
             for region in group.regions:
                 if region in region_owner:
-                    ra, rb = find(region_owner[region]), find(idx)
+                    ra, rb = _find(parent, region_owner[region]), _find(parent, idx)
                     if ra != rb:
                         parent[rb] = ra
                 else:
@@ -316,7 +301,7 @@ class AggregationSession:
 
         clusters: dict[int, list[int]] = {}
         for idx in range(len(members)):
-            clusters.setdefault(find(idx), []).append(idx)
+            clusters.setdefault(_find(parent, idx), []).append(idx)
 
         # pooled score per region = max over contributing graphs
         pooled: dict[tuple[int, int], float] = {}

@@ -126,6 +126,8 @@ class PipelineConfig:
         for name in ("mismatch_suffixes", "wh_suffixes", "acknowledgements"):
             if not getattr(self, name):
                 raise ConfigError(f"config key {name} must list at least one entry")
+        if "\0" in self.lexicon_path:  # no file system can open it
+            raise ConfigError("config key lexicon_path must not contain a NUL byte")
 
     # -- derived objects ---------------------------------------------------
 
@@ -218,30 +220,19 @@ def load_config(path: str | Path) -> PipelineConfig:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in kinds:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        setattr(config, key, _coerce(key, kinds[key], value, lineno))
     try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in kinds:
+                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+            setattr(config, key, _coerce(key, kinds[key], value, lineno))
         config.validate()
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config
-
-
-def save_config(config: PipelineConfig, path: str | Path) -> None:
-    lines = ["# refground pipeline configuration"]
-    for f in fields(PipelineConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            lines.append(f"{f.name} = {'|'.join(value)}")
-        else:
-            lines.append(f"{f.name} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -92,9 +92,7 @@ def trajectory_frames(room: RoomSpec, config: PipelineConfig, n_poses: int | Non
     )
     for pose in poses:
         depth, winner = render_scene(room, pose, intrinsics, config.max_range)
-        detections = gt_detections(
-            room, pose, intrinsics, captions, config.min_pixels, config.max_range, winner=winner
-        )
+        detections = gt_detections(room, winner, captions, config.min_pixels)
         yield pose, depth, detections
 
 

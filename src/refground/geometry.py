@@ -34,9 +34,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the frame")
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0, self.cx], [0, self.fy, self.cy], [0, 0, 1.0]])
-
 
 @dataclass(frozen=True, eq=False)
 class Pose:
@@ -58,10 +55,6 @@ class Pose:
             raise ValueError("rotation must be proper (det +1)")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Pose":

@@ -27,14 +27,12 @@ class GraphStructureError(ValueError):
 
 
 class GraphParseError(ValueError):
-    """Graph text could not be parsed. Carries the byte offset of the fault."""
-
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+    """A plain-dict graph could not be parsed."""
 
 
-def _check_kind(kind: str, relational: bool) -> None:
+def check_kind(kind: str, relational: bool) -> None:
+    """Refuse a kind that is empty, not lowercase, holds whitespace, or
+    starts with "is-" unless it names a relation."""
     if not kind or kind != kind.lower():
         raise GraphStructureError(f"attribute kind must be lowercase, non-empty: {kind!r}")
     if any(ch.isspace() for ch in kind):
@@ -65,7 +63,7 @@ class ObjectGraph:
         if not root:
             raise GraphStructureError("graph root must be a non-empty class name")
         for kind, value in self.self_attrs:
-            _check_kind(kind, relational=False)
+            check_kind(kind, relational=False)
             if not value:
                 raise GraphStructureError(f"empty value for self attribute {kind!r}")
         selfs = sorted({(kind, value.lower()) for kind, value in self.self_attrs})
@@ -73,7 +71,7 @@ class ObjectGraph:
             if kind == other:
                 raise GraphStructureError(f"node {root!r} carries two values for {kind!r}")
         for kind, child in self.rel_attrs:
-            _check_kind(kind, relational=True)
+            check_kind(kind, relational=True)
             if not isinstance(child, ObjectGraph):
                 raise GraphStructureError(f"relational edge {kind!r} has a non-graph child")
         rels = sorted(set(self.rel_attrs))
@@ -101,9 +99,6 @@ class ObjectGraph:
     ) -> "ObjectGraph":
         """Constructor taking any iterables of edges."""
         return cls(root, tuple(self_attrs), tuple(rel_attrs))
-
-    def edge_count(self) -> int:
-        return len(self.self_attrs) + sum(1 + c.edge_count() for _, c in self.rel_attrs)
 
 
 def attribute_paths(g: ObjectGraph) -> frozenset[tuple[tuple[str, str], ...]]:
@@ -143,43 +138,32 @@ def to_dict(g: ObjectGraph) -> dict:
     }
 
 
-def from_dict(d: object, offset: int = 0) -> ObjectGraph:
+def from_dict(d: object) -> ObjectGraph:
     if not isinstance(d, dict):
-        raise GraphParseError("graph node must be an object", offset)
+        raise GraphParseError("graph node must be an object")
     root = d.get("root")
     if not isinstance(root, str):
-        raise GraphParseError("missing or non-string 'root'", offset)
+        raise GraphParseError("missing or non-string 'root'")
     selfs = d.get("self", [])
     rels = d.get("rel", [])
     if not isinstance(selfs, list) or not isinstance(rels, list):
-        raise GraphParseError("'self' and 'rel' must be arrays", offset)
+        raise GraphParseError("'self' and 'rel' must be arrays")
     self_attrs = []
     for entry in selfs:
         if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
-            raise GraphParseError(f"bad self attribute entry: {entry!r}", offset)
+            raise GraphParseError(f"bad self attribute entry: {entry!r}")
         self_attrs.append((entry[0], entry[1]))
     rel_attrs = []
     for entry in rels:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
-            raise GraphParseError(f"bad relational attribute entry: {entry!r}", offset)
-        rel_attrs.append((entry[0], from_dict(entry[1], offset)))
+            raise GraphParseError(f"bad relational attribute entry: {entry!r}")
+        rel_attrs.append((entry[0], from_dict(entry[1])))
     try:
         return ObjectGraph.build(root, self_attrs, rel_attrs)
     except GraphStructureError as exc:
-        raise GraphParseError(str(exc), offset) from exc
+        raise GraphParseError(str(exc)) from exc
 
 
 def serialize(g: ObjectGraph) -> str:
     """One-line JSON text with fixed field order (bit-exact for golden files)."""
     return json.dumps(to_dict(g))
-
-
-def deserialize(text: str) -> ObjectGraph:
-    """Inverse of serialize. Raises GraphParseError with a byte offset."""
-    if not text.strip():
-        raise GraphParseError("empty graph text", 0)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
-    return from_dict(payload)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .graph import GraphStructureError, check_kind
+
 # A tagger entry: (token tuple, span role, symbol). Roles: "verb" produces O
 # labels, "cue" a relational kind span, "noun" an object class span, "value"
 # a self attribute kind span.
@@ -76,19 +78,23 @@ class Lexicon:
         blank = sorted({w for w in words if not w.strip()})
         if blank:
             raise LexiconError(f"lexicon words must not be empty or whitespace: {blank}")
+        # the graph's own kind rule, so every kind named here builds a graph
+        try:
+            for kind in self.self_values:
+                check_kind(kind, relational=False)
+            for kind in self.relation_cues.values():
+                check_kind(kind, relational=True)
+        except GraphStructureError as exc:
+            raise LexiconError(str(exc)) from exc
         all_values: set[str] = set()
-        for kind, values in self.self_values.items():
-            if kind != kind.lower() or kind.startswith("is-"):
-                raise LexiconError(f"self attribute kind must be lowercase, not relational: {kind!r}")
+        for values in self.self_values.values():
             overlap = all_values & set(values)
             if overlap:
                 raise LexiconError(f"value tokens shared across self kinds: {sorted(overlap)}")
             all_values |= set(values)
-        for cue, kind in self.relation_cues.items():
+        for cue in self.relation_cues:
             if cue != cue.lower():
                 raise LexiconError(f"relation cue must be lowercase: {cue!r}")
-            if not kind.startswith("is-"):
-                raise LexiconError(f"relation cue {cue!r} maps to non-relational kind {kind!r}")
         object.__setattr__(self, "phrase_index", self._build_phrase_index())
 
     def _build_phrase_index(self) -> dict[str, tuple[PhraseEntry, ...]]:
@@ -158,10 +164,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
             raise LexiconError(f"{path}: line {lineno}: unknown key {key!r}")
     if not object_classes:
         raise LexiconError(f"{path}: no object_classes defined")
-    return Lexicon(
-        object_classes=frozenset(object_classes),
-        self_values=self_values,
-        relation_cues=relation_cues,
-        stopwords=frozenset(stopwords),
-        verbs=frozenset(verbs),
-    )
+    try:
+        return Lexicon(
+            object_classes=frozenset(object_classes),
+            self_values=self_values,
+            relation_cues=relation_cues,
+            stopwords=frozenset(stopwords),
+            verbs=frozenset(verbs),
+        )
+    except LexiconError as exc:
+        raise LexiconError(f"{path}: {exc}") from exc

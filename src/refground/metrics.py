@@ -62,11 +62,6 @@ def corpus_bleu(
     return brevity * math.exp(log_sum / orders)
 
 
-def bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int = 4) -> float:
-    """Sentence-level BLEU (a corpus of one pair). Empty candidate scores 0."""
-    return corpus_bleu([(list(candidate), list(reference))], max_n)
-
-
 def f1_from_counts(tp: float, fp: float, fn: float) -> float:
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom > 0 else 0.0

@@ -1,9 +1,9 @@
 """Brute-force reference implementations used as test oracles and eval labels.
 
 Everything here is deliberately independent of the pipeline code paths it
-checks: attribute paths are enumerated by direct tree walking, grounding
-states by literal subset tests, and instance counts by single-linkage
-clustering of ground-truth centroids.
+checks: attribute paths are enumerated by direct tree walking and grounding
+states by literal subset tests. The counting oracle (single-linkage
+clustering of ground-truth centroids) lives with the aggregation tests.
 """
 
 from __future__ import annotations
@@ -49,26 +49,3 @@ def oracle_classify(
     if len(instance_graphs) == 1:
         return DialogueState.INFORM_MISMATCH, [0]
     return DialogueState.INFORM_AMBIGUITY, list(range(len(instance_graphs)))
-
-
-def cluster_count(points: Sequence[tuple[float, float]], threshold: float) -> int:
-    """Number of single-linkage clusters at the given separation threshold."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    t2 = threshold * threshold
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = points[i][0] - points[j][0]
-            dy = points[i][1] - points[j][1]
-            if dx * dx + dy * dy <= t2:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[rb] = ra
-    return len({find(i) for i in range(n)})

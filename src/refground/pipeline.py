@@ -125,16 +125,13 @@ def _sorted_records(records: list[InstanceRecord]) -> list[InstanceRecord]:
 
 def ground_in_session(
     session: AggregationSession,
-    instruction: str | ObjectGraph,
+    instruction: str,
     config: PipelineConfig,
     lexicon: Lexicon | None = None,
     query_seed: int = 0,
 ) -> tuple[GroundingOutcome, ObjectGraph]:
     """Parse the instruction, fuse instances of its class, classify, phrase."""
-    if isinstance(instruction, ObjectGraph):
-        g = instruction
-    else:
-        g = phrase_to_graph(instruction, lexicon or config.lexicon())
+    g = phrase_to_graph(instruction, lexicon or config.lexicon())
     records = session.fuse_across_graphs(g.root, config.region_dx, config.region_dy, config.gamma)
     records = _sorted_records(records)
     outcome = classify(g, records)

@@ -205,22 +205,14 @@ def render_scene(
 
 
 def gt_detections(
-    room: RoomSpec,
-    pose: Pose,
-    intrinsics: CameraIntrinsics,
-    captions: dict[int, str],
-    min_pixels: int = 25,
-    max_range: float = 10.0,
-    winner: np.ndarray | None = None,
+    room: RoomSpec, winner: np.ndarray, captions: dict[int, str], min_pixels: int = 25
 ) -> list[Detection]:
     """Tight boxes around each object's visible pixels, with its caption.
 
-    Visibility is depth-buffer based: occluded objects yield nothing; an
-    object clipped by the frame edge gets a clamped box. Pass a precomputed
-    winner map to reuse a render.
+    Visibility comes from render_scene's winner map: an occluded object wins
+    no pixel and yields nothing; an object clipped by the frame edge gets a
+    clamped box; one that wins fewer than min_pixels pixels is dropped.
     """
-    if winner is None:
-        _, winner = render_scene(room, pose, intrinsics, max_range)
     # one pass over the map: each object's pixel count and occupied rows and columns
     h, w = winner.shape
     n = len(room.objects)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from refground.config import PipelineConfig
 from refground.geometry import GridSpec
 from refground.graph import ObjectGraph
 from refground.lexicon import COLORS, MATERIALS, OBJECT_CLASSES, default_lexicon
@@ -19,6 +23,15 @@ def cell_center(grid: GridSpec, cell: tuple[int, int]) -> tuple[float, float]:
         grid.origin_x + (cell[0] + 0.5) * grid.cell_size,
         grid.origin_y + (cell[1] + 0.5) * grid.cell_size,
     )
+
+
+def save_config(config: PipelineConfig, path: Path) -> None:
+    """Write every key of config in the `key = value` form load_config reads."""
+    lines = ["# refground pipeline configuration"]
+    for f in fields(PipelineConfig):
+        value = getattr(config, f.name)
+        lines.append(f"{f.name} = {'|'.join(value) if isinstance(value, tuple) else value}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def random_expressible_graph(rng: np.random.Generator, depth: int = 0, budget: int = 3) -> ObjectGraph:

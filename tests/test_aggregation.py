@@ -16,7 +16,6 @@ from refground.aggregation import (
 )
 from refground.geometry import GridSpec
 from refground.graph import ObjectGraph
-from refground.oracle import cluster_count
 
 from conftest import cell_center
 
@@ -315,7 +314,30 @@ def test_pruned_merge_matches_full_sort(grid_and_gamma):
     assert list(merge_regions(grid, gamma).items()) == list(reference_merge_regions(grid, gamma).items())
 
 
-# -- count_instances --------------------------------------------------------------
+# -- instance counting ------------------------------------------------------------
+
+
+def cluster_count(points, threshold):
+    """Counting oracle: single-linkage clusters of points at a separation threshold."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    t2 = threshold * threshold
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = points[i][0] - points[j][0]
+            dy = points[i][1] - points[j][1]
+            if dx * dx + dy * dy <= t2:
+                ra, rb = find(i), find(j)
+                if ra != rb:
+                    parent[rb] = ra
+    return len({find(i) for i in range(n)})
 
 
 def splat(s, oid, cx, cy, weight=1.0, spread=2):
@@ -328,8 +350,8 @@ def splat(s, oid, cx, cy, weight=1.0, spread=2):
 
 def test_count_instances_empty():
     s = session()
-    oid = s.register_graph(CUP_RED)
-    assert s.count_instances(oid, 10, 10, 0.05) == []
+    s.register_graph(CUP_RED)
+    assert s.fuse_across_graphs("cup", 10, 10, 0.05) == []
 
 
 def test_count_instances_two_clusters_matches_oracle():
@@ -338,12 +360,12 @@ def test_count_instances_two_clusters_matches_oracle():
     centers = [(15, 15), (75, 75)]
     for cx, cy in centers:
         splat(s, oid, cx, cy)
-    groups = s.count_instances(oid, 10, 10, 0.05)
+    records = s.fuse_across_graphs("cup", 10, 10, 0.05)
     world = [cell_center(GRID, c) for c in centers]
-    assert len(groups) == cluster_count(world, threshold=1.0)
-    for group in groups:
+    assert len(records) == cluster_count(world, threshold=1.0)
+    for record in records:
         assert any(
-            abs(group.centroid[0] - wx) < 0.2 and abs(group.centroid[1] - wy) < 0.2
+            abs(record.centroid[0] - wx) < 0.2 and abs(record.centroid[1] - wy) < 0.2
             for wx, wy in world
         )
 
@@ -352,9 +374,9 @@ def test_count_instances_cluster_straddling_boundary():
     s = session()
     oid = s.register_graph(CUP_RED)
     splat(s, oid, 19, 19, spread=3)  # straddles the region corner at (20, 20)
-    groups = s.count_instances(oid, 10, 10, 0.05)
-    assert len(groups) == 1
-    assert len(groups[0].regions) > 1
+    records = s.fuse_across_graphs("cup", 10, 10, 0.05)
+    assert len(records) == 1
+    assert len(records[0].regions) > 1
 
 
 # -- fuse ------------------------------------------------------------------------
@@ -365,10 +387,12 @@ def test_fuse_single_oid_identity():
     oid = s.register_graph(CUP_RED)
     splat(s, oid, 15, 15)
     splat(s, oid, 75, 75)
-    groups = s.count_instances(oid, 10, 10, 0.05)
+    groups: dict[int, set] = {}
+    for region, label in merge_regions(s.region_scores(oid, 10, 10), 0.05).items():
+        groups.setdefault(label, set()).add(region)
     records = s.fuse_across_graphs("cup", 10, 10, 0.05)
     assert len(records) == len(groups) == 2
-    assert {r.regions for r in records} == {g.regions for g in groups}
+    assert {r.regions for r in records} == {frozenset(g) for g in groups.values()}
     assert all(r.graph == CUP_RED for r in records)
 
 

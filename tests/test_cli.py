@@ -9,9 +9,11 @@ import pytest
 
 from refground.aggregation import AggregationSession
 from refground.cli import main
-from refground.config import ConfigError, PipelineConfig, load_config, save_config
+from refground.config import ConfigError, PipelineConfig, load_config
 from refground.geometry import GridSpec
 from refground.lexicon import default_lexicon, load_lexicon
+
+from conftest import save_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -479,6 +481,10 @@ def test_ring_aimed_at_its_own_eye_is_config_error(tmp_path, capsys):
         ("focal_px = nan", "config error: {config}: config key focal_px must be 0 or a finite"),
         ("room_y = 1e308", "config error: {config}: config key room_y must be 0 or a finite"),
         ("cell_size = 0.0000001", "error: Unable to allocate"),  # 5e7 x 5e7 cells: petabytes per array
+        ("foo = 1", "config error: {config}: line 1: unknown config key"),
+        ("seed = x", "config error: {config}: line 1: bad value for seed"),
+        ("seed 3", "config error: {config}: line 1: expected 'key = value'"),
+        ("lexicon_path = a\0b", "config error: {config}: config key lexicon_path must not contain a NUL"),
     ],
 )
 def test_bad_config_number_exits_3(dataset, tmp_path, capsys, text, prefix):
@@ -504,7 +510,14 @@ def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content, fault",
-    [(b"object_classes = cup\nbogus line\n", "line 2: "), (b"object_classes = cup\xff\n", "not UTF-8")],
+    [
+        (b"object_classes = cup\nbogus line\n", "line 2: "),
+        (b"object_classes = cup\xff\n", "not UTF-8"),
+        # kinds the graph refuses: refused with the lexicon, not blamed on the text
+        (b"object_classes = cup\nrel.is-ON = on\n", "attribute kind must be lowercase"),
+        (b"object_classes = cup\nself.my color = red\n", "attribute kind must not contain whitespace"),
+        (b"object_classes = cup\nself. = red\n", "attribute kind must be lowercase, non-empty"),
+    ],
 )
 @pytest.mark.parametrize("command", ["parse", "ground", "eval"])
 def test_malformed_lexicon_is_io_error(dataset, tmp_path, capsys, command, content, fault):

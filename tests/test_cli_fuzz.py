@@ -1,11 +1,14 @@
 """Fuzz the command line with one damaged input file per example.
 
-Each example damages one file of a tiny dialogue dataset, a tiny counting
-dataset, a session dump or the config file, then runs `eval`, `aggregate`,
-`ground` and `ground --session` in-process. Every run must exit 0, 2 or 3
-(or 1 when a damaged config leaves a room unplaceable); a nonzero exit
-prints exactly one stderr line and nothing on stdout, and no run emits a
-warning.
+Each example of the first test damages one file of a tiny dialogue dataset,
+a tiny counting dataset, a session dump or the config file, then runs
+`eval`, `aggregate`, `ground` and `ground --session` in-process. Each
+example of the second damages a config or a lexicon file and runs `parse`
+and `simulate`. Every run must exit 0, 2 or 3 (or 1 when a damaged config
+leaves a room unplaceable); a nonzero exit prints exactly one stderr line
+and nothing on stdout, and no run emits a warning. A lexicon with one kind
+renamed keeps every word, so `parse` must then exit 0 or refuse the
+lexicon with 3, never blame the text with 2; `simulate` never parses text.
 """
 
 from __future__ import annotations
@@ -16,13 +19,18 @@ import math
 import struct
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from refground.cli import main
-from refground.config import PipelineConfig, save_config
+from refground.config import PipelineConfig
 from refground.evaluation import simulate_counting_dataset, simulate_dialogue_dataset
+
+from conftest import save_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # values swapped in for a JSON value, whatever its type
 JSON_VALUES = (
@@ -33,6 +41,11 @@ JSON_VALUES = (
 # and one too large to allocate, so no example fills memory
 CONFIG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-9", "2.5", "1e9", "1e308", "1e-300", "x", "", "True")
 DEPTH_VALUES = (math.nan, math.inf, -math.inf, -1.0, 1e30)
+# new names for a lexicon's self or relation kind, none of them taken
+KIND_VALUES = ("", "my color", "is-ON", "Color", "is-", "shade", "is-under")
+# values swapped in for a lexicon token list
+TOKEN_VALUES = ("", ",", "red", "cup", "Red", "is-on", "on, on", "pick  up")
+INSTRUCTION = "bring the red glass cup on the table near the lamp"
 
 FILES = (
     "dialogue/manifest.jsonl",
@@ -53,6 +66,9 @@ def world(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     config = PipelineConfig(n_waypoints=4)
     save_config(config, root / "small.cfg")
+    (root / "lexicon.txt").write_bytes((CONFIGS / "lexicon.txt").read_bytes())
+    config.lexicon_path = str(root / "lexicon.txt")
+    save_config(config, root / "parse.cfg")
     simulate_dialogue_dataset(root / "dialogue", config, n_rooms=1)
     simulate_counting_dataset(root / "counting", config, rooms_per_count=1, counts=(2,))
     episode = str(root / "dialogue" / "episode_00000")
@@ -114,13 +130,20 @@ def damage_json(record, data):
     return record
 
 
-def damage(name: str, raw: bytes, data) -> bytes:
+def damage(name: str, raw: bytes, data) -> tuple[str, bytes]:
+    """(operation, damaged bytes) of one damage to the file's bytes."""
     ops = ["truncate", "bad_magic", "bad_byte"]
-    ops += {".depth": ["depth_value"], ".cfg": ["config_value", "delete_line", "unknown_line"]}.get(
-        name[name.rindex("."):], ["json_value"]
-    )
+    ops += {
+        ".depth": ["depth_value"],
+        ".cfg": ["config_value", "delete_line", "unknown_line"],
+        ".txt": ["kind_name", "tokens", "delete_line", "unknown_line"],
+    }.get(name[name.rindex("."):], ["json_value"])
     op = data.draw(st.sampled_from(ops))
     note(f"{name}: {op}")
+    return op, apply_damage(op, raw, data)
+
+
+def apply_damage(op: str, raw: bytes, data) -> bytes:
     if op == "truncate":
         return raw[: data.draw(st.integers(0, len(raw) - 1))]
     if op == "bad_magic":
@@ -138,11 +161,27 @@ def damage(name: str, raw: bytes, data) -> bytes:
     elif op == "config_value":
         key = lines[index].partition("=")[0].strip()
         lines[index] = f"{key} = {data.draw(st.sampled_from(CONFIG_VALUES))}"
+    elif op == "kind_name":
+        kinds = [i for i, line in enumerate(lines) if line.startswith(("self.", "rel."))]
+        index = kinds[index % len(kinds)]
+        key, _, tokens = lines[index].partition(" =")
+        lines[index] = f"{key.partition('.')[0]}.{data.draw(st.sampled_from(KIND_VALUES))} ={tokens}"
+    elif op == "tokens":
+        key = lines[index].partition("=")[0].strip()
+        lines[index] = f"{key} = {data.draw(st.sampled_from(TOKEN_VALUES))}"
     elif op == "delete_line":
         del lines[index]
     else:
         lines.insert(index, "zz_unknown = 1")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def assert_one_line_rule(code: int, out: str, err: list[str], allowed: tuple[int, ...]) -> None:
+    assert code in allowed
+    if code:
+        assert out == "" and len(err) == 1
+    else:
+        assert err == []
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -151,7 +190,7 @@ def test_one_damaged_file_exits_0_2_or_3_with_one_line(world, data):
     name = data.draw(st.sampled_from(FILES))
     path = world / name
     raw = path.read_bytes()
-    path.write_bytes(damage(name, raw, data))
+    path.write_bytes(damage(name, raw, data)[1])
     try:
         dataset = world / ("counting" if name.startswith("counting") else "dialogue")
         episode = str(dataset / "episode_00000")
@@ -168,10 +207,32 @@ def test_one_damaged_file_exits_0_2_or_3_with_one_line(world, data):
             note(f"{args[0]} -> {code}: {err}")
             # a damaged config may leave the false-positive bank's room unplaceable
             unplaceable = name == "small.cfg" and err[:1] and err[0].startswith("generation error: ")
-            assert code in (0, 2, 3) or (code == 1 and unplaceable)
-            if code:
-                assert out == "" and len(err) == 1
-            else:
-                assert err == []
+            assert_one_line_rule(code, out, err, (0, 1, 2, 3) if unplaceable else (0, 2, 3))
+    finally:
+        path.write_bytes(raw)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_damaged_config_or_lexicon_under_parse_and_simulate(world, data):
+    name = data.draw(st.sampled_from(("parse.cfg", "lexicon.txt")))
+    path = world / name
+    raw = path.read_bytes()
+    op, damaged = damage(name, raw, data)
+    path.write_bytes(damaged)
+    try:
+        common = ["--config", str(world / "parse.cfg")]
+        code, out, err = run(["parse", INSTRUCTION] + common)
+        note(f"parse -> {code}: {err}")
+        # renaming a kind keeps every word, so the text still parses unless
+        # the lexicon itself is refused
+        assert_one_line_rule(code, out, err, (0, 3) if op == "kind_name" else (0, 2, 3))
+        if name == "lexicon.txt":
+            return  # simulate reads no lexicon
+        code, out, err = run(["simulate", "--out", str(world / "simulated"), "--rooms", "1"] + common)
+        note(f"simulate -> {code}: {err}")
+        # a damaged config may leave the room unplaceable
+        unplaceable = err[:1] and err[0].startswith("generation error: ")
+        assert_one_line_rule(code, out, err, (0, 1, 3) if unplaceable else (0, 3))
     finally:
         path.write_bytes(raw)

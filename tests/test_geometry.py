@@ -24,6 +24,10 @@ from conftest import cell_center
 K_SIMPLE = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
 
+def identity_pose():
+    return Pose(np.eye(3), np.zeros(3))
+
+
 def yaw_pose(angle, t=(0.0, 0.0, 0.0)):
     c, s = math.cos(angle), math.sin(angle)
     return Pose(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.array(t))
@@ -64,7 +68,7 @@ def test_backproject_rejects_invalid_depth():
 
 def test_to_world_identity():
     p = np.array([0.3, -0.2, 1.5])
-    assert np.allclose(to_world(p, Pose.identity()), p)
+    assert np.allclose(to_world(p, identity_pose()), p)
 
 
 def test_to_world_translation():
@@ -80,7 +84,7 @@ def test_to_world_yaw_hand_check():
 
 def test_to_world_composition_identity():
     p = backproject(72.0, 31.0, 1.7, K_SIMPLE)
-    assert np.allclose(to_world(p, Pose.identity()), p)
+    assert np.allclose(to_world(p, identity_pose()), p)
 
 
 def test_rigidity_pairwise_distances():
@@ -148,7 +152,7 @@ def flat_depth(value=2.0, w=100, h=100):
 
 def test_single_pixel_bbox_center_weight():
     bbox = BoundingBox(40.0, 40.0, 41.0, 41.0)
-    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, Pose.identity(), 0.25)
+    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose(), 0.25)
     assert pts.shape == (1, 3) and w.shape == (1,)
     sigma = 0.25 * 1.0
     assert w[0] == pytest.approx(1.0 / (2 * sigma * sigma))
@@ -156,7 +160,7 @@ def test_single_pixel_bbox_center_weight():
 
 def test_flat_wall_cloud():
     bbox = BoundingBox(30.0, 30.0, 70.0, 70.0)
-    pts, w = bbox_cloud_arrays(bbox, flat_depth(2.0), K_SIMPLE, Pose.identity(), 0.25)
+    pts, w = bbox_cloud_arrays(bbox, flat_depth(2.0), K_SIMPLE, identity_pose(), 0.25)
     assert np.allclose(pts[:, 2], 2.0)
     # weights peak at the pixel nearest the bbox center
     centers = pts[:, :2]
@@ -168,20 +172,20 @@ def test_flat_wall_cloud():
 def test_zeroed_depth_yields_empty_cloud():
     bbox = BoundingBox(30.0, 30.0, 70.0, 70.0)
     frame = DepthFrame(100, 100, np.zeros((100, 100), dtype=np.float32))
-    pts, w = bbox_cloud_arrays(bbox, frame, K_SIMPLE, Pose.identity())
+    pts, w = bbox_cloud_arrays(bbox, frame, K_SIMPLE, identity_pose())
     assert pts.shape == (0, 3) and w.shape == (0,)
 
 
 def test_bbox_fully_outside_frame_is_empty():
     bbox = BoundingBox(150.0, 150.0, 160.0, 160.0)
-    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, Pose.identity())
+    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose())
     assert len(pts) == 0
 
 
 def test_stride_subsamples():
     bbox = BoundingBox(30.0, 30.0, 50.0, 50.0)
-    full, _ = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, Pose.identity())
-    strided, _ = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, Pose.identity(), stride=2)
+    full, _ = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose())
+    strided, _ = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose(), stride=2)
     assert 0 < len(strided) < len(full)
 
 
@@ -227,7 +231,7 @@ def assert_same_bytes(got, want):
 def random_pose(data):
     q = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4)))
     if np.linalg.norm(q) < 1e-3:
-        return Pose.identity()
+        return identity_pose()
     w, x, y, z = q / np.linalg.norm(q)
     rotation = np.array(
         [

@@ -4,7 +4,6 @@ import pytest
 
 from refground.metrics import (
     binary_f1,
-    bleu,
     corpus_bleu,
     counting_f1,
     f1_from_counts,
@@ -18,20 +17,20 @@ def toks(text):
 
 
 def test_bleu_identity():
-    assert bleu(toks("i found one red cup"), toks("i found one red cup")) == 1.0
+    assert corpus_bleu([(toks("i found one red cup"), toks("i found one red cup"))]) == 1.0
 
 
 def test_bleu_disjoint_vocabulary():
-    assert bleu(toks("alpha beta gamma delta"), toks("one two three four")) == 0.0
+    assert corpus_bleu([(toks("alpha beta gamma delta"), toks("one two three four"))]) == 0.0
 
 
 def test_bleu_clipping_hand_case():
     # candidate "the the the" vs reference "the cat": clipped unigram 1/3
     precisions = ngram_precisions(toks("the the the"), toks("the cat"))
     assert precisions[0] == (1, 3)
-    assert bleu(toks("the the the"), toks("the cat"), max_n=1) == pytest.approx(1 / 3)
+    assert corpus_bleu([(toks("the the the"), toks("the cat"))], max_n=1) == pytest.approx(1 / 3)
     # with higher orders the zero bigram precision zeroes the strict score
-    assert bleu(toks("the the the"), toks("the cat"), max_n=4) == 0.0
+    assert corpus_bleu([(toks("the the the"), toks("the cat"))], max_n=4) == 0.0
 
 
 def test_bleu_brevity_penalty():
@@ -40,16 +39,16 @@ def test_bleu_brevity_penalty():
     p1 = 3 / 3
     p2 = 2 / 2
     bp = math.exp(1 - len(reference) / len(candidate))
-    assert bleu(candidate, reference, max_n=2) == pytest.approx(bp * math.sqrt(p1 * p2))
+    assert corpus_bleu([(candidate, reference)], max_n=2) == pytest.approx(bp * math.sqrt(p1 * p2))
 
 
 def test_bleu_empty_candidate_is_zero():
-    assert bleu([], toks("a cup")) == 0.0
+    assert corpus_bleu([([], toks("a cup"))]) == 0.0
 
 
 def test_bleu_empty_reference_rejected():
     with pytest.raises(ValueError):
-        bleu(toks("a cup"), [])
+        corpus_bleu([(toks("a cup"), [])])
 
 
 def test_corpus_bleu_aggregates_counts():

@@ -266,7 +266,8 @@ def test_fully_occluded_object_not_detected():
     room = manual_room([near, hidden])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((0.5, 2.5, 0.6), (4.3, 2.45, 0.1))
-    dets = gt_detections(room, pose, K, _captions(room), min_pixels=25, max_range=10.0)
+    _, winner = render_scene(room, pose, K, 10.0)
+    dets = gt_detections(room, winner, _captions(room), min_pixels=25)
     assert all(d.gt_object_id != 1 for d in dets)
 
 
@@ -276,7 +277,8 @@ def test_detection_caption_and_clamping():
     room = manual_room([table, cup])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((2.5, 0.8, 1.8), (2.5, 2.4, 0.6))
-    dets = gt_detections(room, pose, K, _captions(room), min_pixels=25, max_range=10.0)
+    _, winner = render_scene(room, pose, K, 10.0)
+    dets = gt_detections(room, winner, _captions(room), min_pixels=25)
     by_id = {d.gt_object_id: d for d in dets}
     assert by_id[1].caption == "a red plastic cup on top of a table"
     for d in dets:
@@ -289,7 +291,8 @@ def test_min_pixels_threshold():
     room = manual_room([tiny])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((0.5, 3.0, 1.5), (3.0, 3.0, 0.1))
-    few = gt_detections(room, pose, K, _captions(room), min_pixels=10_000, max_range=10.0)
+    _, winner = render_scene(room, pose, K, 10.0)
+    few = gt_detections(room, winner, _captions(room), min_pixels=10_000)
     assert few == []
 
 
@@ -299,8 +302,6 @@ def test_detections_match_per_object_scan_of_winner_map():
     objects = [box_obj(i, "cup", 0.5 * i, 1.0, 0.1, 0.1, 0.1) for i in range(6)]
     room = manual_room(objects)
     captions = {o.id: f"a cup {o.id}" for o in objects}
-    K = CameraIntrinsics(fx=40.0, fy=40.0, cx=24.0, cy=15.0, width=48, height=30)
-    pose = look_at_pose((0.0, 0.0, 1.0), (1.0, 1.0, 0.0))
     for _ in range(40):
         winner = rng.choice(np.arange(-2, 6), size=(30, 48), p=rng.dirichlet(np.ones(8) * 0.3))
         for min_pixels in (0, 1, 25):
@@ -310,7 +311,7 @@ def test_detections_match_per_object_scan_of_winner_map():
                 if xs.size and xs.size >= min_pixels:
                     bbox = BoundingBox(float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1))
                     want.append(Detection(bbox, captions[obj.id], obj.id))
-            assert gt_detections(room, pose, K, captions, min_pixels, winner=winner) == want
+            assert gt_detections(room, winner, captions, min_pixels) == want
 
 
 # -- error models -------------------------------------------------------------------
