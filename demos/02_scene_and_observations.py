@@ -10,16 +10,14 @@ import tempfile
 from itertools import islice
 from pathlib import Path
 
-from refground import GenerationConfig, derive_relations, generate_room
+from refground import derive_relations, generate_room
 from refground.config import PipelineConfig
 from refground.episodes import load_episode, simulate_episode, trajectory_frames
 from refground.simulator import caption_for
 
 config = PipelineConfig()
-recipe = GenerationConfig(
-    copies={"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1, "book": 1}
-)
-room = generate_room(2024, recipe)
+copies = {"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1, "book": 1}
+room = generate_room(2024, copies, config)
 
 print("=== room layout ===")
 for obj in room.objects:

@@ -13,16 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from refground import GenerationConfig, generate_room, realize
+from refground import generate_room, realize
 from refground.config import PipelineConfig
 from refground.aggregation import merge_regions
 from refground.episodes import load_episode, simulate_episode
 from refground.pipeline import build_session
 
 config = PipelineConfig()
-room = generate_room(
-    35, GenerationConfig(copies={"cup": 3, "table": 1, "desk": 1, "counter": 1, "sofa": 1})
-)
+room = generate_room(35, {"cup": 3, "table": 1, "desk": 1, "counter": 1, "sofa": 1}, config)
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "ep"
     simulate_episode(out, room, config)

@@ -10,15 +10,13 @@ reported as missing.
 import tempfile
 from pathlib import Path
 
-from refground import GenerationConfig, generate_room
+from refground import generate_room
 from refground.config import PipelineConfig
 from refground.episodes import load_episode, load_instructions, simulate_episode
 from refground.pipeline import build_session, ground_in_session, query_seed_for
 
 config = PipelineConfig()
-room = generate_room(
-    77, GenerationConfig(copies={"cup": 2, "table": 1, "counter": 1, "lamp": 1, "book": 1})
-)
+room = generate_room(77, {"cup": 2, "table": 1, "counter": 1, "lamp": 1, "book": 1}, config)
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "ep"
     simulate_episode(out, room, config)

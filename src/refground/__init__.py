@@ -21,7 +21,6 @@ from .metrics import corpus_bleu
 from .simulator import (
     Detection,
     ErrorConfig,
-    GenerationConfig,
     RoomSpec,
     SceneObject,
     apply_errors,

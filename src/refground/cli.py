@@ -46,7 +46,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
-def _add_noise(parser: argparse.ArgumentParser):
+def _add_noise(parser):
     parser.add_argument("--noise", choices=tuple(NOISE_PRESETS), default="none")
 
 
@@ -66,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("episode", metavar="EPISODE_DIR")
     p.add_argument("instruction")
-    _add_noise(p)
-    p.add_argument("--session", metavar="PATH", help="reuse a dumped aggregation session")
+    source = p.add_mutually_exclusive_group()  # a dumped session has its noise applied already
+    _add_noise(source)
+    source.add_argument("--session", metavar="PATH", help="reuse a dumped aggregation session")
     p.add_argument("--out", metavar="PATH", help="write the outcome record here")
 
     p = sub.add_parser("aggregate", help="build and dump an aggregation session")
@@ -99,6 +100,7 @@ def cmd_simulate(args, config: PipelineConfig) -> int:
 
 
 def cmd_ground(args, config: PipelineConfig) -> int:
+    lexicon = config.lexicon()
     if args.session:
         session = AggregationSession.load(args.session)
         if session.grid != config.grid_spec():
@@ -107,9 +109,9 @@ def cmd_ground(args, config: PipelineConfig) -> int:
                 f"{config.grid_spec()}"
             )
     else:
-        session = session_for_episode(args.episode, config, args.noise)
+        session = session_for_episode(args.episode, config, args.noise, lexicon)
     seed = query_seed_for(config.seed, f"{Path(args.episode).name}:{args.instruction}")
-    outcome, _ = ground_in_session(session, args.instruction, config, None, seed)
+    outcome, _ = ground_in_session(session, args.instruction, config, lexicon, seed)
     if args.out:
         write_outcome(outcome, args.out)
     print(outcome.query)

@@ -12,15 +12,10 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .discriminator import (
-    DEFAULT_ACKNOWLEDGEMENTS,
-    DEFAULT_MISMATCH_SUFFIXES,
-    DEFAULT_WH_SUFFIXES,
-    QueryTemplates,
-)
+from .discriminator import QueryTemplates
 from .geometry import CameraIntrinsics, GridSpec
 from .lexicon import Lexicon, default_lexicon, load_lexicon
-from .simulator import ErrorConfig, GenerationConfig
+from .simulator import ErrorConfig
 
 NOISE_PRESETS = {
     "none": frozenset(),
@@ -78,9 +73,9 @@ class PipelineConfig:
     seed: int = 7
     lexicon_path: str = ""
     # query templates
-    mismatch_suffixes: tuple[str, ...] = DEFAULT_MISMATCH_SUFFIXES
-    wh_suffixes: tuple[str, ...] = DEFAULT_WH_SUFFIXES
-    acknowledgements: tuple[str, ...] = DEFAULT_ACKNOWLEDGEMENTS
+    mismatch_suffixes: tuple[str, ...] = ("— is that okay?", "— should I take it instead?")
+    wh_suffixes: tuple[str, ...] = ("Which one did you mean?", "Which one should I take?")
+    acknowledgements: tuple[str, ...] = ("Okay.", "Sure.", "On it.")
 
     def validate(self) -> None:
         for f in fields(self):
@@ -139,18 +134,6 @@ class PipelineConfig:
             cy=self.frame_height / 2.0,
             width=self.frame_width,
             height=self.frame_height,
-        )
-
-    def generation_config(self, copies: dict[str, int], min_extent: float = 0.0) -> GenerationConfig:
-        """Placement recipe for a room holding `copies`, each floor side at least min_extent."""
-        return GenerationConfig(
-            extents=(max(min_extent, self.room_x), max(min_extent, self.room_y), self.room_z),
-            copies=copies,
-            wall_margin=self.wall_margin,
-            min_separation=self.min_separation,
-            floor_clearance=self.floor_clearance,
-            support_inset=self.support_inset,
-            max_attempts=self.max_attempts,
         )
 
     def grid_spec(self) -> GridSpec:

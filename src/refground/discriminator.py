@@ -24,10 +24,6 @@ from .language import realize
 
 MISSING_QUERY = "I could not find that."
 
-DEFAULT_MISMATCH_SUFFIXES = ("— is that okay?", "— should I take it instead?")
-DEFAULT_WH_SUFFIXES = ("Which one did you mean?", "Which one should I take?")
-DEFAULT_ACKNOWLEDGEMENTS = ("Okay.", "Sure.", "On it.")
-
 
 class DialogueState(Enum):
     CONFIRM = "confirm"
@@ -38,9 +34,9 @@ class DialogueState(Enum):
 
 @dataclass(frozen=True)
 class QueryTemplates:
-    mismatch_suffixes: tuple[str, ...] = DEFAULT_MISMATCH_SUFFIXES
-    wh_suffixes: tuple[str, ...] = DEFAULT_WH_SUFFIXES
-    acknowledgements: tuple[str, ...] = DEFAULT_ACKNOWLEDGEMENTS
+    mismatch_suffixes: tuple[str, ...]
+    wh_suffixes: tuple[str, ...]
+    acknowledgements: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -114,13 +110,8 @@ def _descriptions(candidates) -> list[str]:
     return out
 
 
-def generate_query(
-    outcome: GroundingOutcome,
-    rng_seed: int,
-    templates: QueryTemplates | None = None,
-) -> str:
+def generate_query(outcome: GroundingOutcome, rng_seed: int, templates: QueryTemplates) -> str:
     """Fill the state's question template; deterministic under the seed."""
-    templates = templates or QueryTemplates()
     rng = random.Random(rng_seed)
     if outcome.state is DialogueState.INFORM_MISSING:
         return MISSING_QUERY

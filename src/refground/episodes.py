@@ -56,7 +56,7 @@ class FrameRecord:
     detections: tuple[Detection, ...]
     depth_path: Path
 
-    def load_depth(self, max_range: float = 10.0) -> DepthFrame:
+    def load_depth(self, max_range: float) -> DepthFrame:
         return read_depth_file(self.depth_path, max_range=max_range)
 
 
@@ -86,11 +86,7 @@ def trajectory_frames(room: RoomSpec, config: PipelineConfig, n_poses: int | Non
     relations = derive_relations(room, config.tau_near)
     captions = {o.id: caption_for(room, o, relations) for o in room.objects}
     intrinsics = config.intrinsics()
-    poses = plan_trajectory(
-        room, config.n_waypoints if n_poses is None else n_poses, config.cam_height, config.traj_margin,
-        config.look_height, config.look_frac,
-    )
-    for pose in poses:
+    for pose in plan_trajectory(room, config, config.n_waypoints if n_poses is None else n_poses):
         depth, winner = render_scene(room, pose, intrinsics, config.max_range)
         detections = gt_detections(room, winner, captions, config.min_pixels)
         yield pose, depth, detections

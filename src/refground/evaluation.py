@@ -32,6 +32,7 @@ from .metrics import binary_f1, corpus_bleu, counting_f1, weighted_label_f1
 from .pipeline import (
     build_observation_bank,
     ground_in_session,
+    needs_bank,
     oracle_outcome,
     query_seed_for,
     session_for_episode,
@@ -107,7 +108,7 @@ _SUPPORTERS = ("table", "desk", "counter", "dining table")
 _STREAMS = {"counting": 606, "dialogue": 707}  # random stream of each kind's distractor draw
 
 
-def _room_recipe(target: str, count: int, seed: int, stream: int, config: PipelineConfig):
+def _room_recipe(target: str, count: int, seed: int, stream: int) -> dict[str, int]:
     """The target class in `count` copies, enough supporters to hold them,
     and three distractor classes."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
@@ -118,7 +119,7 @@ def _room_recipe(target: str, count: int, seed: int, stream: int, config: Pipeli
     pool = [c for c in sorted(PALETTE) if c not in copies and not PALETTE[c].supporter]
     for i in rng.permutation(len(pool))[:3]:
         copies[pool[int(i)]] = 1
-    return config.generation_config(copies)
+    return copies
 
 
 def _generate_with_retries(kind: str, seed: int, target: str, count: int, config: PipelineConfig):
@@ -126,7 +127,7 @@ def _generate_with_retries(kind: str, seed: int, target: str, count: int, config
     for bump in range(8):
         room_seed = seed + bump * 97
         try:
-            return generate_room(room_seed, _room_recipe(target, count, room_seed, _STREAMS[kind], config))
+            return generate_room(room_seed, _room_recipe(target, count, room_seed, _STREAMS[kind]), config)
         except GenerationError as exc:
             last = exc
     raise GenerationError(f"{kind} room {target} x{count} (seed {seed}): {last}")
@@ -201,24 +202,37 @@ class CountingResult:
     records: list[dict] = field(default_factory=list)
 
 
+def _episode_sessions(
+    dataset_dir: str | Path,
+    config: PipelineConfig,
+    noise_preset: str,
+    manifest: list[dict] | None,
+    kind: str,
+    lexicon: Lexicon,
+):
+    """Yield (entry, episode dir, session) for each `kind` episode of the
+    dataset; the manifest is read unless given, and one bank serves all."""
+    dataset_dir = Path(dataset_dir)
+    entries = load_manifest(dataset_dir) if manifest is None else manifest
+    selected = [m for m in entries if m.get("kind") == kind]
+    if not selected:
+        raise DatasetError(f"{dataset_dir}: no {kind} episodes in manifest")
+    bank = build_observation_bank(config) if needs_bank(config, noise_preset) else ()
+    for entry in selected:
+        episode_dir = dataset_dir / entry["dir"]
+        yield entry, episode_dir, session_for_episode(episode_dir, config, noise_preset, lexicon, bank=bank)
+
+
 def eval_counting(
     dataset_dir: str | Path,
     config: PipelineConfig,
     noise_preset: str = "none",
     manifest: list[dict] | None = None,
 ) -> CountingResult:
-    dataset_dir = Path(dataset_dir)
-    entries = load_manifest(dataset_dir) if manifest is None else manifest
-    manifest = [m for m in entries if m.get("kind") == "counting"]
-    if not manifest:
-        raise DatasetError(f"{dataset_dir}: no counting episodes in manifest")
-    lexicon = config.lexicon()
-    bank = build_observation_bank(config) if _needs_bank(config, noise_preset) else ()
     result = CountingResult()
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for entry in manifest:
-        episode_dir = dataset_dir / entry["dir"]
-        session = session_for_episode(episode_dir, config, noise_preset, lexicon, bank=bank)
+    sessions = _episode_sessions(dataset_dir, config, noise_preset, manifest, "counting", config.lexicon())
+    for entry, _, session in sessions:
         records = session.fuse_across_graphs(
             entry["target"], config.region_dx, config.region_dy, config.gamma
         )
@@ -236,10 +250,6 @@ def eval_counting(
     result.per_count = {count: counting_f1(cases) for count, cases in sorted(buckets.items())}
     result.average = sum(result.per_count.values()) / len(result.per_count)
     return result
-
-
-def _needs_bank(config: PipelineConfig, noise_preset: str) -> bool:
-    return noise_preset != "none" and config.error_config(noise_preset).p_fp > 0
 
 
 def _candidate_signature(outcome: GroundingOutcome) -> tuple:
@@ -267,24 +277,17 @@ def eval_dialogue(
     noise_preset: str = "none",
     manifest: list[dict] | None = None,
 ) -> DialogueResult:
-    dataset_dir = Path(dataset_dir)
-    entries = load_manifest(dataset_dir) if manifest is None else manifest
-    manifest = [m for m in entries if m.get("kind") == "dialogue"]
-    if not manifest:
-        raise DatasetError(f"{dataset_dir}: no dialogue episodes in manifest")
     lexicon = config.lexicon()
-    bank = build_observation_bank(config) if _needs_bank(config, noise_preset) else ()
     result = DialogueResult()
     ambiguity_pairs: list[tuple[bool, bool]] = []
     bleu_pairs: list[tuple[list[str], list[str]]] = []
     state_hits = 0
     qa_hits = 0
-    for entry in manifest:
-        episode_dir = dataset_dir / entry["dir"]
+    for entry, episode_dir, session in _episode_sessions(
+        dataset_dir, config, noise_preset, manifest, "dialogue", lexicon
+    ):
         room = load_room(episode_dir)
-        instructions = load_instructions(episode_dir)
-        session = session_for_episode(episode_dir, config, noise_preset, lexicon, bank=bank)
-        for case in instructions:
+        for case in load_instructions(episode_dir):
             seed = query_seed_for(config.seed, f"{entry['dir']}:{case.text}")
             predicted, g = ground_in_session(session, case.text, config, lexicon, seed)
             reference = oracle_outcome(room, g, config, seed)

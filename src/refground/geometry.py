@@ -105,7 +105,7 @@ class BoundingBox:
             return None
         return BoundingBox(u0, v0, u1, v1)
 
-    def pixel_indices(self, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def pixel_indices(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
         """Integer pixel columns/rows whose centers fall inside the box."""
         us = np.arange(int(np.floor(self.u_min)), int(np.ceil(self.u_max)), stride)
         vs = np.arange(int(np.floor(self.v_min)), int(np.ceil(self.v_max)), stride)
@@ -121,7 +121,7 @@ class DepthFrame:
     width: int
     height: int
     depth: np.ndarray
-    max_range: float = 10.0
+    max_range: float
 
     def __post_init__(self):
         d = np.asarray(self.depth, dtype=np.float32).reshape(self.height, self.width)
@@ -174,8 +174,8 @@ def bbox_cloud_arrays(
     depth: DepthFrame,
     intrinsics: CameraIntrinsics,
     pose: Pose,
-    sigma_frac: float = 0.25,
-    stride: int = 1,
+    sigma_frac: float,
+    stride: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Back-project every valid-depth pixel in the box to a weighted world point.
 
@@ -260,7 +260,7 @@ def write_depth_file(path: str | Path, frame: DepthFrame) -> None:
         fh.write(data)
 
 
-def read_depth_file(path: str | Path, max_range: float = 10.0) -> DepthFrame:
+def read_depth_file(path: str | Path, max_range: float) -> DepthFrame:
     raw = Path(path).read_bytes()
     if raw[:8] != DEPTH_MAGIC:
         raise DepthFormatError(f"{path}: bad magic {raw[:8]!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import GraphStructureError, ObjectGraph
-from .lexicon import Lexicon, default_lexicon
+from .lexicon import Lexicon
 
 ROOT_SYMBOL = "r(g)"
 LANDMARK_SYMBOL = "av_R"
@@ -86,7 +86,7 @@ def bio_valid(labels: Sequence[TagLabel]) -> bool:
     return True
 
 
-def tag(tokens: Sequence[Token], lexicon: Lexicon | None = None) -> list[TagLabel]:
+def tag(tokens: Sequence[Token], lexicon: Lexicon) -> list[TagLabel]:
     """Label each token with a BIO tag.
 
     The first class noun not governed by a relation cue becomes the referred
@@ -95,7 +95,6 @@ def tag(tokens: Sequence[Token], lexicon: Lexicon | None = None) -> list[TagLabe
     """
     if not tokens:
         raise PhraseError("cannot tag an empty token sequence")
-    lexicon = lexicon or default_lexicon()
     index = lexicon.phrase_index
     lowered = [t.text.lower() for t in tokens]
     n = len(tokens)
@@ -236,7 +235,7 @@ def parse_tags(tokens: Sequence[Token], labels: Sequence[TagLabel]) -> ObjectGra
         raise TagParseError(str(exc)) from exc
 
 
-def phrase_to_graph(text: str, lexicon: Lexicon | None = None) -> ObjectGraph:
+def phrase_to_graph(text: str, lexicon: Lexicon) -> ObjectGraph:
     """End-to-end: tokenize, tag, parse. Returns a canonical graph."""
     tokens = tokenize(text)
     if not tokens:

@@ -51,13 +51,17 @@ _BANK_CLASSES = (
 def build_observation_bank(config: PipelineConfig) -> tuple:
     """(bbox, caption) of every detection along 10 poses of a different seeded
     room, one object of each bank class; used by the false-positive model."""
-    gen = config.generation_config(dict.fromkeys(_BANK_CLASSES, 1), min_extent=6.5)
-    room = generate_room(config.seed + 9999, gen)
+    room = generate_room(config.seed + 9999, dict.fromkeys(_BANK_CLASSES, 1), config, min_extent=6.5)
     return tuple(
         (det.bbox, det.caption)
         for _, _, detections in trajectory_frames(room, config, n_poses=10)
         for det in detections
     )
+
+
+def needs_bank(config: PipelineConfig, noise_preset: str) -> bool:
+    """Whether the preset's false-positive model draws from the observation bank."""
+    return config.error_config(noise_preset).p_fp > 0
 
 
 @dataclass
@@ -149,7 +153,7 @@ def session_for_episode(
     episode_dir = Path(episode_dir)
     frames = load_episode(episode_dir)
     noise = None if noise_preset == "none" else config.error_config(noise_preset)
-    if noise is not None and noise.p_fp > 0 and bank is None:
+    if bank is None and needs_bank(config, noise_preset):
         bank = build_observation_bank(config)
     session, _ = build_session(
         frames,

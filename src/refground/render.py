@@ -142,7 +142,7 @@ def render_scene(
     room: RoomSpec,
     pose: Pose,
     intrinsics: CameraIntrinsics,
-    max_range: float = 10.0,
+    max_range: float,
     include_structure: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render (depth (h, w) float32, winner (h, w) int64) for one view.
@@ -205,7 +205,7 @@ def render_scene(
 
 
 def gt_detections(
-    room: RoomSpec, winner: np.ndarray, captions: dict[int, str], min_pixels: int = 25
+    room: RoomSpec, winner: np.ndarray, captions: dict[int, str], min_pixels: int
 ) -> list[Detection]:
     """Tight boxes around each object's visible pixels, with its caption.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .graph import ObjectGraph
 from .language import LANDMARK_SYMBOL, ROOT_SYMBOL, article, realize
 from .lexicon import COLORS, MATERIALS, OBJECT_CLASSES
 from .oracle import oracle_classify
+
+if TYPE_CHECKING:  # config imports ErrorConfig from here
+    from .config import PipelineConfig
 
 
 class GenerationError(RuntimeError):
@@ -130,25 +133,7 @@ class RoomSpec:
         )
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Placement recipe for one room."""
-
-    extents: tuple[float, float, float] = (5.0, 5.0, 2.5)
-    copies: dict[str, int] = field(default_factory=dict)
-    wall_margin: float = 0.55
-    min_separation: float = 1.0  # same-class centroid distance
-    floor_clearance: float = 0.45  # edge gap between any two floor objects
-    support_inset: float = 0.06
-    surface_clearance: float = 0.05
-    max_attempts: int = 4000
-
-    def __post_init__(self):
-        for cls_name, count in self.copies.items():
-            if cls_name not in PALETTE:
-                raise GenerationError(f"unknown object class {cls_name!r}")
-            if not 1 <= count <= 5:
-                raise GenerationError(f"copies for {cls_name!r} must be in 1..5, got {count}")
+_SURFACE_CLEARANCE = 0.05  # edge gap between two objects on one supporter
 
 
 def _overlap_1d(a0, a1, b0, b1, clearance):
@@ -167,25 +152,34 @@ def _horizontal_distance(a: SceneObject, b: SceneObject) -> float:
     return math.hypot(ax - bx, ay - by)
 
 
-def generate_room(seed: int, config: GenerationConfig) -> RoomSpec:
-    """Rejection-sample a room layout; deterministic under the seed.
+def generate_room(
+    seed: int, copies: dict[str, int], config: PipelineConfig, min_extent: float = 0.0
+) -> RoomSpec:
+    """Rejection-sample a room holding `copies`; deterministic under the seed.
 
-    Floor objects are placed largest first with pairwise clearance; supported
-    objects go on supporter surfaces, at most one object of a class per
-    supporter. Same-class copies keep the configured centroid separation.
+    The floor is config.room_x by config.room_y, each side at least
+    min_extent. Floor objects are placed largest first with pairwise
+    clearance; supported objects go on supporter surfaces, at most one
+    object of a class per supporter. Same-class copies keep the configured
+    centroid separation.
     """
+    for cls_name, count in copies.items():
+        if cls_name not in PALETTE:
+            raise GenerationError(f"unknown object class {cls_name!r}")
+        if not 1 <= count <= 5:
+            raise GenerationError(f"copies for {cls_name!r} must be in 1..5, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    ex, ey, _ez = config.extents
+    ex, ey = max(min_extent, config.room_x), max(min_extent, config.room_y)
 
     order: list[str] = []
-    for cls_name in sorted(config.copies):
-        order.extend([cls_name] * config.copies[cls_name])
+    for cls_name in sorted(copies):
+        order.extend([cls_name] * copies[cls_name])
     floor_classes = [c for c in order if not PALETTE[c].supported]
     small_classes = [c for c in order if PALETTE[c].supported]
     floor_classes.sort(key=lambda c: -(PALETTE[c].size_x[1] * PALETTE[c].size_y[1]))
 
     attr_combos: dict[str, list[tuple[str, str]]] = {}
-    for cls_name, count in sorted(config.copies.items()):
+    for cls_name, count in sorted(copies.items()):
         pairs = [(c, m) for c in COLORS for m in MATERIALS]
         idx = rng.permutation(len(pairs))[:count]
         attr_combos[cls_name] = [pairs[i] for i in idx]
@@ -276,7 +270,7 @@ def generate_room(seed: int, config: GenerationConfig) -> RoomSpec:
                 z0 = supporter.box_max[2]
                 bmin, bmax = (x0, y0, z0), (x0 + sx, y0 + sy, z0 + sz)
                 clash = any(
-                    _xy_boxes_clash(bmin, bmax, o.box_min, o.box_max, config.surface_clearance)
+                    _xy_boxes_clash(bmin, bmax, o.box_min, o.box_max, _SURFACE_CLEARANCE)
                     for o in objects
                     if o.support == supporter.id
                 )
@@ -297,13 +291,13 @@ def generate_room(seed: int, config: GenerationConfig) -> RoomSpec:
                 f"{len(supporters)} supporters"
             )
 
-    return RoomSpec(tuple(config.extents), tuple(objects), seed, dict(config.copies))
+    return RoomSpec((ex, ey, config.room_z), tuple(objects), seed, dict(copies))
 
 
 # -- relations and captions ---------------------------------------------------
 
 
-def derive_relations(room: RoomSpec, tau_near: float = 0.75) -> dict[int, list[tuple[str, int]]]:
+def derive_relations(room: RoomSpec, tau_near: float) -> dict[int, list[tuple[str, int]]]:
     """Relational attributes from scene metadata: is-on via support,
     is-near via horizontal centroid distance below tau_near."""
     rel: dict[int, list[tuple[str, int]]] = {o.id: [] for o in room.objects}
@@ -379,17 +373,12 @@ def look_at_pose(eye: Sequence[float], target: Sequence[float]) -> Pose:
     return Pose(rotation, eye)
 
 
-def plan_trajectory(
-    room: RoomSpec,
-    n_waypoints: int,
-    cam_height: float = 2.2,
-    margin: float = 0.45,
-    look_height: float = 0.0,
-    look_frac: float = 0.42,
-) -> list[Pose]:
+def plan_trajectory(room: RoomSpec, config: PipelineConfig, n_waypoints: int) -> list[Pose]:
     """Inset perimeter loop plus jittered interior poses, all oriented toward
     the room center.
 
+    Poses fly at cam_height, the loop runs traj_margin in from the walls,
+    and every look-at point lies at look_height (all config keys).
     look_frac places the floor look-at point partway along the ray from the
     camera to the (jittered) center; smaller values pitch the camera down
     more steeply, which keeps each detection's background pixels landing
@@ -398,6 +387,8 @@ def plan_trajectory(
     if n_waypoints < 4:
         raise ValueError("n_waypoints must be at least 4")
     rng = np.random.default_rng(np.random.SeedSequence([room.seed, 202]))
+    cam_height, margin = config.cam_height, config.traj_margin
+    look_height, look_frac = config.look_height, config.look_frac
     ex, ey, _ = room.extents
     cx, cy = ex / 2.0, ey / 2.0
     x0, x1 = margin, ex - margin

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from refground import config as config_module
 from refground.aggregation import AggregationSession
 from refground.cli import main
 from refground.config import ConfigError, PipelineConfig, load_config
@@ -181,6 +182,30 @@ def test_aggregate_session_reusable(dataset, tmp_path, capsys):
         == 0
     )
     assert capsys.readouterr().out == direct
+
+
+def test_ground_with_session_refuses_noise(dataset, tmp_path, capsys):
+    """A dumped session has its noise applied already; --noise cannot change it."""
+    args = ["ground", str(episode_dir(dataset)), "bring a cup", "--session", str(tmp_path / "s.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--noise", "cs"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--noise: not allowed with argument --session" in captured.err
+
+
+def test_ground_loads_the_lexicon_once(dataset, tmp_path, capsys, monkeypatch):
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_lexicon(path)
+
+    monkeypatch.setattr(config_module, "load_lexicon", counted)
+    config = tmp_path / "lexicon.cfg"
+    config.write_text(f"lexicon_path = {CONFIGS / 'lexicon.txt'}\n")
+    assert main(["ground", str(episode_dir(dataset)), "bring a cup", "--config", str(config)]) == 0
+    assert len(loads) == 1
 
 
 def deep_graph_json(relations: int) -> str:

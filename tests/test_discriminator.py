@@ -8,11 +8,11 @@ from refground.discriminator import (
     DialogueState,
     GroundingOutcome,
     MISSING_QUERY,
-    QueryTemplates,
     classify,
     generate_query,
     outcome_to_dict,
 )
+from refground.config import PipelineConfig
 from refground.graph import GraphStructureError, ObjectGraph
 from refground.language import realize
 from refground.oracle import oracle_classify
@@ -28,6 +28,7 @@ def g_cup(*self_attrs, rel=None):
 
 
 ON_TABLE = ("is-on", ObjectGraph.build("table"))
+TEMPLATES = PipelineConfig().templates()
 ON_DINING = ("is-on", ObjectGraph.build("dining table"))
 
 
@@ -130,7 +131,7 @@ def test_states_partition_is_exhaustive():
 
 def test_missing_query_constant():
     outcome = classify(g_cup(), [])
-    assert generate_query(outcome, rng_seed=3) == MISSING_QUERY
+    assert generate_query(outcome, 3, TEMPLATES) == MISSING_QUERY
 
 
 def seed_for_index(n_options, want):
@@ -148,7 +149,7 @@ def test_ambiguity_query_template_fill():
     b = record(g_cup(("color", "black"), rel=("is-on", ObjectGraph.build("counter"))), (3.0, 3.0))
     outcome = classify(g_cup(), [a, b])
     seed = seed_for_index(2, 0)  # wh-suffix list entry 0
-    query = generate_query(outcome, seed)
+    query = generate_query(outcome, seed, TEMPLATES)
     assert query == (
         "I found one red cup on top of a white table, and one black cup on top of a counter."
         " Which one did you mean?"
@@ -157,22 +158,21 @@ def test_ambiguity_query_template_fill():
 
 def test_confirm_query_is_seeded_acknowledgement():
     outcome = classify(g_cup(), [record(g_cup(("color", "red")))])
-    templates = QueryTemplates()
-    for want, phrase in enumerate(templates.acknowledgements):
-        seed = seed_for_index(len(templates.acknowledgements), want)
-        assert generate_query(outcome, seed) == phrase
+    for want, phrase in enumerate(TEMPLATES.acknowledgements):
+        seed = seed_for_index(len(TEMPLATES.acknowledgements), want)
+        assert generate_query(outcome, seed, TEMPLATES) == phrase
 
 
 def test_mismatch_query_contains_description_and_suffix():
     g = g_cup(("color", "red"))
     outcome = classify(g, [record(g_cup(("color", "black")))])
-    query = generate_query(outcome, seed_for_index(2, 1))
+    query = generate_query(outcome, seed_for_index(2, 1), TEMPLATES)
     assert query == "I found one black cup — should I take it instead?"
 
 
 def test_query_deterministic_under_seed():
     outcome = classify(g_cup(), [record(g_cup(("color", "red"))), record(g_cup(("color", "black")))])
-    assert generate_query(outcome, 17) == generate_query(outcome, 17)
+    assert generate_query(outcome, 17, TEMPLATES) == generate_query(outcome, 17, TEMPLATES)
 
 
 def test_every_candidate_appears_exactly_once():
@@ -182,7 +182,7 @@ def test_every_candidate_appears_exactly_once():
         record(g_cup(("material", "glass"))),
     ]
     outcome = classify(g_cup(), records)
-    query = generate_query(outcome, 0)
+    query = generate_query(outcome, 0, TEMPLATES)
     for rec in records:
         described = realize(rec.graph).split(" ", 1)[1]  # minus leading article
         assert query.count(f"one {described}") == 1
@@ -195,13 +195,13 @@ def test_identical_descriptions_get_location_hint():
         DialogueState.INFORM_AMBIGUITY,
         candidates=((a, frozenset()), (b, frozenset())),
     )
-    query = generate_query(outcome, 0)
+    query = generate_query(outcome, 0, TEMPLATES)
     assert "(near 1.2, 0.8 meters)" in query and "(near 3.5, 2.0 meters)" in query
 
 
 def test_resolve_fills_query():
     outcome = classify(g_cup(("color", "red")), [])
-    outcome = outcome.with_query(generate_query(outcome, 0))
+    outcome = outcome.with_query(generate_query(outcome, 0, TEMPLATES))
     assert outcome.state is DialogueState.INFORM_MISSING
     assert outcome.query == MISSING_QUERY
 
@@ -225,7 +225,7 @@ def test_missing_carries_no_candidates():
 def test_outcome_record_shape():
     g = g_cup(("color", "red"))
     outcome = classify(g, [record(g_cup(("color", "black")), centroid=(2.0, 1.0))])
-    outcome = outcome.with_query(generate_query(outcome, 1))
+    outcome = outcome.with_query(generate_query(outcome, 1, TEMPLATES))
     payload = outcome_to_dict(outcome)
     assert payload["state"] == "inform-mismatch"
     assert payload["query"] == outcome.query

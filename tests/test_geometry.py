@@ -147,12 +147,12 @@ def test_soft_mask_rejects_bad_sigma():
 
 
 def flat_depth(value=2.0, w=100, h=100):
-    return DepthFrame(w, h, np.full((h, w), value, dtype=np.float32))
+    return DepthFrame(w, h, np.full((h, w), value, dtype=np.float32), 10.0)
 
 
 def test_single_pixel_bbox_center_weight():
     bbox = BoundingBox(40.0, 40.0, 41.0, 41.0)
-    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose(), 0.25)
+    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose(), 0.25, 1)
     assert pts.shape == (1, 3) and w.shape == (1,)
     sigma = 0.25 * 1.0
     assert w[0] == pytest.approx(1.0 / (2 * sigma * sigma))
@@ -160,7 +160,7 @@ def test_single_pixel_bbox_center_weight():
 
 def test_flat_wall_cloud():
     bbox = BoundingBox(30.0, 30.0, 70.0, 70.0)
-    pts, w = bbox_cloud_arrays(bbox, flat_depth(2.0), K_SIMPLE, identity_pose(), 0.25)
+    pts, w = bbox_cloud_arrays(bbox, flat_depth(2.0), K_SIMPLE, identity_pose(), 0.25, 1)
     assert np.allclose(pts[:, 2], 2.0)
     # weights peak at the pixel nearest the bbox center
     centers = pts[:, :2]
@@ -171,25 +171,25 @@ def test_flat_wall_cloud():
 
 def test_zeroed_depth_yields_empty_cloud():
     bbox = BoundingBox(30.0, 30.0, 70.0, 70.0)
-    frame = DepthFrame(100, 100, np.zeros((100, 100), dtype=np.float32))
-    pts, w = bbox_cloud_arrays(bbox, frame, K_SIMPLE, identity_pose())
+    frame = DepthFrame(100, 100, np.zeros((100, 100), dtype=np.float32), 10.0)
+    pts, w = bbox_cloud_arrays(bbox, frame, K_SIMPLE, identity_pose(), 0.25, 1)
     assert pts.shape == (0, 3) and w.shape == (0,)
 
 
 def test_bbox_fully_outside_frame_is_empty():
     bbox = BoundingBox(150.0, 150.0, 160.0, 160.0)
-    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose())
+    pts, w = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose(), 0.25, 1)
     assert len(pts) == 0
 
 
 def test_stride_subsamples():
     bbox = BoundingBox(30.0, 30.0, 50.0, 50.0)
-    full, _ = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose())
-    strided, _ = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose(), stride=2)
+    full, _ = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose(), 0.25, 1)
+    strided, _ = bbox_cloud_arrays(bbox, flat_depth(), K_SIMPLE, identity_pose(), 0.25, 2)
     assert 0 < len(strided) < len(full)
 
 
-def reference_bbox_cloud(bbox, depth, intrinsics, pose, sigma_frac=0.25, stride=1):
+def reference_bbox_cloud(bbox, depth, intrinsics, pose, sigma_frac, stride):
     """Reference: the meshgrid form of bbox_cloud_arrays, kept to compare bytes."""
     box = bbox.clamp(depth.width, depth.height)
     if box is None:
@@ -259,7 +259,7 @@ def test_bbox_cloud_matches_reference_bytes(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     values = rng.uniform(0.05, 9.5, (height, width)).astype(np.float32)
     holes = rng.random((height, width)) < data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
-    depth = DepthFrame(width, height, np.where(holes, np.float32(0.0), values))
+    depth = DepthFrame(width, height, np.where(holes, np.float32(0.0), values), 10.0)
     u0 = data.draw(st.floats(-4, width + 2))
     v0 = data.draw(st.floats(-4, height + 2))
     u1 = u0 + data.draw(st.floats(0.01, width + 6))
@@ -270,19 +270,19 @@ def test_bbox_cloud_matches_reference_bytes(data):
 
 
 def test_bbox_cloud_all_zero_depth_matches_reference():
-    frame = DepthFrame(100, 100, np.zeros((100, 100), dtype=np.float32))
+    frame = DepthFrame(100, 100, np.zeros((100, 100), dtype=np.float32), 10.0)
     pose = yaw_pose(0.4, (1.0, 2.0, 0.5))
-    args = (BoundingBox(-3.5, 10.25, 20.75, 40.5), frame, K_SIMPLE, pose)
+    args = (BoundingBox(-3.5, 10.25, 20.75, 40.5), frame, K_SIMPLE, pose, 0.25, 1)
     assert_same_bytes(bbox_cloud_arrays(*args), reference_bbox_cloud(*args))
 
 
 def test_cloud_matches_scalar_backproject():
     rng = np.random.default_rng(4)
-    frame = DepthFrame(100, 100, rng.uniform(0.5, 3.0, (100, 100)).astype(np.float32))
+    frame = DepthFrame(100, 100, rng.uniform(0.5, 3.0, (100, 100)).astype(np.float32), 10.0)
     pose = yaw_pose(1.1, t=(0.3, -0.7, 1.2))
     bbox = BoundingBox(20.3, 61.8, 27.9, 66.2)
-    pts, _ = bbox_cloud_arrays(bbox, frame, K_SIMPLE, pose)
-    us, vs = bbox.pixel_indices()
+    pts, _ = bbox_cloud_arrays(bbox, frame, K_SIMPLE, pose, 0.25, 1)
+    us, vs = bbox.pixel_indices(1)
     expected = [
         to_world(backproject(u + 0.5, v + 0.5, float(frame.depth[v, u]), K_SIMPLE), pose)
         for v in vs
@@ -400,7 +400,7 @@ def test_depth_file_round_trip(tmp_path):
     frame = DepthFrame(17, 9, rng.uniform(0, 5, (9, 17)).astype(np.float32), max_range=10.0)
     path = tmp_path / "frame.depth"
     write_depth_file(path, frame)
-    back = read_depth_file(path)
+    back = read_depth_file(path, 10.0)
     assert back.width == 17 and back.height == 9
     assert np.array_equal(back.depth, frame.depth)
     # bit-exact file round trip
@@ -412,16 +412,16 @@ def test_depth_file_bad_magic(tmp_path):
     path = tmp_path / "bad.depth"
     path.write_bytes(b"NOTDEPTH" + b"\x00" * 16)
     with pytest.raises(DepthFormatError):
-        read_depth_file(path)
+        read_depth_file(path, 10.0)
 
 
 def test_depth_file_truncated(tmp_path):
     path = tmp_path / "short.depth"
-    frame = DepthFrame(4, 4, np.zeros((4, 4), dtype=np.float32))
+    frame = DepthFrame(4, 4, np.zeros((4, 4), dtype=np.float32), 10.0)
     write_depth_file(path, frame)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DepthFormatError):
-        read_depth_file(path)
+        read_depth_file(path, 10.0)
 
 
 # -- type validation ------------------------------------------------------------
@@ -443,7 +443,7 @@ def test_bbox_validation_and_clamp():
 
 def test_depth_frame_validation():
     with pytest.raises(ValueError):
-        DepthFrame(4, 4, np.full((4, 4), np.nan, dtype=np.float32))
+        DepthFrame(4, 4, np.full((4, 4), np.nan, dtype=np.float32), 10.0)
     with pytest.raises(ValueError):
         DepthFrame(4, 4, np.full((4, 4), 99.0, dtype=np.float32), max_range=10.0)
 

@@ -25,14 +25,13 @@ from refground.pipeline import (
     session_for_episode,
     stream_seed_for,
 )
-from refground.simulator import Detection, GenerationConfig, generate_room
+from refground.simulator import Detection, generate_room
 
 
 @pytest.fixture(scope="module")
 def episode(tmp_path_factory):
     cfg = PipelineConfig()
-    gen = GenerationConfig(copies={"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1})
-    room = generate_room(42, gen)
+    room = generate_room(42, {"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1}, cfg)
     out = tmp_path_factory.mktemp("episodes") / "episode_00000"
     simulate_episode(out, room, cfg)
     return cfg, room, out
@@ -79,7 +78,7 @@ def test_depth_correctness_against_boxes(episode):
         depth = frame.load_depth(cfg.max_range)
         for det in frame.detections:
             obj = by_id[det.gt_object_id]
-            pts, _ = bbox_cloud_arrays(det.bbox, depth, frame.intrinsics, frame.pose, 0.25)
+            pts, _ = bbox_cloud_arrays(det.bbox, depth, frame.intrinsics, frame.pose, 0.25, 1)
             lo = np.array(obj.box_min) - cfg.cell_size
             hi = np.array(obj.box_max) + cfg.cell_size
             inside = np.all((pts >= lo) & (pts <= hi), axis=1)

@@ -79,17 +79,14 @@ def dialogue_room(config):
 def test_trajectory_frames_match_dense(make_room):
     config = PipelineConfig()
     room = make_room(config)
-    poses = plan_trajectory(
-        room, config.n_waypoints, config.cam_height, config.traj_margin, config.look_height, config.look_frac
-    )
-    for pose in poses:
+    for pose in plan_trajectory(room, config, config.n_waypoints):
         assert_same_render(room, pose, config.intrinsics())
 
 
 def test_without_structure_matches_dense():
     config = PipelineConfig()
     room = counting_room(config)
-    for pose in plan_trajectory(room, 4, config.cam_height, config.traj_margin):
+    for pose in plan_trajectory(room, config, 4):
         assert_same_render(room, pose, include_structure=False)
 
 
@@ -254,9 +251,9 @@ def test_straight_down_and_into_corners_matches_dense():
 
 
 def test_structure_loses_ties_to_flush_objects():
-    _, winner = render_scene(SHELL_ROOM, look_at_pose((2.0, 2.0, 2.2), (2.0, 2.0, 0.0)), SHELL_K)
+    _, winner = render_scene(SHELL_ROOM, look_at_pose((2.0, 2.0, 2.2), (2.0, 2.0, 0.0)), SHELL_K, 10.0)
     assert winner[16, 16] == 0  # the rug, not the floor it lies flush with
-    _, winner = render_scene(SHELL_ROOM, look_at_pose((3.0, 2.5, 1.0), (6.0, 2.5, 1.0)), SHELL_K)
+    _, winner = render_scene(SHELL_ROOM, look_at_pose((3.0, 2.5, 1.0), (6.0, 2.5, 1.0)), SHELL_K, 10.0)
     assert winner[16, 16] == 1  # the poster, not the wall behind it
 
 

@@ -13,7 +13,6 @@ from refground.simulator import (
     Detection,
     ErrorConfig,
     FrameContext,
-    GenerationConfig,
     GenerationError,
     RoomSpec,
     SceneObject,
@@ -28,7 +27,8 @@ from refground.simulator import (
     plan_trajectory,
 )
 
-GEN = GenerationConfig(copies={"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1})
+CONFIG = PipelineConfig()
+COPIES = {"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1}
 
 
 def manual_room(objects, extents=(6.0, 6.0, 2.5)):
@@ -45,13 +45,13 @@ def box_obj(oid, cls, x, y, sx, sy, sz, color="red", material="plastic", support
 
 
 def test_generate_room_deterministic():
-    a = generate_room(42, GEN)
-    b = generate_room(42, GEN)
+    a = generate_room(42, COPIES, CONFIG)
+    b = generate_room(42, COPIES, CONFIG)
     assert a.to_dict() == b.to_dict()
 
 
 def test_generate_room_copies_and_separation():
-    room = generate_room(7, GEN)
+    room = generate_room(7, COPIES, CONFIG)
     cups = room.objects_of("cup")
     assert len(cups) == 2
     (a, b) = cups
@@ -61,7 +61,7 @@ def test_generate_room_copies_and_separation():
 
 
 def test_generate_room_within_extents():
-    room = generate_room(3, GEN)
+    room = generate_room(3, COPIES, CONFIG)
     ex, ey, ez = room.extents
     for obj in room.objects:
         assert 0 <= obj.box_min[0] and obj.box_max[0] <= ex
@@ -70,7 +70,7 @@ def test_generate_room_within_extents():
 
 
 def test_generate_room_support_containment():
-    room = generate_room(5, GEN)
+    room = generate_room(5, COPIES, CONFIG)
     by_id = {o.id: o for o in room.objects}
     supported = [o for o in room.objects if o.support is not None]
     assert supported, "expected supported objects in this recipe"
@@ -82,7 +82,7 @@ def test_generate_room_support_containment():
 
 
 def test_generate_room_floor_objects_keep_clearance():
-    room = generate_room(9, GEN)
+    room = generate_room(9, COPIES, CONFIG)
     floor = [o for o in room.objects if o.support is None]
     for i, a in enumerate(floor):
         for b in floor[i + 1 :]:
@@ -92,16 +92,15 @@ def test_generate_room_floor_objects_keep_clearance():
 
 
 def test_packing_infeasible_raises():
-    gen = GenerationConfig(extents=(3.0, 3.0, 2.5), copies={"sofa": 5})
     with pytest.raises(GenerationError):
-        generate_room(1, gen)
+        generate_room(1, {"sofa": 5}, PipelineConfig(room_x=3.0, room_y=3.0))
 
 
 def test_copies_bounds_validated():
     with pytest.raises(GenerationError):
-        GenerationConfig(copies={"cup": 6})
+        generate_room(0, {"cup": 6}, CONFIG)
     with pytest.raises(GenerationError):
-        GenerationConfig(copies={"spaceship": 1})
+        generate_room(0, {"spaceship": 1}, CONFIG)
 
 
 # -- relations -------------------------------------------------------------------
@@ -110,7 +109,7 @@ def test_copies_bounds_validated():
 def test_is_on_from_support():
     table = box_obj(0, "table", 1.0, 1.0, 1.0, 0.7, 0.75)
     cup = box_obj(1, "cup", 1.4, 1.2, 0.1, 0.1, 0.12, support=0, z=0.75)
-    rel = derive_relations(manual_room([table, cup]))
+    rel = derive_relations(manual_room([table, cup]), 0.75)
     assert ("is-on", 0) in rel[1]
     assert all(kind != "is-near" for kind, _ in rel[1] if _ == 0)
 
@@ -135,7 +134,7 @@ def test_caption_prefers_is_on():
         1, "cup", 1.4, 1.2, 0.1, 0.1, 0.12, color="red", material="plastic", support=0, z=0.75
     )
     room = manual_room([table, cup])
-    rel = derive_relations(room)
+    rel = derive_relations(room, 0.75)
     assert caption_for(room, cup, rel) == "a red plastic cup on top of a table"
     g = object_graph(room, cup, rel)
     assert phrase_to_graph(caption_for(room, cup, rel), default_lexicon()) == g
@@ -145,8 +144,8 @@ def test_caption_prefers_is_on():
 
 
 def test_trajectory_count_and_bounds():
-    room = generate_room(4, GEN)
-    poses = plan_trajectory(room, 8)
+    room = generate_room(4, COPIES, CONFIG)
+    poses = plan_trajectory(room, CONFIG, 8)
     assert len(poses) == 8
     ex, ey, _ = room.extents
     for pose in poses:
@@ -155,16 +154,16 @@ def test_trajectory_count_and_bounds():
 
 
 def test_trajectory_deterministic():
-    room = generate_room(4, GEN)
-    a = plan_trajectory(room, 8)
-    b = plan_trajectory(room, 8)
+    room = generate_room(4, COPIES, CONFIG)
+    a = plan_trajectory(room, CONFIG, 8)
+    b = plan_trajectory(room, CONFIG, 8)
     assert all(np.array_equal(p.matrix(), q.matrix()) for p, q in zip(a, b))
 
 
 def test_trajectory_requires_four_waypoints():
-    room = generate_room(4, GEN)
+    room = generate_room(4, COPIES, CONFIG)
     with pytest.raises(ValueError):
-        plan_trajectory(room, 3)
+        plan_trajectory(room, CONFIG, 3)
 
 
 def test_look_at_pose_points_at_target():
@@ -178,11 +177,9 @@ def test_trajectory_surface_coverage():
     cfg = PipelineConfig()
     covered = total = 0
     for seed in (11, 22):
-        room = generate_room(seed, GenerationConfig(
-            copies={"cup": 2, "table": 1, "desk": 1, "counter": 1, "lamp": 1, "sofa": 1}))
-        poses = plan_trajectory(
-            room, cfg.n_waypoints, cfg.cam_height, cfg.traj_margin, cfg.look_height, cfg.look_frac
-        )
+        copies = {"cup": 2, "table": 1, "desk": 1, "counter": 1, "lamp": 1, "sofa": 1}
+        room = generate_room(seed, copies, cfg)
+        poses = plan_trajectory(room, cfg, cfg.n_waypoints)
         K = cfg.intrinsics()
         renders = [render_scene(room, p, K, cfg.max_range) for p in poses]
         for obj in room.objects:
@@ -256,7 +253,7 @@ def test_render_beyond_max_range_is_invalid():
 
 
 def _captions(room):
-    rel = derive_relations(room)
+    rel = derive_relations(room, 0.75)
     return {o.id: caption_for(room, o, rel) for o in room.objects}
 
 
@@ -411,8 +408,8 @@ def test_error_config_validation():
 
 
 def test_instructions_cover_types_and_parse():
-    room = generate_room(6, GEN)
-    relations = derive_relations(room)
+    room = generate_room(6, COPIES, CONFIG)
+    relations = derive_relations(room, 0.75)
     lexicon = default_lexicon()
     cases = emit_instructions(room, relations)
     types = {c.re_type for c in cases}
@@ -441,8 +438,8 @@ def test_instruction_templates_match_tagger_and_parser(args, text):
 
 
 def test_instruction_expected_states_match_oracle():
-    room = generate_room(6, GEN)
-    relations = derive_relations(room)
+    room = generate_room(6, COPIES, CONFIG)
+    relations = derive_relations(room, 0.75)
     graphs = {
         cls: [object_graph(room, o, relations) for o in room.objects_of(cls)]
         for cls in room.classes()
@@ -453,24 +450,24 @@ def test_instruction_expected_states_match_oracle():
 
 
 def test_bare_instruction_on_multicopy_class_is_ambiguous():
-    room = generate_room(8, GEN)
-    relations = derive_relations(room)
+    room = generate_room(8, COPIES, CONFIG)
+    relations = derive_relations(room, 0.75)
     cases = emit_instructions(room, relations)
     bare_cup = [c for c in cases if c.re_type == "bare" and c.target_class == "cup"]
     assert bare_cup and bare_cup[0].expected_state == "inform-ambiguity"
 
 
 def test_missing_probe_targets_absent_class():
-    room = generate_room(6, GEN)
-    cases = emit_instructions(room, derive_relations(room))
+    room = generate_room(6, COPIES, CONFIG)
+    cases = emit_instructions(room, derive_relations(room, 0.75))
     probe = [c for c in cases if c.re_type == "missing"]
     assert probe and probe[0].target_class not in room.classes()
     assert probe[0].expected_state == "inform-missing"
 
 
 def test_instruction_case_round_trip():
-    room = generate_room(6, GEN)
-    cases = emit_instructions(room, derive_relations(room))
+    room = generate_room(6, COPIES, CONFIG)
+    cases = emit_instructions(room, derive_relations(room, 0.75))
     from refground.simulator import InstructionCase
 
     for case in cases:
@@ -478,5 +475,5 @@ def test_instruction_case_round_trip():
 
 
 def test_room_spec_round_trip():
-    room = generate_room(6, GEN)
+    room = generate_room(6, COPIES, CONFIG)
     assert RoomSpec.from_dict(room.to_dict()).to_dict() == room.to_dict()
