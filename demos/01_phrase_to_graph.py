@@ -30,7 +30,7 @@ for text in [
     labels = tag(tokens, lexicon)
     print(f"{text!r}")
     for token, label in zip(tokens, labels):
-        print(f"    {token.text:<8} {label}")
+        print(f"    {token:<8} {label}")
 
 print("\n=== parsing ===")
 for text in [

@@ -16,11 +16,12 @@ from refground.episodes import load_episode, load_instructions, simulate_episode
 from refground.pipeline import build_session, ground_in_session, query_seed_for
 
 config = PipelineConfig()
+lexicon = config.lexicon()
 room = generate_room(77, {"cup": 2, "table": 1, "counter": 1, "lamp": 1, "book": 1}, config)
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "ep"
     simulate_episode(out, room, config)
-    session, _ = build_session(load_episode(out), config)
+    session, _ = build_session(load_episode(out), config, lexicon)
     cases = load_instructions(out)
 
 print("the room contains:")
@@ -31,7 +32,7 @@ for obj in room.objects:
 print("\n=== instructions and generated queries ===")
 for case in cases:
     seed = query_seed_for(config.seed, f"{out.name}:{case.text}")
-    outcome, _ = ground_in_session(session, case.text, config, None, seed)
+    outcome, _ = ground_in_session(session, case.text, config, lexicon, seed)
     flag = "ok" if outcome.state.value == case.expected_state else "STATE MISMATCH"
     print(f"  user:  {case.text!r}")
     print(f"  robot: {outcome.query!r}")

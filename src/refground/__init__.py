@@ -15,7 +15,7 @@ from .geometry import (
     to_world,
 )
 from .graph import ObjectGraph, attribute_paths, graph_difference, serialize
-from .language import TagLabel, Token, parse_tags, phrase_to_graph, realize, tag, tokenize
+from .language import parse_tags, phrase_to_graph, realize, tag, tokenize
 from .lexicon import Lexicon, default_lexicon, load_lexicon
 from .metrics import corpus_bleu
 from .simulator import (

@@ -119,7 +119,7 @@ def cmd_ground(args, config: PipelineConfig) -> int:
 
 
 def cmd_aggregate(args, config: PipelineConfig) -> int:
-    session_for_episode(args.episode, config, args.noise).dump(args.out)
+    session_for_episode(args.episode, config, args.noise, config.lexicon()).dump(args.out)
     print(f"session written to {args.out}")
     return 0
 
@@ -138,7 +138,7 @@ def cmd_parse(args, config: PipelineConfig) -> int:
     labels = tag(tokens, lexicon) if args.tags else ()
     graph = phrase_to_graph(args.text, lexicon)  # parse before printing anything
     if args.tags:
-        print("\t".join(str(lab) for lab in labels))
+        print("\t".join(labels))
     print(json.dumps(graph_to_dict(graph)))
     return 0
 

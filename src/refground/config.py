@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .discriminator import QueryTemplates
 from .geometry import CameraIntrinsics, GridSpec
 from .lexicon import Lexicon, default_lexicon, load_lexicon
 from .simulator import ErrorConfig
@@ -158,11 +157,6 @@ class PipelineConfig:
             p_fp=self.p_fp if "fp" in enabled else 0.0,
             seed=self.seed,
             fp_per_detection=self.fp_per_detection,
-        )
-
-    def templates(self) -> QueryTemplates:
-        return QueryTemplates(
-            tuple(self.mismatch_suffixes), tuple(self.wh_suffixes), tuple(self.acknowledgements)
         )
 
     def lexicon(self) -> Lexicon:

@@ -17,10 +17,14 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .aggregation import InstanceRecord
 from .graph import GraphStructureError, ObjectGraph, graph_difference, to_dict
 from .language import realize
+
+if TYPE_CHECKING:  # config imports this module through simulator and oracle
+    from .config import PipelineConfig
 
 MISSING_QUERY = "I could not find that."
 
@@ -30,13 +34,6 @@ class DialogueState(Enum):
     INFORM_MISMATCH = "inform-mismatch"
     INFORM_AMBIGUITY = "inform-ambiguity"
     INFORM_MISSING = "inform-missing"
-
-
-@dataclass(frozen=True)
-class QueryTemplates:
-    mismatch_suffixes: tuple[str, ...]
-    wh_suffixes: tuple[str, ...]
-    acknowledgements: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -110,18 +107,19 @@ def _descriptions(candidates) -> list[str]:
     return out
 
 
-def generate_query(outcome: GroundingOutcome, rng_seed: int, templates: QueryTemplates) -> str:
-    """Fill the state's question template; deterministic under the seed."""
+def generate_query(outcome: GroundingOutcome, rng_seed: int, config: PipelineConfig) -> str:
+    """Fill the state's question template from the config's phrase lists;
+    deterministic under the seed."""
     rng = random.Random(rng_seed)
     if outcome.state is DialogueState.INFORM_MISSING:
         return MISSING_QUERY
     if outcome.state is DialogueState.CONFIRM:
-        return templates.acknowledgements[rng.randrange(len(templates.acknowledgements))]
+        return config.acknowledgements[rng.randrange(len(config.acknowledgements))]
     if outcome.state is DialogueState.INFORM_MISMATCH:
-        suffix = templates.mismatch_suffixes[rng.randrange(len(templates.mismatch_suffixes))]
+        suffix = config.mismatch_suffixes[rng.randrange(len(config.mismatch_suffixes))]
         desc = _descriptions(outcome.candidates)[0]
         return f"I found one {desc} {suffix}"
-    suffix = templates.wh_suffixes[rng.randrange(len(templates.wh_suffixes))]
+    suffix = config.wh_suffixes[rng.randrange(len(config.wh_suffixes))]
     listed = ", and ".join(f"one {d}" for d in _descriptions(outcome.candidates))
     return f"I found {listed}. {suffix}"
 

@@ -91,10 +91,8 @@ def eval_parser_corpus(cases: list[CorpusCase], lexicon: Lexicon):
     matches = 0
     gold_seqs, pred_seqs = [], []
     for case in cases:
-        tokens = tokenize(case.text)
-        predicted = tag(tokens, lexicon)
         gold_seqs.append(list(case.labels))
-        pred_seqs.append([str(lab) for lab in predicted])
+        pred_seqs.append(tag(tokenize(case.text), lexicon))
         if phrase_to_graph(case.text, lexicon) == case.graph:
             matches += 1
     weighted, per_label = weighted_label_f1(gold_seqs, pred_seqs)
@@ -228,10 +226,12 @@ def eval_counting(
     config: PipelineConfig,
     noise_preset: str = "none",
     manifest: list[dict] | None = None,
+    lexicon: Lexicon | None = None,
 ) -> CountingResult:
     result = CountingResult()
     buckets: dict[int, list[tuple[int, int]]] = {}
-    sessions = _episode_sessions(dataset_dir, config, noise_preset, manifest, "counting", config.lexicon())
+    lexicon = config.lexicon() if lexicon is None else lexicon
+    sessions = _episode_sessions(dataset_dir, config, noise_preset, manifest, "counting", lexicon)
     for entry, _, session in sessions:
         records = session.fuse_across_graphs(
             entry["target"], config.region_dx, config.region_dy, config.gamma
@@ -276,8 +276,9 @@ def eval_dialogue(
     config: PipelineConfig,
     noise_preset: str = "none",
     manifest: list[dict] | None = None,
+    lexicon: Lexicon | None = None,
 ) -> DialogueResult:
-    lexicon = config.lexicon()
+    lexicon = config.lexicon() if lexicon is None else lexicon
     result = DialogueResult()
     ambiguity_pairs: list[tuple[bool, bool]] = []
     bleu_pairs: list[tuple[list[str], list[str]]] = []
@@ -301,12 +302,7 @@ def eval_dialogue(
                     reference.state is DialogueState.INFORM_AMBIGUITY,
                 )
             )
-            bleu_pairs.append(
-                (
-                    [t.text for t in tokenize(predicted.query)],
-                    [t.text for t in tokenize(reference.query)],
-                )
-            )
+            bleu_pairs.append((tokenize(predicted.query), tokenize(reference.query)))
             result.confusion.setdefault(reference.state.value, {}).setdefault(
                 predicted.state.value, 0
             )
@@ -387,11 +383,12 @@ def evaluate_dataset(
 ) -> EvalReport:
     manifest = load_manifest(dataset_dir)
     kinds = {m.get("kind") for m in manifest}
+    lexicon = config.lexicon()
     report = EvalReport(config_echo=config.to_dict(), noise_preset=noise_preset)
     if "counting" in kinds:
-        report.counting = eval_counting(dataset_dir, config, noise_preset, manifest)
+        report.counting = eval_counting(dataset_dir, config, noise_preset, manifest, lexicon)
     if "dialogue" in kinds:
-        report.dialogue = eval_dialogue(dataset_dir, config, noise_preset, manifest)
+        report.dialogue = eval_dialogue(dataset_dir, config, noise_preset, manifest, lexicon)
     return report
 
 

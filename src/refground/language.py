@@ -6,12 +6,15 @@ is-near, is-at, ...}, then a grammar-driven top-down parser assembles the
 labeled spans into an object graph. The inverse path (realize) renders a
 canonical graph as an English noun phrase via pre-order traversal.
 Parsing always uses the lexicon tagger.
+
+Tokens and labels are plain strings. A label is "O", "B-<symbol>" or
+"I-<symbol>": the format the parser corpus stores as gold labels and
+`refground parse --tags` prints.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import GraphStructureError, ObjectGraph
@@ -43,50 +46,31 @@ class DanglingRelationError(TagParseError):
     """A relational cue has no landmark noun to attach to."""
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    index: int
-
-    def __post_init__(self):
-        if not self.text:
-            raise PhraseError("empty token")
-
-
-@dataclass(frozen=True)
-class TagLabel:
-    """BIO label: prefix B/I/O plus a symbol from the label set (absent for O)."""
-
-    prefix: str
-    symbol: str | None = None
-
-    def __post_init__(self):
-        if self.prefix not in ("B", "I", "O"):
-            raise PhraseError(f"bad BIO prefix {self.prefix!r}")
-        if (self.prefix == "O") != (self.symbol is None):
-            raise PhraseError("O labels carry no symbol; B/I labels require one")
-
-    def __str__(self) -> str:
-        return self.prefix if self.prefix == "O" else f"{self.prefix}-{self.symbol}"
-
-
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[str]:
     """Whitespace tokenization with punctuation split off as separate tokens."""
-    return [Token(m.group(0), i) for i, m in enumerate(_TOKEN_RE.finditer(text))]
+    return _TOKEN_RE.findall(text)
 
 
-def bio_valid(labels: Sequence[TagLabel]) -> bool:
-    """An I-label must continue a B- or I- span of the same symbol."""
-    prev: TagLabel | None = None
+def bio_span(symbol: str, n: int) -> list[str]:
+    """The labels of one n-token span: B-<symbol>, then I-<symbol> for the rest."""
+    return [f"B-{symbol}"] + [f"I-{symbol}"] * (n - 1)
+
+
+def bio_valid(labels: Sequence[str]) -> bool:
+    """Every label is O, B-<symbol> or I-<symbol>, and an I- label continues
+    a B- or I- span of the same symbol."""
+    prev = "O"
     for lab in labels:
-        if lab.prefix == "I":
-            if prev is None or prev.prefix == "O" or prev.symbol != lab.symbol:
+        if lab != "O":
+            if lab[:2] not in ("B-", "I-") or len(lab) < 3:
+                return False
+            if lab[0] == "I" and prev[2:] != lab[2:]:
                 return False
         prev = lab
     return True
 
 
-def tag(tokens: Sequence[Token], lexicon: Lexicon) -> list[TagLabel]:
+def tag(tokens: Sequence[str], lexicon: Lexicon) -> list[str]:
     """Label each token with a BIO tag.
 
     The first class noun not governed by a relation cue becomes the referred
@@ -96,9 +80,9 @@ def tag(tokens: Sequence[Token], lexicon: Lexicon) -> list[TagLabel]:
     if not tokens:
         raise PhraseError("cannot tag an empty token sequence")
     index = lexicon.phrase_index
-    lowered = [t.text.lower() for t in tokens]
+    lowered = [t.lower() for t in tokens]
     n = len(tokens)
-    labels: list[TagLabel] = [TagLabel("O")] * n
+    labels = ["O"] * n
 
     spans: list[tuple[int, int, str, str]] = []  # (start, end, role, symbol)
     i = 0
@@ -115,51 +99,35 @@ def tag(tokens: Sequence[Token], lexicon: Lexicon) -> list[TagLabel]:
     pending_relation = False
     root_found = False
     for start, end, role, symbol in spans:
+        if role == "verb":
+            continue  # verbs stay O
         if role == "cue":
-            labels[start] = TagLabel("B", symbol)
-            for j in range(start + 1, end):
-                labels[j] = TagLabel("I", symbol)
             pending_relation = True
         elif role == "noun":
             if pending_relation:
-                noun_symbol = LANDMARK_SYMBOL
+                symbol = LANDMARK_SYMBOL
                 pending_relation = False
             elif not root_found:
-                noun_symbol = ROOT_SYMBOL
+                symbol = ROOT_SYMBOL
                 root_found = True
             else:
                 continue  # extra ungoverned noun: outside the grammar, left O
-            labels[start] = TagLabel("B", noun_symbol)
-            for j in range(start + 1, end):
-                labels[j] = TagLabel("I", noun_symbol)
-        elif role == "value":
-            labels[start] = TagLabel("B", symbol)
+        labels[start:end] = bio_span(symbol, end - start)
 
     if not root_found:
         raise NoReferredObjectError(f"no referred object class in: {' '.join(lowered)}")
     return labels
 
 
-def _spans(tokens: Sequence[Token], labels: Sequence[TagLabel]):
-    """Collapse B-/I- runs into (symbol, text, start) spans."""
-    out: list[tuple[str, str, int]] = []
-    current: list[str] = []
-    symbol = ""
-    start = -1
-    for tok, lab in zip(tokens, labels):
-        if lab.prefix == "B":
-            if current:
-                out.append((symbol, " ".join(current), start))
-            current, symbol, start = [tok.text.lower()], lab.symbol or "", tok.index
-        elif lab.prefix == "I":
-            current.append(tok.text.lower())
-        else:
-            if current:
-                out.append((symbol, " ".join(current), start))
-            current = []
-    if current:
-        out.append((symbol, " ".join(current), start))
-    return out
+def _spans(tokens: Sequence[str], labels: Sequence[str]) -> list[list]:
+    """Collapse the B-/I- runs of a BIO-valid sequence into [symbol, text, start] spans."""
+    spans: list[list] = []
+    for i, (token, label) in enumerate(zip(tokens, labels)):
+        if label[0] == "B":
+            spans.append([label[2:], token.lower(), i])
+        elif label[0] == "I":
+            spans[-1][1] += " " + token.lower()
+    return spans
 
 
 class _Node:
@@ -178,7 +146,7 @@ class _Node:
         )
 
 
-def parse_tags(tokens: Sequence[Token], labels: Sequence[TagLabel]) -> ObjectGraph:
+def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
     """Assemble a BIO-labeled token sequence into a canonical object graph.
 
     Grammar: the root expands to self and relational attribute edges; each
@@ -247,16 +215,6 @@ def article(word: str) -> str:
     return "an" if word[:1] in "aeiou" else "a"
 
 
-def _noun_phrase(g: ObjectGraph) -> str:
-    words = [value for _, value in g.self_attrs] + g.root.split()
-    parts = [article(words[0])] + words
-    for kind, child in g.rel_attrs:
-        surface = RELATION_SURFACE.get(kind, kind[3:].replace("-", " "))
-        parts.append(surface)
-        parts.append(_noun_phrase(child))
-    return " ".join(parts)
-
-
 def realize(g: ObjectGraph) -> str:
     """Render a canonical graph as an English noun phrase.
 
@@ -264,4 +222,9 @@ def realize(g: ObjectGraph) -> str:
     it (pre-order traversal; relational edges always to the right of self
     edges). Articles are chosen by leading vowel.
     """
-    return _noun_phrase(g)
+    words = [value for _, value in g.self_attrs] + g.root.split()
+    parts = [article(words[0])] + words
+    for kind, child in g.rel_attrs:
+        parts.append(RELATION_SURFACE.get(kind, kind[3:].replace("-", " ")))
+        parts.append(realize(child))
+    return " ".join(parts)

@@ -75,7 +75,7 @@ class StreamStats:
 def build_session(
     frames: list[FrameRecord],
     config: PipelineConfig,
-    lexicon: Lexicon | None = None,
+    lexicon: Lexicon,
     noise: ErrorConfig | None = None,
     bank: tuple = (),
     stream_seed: int = 0,
@@ -85,7 +85,6 @@ def build_session(
     Captions are parsed once each (cached); detections whose caption fails
     to parse are skipped and counted.
     """
-    lexicon = lexicon or config.lexicon()
     session = AggregationSession(config.grid_spec())
     stats = StreamStats()
     graph_cache: dict[str, ObjectGraph | None] = {}
@@ -131,23 +130,23 @@ def ground_in_session(
     session: AggregationSession,
     instruction: str,
     config: PipelineConfig,
-    lexicon: Lexicon | None = None,
-    query_seed: int = 0,
+    lexicon: Lexicon,
+    query_seed: int,
 ) -> tuple[GroundingOutcome, ObjectGraph]:
     """Parse the instruction, fuse instances of its class, classify, phrase."""
-    g = phrase_to_graph(instruction, lexicon or config.lexicon())
+    g = phrase_to_graph(instruction, lexicon)
     records = session.fuse_across_graphs(g.root, config.region_dx, config.region_dy, config.gamma)
     records = _sorted_records(records)
     outcome = classify(g, records)
-    outcome = outcome.with_query(generate_query(outcome, query_seed, config.templates()))
+    outcome = outcome.with_query(generate_query(outcome, query_seed, config))
     return outcome, g
 
 
 def session_for_episode(
     episode_dir: str | Path,
     config: PipelineConfig,
-    noise_preset: str = "none",
-    lexicon: Lexicon | None = None,
+    noise_preset: str,
+    lexicon: Lexicon,
     bank: tuple | None = None,
 ) -> AggregationSession:
     episode_dir = Path(episode_dir)
@@ -217,4 +216,4 @@ def oracle_outcome(
     else:
         cands = tuple((records[i], diff_for(records[i])) for i in indices)
         outcome = GroundingOutcome(state, candidates=cands)
-    return outcome.with_query(generate_query(outcome, query_seed, config.templates()))
+    return outcome.with_query(generate_query(outcome, query_seed, config))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import BoundingBox, Pose
 from .graph import ObjectGraph
-from .language import LANDMARK_SYMBOL, ROOT_SYMBOL, article, realize
+from .language import LANDMARK_SYMBOL, ROOT_SYMBOL, article, bio_span, realize
 from .lexicon import COLORS, MATERIALS, OBJECT_CLASSES
 from .oracle import oracle_classify
 
@@ -582,10 +582,6 @@ class InstructionCase:
         )
 
 
-def _span(symbol: str, phrase: str) -> list[str]:
-    return [f"B-{symbol}"] + [f"I-{symbol}"] * (len(phrase.split()) - 1)
-
-
 def instruction(
     verb: str,
     cls: str,
@@ -600,10 +596,10 @@ def instruction(
     """
     labels = ["O"] * len(verb.split())
     if attr is None:
-        labels += ["O"] + _span(ROOT_SYMBOL, cls)
+        labels += ["O"] + bio_span(ROOT_SYMBOL, len(cls.split()))
         return f"{verb} {article(cls)} {cls}", tuple(labels), ObjectGraph.build(cls)
     kind, value = attr
-    labels += ["O"] + _span(kind, value) + _span(ROOT_SYMBOL, cls)
+    labels += ["O"] + bio_span(kind, len(value.split())) + bio_span(ROOT_SYMBOL, len(cls.split()))
     if rel is None:
         text = f"{verb} {article(value)} {value} {cls}"
         g = ObjectGraph.build(cls, [attr])
@@ -611,7 +607,8 @@ def instruction(
         rel_kind, landmark = rel
         cue = _CUE_FOR_KIND[rel_kind]
         text = f"{verb} the {value} {cls} {cue} the {landmark}"
-        labels += _span(rel_kind, cue) + ["O"] + _span(LANDMARK_SYMBOL, landmark)
+        labels += bio_span(rel_kind, len(cue.split())) + ["O"]
+        labels += bio_span(LANDMARK_SYMBOL, len(landmark.split()))
         g = ObjectGraph.build(cls, [attr], [(rel_kind, ObjectGraph.build(landmark))])
     return text, tuple(labels), g
 

@@ -33,8 +33,9 @@ def test_install_traces_every_layer_and_unpatch_restores(tmp_path, monkeypatch):
         config = PipelineConfig()
         data = evaluation.simulate_counting_dataset(tmp_path, config, rooms_per_count=1, counts=(2,))
         evaluation.eval_counting(data, config, "fp")
-        session = pipeline.session_for_episode(data / "episode_00000", config)
-        _, graph = pipeline.ground_in_session(session, "bring a cup", config)
+        lexicon = config.lexicon()
+        session = pipeline.session_for_episode(data / "episode_00000", config, "none", lexicon)
+        _, graph = pipeline.ground_in_session(session, "bring a cup", config, lexicon, 0)
         room = episodes.load_room(data / "episode_00000")
         pipeline.oracle_outcome(room, graph, config, 0)
     finally:

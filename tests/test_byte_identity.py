@@ -94,7 +94,8 @@ def test_eval_reads_manifest_once(request, monkeypatch, kind):
 
 
 def test_session_dump_bytes(dialogue, tmp_path):
-    session = session_for_episode(dialogue / "episode_00000", PipelineConfig(), "cs+sd+fn")
+    config = PipelineConfig()
+    session = session_for_episode(dialogue / "episode_00000", config, "cs+sd+fn", config.lexicon())
     session.dump(tmp_path / "session.json")
     assert hashlib.sha256((tmp_path / "session.json").read_bytes()).hexdigest() == SESSION_SHA256
 

@@ -400,6 +400,30 @@ def counting_dataset(tmp_path_factory):
     return out
 
 
+def test_eval_loads_the_lexicon_once(dataset, counting_dataset, tmp_path, capsys, monkeypatch):
+    # one counting and one dialogue episode in one dataset
+    mixed = tmp_path / "mixed"
+    entries = []
+    for name, source in (("counting", counting_dataset), ("dialogue", dataset)):
+        shutil.copytree(episode_dir(source), mixed / name)
+        entry = json.loads((source / "manifest.jsonl").read_text().splitlines()[0])
+        entries.append(json.dumps({**entry, "dir": name}) + "\n")
+    (mixed / "manifest.jsonl").write_text("".join(entries))
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_lexicon(path)
+
+    monkeypatch.setattr(config_module, "load_lexicon", counted)
+    config = tmp_path / "lexicon.cfg"
+    config.write_text(f"lexicon_path = {CONFIGS / 'lexicon.txt'}\n")
+    assert main(["eval", str(mixed), "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "instance counting F1" in out and "dialogue metrics" in out
+    assert len(loads) == 1
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("target", None), ("count", None), ("count", "two"), ("count", 2.5)],

@@ -28,7 +28,7 @@ def g_cup(*self_attrs, rel=None):
 
 
 ON_TABLE = ("is-on", ObjectGraph.build("table"))
-TEMPLATES = PipelineConfig().templates()
+TEMPLATES = PipelineConfig()
 ON_DINING = ("is-on", ObjectGraph.build("dining table"))
 
 

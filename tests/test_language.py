@@ -10,8 +10,8 @@ from refground.language import (
     DanglingRelationError,
     NoReferredObjectError,
     PhraseError,
-    TagLabel,
     TagParseError,
+    bio_span,
     bio_valid,
     parse_tags,
     phrase_to_graph,
@@ -25,19 +25,14 @@ from conftest import random_expressible_graph
 
 
 def labels_of(text, lexicon):
-    return [str(lab) for lab in tag(tokenize(text), lexicon)]
+    return tag(tokenize(text), lexicon)
 
 
 # -- tokenize -----------------------------------------------------------------
 
 
 def test_tokenize_splits_punctuation():
-    texts = [t.text for t in tokenize("bring it, please.")]
-    assert texts == ["bring", "it", ",", "please", "."]
-
-
-def test_tokenize_indexes():
-    assert [t.index for t in tokenize("a b c")] == [0, 1, 2]
+    assert tokenize("bring it, please.") == ["bring", "it", ",", "please", "."]
 
 
 # -- tagging ------------------------------------------------------------------
@@ -128,9 +123,9 @@ def reference_tag(tokens, lexicon):
         for value in values:
             table.append(((value,), "value", kind))
     table.sort(key=lambda e: -len(e[0]))
-    lowered = [t.text.lower() for t in tokens]
+    lowered = [t.lower() for t in tokens]
     n = len(tokens)
-    labels = [TagLabel("O")] * n
+    labels = ["O"] * n
     spans = []
     i = 0
     while i < n:
@@ -148,9 +143,9 @@ def reference_tag(tokens, lexicon):
     root_found = False
     for start, end, role, symbol in spans:
         if role == "cue":
-            labels[start] = TagLabel("B", symbol)
+            labels[start] = f"B-{symbol}"
             for j in range(start + 1, end):
-                labels[j] = TagLabel("I", symbol)
+                labels[j] = f"I-{symbol}"
             pending_relation = True
         elif role == "noun":
             if pending_relation:
@@ -161,11 +156,11 @@ def reference_tag(tokens, lexicon):
                 root_found = True
             else:
                 continue
-            labels[start] = TagLabel("B", noun_symbol)
+            labels[start] = f"B-{noun_symbol}"
             for j in range(start + 1, end):
-                labels[j] = TagLabel("I", noun_symbol)
+                labels[j] = f"I-{noun_symbol}"
         elif role == "value":
-            labels[start] = TagLabel("B", symbol)
+            labels[start] = f"B-{symbol}"
     if not root_found:
         raise NoReferredObjectError(f"no referred object class in: {' '.join(lowered)}")
     return labels
@@ -173,7 +168,7 @@ def reference_tag(tokens, lexicon):
 
 def tag_outcome(tagger, text, lexicon):
     try:
-        return [str(lab) for lab in tagger(tokenize(text), lexicon)]
+        return tagger(tokenize(text), lexicon)
     except PhraseError as exc:
         return (type(exc).__name__, str(exc))
 
@@ -197,6 +192,13 @@ def lexicon_pieces(lexicon):
     words |= {token for phrase in words for token in phrase.split()}
     unknown = {"thing", "xyzzy", "it", ",", ".", "Cup", "ON", "Dining"}
     return sorted(words | unknown)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_tag_writes_the_corpus_gold_labels(lexicon, seed):
+    """The tagger's labels and the corpus's gold labels are one format."""
+    for case in build_parser_corpus(600, seed):
+        assert tag(tokenize(case.text), lexicon) == list(case.labels)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
@@ -289,7 +291,7 @@ def test_parse_depth_two_nesting(lexicon):
 
 def test_parse_rejects_multiple_roots(lexicon):
     tokens = tokenize("cup cup")
-    labels = [TagLabel("B", "r(g)"), TagLabel("B", "r(g)")]
+    labels = ["B-r(g)", "B-r(g)"]
     with pytest.raises(TagParseError):
         parse_tags(tokens, labels)
 
@@ -297,21 +299,27 @@ def test_parse_rejects_multiple_roots(lexicon):
 def test_parse_rejects_zero_roots():
     tokens = tokenize("red")
     with pytest.raises(TagParseError):
-        parse_tags(tokens, [TagLabel("B", "color")])
+        parse_tags(tokens, ["B-color"])
 
 
 def test_parse_dangling_relation(lexicon):
     tokens = tokenize("cup on")
-    labels = [TagLabel("B", "r(g)"), TagLabel("B", "is-on")]
+    labels = ["B-r(g)", "B-is-on"]
     with pytest.raises(DanglingRelationError):
         parse_tags(tokens, labels)
 
 
 def test_parse_rejects_bio_invalid():
     tokens = tokenize("red cup")
-    labels = [TagLabel("I", "color"), TagLabel("B", "r(g)")]
+    labels = ["I-color", "B-r(g)"]
     with pytest.raises(TagParseError):
         parse_tags(tokens, labels)
+
+
+@pytest.mark.parametrize("label", ["X-color", "O-color", "b-color", "B-", "I-", "", "B", "Bcolor"])
+def test_parse_rejects_a_label_outside_the_bio_format(label):
+    with pytest.raises(TagParseError):
+        parse_tags(tokenize("red cup"), [label, "B-r(g)"])
 
 
 def test_every_labeled_token_lands_in_graph(lexicon):
@@ -330,8 +338,8 @@ def test_every_labeled_token_lands_in_graph(lexicon):
             collect(child)
 
     collect(g)
-    labeled = [t.text.lower() for t, lab in zip(tokens, labels) if lab.prefix != "O"
-               and not (lab.symbol or "").startswith("is-")]
+    relation = ("B-is-", "I-is-")
+    labeled = [t.lower() for t, lab in zip(tokens, labels) if lab != "O" and not lab.startswith(relation)]
     assert sorted(graph_tokens) == sorted(labeled)
 
 
@@ -383,14 +391,11 @@ def test_round_trip_seeded_sample(lexicon):
 
 
 def test_bio_valid_rules():
-    B, I, O = TagLabel("B", "color"), TagLabel("I", "color"), TagLabel("O")
-    assert [str(lab) for lab in (B, I, O)] == ["B-color", "I-color", "O"]
-    assert [str(TagLabel(p, s)) for p, s in [("I", "r(g)"), ("B", "av_R"), ("I", "is-on")]] == [
-        "I-r(g)",
-        "B-av_R",
-        "I-is-on",
-    ]
-    assert bio_valid([B, I, O])
-    assert not bio_valid([I])
-    assert not bio_valid([O, I])
-    assert not bio_valid([TagLabel("B", "material"), I])
+    assert bio_span("color", 1) == ["B-color"]
+    assert bio_span("av_R", 3) == ["B-av_R", "I-av_R", "I-av_R"]
+    assert bio_valid(["B-color", "I-color", "O"])
+    assert bio_valid(["B-is-on", "I-is-on", "O", "B-av_R", "I-av_R", "B-r(g)"])
+    assert bio_valid([])
+    assert not bio_valid(["I-color"])
+    assert not bio_valid(["O", "I-color"])
+    assert not bio_valid(["B-material", "I-color"])

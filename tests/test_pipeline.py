@@ -91,7 +91,7 @@ def test_depth_correctness_against_boxes(episode):
 
 def test_build_session_registers_graphs(episode):
     cfg, room, out = episode
-    session, stats = build_session(load_episode(out), cfg)
+    session, stats = build_session(load_episode(out), cfg, cfg.lexicon())
     assert stats.skipped_captions == 0
     assert stats.frames == 12
     roots = {g.root for _, g in session.registry.items()}
@@ -110,16 +110,16 @@ def test_build_session_counts_unparseable_captions(episode):
         frames[0].index, frames[0].pose, frames[0].intrinsics,
         tuple(frames[0].detections) + bad, frames[0].depth_path,
     )] + frames[1:]
-    _, stats = build_session(patched, cfg)
+    _, stats = build_session(patched, cfg, cfg.lexicon())
     assert stats.skipped_captions == 2
 
 
 def test_ground_states_match_oracle(episode):
     cfg, room, out = episode
-    session, _ = build_session(load_episode(out), cfg)
+    session, _ = build_session(load_episode(out), cfg, cfg.lexicon())
     for case in load_instructions(out):
         seed = query_seed_for(cfg.seed, f"{out.name}:{case.text}")
-        outcome, g = ground_in_session(session, case.text, cfg, None, seed)
+        outcome, g = ground_in_session(session, case.text, cfg, cfg.lexicon(), seed)
         assert outcome.state.value == case.expected_state
         reference = oracle_outcome(room, g, cfg, seed)
         assert outcome.query == reference.query
@@ -127,28 +127,29 @@ def test_ground_states_match_oracle(episode):
 
 def test_ground_returns_the_parsed_graph(episode):
     cfg, _, out = episode
-    session, _ = build_session(load_episode(out), cfg)
-    outcome, g = ground_in_session(session, "bring a cup", cfg, None, 0)
+    session, _ = build_session(load_episode(out), cfg, cfg.lexicon())
+    outcome, g = ground_in_session(session, "bring a cup", cfg, cfg.lexicon(), 0)
     assert g == ObjectGraph.build("cup")
     assert outcome.state is DialogueState.INFORM_AMBIGUITY
 
 
 def test_session_for_episode_with_noise(episode):
     cfg, _, out = episode
-    session = session_for_episode(out, cfg, "cs+sd+fn")
+    session = session_for_episode(out, cfg, "cs+sd+fn", cfg.lexicon())
     assert list(session.registry.items())
 
 
 @pytest.mark.parametrize("preset", ["none", "cs+sd+fn"])
 def test_ground_same_bytes_on_fresh_and_reloaded_session(episode, tmp_path, preset):
     cfg, _, out = episode
-    fresh = session_for_episode(out, cfg, preset)
+    lexicon = cfg.lexicon()
+    fresh = session_for_episode(out, cfg, preset, lexicon)
     fresh.dump(tmp_path / "session.json")
     loaded = AggregationSession.load(tmp_path / "session.json")
     for case in load_instructions(out):
         seed = query_seed_for(cfg.seed, f"{out.name}:{case.text}")
         texts = [
-            json.dumps(outcome_to_dict(ground_in_session(s, case.text, cfg, None, seed)[0]))
+            json.dumps(outcome_to_dict(ground_in_session(s, case.text, cfg, lexicon, seed)[0]))
             for s in (fresh, loaded)
         ]
         assert texts[0] == texts[1]

@@ -433,7 +433,7 @@ def test_instruction_templates_match_tagger_and_parser(args, text):
     lexicon = default_lexicon()
     got, labels, graph = instruction(*args)
     assert got == text
-    assert list(labels) == [str(lab) for lab in tag(tokenize(text), lexicon)]
+    assert list(labels) == tag(tokenize(text), lexicon)
     assert graph == phrase_to_graph(text, lexicon)
 
 
