@@ -13,24 +13,23 @@ from pathlib import Path
 
 import numpy as np
 
-from refground import Detection, ErrorConfig, apply_errors
+from refground import Detection, apply_errors
 from refground.config import PipelineConfig
 from refground.geometry import BoundingBox
 from refground.evaluation import eval_counting, simulate_counting_dataset
-from refground.simulator import FrameContext
 
 print("=== error model statistics (10k draws) ===")
 det = Detection(BoundingBox(40.0, 40.0, 80.0, 80.0), "a cup", 0)
 area = det.bbox.area
-shift_cfg = ErrorConfig(mu_c=0.2, sigma_c=0.04, seed=1)
-fn_cfg = ErrorConfig(p_fn=0.15, seed=2)
+shift_cfg = PipelineConfig(mu_c=0.2, sigma_c=0.04, seed=1)
+fn_cfg = PipelineConfig(p_fn=0.15, seed=2)
 shifts, deleted = [], 0
 for frame in range(10_000):
-    (out,) = apply_errors([det], FrameContext(frame, 128, 128), shift_cfg)
+    (out,) = apply_errors([det], frame, 128, 128, shift_cfg, frozenset({"cs"}))
     shifts.append(
         math.hypot(out.bbox.center[0] - det.bbox.center[0], out.bbox.center[1] - det.bbox.center[1])
     )
-    if not apply_errors([det], FrameContext(frame, 128, 128), fn_cfg):
+    if not apply_errors([det], frame, 128, 128, fn_cfg, frozenset({"fn"})):
         deleted += 1
 print(f"  centroid shift: mean |shift| / sqrt(area) = {np.mean(shifts)/math.sqrt(area):.4f}"
       f"  (configured mu_c = 0.2)")

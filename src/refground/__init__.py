@@ -20,7 +20,6 @@ from .lexicon import Lexicon, default_lexicon, load_lexicon
 from .metrics import corpus_bleu
 from .simulator import (
     Detection,
-    ErrorConfig,
     RoomSpec,
     SceneObject,
     apply_errors,

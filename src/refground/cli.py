@@ -27,7 +27,7 @@ from .evaluation import (
     write_report,
 )
 from .graph import to_dict as graph_to_dict
-from .language import PhraseError, phrase_to_graph, tag, tokenize
+from .language import PhraseError, parse_tags, tag, tokenize
 from .lexicon import LexiconError
 from .pipeline import ground_in_session, query_seed_for, session_for_episode
 from .simulator import GenerationError
@@ -135,8 +135,8 @@ def cmd_eval(args, config: PipelineConfig) -> int:
 def cmd_parse(args, config: PipelineConfig) -> int:
     lexicon = config.lexicon()
     tokens = tokenize(args.text)
-    labels = tag(tokens, lexicon) if args.tags else ()
-    graph = phrase_to_graph(args.text, lexicon)  # parse before printing anything
+    labels = tag(tokens, lexicon)
+    graph = parse_tags(tokens, labels)  # parse before printing anything
     if args.tags:
         print("\t".join(labels))
     print(json.dumps(graph_to_dict(graph)))

@@ -14,8 +14,9 @@ from pathlib import Path
 
 from .geometry import CameraIntrinsics, GridSpec
 from .lexicon import Lexicon, default_lexicon, load_lexicon
-from .simulator import ErrorConfig
 
+# preset name -> detector error models it runs: centroid shift, shape
+# distortion, false negatives, false positives
 NOISE_PRESETS = {
     "none": frozenset(),
     "cs": frozenset({"cs"}),
@@ -111,17 +112,20 @@ class PipelineConfig:
             raise ConfigError("config key look_frac = 0 with look_height = cam_height aims poses at their eye")
         if not 0 < self.gamma < 1:
             raise ConfigError("config key gamma must lie in (0, 1)")
+        self._check_noise()
+        for name in ("mismatch_suffixes", "wh_suffixes", "acknowledgements"):
+            if not getattr(self, name):
+                raise ConfigError(f"config key {name} must list at least one entry")
+        if "\0" in self.lexicon_path:  # no file system can open it
+            raise ConfigError("config key lexicon_path must not contain a NUL byte")
+
+    def _check_noise(self) -> None:
         for name in ("p_fn", "p_fp"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"config key {name} must lie in [0, 1]")
         for name in ("sigma_c", "sigma_s", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"config key {name} must be non-negative")
-        for name in ("mismatch_suffixes", "wh_suffixes", "acknowledgements"):
-            if not getattr(self, name):
-                raise ConfigError(f"config key {name} must list at least one entry")
-        if "\0" in self.lexicon_path:  # no file system can open it
-            raise ConfigError("config key lexicon_path must not contain a NUL byte")
 
     # -- derived objects ---------------------------------------------------
 
@@ -144,20 +148,12 @@ class PipelineConfig:
             int(math.ceil(self.room_y / self.cell_size)),
         )
 
-    def error_config(self, preset: str = "none") -> ErrorConfig:
+    def noise_models(self, preset: str) -> frozenset[str]:
+        """The error models `preset` runs, once the noise parameters are in range."""
         if preset not in NOISE_PRESETS:
             raise ConfigError(f"unknown noise preset {preset!r}; choose from {sorted(NOISE_PRESETS)}")
-        enabled = NOISE_PRESETS[preset]
-        return ErrorConfig(
-            mu_c=self.mu_c if "cs" in enabled else 0.0,
-            sigma_c=self.sigma_c if "cs" in enabled else 0.0,
-            mu_s=self.mu_s if "sd" in enabled else 0.0,
-            sigma_s=self.sigma_s if "sd" in enabled else 0.0,
-            p_fn=self.p_fn if "fn" in enabled else 0.0,
-            p_fp=self.p_fp if "fp" in enabled else 0.0,
-            seed=self.seed,
-            fp_per_detection=self.fp_per_detection,
-        )
+        self._check_noise()
+        return NOISE_PRESETS[preset]
 
     def lexicon(self) -> Lexicon:
         return load_lexicon(self.lexicon_path) if self.lexicon_path else default_lexicon()

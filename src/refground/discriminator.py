@@ -17,14 +17,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .aggregation import InstanceRecord
+from .config import PipelineConfig
 from .graph import GraphStructureError, ObjectGraph, graph_difference, to_dict
 from .language import realize
-
-if TYPE_CHECKING:  # config imports this module through simulator and oracle
-    from .config import PipelineConfig
 
 MISSING_QUERY = "I could not find that."
 

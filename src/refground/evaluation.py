@@ -26,7 +26,7 @@ from .episodes import (
     simulate_episode,
 )
 from .graph import ObjectGraph, serialize
-from .language import phrase_to_graph, tag, tokenize
+from .language import parse_tags, tag, tokenize
 from .lexicon import COLORS, MATERIALS, Lexicon
 from .metrics import binary_f1, corpus_bleu, counting_f1, weighted_label_f1
 from .pipeline import (
@@ -92,8 +92,10 @@ def eval_parser_corpus(cases: list[CorpusCase], lexicon: Lexicon):
     gold_seqs, pred_seqs = [], []
     for case in cases:
         gold_seqs.append(list(case.labels))
-        pred_seqs.append(tag(tokenize(case.text), lexicon))
-        if phrase_to_graph(case.text, lexicon) == case.graph:
+        tokens = tokenize(case.text)
+        labels = tag(tokens, lexicon)
+        pred_seqs.append(labels)
+        if parse_tags(tokens, labels) == case.graph:
             matches += 1
     weighted, per_label = weighted_label_f1(gold_seqs, pred_seqs)
     return matches / len(cases), weighted, per_label

@@ -78,7 +78,7 @@ def tag(tokens: Sequence[str], lexicon: Lexicon) -> list[str]:
     tokens are labeled with their attribute kind. Everything else is O.
     """
     if not tokens:
-        raise PhraseError("cannot tag an empty token sequence")
+        raise PhraseError("empty input text")
     index = lexicon.phrase_index
     lowered = [t.lower() for t in tokens]
     n = len(tokens)
@@ -206,8 +206,6 @@ def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
 def phrase_to_graph(text: str, lexicon: Lexicon) -> ObjectGraph:
     """End-to-end: tokenize, tag, parse. Returns a canonical graph."""
     tokens = tokenize(text)
-    if not tokens:
-        raise PhraseError("empty input text")
     return parse_tags(tokens, tag(tokens, lexicon))
 
 

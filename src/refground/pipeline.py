@@ -21,15 +21,7 @@ from .graph import ObjectGraph
 from .language import PhraseError, phrase_to_graph, realize
 from .lexicon import Lexicon
 from .oracle import oracle_classify, oracle_paths
-from .simulator import (
-    ErrorConfig,
-    FrameContext,
-    RoomSpec,
-    apply_errors,
-    derive_relations,
-    generate_room,
-    object_graph,
-)
+from .simulator import RoomSpec, apply_errors, derive_relations, generate_room, object_graph
 
 
 def stream_seed_for(name: str) -> int:
@@ -61,7 +53,7 @@ def build_observation_bank(config: PipelineConfig) -> tuple:
 
 def needs_bank(config: PipelineConfig, noise_preset: str) -> bool:
     """Whether the preset's false-positive model draws from the observation bank."""
-    return config.error_config(noise_preset).p_fp > 0
+    return "fp" in config.noise_models(noise_preset) and config.p_fp > 0
 
 
 @dataclass
@@ -76,25 +68,26 @@ def build_session(
     frames: list[FrameRecord],
     config: PipelineConfig,
     lexicon: Lexicon,
-    noise: ErrorConfig | None = None,
+    models: frozenset[str] = frozenset(),
     bank: tuple = (),
     stream_seed: int = 0,
 ) -> tuple[AggregationSession, StreamStats]:
     """Accumulate every detection of every frame into one session.
 
-    Captions are parsed once each (cached); detections whose caption fails
-    to parse are skipped and counted.
+    `models` names the detector error models applied to each frame's
+    detections (none by default). Captions are parsed once each (cached);
+    detections whose caption fails to parse are skipped and counted.
     """
     session = AggregationSession(config.grid_spec())
     stats = StreamStats()
     graph_cache: dict[str, ObjectGraph | None] = {}
     for frame in frames:
         detections = list(frame.detections)
-        if noise is not None:
-            ctx = FrameContext(
-                frame.index, frame.intrinsics.width, frame.intrinsics.height, bank, stream_seed
+        if models:
+            detections = apply_errors(
+                detections, frame.index, frame.intrinsics.width, frame.intrinsics.height,
+                config, models, bank, stream_seed,
             )
-            detections = apply_errors(detections, ctx, noise)
         if not detections:
             stats.frames += 1
             continue
@@ -151,14 +144,14 @@ def session_for_episode(
 ) -> AggregationSession:
     episode_dir = Path(episode_dir)
     frames = load_episode(episode_dir)
-    noise = None if noise_preset == "none" else config.error_config(noise_preset)
+    models = config.noise_models(noise_preset)
     if bank is None and needs_bank(config, noise_preset):
         bank = build_observation_bank(config)
     session, _ = build_session(
         frames,
         config,
         lexicon=lexicon,
-        noise=noise,
+        models=models,
         bank=bank or (),
         stream_seed=stream_seed_for(episode_dir.name),
     )

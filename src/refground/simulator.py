@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .geometry import BoundingBox, Pose
-from .graph import ObjectGraph
+from .graph import ObjectGraph, from_dict as graph_from_dict, to_dict as graph_to_dict
 from .language import LANDMARK_SYMBOL, ROOT_SYMBOL, article, bio_span, realize
 from .lexicon import COLORS, MATERIALS, OBJECT_CLASSES
 from .oracle import oracle_classify
-
-if TYPE_CHECKING:  # config imports ErrorConfig from here
-    from .config import PipelineConfig
 
 
 class GenerationError(RuntimeError):
@@ -440,89 +438,64 @@ class Detection:
     gt_object_id: int | None = None
 
 
-@dataclass(frozen=True)
-class ErrorConfig:
-    """Parameters of the four detector error models; zeros disable a model."""
-
-    mu_c: float = 0.0
-    sigma_c: float = 0.0
-    mu_s: float = 0.0
-    sigma_s: float = 0.0
-    p_fn: float = 0.0
-    p_fp: float = 0.0
-    seed: int = 0
-    fp_per_detection: bool = False
-
-    def __post_init__(self):
-        if not (0 <= self.p_fn <= 1 and 0 <= self.p_fp <= 1):
-            raise ValueError("deletion/injection probabilities must lie in [0, 1]")
-        if self.sigma_c < 0 or self.sigma_s < 0:
-            raise ValueError("sigmas must be non-negative")
-
-    @property
-    def shifts(self) -> bool:
-        return self.mu_c != 0 or self.sigma_c != 0
-
-    @property
-    def distorts(self) -> bool:
-        return self.mu_s != 0 or self.sigma_s != 0
-
-
-@dataclass(frozen=True)
-class FrameContext:
-    """Per-frame data needed by the error models."""
-
-    frame_index: int
-    width: int
-    height: int
-    bank: tuple[tuple[BoundingBox, str], ...] = ()
-    stream_seed: int = 0
-
-
 def apply_errors(
-    detections: Sequence[Detection], ctx: FrameContext, cfg: ErrorConfig
+    detections: Sequence[Detection],
+    frame_index: int,
+    width: int,
+    height: int,
+    config: PipelineConfig,
+    models: frozenset[str],
+    bank: tuple[tuple[BoundingBox, str], ...] = (),
+    stream_seed: int = 0,
 ) -> list[Detection]:
     """Centroid shift, shape distortion, false negatives, false positives.
 
-    Shift magnitude is drawn from N(mu_c, sigma_c) scaled by sqrt(bbox area)
-    and applied along a uniformly chosen quadrant diagonal; distortion scales
-    the box about its center by 1 +/- |N(mu_s, sigma_s)|. False positives
-    overlay a bounding box and caption drawn from another room's observation
-    bank; their pixels pick up the current frame's depth downstream.
+    `models` names the error models to run (`cs`, `sd`, `fn`, `fp`; see
+    `NOISE_PRESETS`); `config` gives their parameters, and a model whose
+    parameters are zero does not run. Shift magnitude is drawn from
+    N(mu_c, sigma_c) scaled by sqrt(bbox area) and applied along a uniformly
+    chosen quadrant diagonal; distortion scales the box about its center by
+    1 +/- |N(mu_s, sigma_s)|. False positives overlay a bounding box and
+    caption drawn from another room's observation `bank`; their pixels pick
+    up the current frame's depth downstream.
     """
+    shifts = "cs" in models and (config.mu_c != 0 or config.sigma_c != 0)
+    distorts = "sd" in models and (config.mu_s != 0 or config.sigma_s != 0)
+    p_fn = config.p_fn if "fn" in models else 0.0
+    p_fp = config.p_fp if "fp" in models else 0.0
     rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, ctx.stream_seed, ctx.frame_index, 303])
+        np.random.SeedSequence([config.seed, stream_seed, frame_index, 303])
     )
     out: list[Detection] = []
     for det in detections:
         box = det.bbox
-        if cfg.shifts:
-            magnitude = float(rng.normal(cfg.mu_c, cfg.sigma_c)) * math.sqrt(box.area)
+        if shifts:
+            magnitude = float(rng.normal(config.mu_c, config.sigma_c)) * math.sqrt(box.area)
             quadrant = int(rng.integers(4))
             su, sv = [(1, 1), (1, -1), (-1, 1), (-1, -1)][quadrant]
             du = su * magnitude / math.sqrt(2.0)
             dv = sv * magnitude / math.sqrt(2.0)
             box = BoundingBox(box.u_min + du, box.v_min + dv, box.u_max + du, box.v_max + dv)
-        if cfg.distorts:
-            magnitude = abs(float(rng.normal(cfg.mu_s, cfg.sigma_s)))
+        if distorts:
+            magnitude = abs(float(rng.normal(config.mu_s, config.sigma_s)))
             sign = 1.0 if rng.random() < 0.5 else -1.0
             factor = max(0.05, 1.0 + sign * magnitude)
             uc, vc = box.center
             half_w, half_h = factor * box.width / 2.0, factor * box.height / 2.0
             box = BoundingBox(uc - half_w, vc - half_h, uc + half_w, vc + half_h)
-        clamped = box.clamp(ctx.width, ctx.height)
+        clamped = box.clamp(width, height)
         if clamped is None:
             continue  # box pushed fully outside the frame
-        if cfg.p_fn > 0 and rng.random() < cfg.p_fn:
+        if p_fn > 0 and rng.random() < p_fn:
             continue
         out.append(Detection(clamped, det.caption, det.gt_object_id))
 
-    if cfg.p_fp > 0 and ctx.bank:
-        rolls = len(detections) if cfg.fp_per_detection else 1
+    if p_fp > 0 and bank:
+        rolls = len(detections) if config.fp_per_detection else 1
         for _ in range(rolls):
-            if rng.random() < cfg.p_fp:
-                bbox, caption = ctx.bank[int(rng.integers(len(ctx.bank)))]
-                clamped = bbox.clamp(ctx.width, ctx.height)
+            if rng.random() < p_fp:
+                bbox, caption = bank[int(rng.integers(len(bank)))]
+                clamped = bbox.clamp(width, height)
                 if clamped is not None:
                     out.append(Detection(clamped, caption, None))
     return out
@@ -555,8 +528,6 @@ class InstructionCase:
     graph: ObjectGraph | None = None
 
     def to_dict(self) -> dict:
-        from .graph import to_dict as graph_to_dict
-
         return {
             "text": self.text,
             "target_class": self.target_class,
@@ -568,8 +539,6 @@ class InstructionCase:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstructionCase":
-        from .graph import from_dict as graph_from_dict
-
         if not isinstance(d["text"], str):
             raise TypeError(f"instruction text must be a string, got {d['text']!r}")
         return cls(

@@ -32,7 +32,7 @@ from refground.graph import ObjectGraph
 from refground.language import phrase_to_graph, realize
 from refground.oracle import oracle_classify
 from refground.render import render_scene
-from refground.simulator import Detection, ErrorConfig, FrameContext, RoomSpec, apply_errors
+from refground.simulator import Detection, RoomSpec, apply_errors
 from refground.simulator import look_at_pose
 
 from conftest import random_expressible_graph
@@ -279,21 +279,21 @@ def test_c8_geometry_and_error_model_numerics():
     det = Detection(BoundingBox(40.0, 40.0, 80.0, 80.0), "a cup", 0)
     area = det.bbox.area
     bank = ((BoundingBox(5.0, 5.0, 25.0, 25.0), "a blue lamp"),)
-    shift_cfg = ErrorConfig(mu_c=0.2, sigma_c=0.04, seed=21)
-    scale_cfg = ErrorConfig(mu_s=0.2, sigma_s=0.04, seed=22)
-    fn_cfg = ErrorConfig(p_fn=0.15, seed=23)
-    fp_cfg = ErrorConfig(p_fp=0.15, seed=24)
+    shift_cfg = PipelineConfig(mu_c=0.2, sigma_c=0.04, seed=21)
+    scale_cfg = PipelineConfig(mu_s=0.2, sigma_s=0.04, seed=22)
+    fn_cfg = PipelineConfig(p_fn=0.15, seed=23)
+    fp_cfg = PipelineConfig(p_fp=0.15, seed=24)
     shifts, scales, deleted, injected = [], [], 0, 0
     for frame_index in range(10_000):
-        (out,) = apply_errors([det], FrameContext(frame_index, 128, 128), shift_cfg)
+        (out,) = apply_errors([det], frame_index, 128, 128, shift_cfg, frozenset({"cs"}))
         shifts.append(
             math.hypot(out.bbox.center[0] - det.bbox.center[0], out.bbox.center[1] - det.bbox.center[1])
         )
-        (out,) = apply_errors([det], FrameContext(frame_index, 128, 128), scale_cfg)
+        (out,) = apply_errors([det], frame_index, 128, 128, scale_cfg, frozenset({"sd"}))
         scales.append(abs(out.bbox.width / det.bbox.width - 1.0))
-        if not apply_errors([det], FrameContext(frame_index, 128, 128), fn_cfg):
+        if not apply_errors([det], frame_index, 128, 128, fn_cfg, frozenset({"fn"})):
             deleted += 1
-        fp_out = apply_errors([det], FrameContext(frame_index, 128, 128, bank), fp_cfg)
+        fp_out = apply_errors([det], frame_index, 128, 128, fp_cfg, frozenset({"fp"}), bank)
         injected += sum(d.gt_object_id is None for d in fp_out)
     shift_err = abs(np.mean(shifts) / math.sqrt(area) - 0.2)
     scale_err = abs(float(np.mean(scales)) - 0.2)

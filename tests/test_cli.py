@@ -106,6 +106,12 @@ def test_parse_failure_exit_code(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("extra", [[], ["--tags"]])
+def test_parse_of_empty_text_names_it(capsys, extra):
+    assert main(["parse", "", *extra]) == 2
+    assert one_error_line(capsys) == "error: cannot parse: empty input text"
+
+
 @pytest.mark.parametrize("command", ["parse", "ground"])
 def test_conflicting_attributes_are_a_parse_failure(dataset, capsys, command):
     text = "bring the red blue cup"

@@ -24,11 +24,7 @@ from refground.config import PipelineConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "refground"
 
-ERROR_KEYS = ("mu_c", "sigma_c", "mu_s", "sigma_s", "p_fn", "p_fp", "seed", "fp_per_detection")
 ALLOWED = {
-    # the detector error models: a zero default switches a model off, and
-    # PipelineConfig.error_config sets every field from the config
-    *(("ErrorConfig", key) for key in ERROR_KEYS),
     # the seed of the C1 parser corpus itself, not the pipeline's seed
     ("build_parser_corpus", "seed"),
     # callers outside the package, the benchmark among them, pass three

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from refground.config import PipelineConfig
+from refground.config import ConfigError, PipelineConfig
 from refground.geometry import BoundingBox, CameraIntrinsics
 from refground.language import phrase_to_graph, tag, tokenize
 from refground.lexicon import default_lexicon
@@ -11,8 +11,6 @@ from refground.oracle import oracle_classify
 from refground.render import NO_HIT, gt_detections, render_scene
 from refground.simulator import (
     Detection,
-    ErrorConfig,
-    FrameContext,
     GenerationError,
     RoomSpec,
     SceneObject,
@@ -314,8 +312,11 @@ def test_detections_match_per_object_scan_of_winner_map():
 # -- error models -------------------------------------------------------------------
 
 
-def ctx(frame=0, bank=(), stream=0):
-    return FrameContext(frame, 128, 128, bank, stream)
+CS, SD, FN, FP = (frozenset({model}) for model in ("cs", "sd", "fn", "fp"))
+
+
+def noisy(dets, frame, config, models, bank=()):
+    return apply_errors(dets, frame, 128, 128, config, models, bank)
 
 
 DETS = [
@@ -324,27 +325,34 @@ DETS = [
 ]
 
 
-def test_identity_error_config():
-    assert apply_errors(DETS, ctx(), ErrorConfig()) == DETS
+def test_no_models_leave_detections_as_they_are():
+    assert noisy(DETS, 0, PipelineConfig(seed=0), frozenset()) == DETS
 
 
 def test_all_deleted_at_p_fn_one():
-    assert apply_errors(DETS, ctx(), ErrorConfig(p_fn=1.0)) == []
+    assert noisy(DETS, 0, PipelineConfig(seed=0, p_fn=1.0), FN) == []
+
+
+def test_models_with_zero_parameters_do_not_run():
+    config = PipelineConfig(seed=0, mu_c=0.0, sigma_c=0.0, mu_s=0.0, sigma_s=0.0, p_fn=0.0, p_fp=0.0)
+    bank = ((BoundingBox(10.0, 10.0, 30.0, 30.0), "a blue lamp"),)
+    assert noisy(DETS, 0, config, frozenset({"cs", "sd", "fn", "fp"}), bank) == DETS
 
 
 def test_errors_deterministic_per_seed_and_frame():
-    cfg = ErrorConfig(mu_c=0.2, sigma_c=0.04, mu_s=0.2, sigma_s=0.04, p_fn=0.15, seed=5)
-    assert apply_errors(DETS, ctx(3), cfg) == apply_errors(DETS, ctx(3), cfg)
-    assert apply_errors(DETS, ctx(3), cfg) != apply_errors(DETS, ctx(4), cfg)
+    cfg = PipelineConfig(mu_c=0.2, sigma_c=0.04, mu_s=0.2, sigma_s=0.04, p_fn=0.15, seed=5)
+    models = frozenset({"cs", "sd", "fn"})
+    assert noisy(DETS, 3, cfg, models) == noisy(DETS, 3, cfg, models)
+    assert noisy(DETS, 3, cfg, models) != noisy(DETS, 4, cfg, models)
 
 
 def test_centroid_shift_statistics():
-    cfg = ErrorConfig(mu_c=0.2, sigma_c=0.04, seed=11)
+    cfg = PipelineConfig(mu_c=0.2, sigma_c=0.04, seed=11)
     det = Detection(BoundingBox(40.0, 40.0, 80.0, 80.0), "a cup", 0)
     area = det.bbox.area
     shifts = []
     for frame in range(10_000):
-        (out,) = apply_errors([det], ctx(frame), cfg)
+        (out,) = noisy([det], frame, cfg, CS)
         du = out.bbox.center[0] - det.bbox.center[0]
         dv = out.bbox.center[1] - det.bbox.center[1]
         shifts.append(math.hypot(du, dv))
@@ -352,28 +360,28 @@ def test_centroid_shift_statistics():
 
 
 def test_shape_distortion_statistics():
-    cfg = ErrorConfig(mu_s=0.2, sigma_s=0.04, seed=12)
+    cfg = PipelineConfig(mu_s=0.2, sigma_s=0.04, seed=12)
     det = Detection(BoundingBox(50.0, 50.0, 70.0, 70.0), "a cup", 0)
     changes = []
     for frame in range(10_000):
-        (out,) = apply_errors([det], ctx(frame), cfg)
+        (out,) = noisy([det], frame, cfg, SD)
         changes.append(abs(out.bbox.width / det.bbox.width - 1.0))
     assert np.mean(changes) == pytest.approx(0.2, abs=0.01)
 
 
 def test_false_negative_rate():
-    cfg = ErrorConfig(p_fn=0.15, seed=13)
+    cfg = PipelineConfig(p_fn=0.15, seed=13)
     det = Detection(BoundingBox(50.0, 50.0, 70.0, 70.0), "a cup", 0)
-    deleted = sum(not apply_errors([det], ctx(frame), cfg) for frame in range(10_000))
+    deleted = sum(not noisy([det], frame, cfg, FN) for frame in range(10_000))
     assert deleted / 10_000 == pytest.approx(0.15, abs=0.01)
 
 
 def test_false_positive_rate_and_payload():
     bank = ((BoundingBox(10.0, 10.0, 30.0, 30.0), "a blue lamp"),)
-    cfg = ErrorConfig(p_fp=0.15, seed=14)
+    cfg = PipelineConfig(p_fp=0.15, seed=14)
     injected = 0
     for frame in range(10_000):
-        out = apply_errors([DETS[0]], ctx(frame, bank=bank), cfg)
+        out = noisy([DETS[0]], frame, cfg, FP, bank)
         extra = [d for d in out if d.gt_object_id is None]
         injected += len(extra)
         for d in extra:
@@ -383,25 +391,30 @@ def test_false_positive_rate_and_payload():
 
 def test_false_positive_per_detection_mode():
     bank = ((BoundingBox(10.0, 10.0, 30.0, 30.0), "a blue lamp"),)
-    cfg = ErrorConfig(p_fp=1.0, seed=15, fp_per_detection=True)
-    out = apply_errors(DETS, ctx(0, bank=bank), cfg)
+    cfg = PipelineConfig(p_fp=1.0, seed=15, fp_per_detection=True)
+    out = noisy(DETS, 0, cfg, FP, bank)
     assert sum(d.gt_object_id is None for d in out) == len(DETS)
 
 
 def test_boxes_clamped_to_frame():
-    cfg = ErrorConfig(mu_c=0.9, sigma_c=0.2, seed=16)
+    cfg = PipelineConfig(mu_c=0.9, sigma_c=0.2, seed=16)
     det = Detection(BoundingBox(0.0, 0.0, 127.0, 127.0), "a sofa", 0)
     for frame in range(50):
-        for out in apply_errors([det], ctx(frame), cfg):
+        for out in noisy([det], frame, cfg, CS):
             assert 0 <= out.bbox.u_min < out.bbox.u_max <= 128
             assert 0 <= out.bbox.v_min < out.bbox.v_max <= 128
 
 
-def test_error_config_validation():
-    with pytest.raises(ValueError):
-        ErrorConfig(p_fn=1.5)
-    with pytest.raises(ValueError):
-        ErrorConfig(sigma_c=-0.1)
+def test_noise_models_refuse_out_of_range_parameters_without_validate():
+    with pytest.raises(ConfigError, match="p_fn must lie in"):
+        PipelineConfig(p_fn=1.5).noise_models("all")
+    with pytest.raises(ConfigError, match="sigma_c must be non-negative"):
+        PipelineConfig(sigma_c=-0.1).noise_models("all")
+
+
+def test_noise_models_refuse_an_unknown_preset():
+    with pytest.raises(ConfigError, match="unknown noise preset 'loud'"):
+        PipelineConfig().noise_models("loud")
 
 
 # -- instructions --------------------------------------------------------------------

@@ -19,7 +19,7 @@ The set, all from seeded simulation with the default config apart from
 - per `max_range` in 2.4 and 10, under `range_<max_range>/`:
   - `counting/` (2 rooms per count) and `dialogue/` (4 rooms) datasets;
   - `bank.json`, the false-positive observation bank;
-  - per noise preset `none`, `cs+sd+fn`, `fp` and `all`:
+  - per noise preset, every key of the imported `NOISE_PRESETS`:
     - `reports/<kind>_<preset>.json` and `.txt`, the eval reports;
     - `sessions/<kind>/<episode>_<preset>.json`, every episode's session dump;
     - `outcomes/<episode>_<preset>_{fresh,loaded}.jsonl`: every
@@ -45,7 +45,6 @@ from pathlib import Path
 CORPUS_SEEDS = (0, 7, 11)
 CORPUS_SIZE = 600
 MAX_RANGES = (2.4, 10.0)
-PRESETS = ("none", "cs+sd+fn", "fp", "all")
 
 
 def write(out: Path, src: Path) -> None:
@@ -57,7 +56,7 @@ def write(out: Path, src: Path) -> None:
     if not Path(refground.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"error: refground was imported from {refground.__file__}, not from {src}")
     from refground.aggregation import AggregationSession
-    from refground.config import PipelineConfig
+    from refground.config import NOISE_PRESETS, PipelineConfig
     from refground.discriminator import outcome_to_dict
     from refground.episodes import load_instructions
     from refground.evaluation import (
@@ -105,7 +104,7 @@ def write(out: Path, src: Path) -> None:
         )
         for d in ("reports", "sessions/counting", "sessions/dialogue", "outcomes"):
             (base / d).mkdir(parents=True)
-        for preset in PRESETS:
+        for preset in NOISE_PRESETS:
             for kind, dataset in datasets.items():
                 write_report(
                     evaluate_dataset(dataset, config, preset), base / "reports" / f"{kind}_{preset}.json"
