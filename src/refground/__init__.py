@@ -11,7 +11,6 @@ from .geometry import (
     DepthFrame,
     GridSpec,
     Pose,
-    soft_mask_weight,
     to_world,
 )
 from .graph import ObjectGraph, attribute_paths, graph_difference, serialize

@@ -180,13 +180,15 @@ class AggregationSession:
         """Fold one frame's cells into the running means.
 
         `cells` (M, 2) are distinct in-grid cells and `weights` (M,) their
-        mean point weights, as voxelize_bev_arrays returns them.
+        mean point weights, as voxelize_bev_arrays returns them; cells are
+        not checked against the grid.
         """
         if oid not in self.registry:
             raise RegistryError(oid)
         self._fused.clear()
-        index = (cells[:, 0], cells[:, 1])
-        mean, freq = self._mean[oid], self._freq[oid]
+        # flat indices into views of the C-ordered arrays register_graph made
+        index = cells[:, 0] * self.grid.d2 + cells[:, 1]
+        mean, freq = self._mean[oid].reshape(-1), self._freq[oid].reshape(-1)
         seen = freq[index]
         mean[index] = (mean[index] * seen + weights) / (seen + 1)
         freq[index] = seen + 1

@@ -8,6 +8,7 @@ bird's-eye view projects world (x, y) onto the ground plane.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,11 +48,17 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if R.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        if not np.all(np.abs(R) <= 1 + 1e-6) or not np.all(np.isfinite(t)):
+        m = R.tolist()  # the checks run on Python floats: 3x3 is too small for numpy to pay
+        if not all(abs(x) <= 1 + 1e-6 for row in m for x in row) or not all(map(math.isfinite, t.tolist())):
             raise ValueError("rotation entries must lie in [-1, 1] and translation must be finite")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-6:
-            raise ValueError("rotation is not orthonormal within 1e-6")
-        if abs(np.linalg.det(R) - 1.0) > 1e-6:
+        cols = list(zip(*m))
+        for j in range(3):  # R.T @ R against the identity, one column pair at a time
+            for k in range(j, 3):
+                dot = cols[j][0] * cols[k][0] + cols[j][1] * cols[k][1] + cols[j][2] * cols[k][2]
+                if abs(dot - (j == k)) > 1e-6:
+                    raise ValueError("rotation is not orthonormal within 1e-6")
+        (a, b, c), (d, e, f), (g, h, i) = m
+        if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-6:
             raise ValueError("rotation must be proper (det +1)")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
@@ -105,14 +112,6 @@ class BoundingBox:
             return None
         return BoundingBox(u0, v0, u1, v1)
 
-    def pixel_indices(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """Integer pixel columns/rows whose centers fall inside the box."""
-        us = np.arange(int(np.floor(self.u_min)), int(np.ceil(self.u_max)), stride)
-        vs = np.arange(int(np.floor(self.v_min)), int(np.ceil(self.v_max)), stride)
-        us = us[(us + 0.5 >= self.u_min) & (us + 0.5 < self.u_max)]
-        vs = vs[(vs + 0.5 >= self.v_min) & (vs + 0.5 < self.v_max)]
-        return us, vs
-
 
 @dataclass(frozen=True, eq=False)
 class DepthFrame:
@@ -125,9 +124,10 @@ class DepthFrame:
 
     def __post_init__(self):
         d = np.asarray(self.depth, dtype=np.float32).reshape(self.height, self.width)
-        if not np.all(np.isfinite(d)):
-            raise ValueError("depth frame contains non-finite values")
-        if d.min() < 0 or d.max() > self.max_range:
+        top = d.max()
+        if not (0 <= d.min() and top <= self.max_range and top < np.inf):  # false for NaN too
+            if not np.all(np.isfinite(d)):
+                raise ValueError("depth frame contains non-finite values")
             raise ValueError(f"depth values must lie in [0, {self.max_range}]")
         object.__setattr__(self, "depth", d)
 
@@ -155,18 +155,15 @@ def to_world(p_cam: np.ndarray, pose: Pose) -> np.ndarray:
     return p @ pose.rotation.T + pose.translation
 
 
-def soft_mask_weight(u, v, bbox: BoundingBox, sigma_u: float, sigma_v: float):
-    """2D Gaussian soft mask centered on the box, peak value 1/(2*sigma_u*sigma_v).
-
-    Emphasizes box centers over boundaries and background. Accepts scalars
-    or arrays for u, v.
-    """
-    if sigma_u <= 0 or sigma_v <= 0:
-        raise ValueError("sigma_u and sigma_v must be positive")
-    uc, vc = bbox.center
-    du = (np.asarray(u, dtype=np.float64) - uc) / sigma_u
-    dv = (np.asarray(v, dtype=np.float64) - vc) / sigma_v
-    return (1.0 / (2.0 * sigma_u * sigma_v)) * np.exp(-0.5 * (du * du + dv * dv))
+def _pixel_range(lo: float, hi: float, stride: int) -> tuple[int, int]:
+    """Start and stop of the every-`stride`-th pixel from floor(lo) whose
+    center (index + 0.5) lies in [lo, hi)."""
+    start, stop = math.floor(lo), math.ceil(hi)
+    if start + 0.5 < lo:
+        start += stride
+    if stop - 1 + 0.5 >= hi:
+        stop -= 1
+    return start, stop
 
 
 def bbox_cloud_arrays(
@@ -179,31 +176,43 @@ def bbox_cloud_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Back-project every valid-depth pixel in the box to a weighted world point.
 
-    Returns (points (N, 3), weights (N,)); a weight is the box's Gaussian
-    soft mask at the pixel center. Pixels with invalid depth are skipped;
-    an all-invalid box yields empty arrays (no evidence).
+    Returns (points (N, 3), weights (N,)); a weight is the clipped box's 2D
+    Gaussian soft mask at the pixel center, peak 1/(2*sigma_u*sigma_v) with
+    sigma = sigma_frac * box side, which favours box centers over boundaries
+    and background. Pixels with invalid depth are skipped; an all-invalid
+    box yields empty arrays (no evidence).
+
+    The box is read as a strided view of the frame. Every per-point term
+    depends on the pixel's column or its row alone, so it is computed once
+    per column or row and gathered.
     """
     if sigma_frac <= 0:
         raise ValueError("sigma_frac must be positive")
-    box = bbox.clamp(depth.width, depth.height)
-    if box is None:
+    u0, v0 = max(bbox.u_min, 0.0), max(bbox.v_min, 0.0)  # the box clipped to the frame
+    u1, v1 = min(bbox.u_max, float(depth.width)), min(bbox.v_max, float(depth.height))
+    if u0 >= u1 or v0 >= v1:
         return np.empty((0, 3)), np.empty(0)
-    us, vs = box.pixel_indices(stride)
-    if us.size == 0 or vs.size == 0:
+    u_lo, u_hi = _pixel_range(u0, u1, stride)
+    v_lo, v_hi = _pixel_range(v0, v1, stride)
+    if u_lo >= u_hi or v_lo >= v_hi:
         return np.empty((0, 3)), np.empty(0)
-    d = depth.depth[np.ix_(vs, us)]
-    rows, cols = np.nonzero(d > 0)  # row-major: the box's pixels in reading order
+    d = depth.depth[v_lo:v_hi:stride, u_lo:u_hi:stride]
+    valid = d > 0
+    rows, cols = np.nonzero(valid)  # row-major: the box's pixels in reading order
     if rows.size == 0:
         return np.empty((0, 3)), np.empty(0)
-    ucent = us[cols] + 0.5
-    vcent = vs[rows] + 0.5
-    dval = d[rows, cols].astype(np.float64)
+    ucent = np.arange(u_lo, u_hi, stride) + 0.5
+    vcent = np.arange(v_lo, v_hi, stride) + 0.5
+    dval = d[valid].astype(np.float64)
     cam = np.empty((rows.size, 3))
-    cam[:, 0] = (ucent - intrinsics.cx) * dval / intrinsics.fx
-    cam[:, 1] = (vcent - intrinsics.cy) * dval / intrinsics.fy
+    cam[:, 0] = (ucent - intrinsics.cx)[cols] * dval / intrinsics.fx
+    cam[:, 1] = (vcent - intrinsics.cy)[rows] * dval / intrinsics.fy
     cam[:, 2] = dval
     world = to_world(cam, pose)
-    weights = soft_mask_weight(ucent, vcent, box, sigma_frac * box.width, sigma_frac * box.height)
+    sigma_u, sigma_v = sigma_frac * (u1 - u0), sigma_frac * (v1 - v0)
+    du = (ucent - 0.5 * (u0 + u1)) / sigma_u
+    dv = (vcent - 0.5 * (v0 + v1)) / sigma_v
+    weights = (1.0 / (2.0 * sigma_u * sigma_v)) * np.exp(-0.5 * ((du * du)[cols] + (dv * dv)[rows]))
     return world, weights
 
 

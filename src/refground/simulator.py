@@ -361,13 +361,16 @@ def look_at_pose(eye: Sequence[float], target: Sequence[float]) -> Pose:
     if norm < 1e-9:
         raise ValueError("eye and target coincide")
     forward = forward / norm
-    up = np.array([0.0, 0.0, 1.0])
-    right = np.cross(forward, up)
-    if np.linalg.norm(right) < 1e-9:
-        right = np.array([1.0, 0.0, 0.0])
-    right = right / np.linalg.norm(right)
-    down = np.cross(forward, right)
-    rotation = np.stack([right, down, forward], axis=1)
+    f0, f1, f2 = forward.tolist()
+    # right = forward x (0, 0, 1) and down = forward x right, term for term
+    # as np.cross computes them: the * 0.0 and * 1.0 terms keep its signed zeros
+    right = np.array([f1 * 1.0 - f2 * 0.0, f2 * 0.0 - f0 * 1.0, f0 * 0.0 - f1 * 0.0])
+    norm = np.linalg.norm(right)
+    if norm < 1e-9:
+        right, norm = np.array([1.0, 0.0, 0.0]), 1.0
+    r0, r1, r2 = (right / norm).tolist()
+    d0, d1, d2 = f1 * r2 - f2 * r1, f2 * r0 - f0 * r2, f0 * r1 - f1 * r0
+    rotation = np.array([[r0, d0, f0], [r1, d1, f1], [r2, d2, f2]])  # columns right, down, forward
     return Pose(rotation, eye)
 
 

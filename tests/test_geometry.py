@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refground import evaluation, pipeline
+from refground.config import NOISE_PRESETS, PipelineConfig
 from refground.geometry import (
     BoundingBox,
     CameraIntrinsics,
@@ -13,7 +15,6 @@ from refground.geometry import (
     Pose,
     bbox_cloud_arrays,
     read_depth_file,
-    soft_mask_weight,
     to_world,
     voxelize_bev_arrays,
     write_depth_file,
@@ -97,6 +98,19 @@ def test_rigidity_pairwise_distances():
     assert np.max(np.abs(d0 - d1)) < 1e-9
 
 
+def test_to_world_matches_matmul_bytes_on_small_clouds():
+    # Small clouds are where other forms of the product (a contiguous copy
+    # of rotation.T, column sums, einsum) round differently.
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pose = Pose(q * np.sign(np.linalg.det(q)), rng.normal(size=3))
+        for n in range(1, 6):
+            cam = rng.uniform(-2.0, 2.0, (n, 3))
+            want = cam @ pose.rotation.T + pose.translation
+            assert to_world(cam, pose).tobytes() == want.tobytes()
+
+
 def test_pose_validation():
     with pytest.raises(ValueError):
         Pose(np.eye(3) * 2.0, np.zeros(3))
@@ -105,42 +119,94 @@ def test_pose_validation():
         Pose(reflect, np.zeros(3))
 
 
+def reference_pose_error(rotation, translation):
+    """Reference: the numpy form of Pose's checks; the message it raises, or None."""
+    R, t = np.asarray(rotation, dtype=np.float64), np.asarray(translation, dtype=np.float64)
+    if not np.all(np.abs(R) <= 1 + 1e-6) or not np.all(np.isfinite(t)):
+        return "rotation entries must lie in [-1, 1] and translation must be finite"
+    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-6:
+        return "rotation is not orthonormal within 1e-6"
+    if abs(np.linalg.det(R) - 1.0) > 1e-6:
+        return "rotation must be proper (det +1)"
+    return None
+
+
+def pose_error(rotation, translation):
+    try:
+        Pose(rotation, translation)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_pose_checks_match_numpy_form():
+    rng = np.random.default_rng(12)
+    flip = np.diag([1.0, 1.0, -1.0])
+    cases = [
+        (np.eye(3), [0.0, 0.0, np.inf]),
+        (np.eye(3), [np.nan, 0.0, 0.0]),
+        (np.where(np.eye(3) > 0, np.nan, 0.0), np.zeros(3)),
+        (np.eye(3) * (1 + 2e-6), np.zeros(3)),
+        (np.eye(3)[[1, 0, 2]], np.zeros(3)),  # a swap of two axes: det -1
+    ]
+    for scale in (0.0, 1e-8, 1e-7, 1e-5, 1e-3):
+        for _ in range(60):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            rotation = q * np.sign(np.linalg.det(q)) @ (flip if rng.random() < 0.2 else np.eye(3))
+            cases.append((rotation + scale * rng.normal(size=(3, 3)), rng.normal(size=3)))
+    errors = [reference_pose_error(r, t) for r, t in cases]
+    assert {None, *(e for e in errors if e)} == {
+        None,
+        "rotation entries must lie in [-1, 1] and translation must be finite",
+        "rotation is not orthonormal within 1e-6",
+        "rotation must be proper (det +1)",
+    }
+    assert [pose_error(r, t) for r, t in cases] == errors
+
+
 # -- soft mask ----------------------------------------------------------------
 
-BOX = BoundingBox(10.0, 20.0, 30.0, 60.0)
+K_UNIT = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=100, height=100)
+# sigma_frac 0.25 gives sigma_u 5 and sigma_v 10; the center (20.5, 40.5) is a pixel center
+BOX = BoundingBox(10.5, 20.5, 30.5, 60.5)
+UC, VC = BOX.center
+
+
+def mask_weights(bbox, sigma_frac=0.25):
+    """The cloud's weight at each pixel center of the box: with unit
+    intrinsics, unit depth and the identity pose, a point's (x, y) is its
+    pixel center (u + 0.5, v + 0.5)."""
+    frame = DepthFrame(100, 100, np.ones((100, 100), dtype=np.float32), 10.0)
+    pts, w = bbox_cloud_arrays(bbox, frame, K_UNIT, identity_pose(), sigma_frac, 1)
+    return {(x, y): weight for (x, y, _), weight in zip(pts.tolist(), w.tolist())}
 
 
 def test_soft_mask_peak_at_center():
-    uc, vc = BOX.center
-    assert soft_mask_weight(uc, vc, BOX, 5.0, 10.0) == pytest.approx(1.0 / (2 * 5.0 * 10.0))
+    assert mask_weights(BOX)[UC, VC] == pytest.approx(1.0 / (2 * 5.0 * 10.0))
 
 
 def test_soft_mask_one_sigma():
-    uc, vc = BOX.center
-    center = soft_mask_weight(uc, vc, BOX, 5.0, 10.0)
-    assert soft_mask_weight(uc + 5.0, vc, BOX, 5.0, 10.0) == pytest.approx(
-        center * math.exp(-0.5)
-    )
+    w = mask_weights(BOX)
+    assert w[UC + 5.0, VC] == pytest.approx(w[UC, VC] * math.exp(-0.5))
+    assert w[UC, VC + 10.0] == pytest.approx(w[UC, VC] * math.exp(-0.5))
 
 
 def test_soft_mask_symmetry():
-    uc, vc = BOX.center
-    for k in (1.0, 3.7, 9.2):
-        assert soft_mask_weight(uc + k, vc, BOX, 5.0, 10.0) == pytest.approx(
-            soft_mask_weight(uc - k, vc, BOX, 5.0, 10.0)
-        )
+    w = mask_weights(BOX)
+    for k in (1.0, 3.0, 9.0):
+        assert w[UC + k, VC] == pytest.approx(w[UC - k, VC])
+        assert w[UC, VC + 2 * k] == pytest.approx(w[UC, VC - 2 * k])
 
 
 def test_soft_mask_strictly_decreasing_along_ray():
-    uc, vc = BOX.center
-    radii = np.linspace(0, 12, 25)
-    values = [soft_mask_weight(uc + r * 0.6, vc + r * 0.8, BOX, 5.0, 10.0) for r in radii]
+    w = mask_weights(BOX)
+    values = [w[UC + k, VC + 2 * k] for k in range(10)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_soft_mask_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        soft_mask_weight(0.0, 0.0, BOX, 0.0, 1.0)
+        mask_weights(BOX, sigma_frac=0.0)
 
 
 # -- bbox cloud ---------------------------------------------------------------
@@ -189,12 +255,29 @@ def test_stride_subsamples():
     assert 0 < len(strided) < len(full)
 
 
+def reference_pixel_indices(box, stride):
+    """Reference: integer pixel columns/rows whose centers fall inside the box."""
+    us = np.arange(int(np.floor(box.u_min)), int(np.ceil(box.u_max)), stride)
+    vs = np.arange(int(np.floor(box.v_min)), int(np.ceil(box.v_max)), stride)
+    us = us[(us + 0.5 >= box.u_min) & (us + 0.5 < box.u_max)]
+    vs = vs[(vs + 0.5 >= box.v_min) & (vs + 0.5 < box.v_max)]
+    return us, vs
+
+
+def reference_soft_mask(u, v, box, sigma_u, sigma_v):
+    """Reference: 2D Gaussian soft mask centered on the box, peak 1/(2*sigma_u*sigma_v)."""
+    uc, vc = box.center
+    du = (np.asarray(u, dtype=np.float64) - uc) / sigma_u
+    dv = (np.asarray(v, dtype=np.float64) - vc) / sigma_v
+    return (1.0 / (2.0 * sigma_u * sigma_v)) * np.exp(-0.5 * (du * du + dv * dv))
+
+
 def reference_bbox_cloud(bbox, depth, intrinsics, pose, sigma_frac, stride):
     """Reference: the meshgrid form of bbox_cloud_arrays, kept to compare bytes."""
     box = bbox.clamp(depth.width, depth.height)
     if box is None:
         return np.empty((0, 3)), np.empty(0)
-    us, vs = box.pixel_indices(stride)
+    us, vs = reference_pixel_indices(box, stride)
     if us.size == 0 or vs.size == 0:
         return np.empty((0, 3)), np.empty(0)
     uu, vv = np.meshgrid(us, vs)
@@ -214,7 +297,7 @@ def reference_bbox_cloud(bbox, depth, intrinsics, pose, sigma_frac, stride):
         axis=1,
     )
     world = cam @ pose.rotation.T + pose.translation
-    weights = soft_mask_weight(ucent, vcent, box, sigma_frac * box.width, sigma_frac * box.height)
+    weights = reference_soft_mask(ucent, vcent, box, sigma_frac * box.width, sigma_frac * box.height)
     return world, weights
 
 
@@ -269,11 +352,45 @@ def test_bbox_cloud_matches_reference_bytes(data):
     assert_same_bytes(bbox_cloud_arrays(*args), reference_bbox_cloud(*args))
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_bbox_cloud_matches_reference_on_pixel_edges_and_centers(stride):
+    # box edges on pixel edges, on pixel centers and between, inside and beyond a 10 x 8 frame
+    rng = np.random.default_rng(stride)
+    intrinsics = CameraIntrinsics(fx=9.0, fy=7.0, cx=4.5, cy=3.5, width=10, height=8)
+    depth = DepthFrame(10, 8, rng.uniform(0.5, 3.0, (8, 10)).astype(np.float32), 10.0)
+    pose = yaw_pose(0.3, (0.5, -1.0, 0.2))
+    for lo in (-1.0, 0.0, 2.5, 3.0, 3.25, 3.75):
+        for hi in (4.5, 5.0, 5.5, 6.25, 8.0, 11.0):
+            for bbox in (BoundingBox(lo, 1.0, hi, 6.5), BoundingBox(2.0, lo, 7.5, hi)):
+                args = (bbox, depth, intrinsics, pose, 0.25, stride)
+                assert_same_bytes(bbox_cloud_arrays(*args), reference_bbox_cloud(*args))
+
+
 def test_bbox_cloud_all_zero_depth_matches_reference():
     frame = DepthFrame(100, 100, np.zeros((100, 100), dtype=np.float32), 10.0)
     pose = yaw_pose(0.4, (1.0, 2.0, 0.5))
     args = (BoundingBox(-3.5, 10.25, 20.75, 40.5), frame, K_SIMPLE, pose, 0.25, 1)
     assert_same_bytes(bbox_cloud_arrays(*args), reference_bbox_cloud(*args))
+
+
+def test_bbox_cloud_matches_reference_bytes_on_eval_detections(tmp_path, monkeypatch):
+    config = PipelineConfig(seed=3)
+    evaluation.simulate_counting_dataset(tmp_path, config, rooms_per_count=1)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return bbox_cloud_arrays(*args)
+
+    monkeypatch.setattr(pipeline, "bbox_cloud_arrays", recorded)
+    per_preset = []
+    for preset in NOISE_PRESETS:
+        before = len(calls)
+        evaluation.eval_counting(tmp_path, config, preset)
+        per_preset.append(len(calls) - before)
+    assert min(per_preset) > 0
+    for args in calls:
+        assert_same_bytes(bbox_cloud_arrays(*args), reference_bbox_cloud(*args))
 
 
 def test_cloud_matches_scalar_backproject():
@@ -282,7 +399,7 @@ def test_cloud_matches_scalar_backproject():
     pose = yaw_pose(1.1, t=(0.3, -0.7, 1.2))
     bbox = BoundingBox(20.3, 61.8, 27.9, 66.2)
     pts, _ = bbox_cloud_arrays(bbox, frame, K_SIMPLE, pose, 0.25, 1)
-    us, vs = bbox.pixel_indices(1)
+    us, vs = reference_pixel_indices(bbox, 1)
     expected = [
         to_world(backproject(u + 0.5, v + 0.5, float(frame.depth[v, u]), K_SIMPLE), pose)
         for v in vs
@@ -446,6 +563,24 @@ def test_depth_frame_validation():
         DepthFrame(4, 4, np.full((4, 4), np.nan, dtype=np.float32), 10.0)
     with pytest.raises(ValueError):
         DepthFrame(4, 4, np.full((4, 4), 99.0, dtype=np.float32), max_range=10.0)
+
+
+@pytest.mark.parametrize(
+    "bad, max_range, message",
+    [
+        (np.nan, 10.0, "non-finite"),
+        (np.inf, 10.0, "non-finite"),
+        (np.inf, np.inf, "non-finite"),
+        (-np.inf, 10.0, "non-finite"),
+        (-0.5, 10.0, r"must lie in \[0, 10.0\]"),
+        (10.5, 10.0, r"must lie in \[0, 10.0\]"),
+    ],
+)
+def test_depth_frame_names_what_is_wrong(bad, max_range, message):
+    depth = np.full((3, 5), 2.0, dtype=np.float32)
+    depth[1, 3] = bad
+    with pytest.raises(ValueError, match=message):
+        DepthFrame(5, 3, depth, max_range)
 
 
 def test_grid_spec_validation():

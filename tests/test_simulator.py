@@ -171,6 +171,43 @@ def test_look_at_pose_points_at_target():
     assert abs(target_cam[0]) < 1e-9 and abs(target_cam[1]) < 1e-9
 
 
+def reference_look_at_pose(eye, target):
+    """Reference: look_at_pose with np.cross, kept to compare bytes."""
+    eye = np.asarray(eye, dtype=np.float64)
+    forward = np.asarray(target, dtype=np.float64) - eye
+    forward = forward / np.linalg.norm(forward)
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+    if np.linalg.norm(right) < 1e-9:
+        right = np.array([1.0, 0.0, 0.0])
+    right = right / np.linalg.norm(right)
+    down = np.cross(forward, right)
+    return np.stack([right, down, forward], axis=1), eye
+
+
+def test_look_at_pose_matches_cross_product_bytes():
+    rng = np.random.default_rng(8)
+    cases = [((1.0, 2.0, 3.0), (1.0, 2.0, 0.5)), ((1.0, 2.0, 0.5), (1.0, 2.0, 3.0))]  # vertical
+    for _ in range(400):
+        eye = rng.normal(size=3)
+        direction = rng.normal(size=3)
+        kind = rng.integers(4)
+        if kind == 1:  # straight up or down
+            direction[:2] = 0.0
+        elif kind == 2:  # one component exactly zero
+            direction[rng.integers(3)] = 0.0
+        target = eye + direction
+        if kind == 3:  # components that cancel to -0.0 in target - eye
+            zero = rng.random(3) < 0.5
+            zero[rng.integers(3)] = False
+            eye, target = np.where(zero, 0.0, eye), np.where(zero, -0.0, target)
+        cases.append((eye, target))
+    for eye, target in cases:
+        pose = look_at_pose(eye, target)
+        rotation, translation = reference_look_at_pose(eye, target)
+        assert pose.rotation.tobytes() == rotation.tobytes()
+        assert pose.translation.tobytes() == translation.tobytes()
+
+
 def test_trajectory_surface_coverage():
     cfg = PipelineConfig()
     covered = total = 0
