@@ -1,19 +1,19 @@
 """Synthetic rooms, camera trajectories, and RGB-D style observations.
 
 The simulator places axis-aligned furniture and tabletop objects in a room,
-derives spatial relations from the layout, plans an inward-looking camera
-loop, and renders per-view depth frames plus ground-truth detections whose
-captions describe each object in lexicon words.
+derives each object's ground-truth graph from the layout, plans an
+inward-looking camera loop, and renders per-view depth frames plus
+ground-truth detections whose captions describe each object in lexicon words.
 """
 
 import tempfile
 from itertools import islice
 from pathlib import Path
 
-from refground import derive_relations, generate_room
+from refground import generate_room, scene_graphs
 from refground.config import PipelineConfig
 from refground.episodes import load_episode, simulate_episode, trajectory_frames
-from refground.simulator import caption_for
+from refground.language import realize
 
 config = PipelineConfig()
 copies = {"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1, "book": 1}
@@ -25,10 +25,10 @@ for obj in room.objects:
     base = f"on object {obj.support}" if obj.support is not None else "on the floor"
     print(f"  #{obj.id} {obj.color} {obj.material} {obj.cls:<12} at ({x:.2f}, {y:.2f}) {base}")
 
-relations = derive_relations(room, config.tau_near)
+graphs = scene_graphs(room, config.tau_near)
 print("\n=== captions from scene metadata ===")
-for obj in room.objects:
-    print(f"  #{obj.id}: {caption_for(room, obj, relations)!r}")
+for oid, g in graphs.items():
+    print(f"  #{oid}: {realize(g)!r}")
 
 print("\n=== trajectory and rendered views ===")
 # the same trajectory -> render -> detect loop writes episodes and builds

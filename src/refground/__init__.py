@@ -22,10 +22,10 @@ from .simulator import (
     RoomSpec,
     SceneObject,
     apply_errors,
-    derive_relations,
     emit_instructions,
     generate_room,
     plan_trajectory,
+    scene_graphs,
 )
 from .render import gt_detections
 

@@ -11,6 +11,9 @@ neighboring above-threshold regions into instances, and fusion overlays
 the per-graph instance maps to deduplicate graphs that describe the same
 physical object. Fusion is the one instance query: the records it returns
 for a root class are that class's instances, so counting is their number.
+Session bytes depend on the order frames arrive in (ids follow first
+sight, and running means round differently); the decisions grounded on a
+session, its counts, states, candidate sets and queries, do not.
 
 A session is single-threaded: one session per stream, used by one thread,
 queries included. fuse_across_graphs keeps each fusion it computes in a
@@ -145,15 +148,12 @@ def merge_regions(grid: RegionGrid, gamma: float) -> dict[tuple[int, int], int]:
                 ra, rb = _find(parent, nb), _find(parent, region)
                 if ra != rb:
                     parent[rb] = ra
-    position = {region: i for i, region in enumerate(order)}
-    first_member: dict[tuple[int, int], tuple[int, int]] = {}
-    for region in parent:
-        root = _find(parent, region)
-        if root not in first_member or position[region] < position[first_member[root]]:
-            first_member[root] = region
-    ordered_roots = sorted(first_member, key=lambda root: position[first_member[root]])
-    label_of_root = {root: i for i, root in enumerate(ordered_roots)}
-    return {region: label_of_root[_find(parent, region)] for region in parent}
+    # order runs best score first, so a group's first region seen numbers it
+    label_of_root: dict[tuple[int, int], int] = {}
+    return {
+        region: label_of_root.setdefault(_find(parent, region), len(label_of_root))
+        for region in order
+    }
 
 
 class AggregationSession:
@@ -420,5 +420,12 @@ class AggregationSession:
                 bad = cells[int(np.argmin(ok))]
                 raise SessionFormatError(f"{path}: oid {oid}: cell ({bad[0]}, {bad[1]}) {problem}")
         index = (cx.astype(np.int64), cy.astype(np.int64))
+        flat = np.ravel_multi_index(index, (self.grid.d1, self.grid.d2))
+        _, first = np.unique(flat, return_index=True)
+        if first.size < len(rows):
+            listed_before = np.ones(len(rows), dtype=bool)
+            listed_before[first] = False
+            bad = cells[int(np.argmax(listed_before))]
+            raise SessionFormatError(f"{path}: oid {oid}: cell ({bad[0]}, {bad[1]}) is listed twice")
         self._mean[oid][index] = w
         self._freq[oid][index] = freq.astype(np.int64)

@@ -14,22 +14,30 @@ the same seed produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import BoundingBox, CameraIntrinsics, DepthFrame, Pose, read_depth_file, write_depth_file
+from .geometry import (
+    BoundingBox,
+    CameraIntrinsics,
+    DepthFormatError,
+    DepthFrame,
+    Pose,
+    read_depth_file,
+    write_depth_file,
+)
+from .language import realize
 from .render import gt_detections, render_scene
 from .simulator import (
     Detection,
     InstructionCase,
     RoomSpec,
-    caption_for,
-    derive_relations,
     emit_instructions,
     plan_trajectory,
+    scene_graphs,
 )
 
 
@@ -57,7 +65,15 @@ class FrameRecord:
     depth_path: Path
 
     def load_depth(self, max_range: float) -> DepthFrame:
-        return read_depth_file(self.depth_path, max_range=max_range)
+        """The frame's depth map; a map whose size differs from the intrinsics is refused."""
+        depth = read_depth_file(self.depth_path, max_range=max_range)
+        k = self.intrinsics
+        if (depth.width, depth.height) != (k.width, k.height):
+            raise DepthFormatError(
+                f"{self.depth_path}: depth is {depth.width}x{depth.height}, "
+                f"the frame's intrinsics {k.width}x{k.height}"
+            )
+        return depth
 
 
 def _detection_dict(det: Detection) -> dict:
@@ -83,8 +99,7 @@ def trajectory_frames(room: RoomSpec, config: PipelineConfig, n_poses: int | Non
     The loop has config.n_waypoints poses unless n_poses is given; depth is
     the rendered float32 map, detections the visible objects with captions.
     """
-    relations = derive_relations(room, config.tau_near)
-    captions = {o.id: caption_for(room, o, relations) for o in room.objects}
+    captions = {oid: realize(g) for oid, g in scene_graphs(room, config.tau_near).items()}
     intrinsics = config.intrinsics()
     for pose in plan_trajectory(room, config, config.n_waypoints if n_poses is None else n_poses):
         depth, winner = render_scene(room, pose, intrinsics, config.max_range)
@@ -98,14 +113,7 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
     out.mkdir(parents=True, exist_ok=True)
     (out / "room.json").write_text(dump_json_line(room.to_dict()) + "\n", encoding="utf-8")
     k = config.intrinsics()
-    intrinsics = {
-        "fx": k.fx,
-        "fy": k.fy,
-        "cx": k.cx,
-        "cy": k.cy,
-        "width": k.width,
-        "height": k.height,
-    }
+    intrinsics = asdict(k)
     frame_lines = []
     for index, (pose, depth, detections) in enumerate(trajectory_frames(room, config)):
         depth_name = f"frame_{index:05d}.depth"
@@ -122,7 +130,7 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
             )
         )
     (out / "episode.jsonl").write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
-    instructions = emit_instructions(room, derive_relations(room, config.tau_near))
+    instructions = emit_instructions(room, scene_graphs(room, config.tau_near))
     (out / "instructions.jsonl").write_text(
         "\n".join(dump_json_line(case.to_dict()) for case in instructions) + "\n",
         encoding="utf-8",

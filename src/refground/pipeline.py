@@ -21,7 +21,7 @@ from .graph import ObjectGraph
 from .language import PhraseError, phrase_to_graph, realize
 from .lexicon import Lexicon
 from .oracle import oracle_classify, oracle_paths
-from .simulator import RoomSpec, apply_errors, derive_relations, generate_room, object_graph
+from .simulator import RoomSpec, apply_errors, generate_room, scene_graphs
 
 
 def stream_seed_for(name: str) -> int:
@@ -165,10 +165,10 @@ def oracle_records(
     room: RoomSpec, root: str, tau_near: float
 ) -> list[InstanceRecord]:
     """Ground-truth instance records for one class, ordered like the pipeline."""
-    relations = derive_relations(room, tau_near)
+    graphs = scene_graphs(room, tau_near)
     records = []
     for obj in room.objects_of(root):
-        g = object_graph(room, obj, relations)
+        g = graphs[obj.id]
         cx, cy, _ = obj.centroid
         records.append(
             InstanceRecord(

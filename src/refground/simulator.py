@@ -17,7 +17,7 @@ import numpy as np
 from .config import PipelineConfig
 from .geometry import BoundingBox, Pose
 from .graph import ObjectGraph, from_dict as graph_from_dict, to_dict as graph_to_dict
-from .language import LANDMARK_SYMBOL, ROOT_SYMBOL, article, bio_span, realize
+from .language import LANDMARK_SYMBOL, ROOT_SYMBOL, article, bio_span
 from .lexicon import COLORS, MATERIALS, OBJECT_CLASSES
 from .oracle import oracle_classify
 
@@ -123,9 +123,13 @@ class RoomSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoomSpec":
+        objects = tuple(SceneObject.from_dict(o) for o in d["objects"])
+        ids = [o.id for o in objects]
+        if len(set(ids)) != len(ids):  # scene_graphs and captions are keyed by id
+            raise ValueError(f"object ids must be unique, got {ids}")
         return cls(
             tuple(float(v) for v in d["extents"]),
-            tuple(SceneObject.from_dict(o) for o in d["objects"]),
+            objects,
             int(d["seed"]),
             {k: int(v) for k, v in d.get("copies", {}).items()},
         )
@@ -142,12 +146,6 @@ def _xy_boxes_clash(amin, amax, bmin, bmax, clearance: float) -> bool:
     return _overlap_1d(amin[0], amax[0], bmin[0], bmax[0], clearance) and _overlap_1d(
         amin[1], amax[1], bmin[1], bmax[1], clearance
     )
-
-
-def _horizontal_distance(a: SceneObject, b: SceneObject) -> float:
-    ax, ay, _ = a.centroid
-    bx, by, _ = b.centroid
-    return math.hypot(ax - bx, ay - by)
 
 
 def generate_room(
@@ -292,62 +290,41 @@ def generate_room(
     return RoomSpec((ex, ey, config.room_z), tuple(objects), seed, dict(copies))
 
 
-# -- relations and captions ---------------------------------------------------
+# -- ground-truth graphs -----------------------------------------------------
 
 
-def derive_relations(room: RoomSpec, tau_near: float) -> dict[int, list[tuple[str, int]]]:
-    """Relational attributes from scene metadata: is-on via support,
-    is-near via horizontal centroid distance below tau_near."""
-    rel: dict[int, list[tuple[str, int]]] = {o.id: [] for o in room.objects}
+def scene_graphs(room: RoomSpec, tau_near: float) -> dict[int, ObjectGraph]:
+    """Each object's ground-truth graph by id: class, color, material and at
+    most one relational edge.
+
+    The edge is is-on the object's supporter when that id is in the room.
+    Otherwise it is is-near the closest other object by horizontal centroid
+    distance (ties to the lower id) among those closer than tau_near, never
+    an object that rests on this one. These graphs are the one source of
+    detection captions, instruction labels and oracle records.
+    """
     by_id = {o.id: o for o in room.objects}
+    graphs = {}
     for obj in room.objects:
-        if obj.support is not None and obj.support in by_id:
-            rel[obj.id].append(("is-on", obj.support))
-    for a in room.objects:
-        for b in room.objects:
-            if a.id >= b.id:
-                continue
-            if a.support == b.id or b.support == a.id:
-                continue
-            if _horizontal_distance(a, b) < tau_near:
-                rel[a.id].append(("is-near", b.id))
-                rel[b.id].append(("is-near", a.id))
-    return {oid: sorted(edges) for oid, edges in rel.items()}
-
-
-def preferred_relation(
-    room: RoomSpec, obj: SceneObject, relations: dict[int, list[tuple[str, int]]]
-) -> tuple[str, SceneObject] | None:
-    """The one relational attribute used in captions: is-on wins, else the
-    nearest is-near neighbor."""
-    by_id = {o.id: o for o in room.objects}
-    edges = relations.get(obj.id, [])
-    ons = [other for kind, other in edges if kind == "is-on"]
-    if ons:
-        return "is-on", by_id[ons[0]]
-    nears = [by_id[other] for kind, other in edges if kind == "is-near"]
-    if nears:
-        nears.sort(key=lambda o: (_horizontal_distance(obj, o), o.id))
-        return "is-near", nears[0]
-    return None
-
-
-def object_graph(
-    room: RoomSpec, obj: SceneObject, relations: dict[int, list[tuple[str, int]]]
-) -> ObjectGraph:
-    """Full ground-truth graph: class, color, material, one relational edge."""
-    rel_attrs = []
-    preferred = preferred_relation(room, obj, relations)
-    if preferred is not None:
-        kind, landmark = preferred
-        rel_attrs.append((kind, ObjectGraph.build(landmark.cls)))
-    return ObjectGraph.build(obj.cls, [("color", obj.color), ("material", obj.material)], rel_attrs)
-
-
-def caption_for(
-    room: RoomSpec, obj: SceneObject, relations: dict[int, list[tuple[str, int]]]
-) -> str:
-    return realize(object_graph(room, obj, relations))
+        rel_attrs = []
+        if obj.support in by_id:
+            rel_attrs.append(("is-on", ObjectGraph.build(by_id[obj.support].cls)))
+        else:
+            ox, oy, _ = obj.centroid
+            nears = []
+            for other in room.objects:
+                if other.id == obj.id or other.support == obj.id:
+                    continue
+                x, y, _ = other.centroid
+                distance = math.hypot(ox - x, oy - y)
+                if distance < tau_near:
+                    nears.append((distance, other.id, other.cls))
+            if nears:
+                rel_attrs.append(("is-near", ObjectGraph.build(min(nears)[2])))
+        graphs[obj.id] = ObjectGraph.build(
+            obj.cls, [("color", obj.color), ("material", obj.material)], rel_attrs
+        )
+    return graphs
 
 
 # -- trajectory ---------------------------------------------------------------
@@ -585,22 +562,16 @@ def instruction(
     return text, tuple(labels), g
 
 
-def emit_instructions(
-    room: RoomSpec,
-    relations: dict[int, list[tuple[str, int]]],
-) -> list[InstructionCase]:
+def emit_instructions(room: RoomSpec, graphs: dict[int, ObjectGraph]) -> list[InstructionCase]:
     """Three referring-expression types per class plus missing/mismatch probes.
 
-    Expected states come from the brute-force grounding oracle over the
-    ground-truth object graphs, so they serve directly as evaluation labels.
+    `graphs` are the room's ground-truth graphs by object id (`scene_graphs`).
+    Expected states come from the brute-force grounding oracle over them, so
+    they serve directly as evaluation labels.
     """
     rng = np.random.default_rng(np.random.SeedSequence([room.seed, 404]))
     cases: list[InstructionCase] = []
-    class_graphs: dict[str, list[ObjectGraph]] = {}
-    for cls_name in room.classes():
-        class_graphs[cls_name] = [
-            object_graph(room, o, relations) for o in room.objects_of(cls_name)
-        ]
+    class_graphs = {c: [graphs[o.id] for o in room.objects_of(c)] for c in room.classes()}
 
     def add(re_type: str, cls_name: str, target_id: int | None, attr=None, rel=None):
         verb = INSTRUCTION_VERBS[int(rng.integers(len(INSTRUCTION_VERBS)))]
@@ -616,15 +587,13 @@ def emit_instructions(
         value = target.color if attr_kind == "color" else target.material
         add("self", cls_name, target.id, (attr_kind, value))
 
-        with_rel = [
-            o for o in instances if preferred_relation(room, o, relations) is not None
-        ]
+        with_rel = [o for o in instances if graphs[o.id].rel_attrs]
         if with_rel:
             rel_target = with_rel[int(rng.integers(len(with_rel)))]
-            kind, landmark = preferred_relation(room, rel_target, relations)
+            kind, landmark = graphs[rel_target.id].rel_attrs[0]
             attr_kind = "color" if rng.random() < 0.5 else "material"
             value = rel_target.color if attr_kind == "color" else rel_target.material
-            add("self+rel", cls_name, rel_target.id, (attr_kind, value), (kind, landmark.cls))
+            add("self+rel", cls_name, rel_target.id, (attr_kind, value), (kind, landmark.root))
 
         add("bare", cls_name, target.id)
 

@@ -554,6 +554,13 @@ def test_load_refuses_non_finite_weight(tmp_path):
         AggregationSession.load(path)
 
 
+def test_load_refuses_a_cell_listed_twice(tmp_path):
+    # the dump already holds cell (3, 4); a second row for it would silently win
+    path = dump_with_row(tmp_path, [3, 4, 0.9, 7])
+    with pytest.raises(SessionFormatError, match=refusal(path, (3, 4), "is listed twice")):
+        AggregationSession.load(path)
+
+
 def test_load_refuses_cells_for_unknown_graph(tmp_path):
     s = session()
     s.register_graph(CUP_RED)

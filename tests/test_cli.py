@@ -11,7 +11,7 @@ from refground import config as config_module
 from refground.aggregation import AggregationSession
 from refground.cli import main
 from refground.config import ConfigError, PipelineConfig, load_config
-from refground.geometry import GridSpec
+from refground.geometry import DepthFrame, GridSpec, read_depth_file, write_depth_file
 from refground.lexicon import default_lexicon, load_lexicon
 
 from conftest import save_config
@@ -279,6 +279,28 @@ def test_depth_beyond_configured_max_range_is_io_error(dataset, tmp_path, capsys
     assert lines[0].startswith("error: ") and ".depth: " in lines[0]
     largest = re.search(r"largest depth ([0-9.]+), configured max_range 2.0$", lines[0])
     assert largest and 2.0 < float(largest.group(1)) <= 2.4
+
+
+@pytest.mark.parametrize("command", ["ground", "aggregate"])
+def test_depth_of_another_size_than_the_intrinsics_is_io_error(dataset, tmp_path, capsys, command):
+    episode = tmp_path / "episode"
+    shutil.copytree(episode_dir(dataset), episode)
+    config = PipelineConfig()
+    k = config.intrinsics()
+    for path in episode.glob("*.depth"):
+        full = read_depth_file(path, max_range=config.max_range)
+        crop = full.depth[: k.height // 2, : k.width // 2]
+        write_depth_file(path, DepthFrame(k.width // 2, k.height // 2, crop, full.max_range))
+    args = {
+        "ground": ["ground", str(episode), "bring a cup"],
+        "aggregate": ["aggregate", str(episode), "--out", str(tmp_path / "s.json")],
+    }[command]
+    assert main(args) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: {episode}") and ".depth: " in line
+    sizes = f"depth is {k.width // 2}x{k.height // 2}, the frame's intrinsics {k.width}x{k.height}"
+    assert line.endswith(sizes)
+    assert not (tmp_path / "s.json").exists()
 
 
 # -- eval --------------------------------------------------------------------------

@@ -13,6 +13,12 @@ from refground.episodes import (
     load_room,
     simulate_episode,
 )
+from refground.evaluation import (
+    _candidate_signature,
+    load_manifest,
+    simulate_counting_dataset,
+    simulate_dialogue_dataset,
+)
 from refground.geometry import bbox_cloud_arrays
 from refground.graph import ObjectGraph
 from refground.language import realize
@@ -20,6 +26,7 @@ from refground.pipeline import (
     build_observation_bank,
     build_session,
     ground_in_session,
+    needs_bank,
     oracle_outcome,
     query_seed_for,
     session_for_episode,
@@ -153,6 +160,58 @@ def test_ground_same_bytes_on_fresh_and_reloaded_session(episode, tmp_path, pres
             for s in (fresh, loaded)
         ]
         assert texts[0] == texts[1]
+
+
+def frame_lists(frames):
+    """The frame list reversed, shuffled (seeded) and with every frame twice."""
+    shuffled = list(frames)
+    np.random.default_rng(11).shuffle(shuffled)
+    return {
+        "reversed": frames[::-1],
+        "shuffled": shuffled,
+        "duplicated": [frame for frame in frames for _ in range(2)],
+    }
+
+
+@pytest.fixture(scope="module")
+def small_datasets(tmp_path_factory):
+    """Episode dirs of three counting rooms (one per count) and four dialogue rooms."""
+    cfg = PipelineConfig()
+    root = tmp_path_factory.mktemp("datasets")
+    counting = simulate_counting_dataset(root / "counting", cfg, rooms_per_count=1)
+    dialogue = simulate_dialogue_dataset(root / "dialogue", cfg, n_rooms=4)
+    return [d / m["dir"] for d in (counting, dialogue) for m in load_manifest(d)]
+
+
+@pytest.mark.parametrize("preset", ["none", "cs+sd+fn", "fp"])
+def test_decisions_do_not_depend_on_frame_order(small_datasets, preset):
+    # session bytes follow frame order; the counts, states, candidate sets
+    # and queries grounded on them must not
+    cfg = PipelineConfig()
+    lexicon = cfg.lexicon()
+    models = cfg.noise_models(preset)
+    bank = build_observation_bank(cfg) if needs_bank(cfg, preset) else ()
+    for out in small_datasets:
+        room, instructions = load_room(out), load_instructions(out)
+
+        def decisions(frames):
+            session, _ = build_session(frames, cfg, lexicon, models, bank, stream_seed_for(out.name))
+            counts = [
+                len(session.fuse_across_graphs(cls, cfg.region_dx, cfg.region_dy, cfg.gamma))
+                for cls in room.classes()
+            ]
+            outcomes = []
+            for case in instructions:
+                seed = query_seed_for(cfg.seed, f"{out.name}:{case.text}")
+                outcome, _ = ground_in_session(session, case.text, cfg, lexicon, seed)
+                outcomes.append((outcome.state, _candidate_signature(outcome), outcome.query))
+            return counts, outcomes
+
+        frames = load_episode(out)
+        expected = decisions(frames)
+        assert sum(expected[0]) >= len(room.classes())
+        for name, reordered in frame_lists(frames).items():
+            assert decisions(reordered) == expected, (out, name)
 
 
 def test_oracle_outcome_candidates_sorted_by_description(episode):

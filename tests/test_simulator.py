@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from refground.config import ConfigError, PipelineConfig
 from refground.geometry import BoundingBox, CameraIntrinsics
-from refground.language import phrase_to_graph, tag, tokenize
+from refground.graph import ObjectGraph
+from refground.language import phrase_to_graph, realize, tag, tokenize
 from refground.lexicon import default_lexicon
 from refground.oracle import oracle_classify
 from refground.render import NO_HIT, gt_detections, render_scene
@@ -15,14 +17,12 @@ from refground.simulator import (
     RoomSpec,
     SceneObject,
     apply_errors,
-    caption_for,
-    derive_relations,
     emit_instructions,
     generate_room,
     instruction,
     look_at_pose,
-    object_graph,
     plan_trajectory,
+    scene_graphs,
 )
 
 CONFIG = PipelineConfig()
@@ -101,29 +101,164 @@ def test_copies_bounds_validated():
         generate_room(0, {"spaceship": 1}, CONFIG)
 
 
-# -- relations -------------------------------------------------------------------
+# -- ground-truth graphs --------------------------------------------------------
+
+
+def _horizontal_distance(a, b):
+    ax, ay, _ = a.centroid
+    bx, by, _ = b.centroid
+    return math.hypot(ax - bx, ay - by)
+
+
+def derive_relations(room: RoomSpec, tau_near: float) -> dict[int, list[tuple[str, int]]]:
+    """Relational attributes from scene metadata: is-on via support,
+    is-near via horizontal centroid distance below tau_near."""
+    rel: dict[int, list[tuple[str, int]]] = {o.id: [] for o in room.objects}
+    by_id = {o.id: o for o in room.objects}
+    for obj in room.objects:
+        if obj.support is not None and obj.support in by_id:
+            rel[obj.id].append(("is-on", obj.support))
+    for a in room.objects:
+        for b in room.objects:
+            if a.id >= b.id:
+                continue
+            if a.support == b.id or b.support == a.id:
+                continue
+            if _horizontal_distance(a, b) < tau_near:
+                rel[a.id].append(("is-near", b.id))
+                rel[b.id].append(("is-near", a.id))
+    return {oid: sorted(edges) for oid, edges in rel.items()}
+
+
+def preferred_relation(
+    room: RoomSpec, obj: SceneObject, relations: dict[int, list[tuple[str, int]]]
+) -> tuple[str, SceneObject] | None:
+    """The one relational attribute used in captions: is-on wins, else the
+    nearest is-near neighbor."""
+    by_id = {o.id: o for o in room.objects}
+    edges = relations.get(obj.id, [])
+    ons = [other for kind, other in edges if kind == "is-on"]
+    if ons:
+        return "is-on", by_id[ons[0]]
+    nears = [by_id[other] for kind, other in edges if kind == "is-near"]
+    if nears:
+        nears.sort(key=lambda o: (_horizontal_distance(obj, o), o.id))
+        return "is-near", nears[0]
+    return None
+
+
+def object_graph(
+    room: RoomSpec, obj: SceneObject, relations: dict[int, list[tuple[str, int]]]
+) -> ObjectGraph:
+    """Full ground-truth graph: class, color, material, one relational edge."""
+    rel_attrs = []
+    preferred = preferred_relation(room, obj, relations)
+    if preferred is not None:
+        kind, landmark = preferred
+        rel_attrs.append((kind, ObjectGraph.build(landmark.cls)))
+    return ObjectGraph.build(obj.cls, [("color", obj.color), ("material", obj.material)], rel_attrs)
+
+
+def reference_scene_graphs(room: RoomSpec, tau_near: float) -> dict[int, ObjectGraph]:
+    """Reference: the relations table and its readers that scene_graphs replaced."""
+    relations = derive_relations(room, tau_near)
+    return {o.id: object_graph(room, o, relations) for o in room.objects}
+
+
+def edge(g: ObjectGraph) -> tuple[str, str] | None:
+    """The graph's one relational edge as (kind, landmark class), or None."""
+    assert len(g.rel_attrs) <= 1
+    return next(((kind, child.root) for kind, child in g.rel_attrs), None)
+
+
+@pytest.mark.parametrize("tau_near", [0.3, 0.75, 1.5, 3.0])
+def test_scene_graphs_match_reference_on_seeded_rooms(tau_near):
+    recipes = [
+        COPIES,
+        {"cup": 3, "book": 2, "table": 2, "counter": 1},
+        {"chair": 3, "lamp": 2, "desk": 1, "bowl": 1},
+    ]
+    for seed in range(12):
+        room = generate_room(seed, recipes[seed % len(recipes)], CONFIG)
+        assert scene_graphs(room, tau_near) == reference_scene_graphs(room, tau_near)
+
+
+def test_scene_graphs_break_a_distance_tie_by_id():
+    # a chair and a sofa exactly 0.5 m either side of the lamp: the lower id wins
+    lamp = box_obj(0, "lamp", 2.0, 2.0, 0.25, 0.25, 0.4)
+    for chair_id, sofa_id, winner in ((1, 2, "chair"), (2, 1, "sofa")):
+        chair = box_obj(chair_id, "chair", 2.5, 2.0, 0.25, 0.25, 0.9)
+        sofa = box_obj(sofa_id, "sofa", 1.5, 2.0, 0.25, 0.25, 0.9)
+        for objects in ([lamp, chair, sofa], [sofa, chair, lamp]):
+            room = manual_room(objects)
+            assert edge(scene_graphs(room, 0.75)[0]) == ("is-near", winner)
+            assert scene_graphs(room, 0.75) == reference_scene_graphs(room, 0.75)
+
+
+def test_scene_graphs_prefer_is_on_over_a_closer_floor_neighbour():
+    table = box_obj(0, "table", 1.0, 1.0, 1.0, 0.7, 0.75)
+    cup = box_obj(1, "cup", 1.85, 1.3, 0.1, 0.1, 0.12, support=0, z=0.75)
+    chair = box_obj(2, "chair", 2.05, 1.25, 0.2, 0.2, 0.9)  # 0.25 m from the cup, table 0.4 m
+    room = manual_room([table, cup, chair])
+    graphs = scene_graphs(room, 0.75)
+    assert edge(graphs[1]) == ("is-on", "table")
+    unsupported = dataclasses.replace(cup, support=None)
+    assert edge(scene_graphs(manual_room([table, unsupported, chair]), 0.75)[1]) == ("is-near", "chair")
+    assert graphs == reference_scene_graphs(room, 0.75)
+
+
+def test_scene_graphs_with_a_support_missing_from_the_room():
+    room = RoomSpec.from_dict(
+        {
+            "extents": [6.0, 6.0, 2.5],
+            "seed": 0,
+            "objects": [
+                box_obj(0, "lamp", 1.0, 1.0, 0.3, 0.3, 0.4).to_dict(),
+                box_obj(1, "cup", 1.3, 1.0, 0.1, 0.1, 0.12, support=9, z=0.75).to_dict(),
+            ],
+        }
+    )
+    graphs = scene_graphs(room, 0.75)
+    assert edge(graphs[1]) == ("is-near", "lamp")
+    assert graphs == reference_scene_graphs(room, 0.75)
+
+
+def test_scene_graphs_never_take_an_object_resting_on_this_one_as_landmark():
+    desk = box_obj(0, "desk", 1.0, 1.0, 1.0, 0.6, 0.75)
+    book = box_obj(1, "book", 1.4, 1.2, 0.2, 0.15, 0.05, support=0, z=0.75)
+    lamp = box_obj(2, "lamp", 2.3, 1.1, 0.3, 0.3, 0.4)  # farther from the desk than the book
+    room = manual_room([desk, book, lamp])
+    graphs = scene_graphs(room, 1.5)
+    assert edge(graphs[0]) == ("is-near", "lamp")
+    assert edge(scene_graphs(manual_room([desk, book]), 1.5)[0]) is None
+    assert graphs == reference_scene_graphs(room, 1.5)
 
 
 def test_is_on_from_support():
     table = box_obj(0, "table", 1.0, 1.0, 1.0, 0.7, 0.75)
     cup = box_obj(1, "cup", 1.4, 1.2, 0.1, 0.1, 0.12, support=0, z=0.75)
-    rel = derive_relations(manual_room([table, cup]), 0.75)
-    assert ("is-on", 0) in rel[1]
-    assert all(kind != "is-near" for kind, _ in rel[1] if _ == 0)
+    graphs = scene_graphs(manual_room([table, cup]), 0.75)
+    assert edge(graphs[1]) == ("is-on", "table")
+    assert edge(graphs[0]) is None  # the cup resting on it is not its is-near landmark
 
 
 def test_is_near_is_symmetric():
     a = box_obj(0, "lamp", 1.0, 1.0, 0.3, 0.3, 0.4)
     b = box_obj(1, "chair", 1.5, 1.0, 0.45, 0.45, 0.9)
-    rel = derive_relations(manual_room([a, b]), tau_near=0.75)
-    assert ("is-near", 1) in rel[0] and ("is-near", 0) in rel[1]
+    graphs = scene_graphs(manual_room([a, b]), tau_near=0.75)
+    assert edge(graphs[0]) == ("is-near", "chair") and edge(graphs[1]) == ("is-near", "lamp")
 
 
 def test_distant_objects_not_near():
     a = box_obj(0, "lamp", 0.5, 0.5, 0.3, 0.3, 0.4)
     b = box_obj(1, "chair", 3.5, 3.5, 0.45, 0.45, 0.9)
-    rel = derive_relations(manual_room([a, b]), tau_near=0.75)
-    assert rel[0] == [] and rel[1] == []
+    graphs = scene_graphs(manual_room([a, b]), tau_near=0.75)
+    assert graphs[0].rel_attrs == () and graphs[1].rel_attrs == ()
+    # centroids exactly tau_near apart are not near either
+    c = box_obj(1, "chair", 1.25, 0.5, 0.25, 0.25, 0.9)
+    room = manual_room([box_obj(0, "lamp", 0.5, 0.5, 0.25, 0.25, 0.4), c])
+    assert scene_graphs(room, tau_near=0.75)[0].rel_attrs == ()
+    assert scene_graphs(room, tau_near=0.75) == reference_scene_graphs(room, 0.75)
 
 
 def test_caption_prefers_is_on():
@@ -131,11 +266,9 @@ def test_caption_prefers_is_on():
     cup = box_obj(
         1, "cup", 1.4, 1.2, 0.1, 0.1, 0.12, color="red", material="plastic", support=0, z=0.75
     )
-    room = manual_room([table, cup])
-    rel = derive_relations(room, 0.75)
-    assert caption_for(room, cup, rel) == "a red plastic cup on top of a table"
-    g = object_graph(room, cup, rel)
-    assert phrase_to_graph(caption_for(room, cup, rel), default_lexicon()) == g
+    g = scene_graphs(manual_room([table, cup]), 0.75)[1]
+    assert realize(g) == "a red plastic cup on top of a table"
+    assert phrase_to_graph(realize(g), default_lexicon()) == g
 
 
 # -- trajectory --------------------------------------------------------------------
@@ -288,8 +421,7 @@ def test_render_beyond_max_range_is_invalid():
 
 
 def _captions(room):
-    rel = derive_relations(room, 0.75)
-    return {o.id: caption_for(room, o, rel) for o in room.objects}
+    return {oid: realize(g) for oid, g in scene_graphs(room, 0.75).items()}
 
 
 def test_fully_occluded_object_not_detected():
@@ -459,9 +591,8 @@ def test_noise_models_refuse_an_unknown_preset():
 
 def test_instructions_cover_types_and_parse():
     room = generate_room(6, COPIES, CONFIG)
-    relations = derive_relations(room, 0.75)
     lexicon = default_lexicon()
-    cases = emit_instructions(room, relations)
+    cases = emit_instructions(room, scene_graphs(room, 0.75))
     types = {c.re_type for c in cases}
     assert {"self", "self+rel", "bare", "missing"} <= types
     for case in cases:
@@ -494,22 +625,21 @@ def test_instruction_expected_states_match_oracle():
         cls: [object_graph(room, o, relations) for o in room.objects_of(cls)]
         for cls in room.classes()
     }
-    for case in emit_instructions(room, relations):
+    for case in emit_instructions(room, scene_graphs(room, 0.75)):
         state, _ = oracle_classify(case.graph, graphs.get(case.target_class, []))
         assert case.expected_state == state.value
 
 
 def test_bare_instruction_on_multicopy_class_is_ambiguous():
     room = generate_room(8, COPIES, CONFIG)
-    relations = derive_relations(room, 0.75)
-    cases = emit_instructions(room, relations)
+    cases = emit_instructions(room, scene_graphs(room, 0.75))
     bare_cup = [c for c in cases if c.re_type == "bare" and c.target_class == "cup"]
     assert bare_cup and bare_cup[0].expected_state == "inform-ambiguity"
 
 
 def test_missing_probe_targets_absent_class():
     room = generate_room(6, COPIES, CONFIG)
-    cases = emit_instructions(room, derive_relations(room, 0.75))
+    cases = emit_instructions(room, scene_graphs(room, 0.75))
     probe = [c for c in cases if c.re_type == "missing"]
     assert probe and probe[0].target_class not in room.classes()
     assert probe[0].expected_state == "inform-missing"
@@ -517,7 +647,7 @@ def test_missing_probe_targets_absent_class():
 
 def test_instruction_case_round_trip():
     room = generate_room(6, COPIES, CONFIG)
-    cases = emit_instructions(room, derive_relations(room, 0.75))
+    cases = emit_instructions(room, scene_graphs(room, 0.75))
     from refground.simulator import InstructionCase
 
     for case in cases:
@@ -527,3 +657,10 @@ def test_instruction_case_round_trip():
 def test_room_spec_round_trip():
     room = generate_room(6, COPIES, CONFIG)
     assert RoomSpec.from_dict(room.to_dict()).to_dict() == room.to_dict()
+
+
+def test_room_spec_refuses_two_objects_with_one_id():
+    # each object's graph and caption is looked up by its id
+    objects = [box_obj(0, "cup", 1.0, 1.0, 0.1, 0.1, 0.1), box_obj(0, "cup", 4.0, 4.0, 0.1, 0.1, 0.1)]
+    with pytest.raises(ValueError, match=r"object ids must be unique, got \[0, 0\]"):
+        RoomSpec.from_dict(manual_room(objects).to_dict())
