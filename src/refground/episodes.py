@@ -30,7 +30,7 @@ from .geometry import (
     write_depth_file,
 )
 from .language import realize
-from .render import gt_detections, render_scene
+from .render import _pixel_rects, gt_detections, render_scene
 from .simulator import (
     Detection,
     InstructionCase,
@@ -101,9 +101,11 @@ def trajectory_frames(room: RoomSpec, config: PipelineConfig, n_poses: int | Non
     """
     captions = {oid: realize(g) for oid, g in scene_graphs(room, config.tau_near).items()}
     intrinsics = config.intrinsics()
-    for pose in plan_trajectory(room, config, config.n_waypoints if n_poses is None else n_poses):
-        depth, winner = render_scene(room, pose, intrinsics, config.max_range)
-        detections = gt_detections(room, winner, captions, config.min_pixels)
+    poses = plan_trajectory(room, config, config.n_waypoints if n_poses is None else n_poses)
+    all_rects = _pixel_rects(room, poses, intrinsics, config.max_range)
+    for pose, rects in zip(poses, all_rects):
+        depth, winner = render_scene(room, pose, intrinsics, config.max_range, rects=rects)
+        detections = gt_detections(room, winner, captions, config.min_pixels, rects)
         yield pose, depth, detections
 
 

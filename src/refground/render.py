@@ -24,6 +24,12 @@ the box can win. A box whose clipped set is empty or off-frame is skipped;
 a box that contains the camera or nearly touches it (z_lo <= 0) is tested
 over the full frame. Pixels inside a rectangle run the same per-element
 arithmetic as a dense test, so the output is the same to the byte.
+The rectangles of a whole trajectory are worked out in one pass over its
+poses (`_pixel_rects` with a leading frame axis); `trajectory_frames` hands
+each frame its rows, and `render_scene` computes its own only when called
+without them. An object wins pixels only inside its rectangle, so
+`gt_detections` scans each object's rectangle of the winner map, not the
+whole frame.
 
 The room shell (floor and four walls) takes one full-frame pass after the
 objects when the camera is strictly inside the room: each of its six
@@ -93,46 +99,56 @@ _CORNER_BITS = ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1).astype(bool)
 _EDGES = np.array([(a, a | bit) for a in range(8) for bit in (1, 2, 4) if not a & bit])
 
 
+def _pixel_rays(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, float]:
+    """(us (w,), vs (h,), K): each column's and row's camera ray slope at the
+    pixel centre, and the longest ray per unit of depth (the frame corner's)."""
+    us = (np.arange(intrinsics.width) + 0.5 - intrinsics.cx) / intrinsics.fx
+    vs = (np.arange(intrinsics.height) + 0.5 - intrinsics.cy) / intrinsics.fy
+    return us, vs, float(np.sqrt(1.0 + np.abs(us).max() ** 2 + np.abs(vs).max() ** 2))
+
+
 def _pixel_rects(
-    mins: np.ndarray,
-    maxs: np.ndarray,
-    pose: Pose,
+    room: RoomSpec,
+    poses: list[Pose],
     intrinsics: CameraIntrinsics,
-    ray_len: float,
     max_range: float,
+    include_structure: bool = True,
 ) -> np.ndarray:
-    """(B, 4) int rows (u0, u1, v0, v1): the half-open pixel rectangle each box can win.
+    """(F, B, 4) int rows (u0, u1, v0, v1): per pose, the half-open pixel
+    rectangle each box of scene_boxes(room, include_structure) can win.
 
     An empty row (u0 == u1) means the box cannot be hit within max_range;
     the module docstring gives the bound.
     """
-    origin = pose.translation
+    mins, maxs, _ = scene_boxes(room, include_structure)
+    origin = np.array([pose.translation for pose in poses])[:, None, :]  # (F, 1, 3)
     gap = np.maximum(np.maximum(mins - origin, origin - maxs), 0.0)
-    z_lo = np.sqrt((gap * gap).sum(axis=1)) / ray_len * (1 - 1e-6) - 1e-6
+    z_lo = np.sqrt((gap * gap).sum(axis=2)) / _pixel_rays(intrinsics)[2] * (1 - 1e-6) - 1e-6
     z_hi = max_range * (1 + 1e-6) + 1e-6
     # camera coordinates that invert the ray construction dirs = R @ d_cam
+    to_cam = np.linalg.inv(np.array([pose.rotation for pose in poses])).transpose(0, 2, 1)
     corners = np.where(_CORNER_BITS, maxs[:, None, :], mins[:, None, :])
-    cam = (corners - origin) @ np.linalg.inv(pose.rotation).T  # (B, 8, 3)
-    a, b = cam[:, _EDGES[:, 0]], cam[:, _EDGES[:, 1]]  # (B, 12, 3)
-    points, valid = [cam], [(cam[..., 2] >= z_lo[:, None]) & (cam[..., 2] <= z_hi)]
-    for plane in (z_lo[:, None], z_hi):
+    cam = (corners - origin[:, None]) @ to_cam[:, None]  # (F, B, 8, 3)
+    a, b = cam[:, :, _EDGES[:, 0]], cam[:, :, _EDGES[:, 1]]  # (F, B, 12, 3)
+    points, valid = [cam], [(cam[..., 2] >= z_lo[..., None]) & (cam[..., 2] <= z_hi)]
+    for plane in (z_lo[..., None], z_hi):
         crosses = (a[..., 2] - plane) * (b[..., 2] - plane) < 0
         s = (plane - a[..., 2]) / np.where(crosses, b[..., 2] - a[..., 2], 1.0)
         p = a + s[..., None] * (b - a)
         p[..., 2] = plane
         points.append(p)
         valid.append(crosses)
-    points = np.concatenate(points, axis=1)
-    valid = np.concatenate(valid, axis=1) & (z_lo > 0)[:, None]
+    points = np.concatenate(points, axis=2)
+    valid = np.concatenate(valid, axis=2) & (z_lo > 0)[..., None]
     z = np.where(valid, points[..., 2], 1.0)
     u = intrinsics.fx * points[..., 0] / z + intrinsics.cx
     v = intrinsics.fy * points[..., 1] / z + intrinsics.cy
     w, h = intrinsics.width, intrinsics.height
-    u0 = np.clip(np.floor(np.where(valid, u, np.inf).min(axis=1)) - 1, 0, w)
-    u1 = np.clip(np.ceil(np.where(valid, u, -np.inf).max(axis=1)) + 2, 0, w)
-    v0 = np.clip(np.floor(np.where(valid, v, np.inf).min(axis=1)) - 1, 0, h)
-    v1 = np.clip(np.ceil(np.where(valid, v, -np.inf).max(axis=1)) + 2, 0, h)
-    rects = np.stack([u0, u1, v0, v1], axis=1).astype(np.int64)
+    u0 = np.clip(np.floor(np.where(valid, u, np.inf).min(axis=2)) - 1, 0, w)
+    u1 = np.clip(np.ceil(np.where(valid, u, -np.inf).max(axis=2)) + 2, 0, w)
+    v0 = np.clip(np.floor(np.where(valid, v, np.inf).min(axis=2)) - 1, 0, h)
+    v1 = np.clip(np.ceil(np.where(valid, v, -np.inf).max(axis=2)) + 2, 0, h)
+    rects = np.stack([u0, u1, v0, v1], axis=2).astype(np.int64)
     rects[(u0 >= u1) | (v0 >= v1)] = 0  # nothing in the band, or off-frame
     rects[z_lo <= 0] = (0, w, 0, h)  # contains the camera or nearly touches it
     return rects
@@ -144,25 +160,27 @@ def render_scene(
     intrinsics: CameraIntrinsics,
     max_range: float,
     include_structure: bool = True,
+    *,
+    rects: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render (depth (h, w) float32, winner (h, w) int64) for one view.
 
     winner holds the index of the nearest object per pixel, STRUCTURE_ID for
     walls/floor, NO_HIT where nothing is within max_range. Depth is 0 there.
+    rects are this pose's rows of _pixel_rects over the same boxes; they
+    are computed here when not given.
     """
     w, h = intrinsics.width, intrinsics.height
-    us = (np.arange(w) + 0.5 - intrinsics.cx) / intrinsics.fx
-    vs = (np.arange(h) + 0.5 - intrinsics.cy) / intrinsics.fy
+    us, vs, ray_len = _pixel_rays(intrinsics)
     # planar (3, h, w) rays, so the slab reductions below run over the leading axis
     dirs_cam = np.empty((3, h, w))
     dirs_cam[0] = us
     dirs_cam[1] = vs[:, None]
     dirs_cam[2] = 1.0
     dirs = pose.rotation @ dirs_cam.reshape(3, -1)
-    dirs = np.where(np.abs(dirs) < 1e-12, 1e-12, dirs)
+    np.copyto(dirs, 1e-12, where=np.abs(dirs) < 1e-12)
+    inv = np.divide(1.0, dirs, out=dirs).reshape(3, h, w)
     origin = pose.translation
-    inv = (1.0 / dirs).reshape(3, h, w)
-    ray_len = float(np.sqrt(1.0 + np.abs(us).max() ** 2 + np.abs(vs).max() ** 2))
 
     mins, maxs, ids = scene_boxes(room, include_structure)
     extents = np.asarray(room.extents, dtype=np.float64)
@@ -171,8 +189,9 @@ def render_scene(
     n_loop = len(room.objects) if shell else len(ids)  # the shell pass replaces the structure boxes
     best = np.full((h, w), np.inf)
     winner = np.full((h, w), NO_HIT, dtype=np.int64)
-    rects = _pixel_rects(mins[:n_loop], maxs[:n_loop], pose, intrinsics, ray_len, max_range)
-    for box, (u0, u1, v0, v1) in enumerate(rects):
+    if rects is None:
+        rects = _pixel_rects(room, [pose], intrinsics, max_range, include_structure)[0]
+    for box, (u0, u1, v0, v1) in enumerate(rects[:n_loop].tolist()):
         if u0 == u1:
             continue
         inv_r = inv[:, v0:v1, u0:u1]
@@ -190,43 +209,51 @@ def render_scene(
     if shell:
         # each axis's inner wall (or floor) face the ray points at
         o = origin[:, None, None]
-        tx, ty, tz = np.where(inv > 0, extents[:, None, None] - o, 0.0 - o) * inv
-        walls = np.minimum(tx, ty)
+        faces = np.where(inv > 0, extents[:, None, None] - o, 0.0 - o)
+        tx, ty, tz = np.multiply(faces, inv, out=faces)
+        walls = np.minimum(tx, ty, out=tx)
         # a rising ray that reaches the top of the walls first leaves the room
-        tval = np.where(walls <= tz, walls, np.where(inv[2] < 0, tz, np.inf))
-        closer = tval < best  # strict: objects keep a tie
-        np.copyto(best, tval, where=closer)
+        over = ~(walls <= tz)
+        np.copyto(tz, np.inf, where=~(inv[2] < 0))
+        np.copyto(walls, tz, where=over)
+        closer = walls < best  # strict: objects keep a tie
+        np.copyto(best, walls, where=closer)
         np.copyto(winner, STRUCTURE_ID, where=closer)
 
     miss = ~np.isfinite(best) | (best > max_range)
-    depth = np.where(miss, 0.0, best)
+    best[miss] = 0.0
     winner[miss] = NO_HIT
-    return depth.astype(np.float32), winner
+    return best.astype(np.float32), winner
 
 
 def gt_detections(
-    room: RoomSpec, winner: np.ndarray, captions: dict[int, str], min_pixels: int
+    room: RoomSpec,
+    winner: np.ndarray,
+    captions: dict[int, str],
+    min_pixels: int,
+    rects: np.ndarray | None = None,
 ) -> list[Detection]:
     """Tight boxes around each object's visible pixels, with its caption.
 
     Visibility comes from render_scene's winner map: an occluded object wins
     no pixel and yields nothing; an object clipped by the frame edge gets a
     clamped box; one that wins fewer than min_pixels pixels is dropped.
+    An object wins pixels only inside its row of the rects render_scene
+    took, so given them each object is scanned there, else over the frame.
     """
-    # one pass over the map: each object's pixel count and occupied rows and columns
     h, w = winner.shape
     n = len(room.objects)
-    ys, xs = np.nonzero(winner >= 0)
-    ids = winner[ys, xs]
-    pixels = np.bincount(ids, minlength=n)
-    rows = np.bincount(ids * h + ys, minlength=n * h).reshape(n, h) > 0
-    cols = np.bincount(ids * w + xs, minlength=n * w).reshape(n, w) > 0
+    scans = [(0, w, 0, h)] * n if rects is None else rects[:n].tolist()
     detections: list[Detection] = []
-    for idx, obj in enumerate(room.objects):
-        if pixels[idx] < max(min_pixels, 1):
+    for idx, (obj, (u0, u1, v0, v1)) in enumerate(zip(room.objects, scans)):
+        if u0 == u1:
             continue
-        u0, u1 = cols[idx].argmax(), w - cols[idx, ::-1].argmax()
-        v0, v1 = rows[idx].argmax(), h - rows[idx, ::-1].argmax()
-        bbox = BoundingBox(float(u0), float(v0), float(u1), float(v1))
+        mine = winner[v0:v1, u0:u1] == idx
+        if np.count_nonzero(mine) < max(min_pixels, 1):
+            continue
+        cols, rows = mine.any(axis=0).nonzero()[0], mine.any(axis=1).nonzero()[0]
+        bbox = BoundingBox(
+            float(u0 + cols[0]), float(v0 + rows[0]), float(u0 + cols[-1] + 1), float(v0 + rows[-1] + 1)
+        )
         detections.append(Detection(bbox, captions[obj.id], obj.id))
     return detections

@@ -127,6 +127,9 @@ class RoomSpec:
         ids = [o.id for o in objects]
         if len(set(ids)) != len(ids):  # scene_graphs and captions are keyed by id
             raise ValueError(f"object ids must be unique, got {ids}")
+        for o in objects:
+            if o.support == o.id:  # scene_graphs would put it on top of itself
+                raise ValueError(f"object {o.id} is its own support")
         return cls(
             tuple(float(v) for v in d["extents"]),
             objects,
@@ -148,6 +151,19 @@ def _xy_boxes_clash(amin, amax, bmin, bmax, clearance: float) -> bool:
     )
 
 
+def _uniform_draws(rng: np.random.Generator):
+    """uniform(lo, hi): the value of rng.uniform(lo, hi), by the formula
+    Generator.uniform evaluates (lo + (hi - lo) * next double), from the
+    same stream at a fraction of the call's cost. Bounds with hi < lo,
+    which Generator.uniform refuses, are never drawn here."""
+    random = rng.random
+
+    def uniform(lo: float, hi: float) -> float:
+        return lo + (hi - lo) * random()
+
+    return uniform
+
+
 def generate_room(
     seed: int, copies: dict[str, int], config: PipelineConfig, min_extent: float = 0.0
 ) -> RoomSpec:
@@ -165,6 +181,7 @@ def generate_room(
         if not 1 <= count <= 5:
             raise GenerationError(f"copies for {cls_name!r} must be in 1..5, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    uniform = _uniform_draws(rng)
     ex, ey = max(min_extent, config.room_x), max(min_extent, config.room_y)
 
     order: list[str] = []
@@ -184,11 +201,7 @@ def generate_room(
 
     def size_for(cls_name: str) -> tuple[float, float, float]:
         spec = PALETTE[cls_name]
-        return (
-            float(rng.uniform(*spec.size_x)),
-            float(rng.uniform(*spec.size_y)),
-            float(rng.uniform(*spec.size_z)),
-        )
+        return uniform(*spec.size_x), uniform(*spec.size_y), uniform(*spec.size_z)
 
     def next_attrs(cls_name: str) -> tuple[str, str]:
         return attr_combos[cls_name].pop(0)
@@ -216,8 +229,8 @@ def generate_room(
             lo_y, hi_y = config.wall_margin, ey - config.wall_margin - sy
             if hi_x <= lo_x or hi_y <= lo_y:
                 continue
-            x0 = float(rng.uniform(lo_x, hi_x))
-            y0 = float(rng.uniform(lo_y, hi_y))
+            x0 = uniform(lo_x, hi_x)
+            y0 = uniform(lo_y, hi_y)
             bmin, bmax = (x0, y0, 0.0), (x0 + sx, y0 + sy, sz)
             clash = any(
                 _xy_boxes_clash(bmin, bmax, o.box_min, o.box_max, config.floor_clearance)
@@ -261,8 +274,8 @@ def generate_room(
                 hi_y = supporter.box_max[1] - inset_y - sy
                 if hi_x <= lo_x or hi_y <= lo_y:
                     break
-                x0 = float(rng.uniform(lo_x, hi_x))
-                y0 = float(rng.uniform(lo_y, hi_y))
+                x0 = uniform(lo_x, hi_x)
+                y0 = uniform(lo_y, hi_y)
                 z0 = supporter.box_max[2]
                 bmin, bmax = (x0, y0, z0), (x0 + sx, y0 + sy, z0 + sz)
                 clash = any(

@@ -383,6 +383,7 @@ def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, dama
         pytest.param("room.json", ("objects", 0, "color"), [], id="room_color_list"),
         pytest.param("room.json", ("objects", 0, "box_max"), [0, 0], id="room_box_two_numbers"),
         pytest.param("room.json", ("copies", "cup"), float("-inf"), id="room_copies_inf"),
+        pytest.param("room.json", ("objects", 0, "support"), 0, id="room_object_on_itself"),
         pytest.param("instructions.jsonl", ("text",), 2.5, id="instruction_text_float"),
         pytest.param("manifest.jsonl", ("kind",), {"k": 1}, id="kind_object"),
         pytest.param("manifest.jsonl", ("kind",), ["dialogue"], id="kind_list"),

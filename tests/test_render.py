@@ -1,4 +1,6 @@
-"""The culled renderer against a frozen copy of the dense one, to the byte."""
+"""The culled renderer against a frozen copy of the dense one, to the byte;
+batched pixel rectangles and the detections that read them against their
+references."""
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from refground.config import PipelineConfig
 from refground.evaluation import DIALOGUE_MULTI, _generate_with_retries
-from refground.geometry import CameraIntrinsics
-from refground.render import NO_HIT, STRUCTURE_ID, render_scene, scene_boxes
-from refground.simulator import RoomSpec, SceneObject, look_at_pose, plan_trajectory
+from refground.episodes import trajectory_frames
+from refground.geometry import BoundingBox, CameraIntrinsics
+from refground.language import realize
+from refground.render import NO_HIT, STRUCTURE_ID, _pixel_rects, gt_detections, render_scene, scene_boxes
+from refground.simulator import Detection, RoomSpec, SceneObject, look_at_pose, plan_trajectory, scene_graphs
 
 RANGES = (1.0, 2.0, 2.4, 10.0)
 K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
@@ -81,6 +85,38 @@ def test_trajectory_frames_match_dense(make_room):
     room = make_room(config)
     for pose in plan_trajectory(room, config, config.n_waypoints):
         assert_same_render(room, pose, config.intrinsics())
+
+
+@pytest.mark.parametrize("make_room", [counting_room, dialogue_room])
+def test_trajectory_rects_equal_their_single_pose_rows(make_room):
+    config = PipelineConfig()
+    room = make_room(config)
+    poses = plan_trajectory(room, config, config.n_waypoints)
+    intrinsics = config.intrinsics()
+    for max_range in RANGES:
+        batch = _pixel_rects(room, poses, intrinsics, max_range)
+        assert batch.shape == (len(poses), len(room.objects) + 5, 4)
+        for pose, rows in zip(poses, batch):
+            assert rows.tobytes() == _pixel_rects(room, [pose], intrinsics, max_range)[0].tobytes()
+
+
+def test_rects_of_a_mixed_batch_render_as_dense():
+    """A pose inside the room and one above the walls in one batch; the second
+    misses the shell pass, so its structure rows go through the box loop."""
+    room = counting_room(PipelineConfig())
+    ex, ey, ez = room.extents
+    poses = [
+        look_at_pose((0.5 * ex, 0.5 * ey, 1.2), (ex, 0.5 * ey, 0.5)),
+        look_at_pose((0.5 * ex, -1.0, ez + 1.5), (0.5 * ex, 0.5 * ey, 0.0)),
+    ]
+    for max_range in (2.4, 10.0):
+        batch = _pixel_rects(room, poses, K, max_range)
+        for pose, rows in zip(poses, batch):
+            assert rows.tobytes() == _pixel_rects(room, [pose], K, max_range)[0].tobytes()
+            depth, winner = render_scene(room, pose, K, max_range, rects=rows)
+            want_depth, want_winner = dense_render_scene(room, pose, K, max_range)
+            assert depth.tobytes() == want_depth.tobytes() and winner.tobytes() == want_winner.tobytes()
+        assert (batch[1, len(room.objects):, 0] < batch[1, len(room.objects):, 1]).any()
 
 
 def test_without_structure_matches_dense():
@@ -282,3 +318,61 @@ def interior(extent):
 def test_random_interior_views_match_dense(eye, direction):
     pose = look_at_pose(eye, np.add(eye, direction))
     assert_same_render(SHELL_ROOM, pose, SHELL_K, ranges=(0.5, 2.4, 10.0))
+
+
+# -- detections read the rectangles -------------------------------------------
+
+
+def bincount_detections(room, winner, captions, min_pixels):
+    """Each object's tight box by one pass over the whole map."""
+    h, w = winner.shape
+    n = len(room.objects)
+    ys, xs = np.nonzero(winner >= 0)
+    ids = winner[ys, xs]
+    pixels = np.bincount(ids, minlength=n)
+    rows = np.bincount(ids * h + ys, minlength=n * h).reshape(n, h) > 0
+    cols = np.bincount(ids * w + xs, minlength=n * w).reshape(n, w) > 0
+    detections = []
+    for idx, obj in enumerate(room.objects):
+        if pixels[idx] < max(min_pixels, 1):
+            continue
+        u0, u1 = cols[idx].argmax(), w - cols[idx, ::-1].argmax()
+        v0, v1 = rows[idx].argmax(), h - rows[idx, ::-1].argmax()
+        bbox = BoundingBox(float(u0), float(v0), float(u1), float(v1))
+        detections.append(Detection(bbox, captions[obj.id], obj.id))
+    return detections
+
+
+def assert_rect_detections_match(room, pose, intrinsics, max_range, include_structure=True):
+    captions = {o.id: f"box {o.id}" for o in room.objects}
+    rects = _pixel_rects(room, [pose], intrinsics, max_range, include_structure)[0]
+    _, winner = render_scene(room, pose, intrinsics, max_range, include_structure, rects=rects)
+    for min_pixels in (0, 1, 25):
+        want = bincount_detections(room, winner, captions, min_pixels)
+        assert gt_detections(room, winner, captions, min_pixels, rects) == want
+        assert gt_detections(room, winner, captions, min_pixels) == want
+    return winner
+
+
+@pytest.mark.parametrize("make_room", [counting_room, dialogue_room])
+def test_trajectory_detections_match_bincount(make_room):
+    config = PipelineConfig()
+    room = make_room(config)
+    intrinsics = config.intrinsics()
+    captions = {oid: realize(g) for oid, g in scene_graphs(room, config.tau_near).items()}
+    poses = plan_trajectory(room, config, config.n_waypoints)
+    frames = list(trajectory_frames(room, config))
+    assert sum(len(detections) for _, _, detections in frames) > 0
+    for pose, (_, _, detections) in zip(poses, frames):
+        _, winner = render_scene(room, pose, intrinsics, config.max_range)
+        assert detections == bincount_detections(room, winner, captions, config.min_pixels)
+        for max_range in (2.4, 10.0):
+            assert_rect_detections_match(room, pose, intrinsics, max_range)
+
+
+def test_frame_edge_clipped_detection_matches_bincount():
+    room = manual_room(SCENES["touches_frame_edge"])
+    pose = look_at_pose(EYE, (4.0, 3.0, 1.2))
+    for include_structure in (True, False):
+        winner = assert_rect_detections_match(room, pose, K, 10.0, include_structure)
+        assert (winner[:, 0] == 0).any()  # the box reaches the left edge of the frame

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from refground.config import ConfigError, PipelineConfig
 from refground.geometry import BoundingBox, CameraIntrinsics
@@ -14,6 +15,7 @@ from refground.render import NO_HIT, gt_detections, render_scene
 from refground.simulator import (
     Detection,
     GenerationError,
+    PALETTE,
     RoomSpec,
     SceneObject,
     apply_errors,
@@ -23,6 +25,7 @@ from refground.simulator import (
     look_at_pose,
     plan_trajectory,
     scene_graphs,
+    _uniform_draws,
 )
 
 CONFIG = PipelineConfig()
@@ -40,6 +43,35 @@ def box_obj(oid, cls, x, y, sx, sy, sz, color="red", material="plastic", support
 
 
 # -- room generation ------------------------------------------------------------
+
+
+BOUNDS = st.floats(-1e300, 1e300)  # finite, and so is any difference of two
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), bounds=st.lists(st.tuples(BOUNDS, BOUNDS), min_size=1, max_size=6))
+@example(seed=0, bounds=[(1.5, 1.5), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])  # lo == hi
+@example(seed=1, bounds=[(2.0, -3.0), (0.5, 0.25), (1e300, -1e300), (0.3, 0.1)])  # lo > hi
+def test_uniform_draws_equal_generator_uniform(seed, bounds):
+    """generate_room's draws are Generator.uniform's, bit for bit and in stream order.
+
+    Where Generator.uniform refuses the bounds (numpy 2 refuses a span
+    hi - lo with its sign bit set, and draws nothing), generate_room never
+    draws: it skips a position whose range is empty, and every class's size
+    range has lo < hi.
+    """
+    assert all(lo < hi for spec in PALETTE.values() for lo, hi in (spec.size_x, spec.size_y, spec.size_z))
+    uniform = _uniform_draws(np.random.default_rng(seed))
+    reference = np.random.default_rng(seed)
+    for lo, hi in bounds:
+        try:
+            want = reference.uniform(lo, hi)
+        except ValueError:
+            assert math.copysign(1.0, hi - lo) < 0
+            continue
+        got = uniform(lo, hi)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (lo, hi, got, want)
 
 
 def test_generate_room_deterministic():
@@ -664,3 +696,10 @@ def test_room_spec_refuses_two_objects_with_one_id():
     objects = [box_obj(0, "cup", 1.0, 1.0, 0.1, 0.1, 0.1), box_obj(0, "cup", 4.0, 4.0, 0.1, 0.1, 0.1)]
     with pytest.raises(ValueError, match=r"object ids must be unique, got \[0, 0\]"):
         RoomSpec.from_dict(manual_room(objects).to_dict())
+
+
+def test_room_spec_refuses_an_object_on_itself():
+    # its is-on edge would caption it "on top of" its own class
+    cup = box_obj(0, "cup", 1.0, 1.0, 0.1, 0.1, 0.1, support=0)
+    with pytest.raises(ValueError, match=r"object 0 is its own support"):
+        RoomSpec.from_dict(manual_room([cup]).to_dict())
