@@ -41,6 +41,13 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="PATH", help="pipeline config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -60,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--kind", choices=("counting", "dialogue"), default="dialogue")
-    p.add_argument("--rooms", type=int, default=5, help="rooms per count (counting) or total rooms")
+    p.add_argument("--rooms", type=positive_int, default=5, help="rooms per count (counting) or total rooms")
 
     p = sub.add_parser("ground", help="ground one instruction in an episode")
     _add_common(p)

@@ -30,7 +30,7 @@ from .geometry import (
     write_depth_file,
 )
 from .language import realize
-from .render import _pixel_rects, gt_detections, render_scene
+from .render import _pixel_rects, gt_detections, render_scene, render_setup
 from .simulator import (
     Detection,
     InstructionCase,
@@ -93,18 +93,24 @@ def _detection_from_dict(d: dict, k: CameraIntrinsics) -> Detection:
     return Detection(BoundingBox(u0, v0, u1, v1), d["caption"], d.get("gt_id"))
 
 
-def trajectory_frames(room: RoomSpec, config: PipelineConfig, n_poses: int | None = None):
+def trajectory_frames(
+    room: RoomSpec, config: PipelineConfig, n_poses: int | None = None, graphs: dict | None = None
+):
     """Yield (pose, depth, detections) for each pose of the room's camera loop.
 
     The loop has config.n_waypoints poses unless n_poses is given; depth is
     the rendered float32 map, detections the visible objects with captions.
+    graphs is scene_graphs(room, config.tau_near), computed when not given.
     """
-    captions = {oid: realize(g) for oid, g in scene_graphs(room, config.tau_near).items()}
+    if graphs is None:
+        graphs = scene_graphs(room, config.tau_near)
+    captions = {oid: realize(g) for oid, g in graphs.items()}
     intrinsics = config.intrinsics()
     poses = plan_trajectory(room, config, config.n_waypoints if n_poses is None else n_poses)
-    all_rects = _pixel_rects(room, poses, intrinsics, config.max_range)
+    setup = render_setup(room, intrinsics)
+    all_rects = _pixel_rects(setup, poses, config.max_range)
     for pose, rects in zip(poses, all_rects):
-        depth, winner = render_scene(room, pose, intrinsics, config.max_range, rects=rects)
+        depth, winner = render_scene(room, pose, intrinsics, config.max_range, setup=setup, rects=rects)
         detections = gt_detections(room, winner, captions, config.min_pixels, rects)
         yield pose, depth, detections
 
@@ -116,8 +122,9 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
     (out / "room.json").write_text(dump_json_line(room.to_dict()) + "\n", encoding="utf-8")
     k = config.intrinsics()
     intrinsics = asdict(k)
+    graphs = scene_graphs(room, config.tau_near)
     frame_lines = []
-    for index, (pose, depth, detections) in enumerate(trajectory_frames(room, config)):
+    for index, (pose, depth, detections) in enumerate(trajectory_frames(room, config, graphs=graphs)):
         depth_name = f"frame_{index:05d}.depth"
         write_depth_file(out / depth_name, DepthFrame(k.width, k.height, depth, config.max_range))
         frame_lines.append(
@@ -132,7 +139,7 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
             )
         )
     (out / "episode.jsonl").write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
-    instructions = emit_instructions(room, scene_graphs(room, config.tau_near))
+    instructions = emit_instructions(room, graphs)
     (out / "instructions.jsonl").write_text(
         "\n".join(dump_json_line(case.to_dict()) for case in instructions) + "\n",
         encoding="utf-8",

@@ -385,6 +385,8 @@ def evaluate_dataset(
 ) -> EvalReport:
     manifest = load_manifest(dataset_dir)
     kinds = {m.get("kind") for m in manifest}
+    if not kinds & {"counting", "dialogue"}:
+        raise DatasetError(f"{dataset_dir}: no counting or dialogue episodes in manifest")
     lexicon = config.lexicon()
     report = EvalReport(config_echo=config.to_dict(), noise_preset=noise_preset)
     if "counting" in kinds:

@@ -262,10 +262,9 @@ DEPTH_MAGIC = b"DORODPTH"
 
 def write_depth_file(path: str | Path, frame: DepthFrame) -> None:
     """DORODPTH format: magic, uint32 LE width/height, float32 LE row-major data."""
-    data = frame.depth.astype("<f4").tobytes(order="C")
+    data = np.ascontiguousarray(frame.depth, dtype="<f4")  # no copy for a C-ordered float32 map
     with open(path, "wb") as fh:
-        fh.write(DEPTH_MAGIC)
-        fh.write(struct.pack("<II", frame.width, frame.height))
+        fh.write(DEPTH_MAGIC + struct.pack("<II", frame.width, frame.height))
         fh.write(data)
 
 

@@ -24,31 +24,44 @@ the box can win. A box whose clipped set is empty or off-frame is skipped;
 a box that contains the camera or nearly touches it (z_lo <= 0) is tested
 over the full frame. Pixels inside a rectangle run the same per-element
 arithmetic as a dense test, so the output is the same to the byte.
+
+What depends only on the room and the camera, not the pose, is built once
+per trajectory by `render_setup`: the boxes, ids and extents, the corner
+ray length K and the planar (3, h * w) grid of camera rays. The grid is
+read-only: a frame's world rays `R @ rays` are a fresh array, which the
+frame overwrites with their inverses and then with shell face products.
 The rectangles of a whole trajectory are worked out in one pass over its
-poses (`_pixel_rects` with a leading frame axis); `trajectory_frames` hands
-each frame its rows, and `render_scene` computes its own only when called
-without them. An object wins pixels only inside its rectangle, so
-`gt_detections` scans each object's rectangle of the winner map, not the
-whole frame.
+poses (`_pixel_rects` with a leading frame axis); `trajectory_frames`
+hands each frame the set-up and its rows, and `render_scene` builds
+either through the same functions only when called without it. Per frame, each box's `mins - origin` and
+`maxs - origin` are formed once, the 1e-12 clamp on ray components runs
+only when some component is that small, and a pixel is a miss when
+`not best <= max_range` (no hit leaves best at inf). An object wins
+pixels only inside its rectangle, so `gt_detections` scans each object's
+rectangle of the winner map, not the whole frame.
 
 The room shell (floor and four walls) takes one full-frame pass after the
 objects when the camera is strictly inside the room: each of its six
 distances to the floor, the wall planes and the top of the walls exceeds
 1e-6 * K. Per axis the ray meets the inner face it points at, at
 tx = (ex - ox) * ix if ix > 0 else (0 - ox) * ix, with ix = 1 / dx
-(likewise y and z). A ray pointing down meets the shell at
-min(tx, ty, tz); a ray pointing up meets a wall at min(tx, ty) if that is
-<= tz, and otherwise leaves over the top. These are the very products the
-slab test forms for the walls' inner faces and the floor's top face, and
-the nearest shell box's t_near is one of them, so depth is the same to the
-byte; the pass updates only where it is strictly nearer, so objects keep
-their ties, as earlier boxes do. The margin keeps every such hit at
-t >= 1e-6, above the 1e-9 below which the slab test would take a box's
-exit face instead. A camera outside that interior (above the walls, say)
-tests the five boxes in the loop like any other.
+(likewise y and z). Inside the room ex - ox > 0 > 0 - ox, and ix is
+finite and nonzero, so the two products have opposite signs and tx is
+simply max((ex - ox) * ix, (0 - ox) * ix). A ray pointing down meets the
+shell at min(tx, ty, tz); a ray pointing up meets a wall at min(tx, ty)
+if that is <= tz, and otherwise leaves over the top. These are the very
+products the slab test forms for the walls' inner faces and the floor's
+top face, and the nearest shell box's t_near is one of them, so depth is
+the same to the byte; the pass updates only where it is strictly nearer,
+so objects keep their ties, as earlier boxes do. The margin keeps every
+such hit at t >= 1e-6, above the 1e-9 below which the slab test would
+take a box's exit face instead. A camera outside that interior (above the
+walls, say) tests the five boxes in the loop like any other.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,31 +112,50 @@ _CORNER_BITS = ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1).astype(bool)
 _EDGES = np.array([(a, a | bit) for a in range(8) for bit in (1, 2, 4) if not a & bit])
 
 
-def _pixel_rays(intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, float]:
-    """(us (w,), vs (h,), K): each column's and row's camera ray slope at the
-    pixel centre, and the longest ray per unit of depth (the frame corner's)."""
-    us = (np.arange(intrinsics.width) + 0.5 - intrinsics.cx) / intrinsics.fx
-    vs = (np.arange(intrinsics.height) + 0.5 - intrinsics.cy) / intrinsics.fy
-    return us, vs, float(np.sqrt(1.0 + np.abs(us).max() ** 2 + np.abs(vs).max() ** 2))
+class RenderSetup(NamedTuple):
+    """What every render of one room through one camera shares, whatever the
+    pose; render_setup builds it."""
+
+    intrinsics: CameraIntrinsics
+    mins: np.ndarray  # (B, 3) scene_boxes
+    maxs: np.ndarray  # (B, 3)
+    ids: np.ndarray  # (B,)
+    n_objects: int
+    structure: bool  # the last five boxes are the floor and walls
+    extents: np.ndarray  # (3,)
+    ray_len: float  # longest ray per unit of depth, the frame corner's
+    rays: np.ndarray  # (3, h * w) camera rays, planar; read-only
 
 
-def _pixel_rects(
-    room: RoomSpec,
-    poses: list[Pose],
-    intrinsics: CameraIntrinsics,
-    max_range: float,
-    include_structure: bool = True,
-) -> np.ndarray:
+def render_setup(room: RoomSpec, intrinsics: CameraIntrinsics, include_structure: bool = True) -> RenderSetup:
+    """The boxes of scene_boxes(room, include_structure) and the camera rays
+    at the pixel centres, each with camera z = 1."""
+    w, h = intrinsics.width, intrinsics.height
+    us = (np.arange(w) + 0.5 - intrinsics.cx) / intrinsics.fx
+    vs = (np.arange(h) + 0.5 - intrinsics.cy) / intrinsics.fy
+    ray_len = float(np.sqrt(1.0 + np.abs(us).max() ** 2 + np.abs(vs).max() ** 2))
+    rays = np.empty((3, h, w))
+    rays[0] = us
+    rays[1] = vs[:, None]
+    rays[2] = 1.0
+    rays = rays.reshape(3, -1)
+    rays.flags.writeable = False
+    mins, maxs, ids = scene_boxes(room, include_structure)
+    extents = np.asarray(room.extents, dtype=np.float64)
+    return RenderSetup(intrinsics, mins, maxs, ids, len(room.objects), include_structure, extents, ray_len, rays)
+
+
+def _pixel_rects(setup: RenderSetup, poses: list[Pose], max_range: float) -> np.ndarray:
     """(F, B, 4) int rows (u0, u1, v0, v1): per pose, the half-open pixel
-    rectangle each box of scene_boxes(room, include_structure) can win.
+    rectangle each box of the set-up can win.
 
     An empty row (u0 == u1) means the box cannot be hit within max_range;
     the module docstring gives the bound.
     """
-    mins, maxs, _ = scene_boxes(room, include_structure)
+    mins, maxs, intrinsics = setup.mins, setup.maxs, setup.intrinsics
     origin = np.array([pose.translation for pose in poses])[:, None, :]  # (F, 1, 3)
     gap = np.maximum(np.maximum(mins - origin, origin - maxs), 0.0)
-    z_lo = np.sqrt((gap * gap).sum(axis=2)) / _pixel_rays(intrinsics)[2] * (1 - 1e-6) - 1e-6
+    z_lo = np.sqrt((gap * gap).sum(axis=2)) / setup.ray_len * (1 - 1e-6) - 1e-6
     z_hi = max_range * (1 + 1e-6) + 1e-6
     # camera coordinates that invert the ray construction dirs = R @ d_cam
     to_cam = np.linalg.inv(np.array([pose.rotation for pose in poses])).transpose(0, 2, 1)
@@ -161,68 +193,69 @@ def render_scene(
     max_range: float,
     include_structure: bool = True,
     *,
+    setup: RenderSetup | None = None,
     rects: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render (depth (h, w) float32, winner (h, w) int64) for one view.
 
     winner holds the index of the nearest object per pixel, STRUCTURE_ID for
     walls/floor, NO_HIT where nothing is within max_range. Depth is 0 there.
-    rects are this pose's rows of _pixel_rects over the same boxes; they
-    are computed here when not given.
+    setup is render_setup(room, intrinsics, include_structure) and rects
+    this pose's rows of _pixel_rects over it; each is computed here when
+    not given.
     """
-    w, h = intrinsics.width, intrinsics.height
-    us, vs, ray_len = _pixel_rays(intrinsics)
-    # planar (3, h, w) rays, so the slab reductions below run over the leading axis
-    dirs_cam = np.empty((3, h, w))
-    dirs_cam[0] = us
-    dirs_cam[1] = vs[:, None]
-    dirs_cam[2] = 1.0
-    dirs = pose.rotation @ dirs_cam.reshape(3, -1)
-    np.copyto(dirs, 1e-12, where=np.abs(dirs) < 1e-12)
+    if setup is None:
+        setup = render_setup(room, intrinsics, include_structure)
+    if rects is None:
+        rects = _pixel_rects(setup, [pose], max_range)[0]
+    w, h = setup.intrinsics.width, setup.intrinsics.height
+    dirs = pose.rotation @ setup.rays  # a fresh array: the only one written below
+    if np.abs(dirs).min() < 1e-12:
+        np.copyto(dirs, 1e-12, where=np.abs(dirs) < 1e-12)
     inv = np.divide(1.0, dirs, out=dirs).reshape(3, h, w)
     origin = pose.translation
 
-    mins, maxs, ids = scene_boxes(room, include_structure)
-    extents = np.asarray(room.extents, dtype=np.float64)
+    extents = setup.extents
     gaps = np.concatenate([origin, extents - origin])
-    shell = include_structure and bool((gaps > 1e-6 * ray_len).all())
-    n_loop = len(room.objects) if shell else len(ids)  # the shell pass replaces the structure boxes
+    shell = setup.structure and bool((gaps > 1e-6 * setup.ray_len).all())
+    n_loop = setup.n_objects if shell else len(setup.ids)  # the shell pass replaces the structure boxes
     best = np.full((h, w), np.inf)
     winner = np.full((h, w), NO_HIT, dtype=np.int64)
-    if rects is None:
-        rects = _pixel_rects(room, [pose], intrinsics, max_range, include_structure)[0]
+    lo, hi, ids = setup.mins - origin, setup.maxs - origin, setup.ids
     for box, (u0, u1, v0, v1) in enumerate(rects[:n_loop].tolist()):
         if u0 == u1:
             continue
         inv_r = inv[:, v0:v1, u0:u1]
-        t1 = (mins[box] - origin)[:, None, None] * inv_r
-        t2 = (maxs[box] - origin)[:, None, None] * inv_r
+        t1 = lo[box][:, None, None] * inv_r
+        t2 = hi[box][:, None, None] * inv_r
         tnear = np.minimum(t1, t2).max(axis=0)
-        tfar = np.maximum(t1, t2).min(axis=0)
+        tfar = np.maximum(t1, t2, out=t1).min(axis=0)
         hit = (tnear <= tfar) & (tfar > 1e-9)
         tval = np.where(tnear > 1e-9, tnear, tfar)  # camera inside a box: exit face
-        tval = np.where(hit, tval, np.inf)
-        closer = tval < best[v0:v1, u0:u1]  # strict: the first box keeps a tie
-        np.copyto(best[v0:v1, u0:u1], tval, where=closer)
+        best_r = best[v0:v1, u0:u1]
+        closer = tval < best_r  # strict: the first box keeps a tie
+        closer &= hit
+        np.copyto(best_r, tval, where=closer)
         np.copyto(winner[v0:v1, u0:u1], ids[box], where=closer)
 
     if shell:
-        # each axis's inner wall (or floor) face the ray points at
-        o = origin[:, None, None]
-        faces = np.where(inv > 0, extents[:, None, None] - o, 0.0 - o)
-        tx, ty, tz = np.multiply(faces, inv, out=faces)
+        # each axis's inner wall (or floor) face the ray points at: the
+        # positive one of the two face products
+        falling = inv[2] < 0
+        faces = (extents - origin)[:, None, None] * inv
+        np.maximum(faces, np.multiply((0.0 - origin)[:, None, None], inv, out=inv), out=faces)
+        tx, ty, tz = faces
         walls = np.minimum(tx, ty, out=tx)
+        np.minimum(walls, tz, out=walls, where=falling)  # the floor or a wall, whichever is nearer
         # a rising ray that reaches the top of the walls first leaves the room
-        over = ~(walls <= tz)
-        np.copyto(tz, np.inf, where=~(inv[2] < 0))
-        np.copyto(walls, tz, where=over)
+        np.copyto(walls, np.inf, where=walls > tz)
         closer = walls < best  # strict: objects keep a tie
         np.copyto(best, walls, where=closer)
         np.copyto(winner, STRUCTURE_ID, where=closer)
 
-    miss = ~np.isfinite(best) | (best > max_range)
-    best[miss] = 0.0
-    winner[miss] = NO_HIT
+    miss = ~(best <= max_range)  # also inf: nothing hit
+    np.copyto(best, 0.0, where=miss)
+    np.copyto(winner, NO_HIT, where=miss)
     return best.astype(np.float32), winner
 
 

@@ -69,6 +69,17 @@ def test_simulate_out_blocked_by_file_is_io_error(tmp_path, capsys, kind, under_
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("kind", ["counting", "dialogue"])
+@pytest.mark.parametrize("rooms", ["0", "-2"])
+def test_simulate_fewer_than_one_room_is_a_usage_error(tmp_path, capsys, kind, rooms):
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--out", str(out), "--kind", kind, "--rooms", rooms])
+    assert exit_info.value.code == 2
+    assert "--rooms: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate_config", "ground_out", "eval_out"])
 def test_missing_or_blocked_path_is_io_error(dataset, tmp_path, capsys, command):
     blocker = tmp_path / "afile"
@@ -318,6 +329,15 @@ def test_eval_writes_reports(dataset, tmp_path, capsys):
 
 def test_eval_missing_manifest(tmp_path, capsys):
     assert main(["eval", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("manifest", ["\n", '{"dir": "episode_00000"}\n', '{"dir": "episode_00000", "kind": "other"}\n'])
+def test_eval_manifest_without_counting_or_dialogue_entries_is_dataset_error(dataset, tmp_path, capsys, manifest):
+    copy = tmp_path / "dataset"
+    shutil.copytree(dataset, copy)
+    (copy / "manifest.jsonl").write_text(manifest)
+    assert main(["eval", str(copy)]) == 3
+    assert one_error_line(capsys) == f"error: {copy}: no counting or dialogue episodes in manifest"
 
 
 def one_error_line(capsys) -> str:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from refground import evaluation, pipeline
 from refground.config import NOISE_PRESETS, PipelineConfig
 from refground.geometry import (
+    DEPTH_MAGIC,
     BoundingBox,
     CameraIntrinsics,
     DepthFrame,
@@ -523,6 +525,25 @@ def test_depth_file_round_trip(tmp_path):
     # bit-exact file round trip
     write_depth_file(tmp_path / "again.depth", back)
     assert (tmp_path / "again.depth").read_bytes() == path.read_bytes()
+
+
+def three_write_depth_bytes(frame) -> bytes:
+    """The writer's bytes as first written: magic, header and a float32 copy, one write each."""
+    return DEPTH_MAGIC + struct.pack("<II", frame.width, frame.height) + frame.depth.astype("<f4").tobytes(order="C")
+
+
+@pytest.mark.parametrize("source", ["float32", "float64", "float32_transposed"])
+def test_depth_file_bytes_match_the_three_write_writer(tmp_path, source):
+    rng = np.random.default_rng(5)
+    depth = {
+        "float32": rng.uniform(0, 5, (9, 17)).astype(np.float32),
+        "float64": rng.uniform(0, 5, (9, 17)),
+        "float32_transposed": rng.uniform(0, 5, (17, 9)).astype(np.float32).T,
+    }[source]
+    frame = DepthFrame(17, 9, depth, max_range=10.0)
+    path = tmp_path / "frame.depth"
+    write_depth_file(path, frame)
+    assert path.read_bytes() == three_write_depth_bytes(frame)
 
 
 def test_depth_file_bad_magic(tmp_path):

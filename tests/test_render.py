@@ -11,7 +11,9 @@ from refground.evaluation import DIALOGUE_MULTI, _generate_with_retries
 from refground.episodes import trajectory_frames
 from refground.geometry import BoundingBox, CameraIntrinsics
 from refground.language import realize
-from refground.render import NO_HIT, STRUCTURE_ID, _pixel_rects, gt_detections, render_scene, scene_boxes
+from refground.render import (
+    NO_HIT, STRUCTURE_ID, _pixel_rects, gt_detections, render_scene, render_setup, scene_boxes,
+)
 from refground.simulator import Detection, RoomSpec, SceneObject, look_at_pose, plan_trajectory, scene_graphs
 
 RANGES = (1.0, 2.0, 2.4, 10.0)
@@ -81,10 +83,24 @@ def dialogue_room(config):
 
 @pytest.mark.parametrize("make_room", [counting_room, dialogue_room])
 def test_trajectory_frames_match_dense(make_room):
+    """Every pose, rendered alone and through one shared set-up with its
+    batched rows, as the dense renderer; the set-up's ray grid is never written."""
     config = PipelineConfig()
     room = make_room(config)
-    for pose in plan_trajectory(room, config, config.n_waypoints):
-        assert_same_render(room, pose, config.intrinsics())
+    intrinsics = config.intrinsics()
+    poses = plan_trajectory(room, config, config.n_waypoints)
+    setup = render_setup(room, intrinsics)
+    rays = setup.rays.tobytes()
+    depths = [depth for _, depth, _ in trajectory_frames(room, config)]
+    for max_range in RANGES:
+        for pose, rows, depth in zip(poses, _pixel_rects(setup, poses, max_range), depths):
+            want_depth, want_winner = dense_render_scene(room, pose, intrinsics, max_range)
+            for kwargs in ({}, {"setup": setup, "rects": rows}):
+                got_depth, got_winner = render_scene(room, pose, intrinsics, max_range, **kwargs)
+                assert got_depth.tobytes() == want_depth.tobytes() and got_winner.tobytes() == want_winner.tobytes()
+            if max_range == config.max_range:
+                assert depth.tobytes() == want_depth.tobytes()
+    assert setup.rays.tobytes() == rays and not setup.rays.flags.writeable
 
 
 @pytest.mark.parametrize("make_room", [counting_room, dialogue_room])
@@ -94,10 +110,10 @@ def test_trajectory_rects_equal_their_single_pose_rows(make_room):
     poses = plan_trajectory(room, config, config.n_waypoints)
     intrinsics = config.intrinsics()
     for max_range in RANGES:
-        batch = _pixel_rects(room, poses, intrinsics, max_range)
+        batch = _pixel_rects(render_setup(room, intrinsics), poses, max_range)
         assert batch.shape == (len(poses), len(room.objects) + 5, 4)
         for pose, rows in zip(poses, batch):
-            assert rows.tobytes() == _pixel_rects(room, [pose], intrinsics, max_range)[0].tobytes()
+            assert rows.tobytes() == _pixel_rects(render_setup(room, intrinsics), [pose], max_range)[0].tobytes()
 
 
 def test_rects_of_a_mixed_batch_render_as_dense():
@@ -109,14 +125,18 @@ def test_rects_of_a_mixed_batch_render_as_dense():
         look_at_pose((0.5 * ex, 0.5 * ey, 1.2), (ex, 0.5 * ey, 0.5)),
         look_at_pose((0.5 * ex, -1.0, ez + 1.5), (0.5 * ex, 0.5 * ey, 0.0)),
     ]
+    setup = render_setup(room, K)
+    rays = setup.rays.tobytes()
     for max_range in (2.4, 10.0):
-        batch = _pixel_rects(room, poses, K, max_range)
+        batch = _pixel_rects(setup, poses, max_range)
         for pose, rows in zip(poses, batch):
-            assert rows.tobytes() == _pixel_rects(room, [pose], K, max_range)[0].tobytes()
-            depth, winner = render_scene(room, pose, K, max_range, rects=rows)
+            assert rows.tobytes() == _pixel_rects(render_setup(room, K), [pose], max_range)[0].tobytes()
             want_depth, want_winner = dense_render_scene(room, pose, K, max_range)
-            assert depth.tobytes() == want_depth.tobytes() and winner.tobytes() == want_winner.tobytes()
+            for kwargs in ({"setup": setup, "rects": rows}, {"rects": rows}, {}):
+                depth, winner = render_scene(room, pose, K, max_range, **kwargs)
+                assert depth.tobytes() == want_depth.tobytes() and winner.tobytes() == want_winner.tobytes()
         assert (batch[1, len(room.objects):, 0] < batch[1, len(room.objects):, 1]).any()
+    assert setup.rays.tobytes() == rays
 
 
 def test_without_structure_matches_dense():
@@ -345,7 +365,7 @@ def bincount_detections(room, winner, captions, min_pixels):
 
 def assert_rect_detections_match(room, pose, intrinsics, max_range, include_structure=True):
     captions = {o.id: f"box {o.id}" for o in room.objects}
-    rects = _pixel_rects(room, [pose], intrinsics, max_range, include_structure)[0]
+    rects = _pixel_rects(render_setup(room, intrinsics, include_structure), [pose], max_range)[0]
     _, winner = render_scene(room, pose, intrinsics, max_range, include_structure, rects=rects)
     for min_pixels in (0, 1, 25):
         want = bincount_detections(room, winner, captions, min_pixels)
