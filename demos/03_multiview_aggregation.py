@@ -24,8 +24,9 @@ room = generate_room(35, {"cup": 3, "table": 1, "desk": 1, "counter": 1, "sofa":
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "ep"
     simulate_episode(out, room, config)
-    session, stats = build_session(load_episode(out), config, config.lexicon())
-print(f"accumulated {stats.detections} detections over {stats.frames} frames")
+    frames = load_episode(out)
+    session = build_session(frames, config, config.lexicon())
+print(f"accumulated {sum(len(f.detections) for f in frames)} detections over {len(frames)} frames")
 
 print("\n=== registered object graphs ===")
 for oid, graph in session.registry.items():

@@ -21,7 +21,7 @@ room = generate_room(77, {"cup": 2, "table": 1, "counter": 1, "lamp": 1, "book":
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "ep"
     simulate_episode(out, room, config)
-    session, _ = build_session(load_episode(out), config, lexicon)
+    session = build_session(load_episode(out), config, lexicon)
     cases = load_instructions(out)
 
 print("the room contains:")

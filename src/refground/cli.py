@@ -48,6 +48,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def report_path(text: str) -> str:
+    # the table is written to the report's .txt sibling, which must be another file
+    if Path(text).suffix == ".txt":
+        raise argparse.ArgumentTypeError(f"the table is written to the .txt beside the report, got {text}")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="PATH", help="pipeline config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -88,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("dataset", metavar="DATASET_DIR")
     _add_noise(p)
-    p.add_argument("--out", metavar="PATH", help="report path (.json; a .txt table is written too)")
+    p.add_argument(
+        "--out", type=report_path, metavar="PATH", help="report path (.json; a .txt table is written too)"
+    )
 
     p = sub.add_parser("parse", help="parse text into an object graph")
     _add_common(p)

@@ -45,15 +45,8 @@ class DatasetError(ValueError):
     """Episode directory is missing required files or has malformed records."""
 
 
-def _plain(value):
-    """json.dumps fallback: numpy arrays and scalars as Python lists and numbers."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def dump_json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, default=_plain)
+    return json.dumps(obj, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,7 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
             dump_json_line(
                 {
                     "frame": index,
-                    "pose": pose.matrix().reshape(-1),
+                    "pose": pose.matrix().reshape(-1).tolist(),
                     "intrinsics": intrinsics,
                     "detections": [_detection_dict(d) for d in detections],
                     "depth_file": depth_name,

@@ -54,7 +54,7 @@ class CorpusCase:
     re_type: str
 
 
-def build_parser_corpus(n: int, seed: int = 0) -> list[CorpusCase]:
+def build_parser_corpus(n: int, seed: int) -> list[CorpusCase]:
     """Templated instructions cycling the three referring-expression types.
 
     Gold labels follow from the template structure, so the corpus doubles as
@@ -152,7 +152,7 @@ def _write_dataset(out_dir: str | Path, config: PipelineConfig, kind: str, rooms
 def simulate_counting_dataset(
     out_dir: str | Path,
     config: PipelineConfig,
-    rooms_per_count: int = 5,
+    rooms_per_count: int,
     counts: tuple[int, ...] = (1, 2, 3),
 ) -> Path:
     """Seeded rooms cycling target classes for each instance count."""
@@ -166,7 +166,7 @@ def simulate_counting_dataset(
 
 
 def simulate_dialogue_dataset(
-    out_dir: str | Path, config: PipelineConfig, n_rooms: int = 12
+    out_dir: str | Path, config: PipelineConfig, n_rooms: int
 ) -> Path:
     """Rooms with one multi-copy class plus distractors, for end-to-end eval."""
     rooms = [
@@ -226,7 +226,7 @@ def _episode_sessions(
 def eval_counting(
     dataset_dir: str | Path,
     config: PipelineConfig,
-    noise_preset: str = "none",
+    noise_preset: str,
     manifest: list[dict] | None = None,
     lexicon: Lexicon | None = None,
 ) -> CountingResult:
@@ -276,11 +276,10 @@ class DialogueResult:
 def eval_dialogue(
     dataset_dir: str | Path,
     config: PipelineConfig,
-    noise_preset: str = "none",
-    manifest: list[dict] | None = None,
-    lexicon: Lexicon | None = None,
+    noise_preset: str,
+    manifest: list[dict],
+    lexicon: Lexicon,
 ) -> DialogueResult:
-    lexicon = config.lexicon() if lexicon is None else lexicon
     result = DialogueResult()
     ambiguity_pairs: list[tuple[bool, bool]] = []
     bleu_pairs: list[tuple[list[str], list[str]]] = []
@@ -381,7 +380,7 @@ class EvalReport:
 
 
 def evaluate_dataset(
-    dataset_dir: str | Path, config: PipelineConfig, noise_preset: str = "none"
+    dataset_dir: str | Path, config: PipelineConfig, noise_preset: str
 ) -> EvalReport:
     manifest = load_manifest(dataset_dir)
     kinds = {m.get("kind") for m in manifest}

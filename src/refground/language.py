@@ -94,7 +94,7 @@ def tag(tokens: Sequence[str], lexicon: Lexicon) -> list[str]:
                 i += k
                 break
         else:
-            i += 1  # stopword or unknown token stays O
+            i += 1  # an unknown token stays O
 
     pending_relation = False
     root_found = False

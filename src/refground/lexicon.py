@@ -51,7 +51,6 @@ RELATION_CUES = {
     "next to": "is-near",
     "at": "is-at",
 }
-STOPWORDS = ("a", "an", "the", "please", "me", "my", "your", "some", "that", "this")
 VERBS = ("bring", "take", "fetch", "grab", "find", "get", "pick up", "pick", "place", "give")
 
 
@@ -67,12 +66,11 @@ class Lexicon:
     object_classes: frozenset[str]
     self_values: Mapping[str, frozenset[str]]
     relation_cues: Mapping[str, str]
-    stopwords: frozenset[str] = frozenset()
     verbs: frozenset[str] = frozenset()
     phrase_index: Mapping[str, tuple[PhraseEntry, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        words = [*self.object_classes, *self.relation_cues, *self.stopwords, *self.verbs]
+        words = [*self.object_classes, *self.relation_cues, *self.verbs]
         for values in self.self_values.values():
             words.extend(values)
         blank = sorted({w for w in words if not w.strip()})
@@ -123,7 +121,6 @@ def default_lexicon() -> Lexicon:
         object_classes=frozenset(OBJECT_CLASSES),
         self_values={"color": frozenset(COLORS), "material": frozenset(MATERIALS)},
         relation_cues=dict(RELATION_CUES),
-        stopwords=frozenset(STOPWORDS),
         verbs=frozenset(VERBS),
     )
 
@@ -133,7 +130,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
     object_classes: set[str] = set()
     self_values: dict[str, frozenset[str]] = {}
     relation_cues: dict[str, str] = {}
-    stopwords: set[str] = set()
     verbs: set[str] = set()
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -156,8 +152,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
             kind = key[4:]
             for cue in tokens:
                 relation_cues[cue] = kind
-        elif key == "stopwords":
-            stopwords.update(tokens)
         elif key == "verbs":
             verbs.update(tokens)
         else:
@@ -169,7 +163,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
             object_classes=frozenset(object_classes),
             self_values=self_values,
             relation_cues=relation_cues,
-            stopwords=frozenset(stopwords),
             verbs=frozenset(verbs),
         )
     except LexiconError as exc:

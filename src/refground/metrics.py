@@ -12,7 +12,7 @@ def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 
 
 def ngram_precisions(
-    candidate: Sequence[str], reference: Sequence[str], max_n: int = 4
+    candidate: Sequence[str], reference: Sequence[str], max_n: int
 ) -> list[tuple[int, int]]:
     """(clipped matches, candidate total) per n-gram order 1..max_n."""
     out = []

@@ -9,7 +9,6 @@ the reference for evaluation.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregation import AggregationSession, InstanceRecord
@@ -56,14 +55,6 @@ def needs_bank(config: PipelineConfig, noise_preset: str) -> bool:
     return "fp" in config.noise_models(noise_preset) and config.p_fp > 0
 
 
-@dataclass
-class StreamStats:
-    frames: int = 0
-    detections: int = 0
-    skipped_captions: int = 0
-    dropped_points: int = 0
-
-
 def build_session(
     frames: list[FrameRecord],
     config: PipelineConfig,
@@ -71,15 +62,14 @@ def build_session(
     models: frozenset[str] = frozenset(),
     bank: tuple = (),
     stream_seed: int = 0,
-) -> tuple[AggregationSession, StreamStats]:
+) -> AggregationSession:
     """Accumulate every detection of every frame into one session.
 
     `models` names the detector error models applied to each frame's
     detections (none by default). Captions are parsed once each (cached);
-    detections whose caption fails to parse are skipped and counted.
+    detections whose caption fails to parse are skipped.
     """
     session = AggregationSession(config.grid_spec())
-    stats = StreamStats()
     graph_cache: dict[str, ObjectGraph | None] = {}
     for frame in frames:
         detections = list(frame.detections)
@@ -89,7 +79,6 @@ def build_session(
                 config, models, bank, stream_seed,
             )
         if not detections:
-            stats.frames += 1
             continue
         depth = frame.load_depth(max_range=config.max_range)
         for det in detections:
@@ -101,18 +90,14 @@ def build_session(
                     graph = None
                 graph_cache[det.caption] = graph
             if graph is None:
-                stats.skipped_captions += 1
                 continue
             points, weights = bbox_cloud_arrays(
                 det.bbox, depth, frame.intrinsics, frame.pose, config.sigma_frac, config.stride
             )
-            cells, means, _, dropped = voxelize_bev_arrays(points, weights, session.grid)
-            stats.dropped_points += dropped
+            cells, means, _, _ = voxelize_bev_arrays(points, weights, session.grid)
             if len(cells):
                 session.observe(graph, cells, means)
-            stats.detections += 1
-        stats.frames += 1
-    return session, stats
+    return session
 
 
 def _sorted_records(records: list[InstanceRecord]) -> list[InstanceRecord]:
@@ -147,7 +132,7 @@ def session_for_episode(
     models = config.noise_models(noise_preset)
     if bank is None and needs_bank(config, noise_preset):
         bank = build_observation_bank(config)
-    session, _ = build_session(
+    return build_session(
         frames,
         config,
         lexicon=lexicon,
@@ -155,7 +140,6 @@ def session_for_episode(
         bank=bank or (),
         stream_seed=stream_seed_for(episode_dir.name),
     )
-    return session
 
 
 # -- oracle reference ---------------------------------------------------------

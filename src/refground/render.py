@@ -75,7 +75,7 @@ _WALL_THICKNESS = 0.2
 
 
 def scene_boxes(
-    room: RoomSpec, include_structure: bool = True
+    room: RoomSpec, include_structure: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mins (B, 3), maxs (B, 3), ids (B,)): objects first, then structure."""
     ex, ey, ez = room.extents

@@ -547,8 +547,8 @@ class InstructionCase:
 def instruction(
     verb: str,
     cls: str,
-    attr: tuple[str, str] | None = None,
-    rel: tuple[str, str] | None = None,
+    attr: tuple[str, str] | None,
+    rel: tuple[str, str] | None,
 ) -> tuple[str, tuple[str, ...], ObjectGraph]:
     """One templated instruction: its text, gold BIO labels and canonical graph.
 

@@ -20,7 +20,6 @@ from refground.discriminator import DialogueState, classify
 from refground.evaluation import (
     build_parser_corpus,
     eval_counting,
-    eval_dialogue,
     eval_parser_corpus,
     evaluate_dataset,
     simulate_counting_dataset,
@@ -70,12 +69,12 @@ def dialogue_dataset(config, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def dialogue_clean(config, dialogue_dataset):
-    return eval_dialogue(dialogue_dataset, config, "none")
+    return evaluate_dataset(dialogue_dataset, config, "none").dialogue
 
 
 @pytest.fixture(scope="module")
 def dialogue_noisy(config, dialogue_dataset):
-    return eval_dialogue(dialogue_dataset, config, "cs+sd+fn")
+    return evaluate_dataset(dialogue_dataset, config, "cs+sd+fn").dialogue
 
 
 def test_c1_parser_corpus(config):

@@ -327,6 +327,16 @@ def test_eval_writes_reports(dataset, tmp_path, capsys):
     assert report.with_suffix(".txt").exists()
 
 
+def test_eval_report_path_ending_in_txt_is_a_usage_error(dataset, tmp_path, capsys):
+    # the table would overwrite the report it is written beside
+    report = tmp_path / "report.txt"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", str(dataset), "--out", str(report)])
+    assert exit_info.value.code == 2
+    assert "--out: the table is written to the .txt beside the report" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_missing_manifest(tmp_path, capsys):
     assert main(["eval", str(tmp_path)]) == 3
 
@@ -615,6 +625,8 @@ def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):
         (b"object_classes = cup\nrel.is-ON = on\n", "attribute kind must be lowercase"),
         (b"object_classes = cup\nself.my color = red\n", "attribute kind must not contain whitespace"),
         (b"object_classes = cup\nself. = red\n", "attribute kind must be lowercase, non-empty"),
+        # the tagger leaves every word outside the tables as O, so no key lists such words
+        (b"object_classes = cup\nstopwords = a, the\n", "line 2: unknown key 'stopwords'"),
     ],
 )
 @pytest.mark.parametrize("command", ["parse", "ground", "eval"])

@@ -25,12 +25,9 @@ from refground.config import PipelineConfig
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "refground"
 
 ALLOWED = {
-    # the seed of the C1 parser corpus itself, not the pipeline's seed
-    ("build_parser_corpus", "seed"),
-    # callers outside the package, the benchmark among them, pass three
-    # arguments; without a lexicon these load config.lexicon() themselves
+    # the benchmark calls eval_counting with three arguments; without a
+    # lexicon it loads config.lexicon() itself
     ("eval_counting", "lexicon"),
-    ("eval_dialogue", "lexicon"),
 }
 
 

@@ -179,18 +179,17 @@ AMBIGUOUS_LEXICON = Lexicon(
     object_classes=frozenset({"cup", "pick up", "table", "dining table", "red"}),
     self_values={"color": frozenset({"red", "blue"})},
     relation_cues={"on": "is-on", "on top of": "is-on", "pick up": "is-near", "next to": "is-near"},
-    stopwords=frozenset({"a", "the"}),
     verbs=frozenset({"pick", "pick up", "bring"}),
 )
 
 
 def lexicon_pieces(lexicon):
     """Every lexicon phrase and each of its tokens, plus unknown words."""
-    words = {*lexicon.object_classes, *lexicon.relation_cues, *lexicon.stopwords, *lexicon.verbs}
+    words = {*lexicon.object_classes, *lexicon.relation_cues, *lexicon.verbs}
     for values in lexicon.self_values.values():
         words |= values
     words |= {token for phrase in words for token in phrase.split()}
-    unknown = {"thing", "xyzzy", "it", ",", ".", "Cup", "ON", "Dining"}
+    unknown = {"a", "the", "thing", "xyzzy", "it", ",", ".", "Cup", "ON", "Dining"}
     return sorted(words | unknown)
 
 
@@ -227,13 +226,12 @@ def test_overlapping_phrases_take_the_longest_match(lexicon):
 
 
 @pytest.mark.parametrize("blank", ["", " ", "\t"])
-@pytest.mark.parametrize("field", ["object_classes", "value", "cue", "stopwords", "verbs"])
+@pytest.mark.parametrize("field", ["object_classes", "value", "cue", "verbs"])
 def test_lexicon_refuses_blank_words(field, blank):
     tables = {
         "object_classes": frozenset({"cup"}),
         "self_values": {"color": frozenset({"red"})},
         "relation_cues": {"on": "is-on"},
-        "stopwords": frozenset({"a"}),
         "verbs": frozenset({"bring"}),
     }
     if field == "value":

@@ -26,7 +26,7 @@ def test_bleu_disjoint_vocabulary():
 
 def test_bleu_clipping_hand_case():
     # candidate "the the the" vs reference "the cat": clipped unigram 1/3
-    precisions = ngram_precisions(toks("the the the"), toks("the cat"))
+    precisions = ngram_precisions(toks("the the the"), toks("the cat"), 4)
     assert precisions[0] == (1, 3)
     assert corpus_bleu([(toks("the the the"), toks("the cat"))], max_n=1) == pytest.approx(1 / 3)
     # with higher orders the zero bigram precision zeroes the strict score

@@ -15,6 +15,7 @@ from refground.episodes import (
 )
 from refground.evaluation import (
     _candidate_signature,
+    evaluate_dataset,
     load_manifest,
     simulate_counting_dataset,
     simulate_dialogue_dataset,
@@ -98,14 +99,12 @@ def test_depth_correctness_against_boxes(episode):
 
 def test_build_session_registers_graphs(episode):
     cfg, room, out = episode
-    session, stats = build_session(load_episode(out), cfg, cfg.lexicon())
-    assert stats.skipped_captions == 0
-    assert stats.frames == 12
+    session = build_session(load_episode(out), cfg, cfg.lexicon())
     roots = {g.root for _, g in session.registry.items()}
     assert roots == set(room.classes())
 
 
-def test_build_session_counts_unparseable_captions(episode):
+def test_build_session_skips_unparseable_captions(episode, tmp_path):
     cfg, _, out = episode
     frames = load_episode(out)
     # an unknown word, and two values for one attribute kind
@@ -117,13 +116,18 @@ def test_build_session_counts_unparseable_captions(episode):
         frames[0].index, frames[0].pose, frames[0].intrinsics,
         tuple(frames[0].detections) + bad, frames[0].depth_path,
     )] + frames[1:]
-    _, stats = build_session(patched, cfg, cfg.lexicon())
-    assert stats.skipped_captions == 2
+    session = build_session(patched, cfg, cfg.lexicon())
+    plain = build_session(frames, cfg, cfg.lexicon())
+    # no graph for either caption, and not a cell more
+    assert list(session.registry.items()) == list(plain.registry.items())
+    session.dump(tmp_path / "patched.json")
+    plain.dump(tmp_path / "plain.json")
+    assert (tmp_path / "patched.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_ground_states_match_oracle(episode):
     cfg, room, out = episode
-    session, _ = build_session(load_episode(out), cfg, cfg.lexicon())
+    session = build_session(load_episode(out), cfg, cfg.lexicon())
     for case in load_instructions(out):
         seed = query_seed_for(cfg.seed, f"{out.name}:{case.text}")
         outcome, g = ground_in_session(session, case.text, cfg, cfg.lexicon(), seed)
@@ -134,7 +138,7 @@ def test_ground_states_match_oracle(episode):
 
 def test_ground_returns_the_parsed_graph(episode):
     cfg, _, out = episode
-    session, _ = build_session(load_episode(out), cfg, cfg.lexicon())
+    session = build_session(load_episode(out), cfg, cfg.lexicon())
     outcome, g = ground_in_session(session, "bring a cup", cfg, cfg.lexicon(), 0)
     assert g == ObjectGraph.build("cup")
     assert outcome.state is DialogueState.INFORM_AMBIGUITY
@@ -173,6 +177,18 @@ def frame_lists(frames):
     }
 
 
+def test_is_near_instructions_ground_like_the_oracle(tmp_path):
+    # at the default tau_near no generated room has an is-near edge, so
+    # only a wider radius sends "near" through simulation and grounding
+    cfg = PipelineConfig()
+    cfg.tau_near = 1.5
+    records = evaluate_dataset(simulate_dialogue_dataset(tmp_path, cfg, n_rooms=3), cfg, "none").dialogue.records
+    assert any(" near " in f" {r['text']} " for r in records)
+    # qa_match: the candidate signatures of pipeline and oracle are equal
+    mismatched = [r for r in records if r["predicted_state"] != r["oracle_state"] or not r["qa_match"]]
+    assert mismatched == []
+
+
 @pytest.fixture(scope="module")
 def small_datasets(tmp_path_factory):
     """Episode dirs of three counting rooms (one per count) and four dialogue rooms."""
@@ -195,7 +211,7 @@ def test_decisions_do_not_depend_on_frame_order(small_datasets, preset):
         room, instructions = load_room(out), load_instructions(out)
 
         def decisions(frames):
-            session, _ = build_session(frames, cfg, lexicon, models, bank, stream_seed_for(out.name))
+            session = build_session(frames, cfg, lexicon, models, bank, stream_seed_for(out.name))
             counts = [
                 len(session.fuse_across_graphs(cls, cfg.region_dx, cfg.region_dy, cfg.gamma))
                 for cls in room.classes()

@@ -634,8 +634,8 @@ def test_instructions_cover_types_and_parse():
 @pytest.mark.parametrize(
     "args, text",
     [
-        (("pick up", "dining table"), "pick up a dining table"),
-        (("grab", "armchair", ("color", "orange")), "grab an orange armchair"),
+        (("pick up", "dining table", None, None), "pick up a dining table"),
+        (("grab", "armchair", ("color", "orange"), None), "grab an orange armchair"),
         (
             ("bring me", "cup", ("material", "wooden"), ("is-on", "dining table")),
             "bring me the wooden cup on the dining table",
