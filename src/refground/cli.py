@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .aggregation import AggregationSession, SessionFormatError
@@ -35,10 +36,7 @@ from .simulator import GenerationError
 
 def _load_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    config.validate()
-    return config
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def positive_int(text: str) -> int:

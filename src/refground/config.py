@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .geometry import CameraIntrinsics, GridSpec
-from .lexicon import Lexicon, default_lexicon, load_lexicon
+from .lexicon import Lexicon, default_lexicon, key_value_lines, load_lexicon
 
 # preset name -> detector error models it runs: centroid shift, shape
 # distortion, false negatives, false positives
@@ -31,8 +31,11 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of the pipeline, checked once when built; a changed
+    value is a new config (`dataclasses.replace`), checked in turn."""
+
     # occupancy grid and aggregation
     cell_size: float = 0.05
     region_dx: int = 10
@@ -77,7 +80,7 @@ class PipelineConfig:
     wh_suffixes: tuple[str, ...] = ("Which one did you mean?", "Which one should I take?")
     acknowledgements: tuple[str, ...] = ("Okay.", "Sure.", "On it.")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not (value == 0 or 1e-9 <= abs(value) <= 1e9):
@@ -112,20 +115,17 @@ class PipelineConfig:
             raise ConfigError("config key look_frac = 0 with look_height = cam_height aims poses at their eye")
         if not 0 < self.gamma < 1:
             raise ConfigError("config key gamma must lie in (0, 1)")
-        self._check_noise()
-        for name in ("mismatch_suffixes", "wh_suffixes", "acknowledgements"):
-            if not getattr(self, name):
-                raise ConfigError(f"config key {name} must list at least one entry")
-        if "\0" in self.lexicon_path:  # no file system can open it
-            raise ConfigError("config key lexicon_path must not contain a NUL byte")
-
-    def _check_noise(self) -> None:
         for name in ("p_fn", "p_fp"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"config key {name} must lie in [0, 1]")
         for name in ("sigma_c", "sigma_s", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"config key {name} must be non-negative")
+        for name in ("mismatch_suffixes", "wh_suffixes", "acknowledgements"):
+            if not getattr(self, name):
+                raise ConfigError(f"config key {name} must list at least one entry")
+        if "\0" in self.lexicon_path:  # no file system can open it
+            raise ConfigError("config key lexicon_path must not contain a NUL byte")
 
     # -- derived objects ---------------------------------------------------
 
@@ -149,10 +149,9 @@ class PipelineConfig:
         )
 
     def noise_models(self, preset: str) -> frozenset[str]:
-        """The error models `preset` runs, once the noise parameters are in range."""
+        """The error models `preset` runs."""
         if preset not in NOISE_PRESETS:
             raise ConfigError(f"unknown noise preset {preset!r}; choose from {sorted(NOISE_PRESETS)}")
-        self._check_noise()
         return NOISE_PRESETS[preset]
 
     def lexicon(self) -> Lexicon:
@@ -187,25 +186,13 @@ def _coerce(name: str, kind, raw: str, lineno: int):
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key = value config file with line-precise error messages."""
-    config = PipelineConfig()
-    kinds = {f.name: type(getattr(config, f.name)) for f in fields(PipelineConfig)}
+    kinds = {f.name: type(f.default) for f in fields(PipelineConfig)}
+    values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+        for lineno, key, value in key_value_lines(path, ConfigError):
             if key not in kinds:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            setattr(config, key, _coerce(key, kinds[key], value, lineno))
-        config.validate()
+            values[key] = _coerce(key, kinds[key], value, lineno)
+        return PipelineConfig(**values)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return config

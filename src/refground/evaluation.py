@@ -197,9 +197,18 @@ def _manifest_entry(record) -> dict:
 
 @dataclass
 class CountingResult:
-    per_count: dict[int, float] = field(default_factory=dict)
-    average: float = 0.0
-    records: list[dict] = field(default_factory=list)
+    """Per-episode counting records; the metrics are derived from them once."""
+
+    records: list[dict]
+    per_count: dict[int, float] = field(init=False)
+    average: float = field(init=False)
+
+    def __post_init__(self):
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for r in self.records:
+            buckets.setdefault(r["true"], []).append((r["true"], r["predicted"]))
+        self.per_count = {count: counting_f1(cases) for count, cases in sorted(buckets.items())}
+        self.average = sum(self.per_count.values()) / len(self.per_count)
 
 
 def _episode_sessions(
@@ -230,28 +239,15 @@ def eval_counting(
     manifest: list[dict] | None = None,
     lexicon: Lexicon | None = None,
 ) -> CountingResult:
-    result = CountingResult()
-    buckets: dict[int, list[tuple[int, int]]] = {}
     lexicon = config.lexicon() if lexicon is None else lexicon
+    records = []
     sessions = _episode_sessions(dataset_dir, config, noise_preset, manifest, "counting", lexicon)
     for entry, _, session in sessions:
-        records = session.fuse_across_graphs(
-            entry["target"], config.region_dx, config.region_dy, config.gamma
+        fused = session.fuse_across_graphs(entry["target"], config.region_dx, config.region_dy, config.gamma)
+        records.append(
+            {"episode": entry["dir"], "target": entry["target"], "true": entry["count"], "predicted": len(fused)}
         )
-        predicted = len(records)
-        true = entry["count"]
-        buckets.setdefault(true, []).append((true, predicted))
-        result.records.append(
-            {
-                "episode": entry["dir"],
-                "target": entry["target"],
-                "true": true,
-                "predicted": predicted,
-            }
-        )
-    result.per_count = {count: counting_f1(cases) for count, cases in sorted(buckets.items())}
-    result.average = sum(result.per_count.values()) / len(result.per_count)
-    return result
+    return CountingResult(records)
 
 
 def _candidate_signature(outcome: GroundingOutcome) -> tuple:
@@ -264,13 +260,34 @@ def _candidate_signature(outcome: GroundingOutcome) -> tuple:
 
 @dataclass
 class DialogueResult:
-    aa_f1: float = 0.0
-    state_accuracy: float = 0.0
-    qa: float = 0.0
-    bleu: float = 0.0
-    n_pairs: int = 0
-    confusion: dict[str, dict[str, int]] = field(default_factory=dict)
-    records: list[dict] = field(default_factory=list)
+    """Per-instruction dialogue records; the metrics are derived from them once."""
+
+    records: list[dict]
+    aa_f1: float = field(init=False)
+    state_accuracy: float = field(init=False)
+    qa: float = field(init=False)
+    bleu: float = field(init=False)
+    n_pairs: int = field(init=False)
+    confusion: dict[str, dict[str, int]] = field(init=False)
+
+    def __post_init__(self):
+        records = self.records
+        self.n_pairs = len(records)
+        state_hits = sum(r["predicted_state"] == r["oracle_state"] for r in records)
+        qa_hits = sum(r["qa_match"] for r in records)
+        self.state_accuracy = state_hits / self.n_pairs if records else 0.0
+        self.qa = qa_hits / self.n_pairs if records else 0.0
+        ambiguity = DialogueState.INFORM_AMBIGUITY.value
+        self.aa_f1 = binary_f1(
+            (r["predicted_state"] == ambiguity, r["oracle_state"] == ambiguity) for r in records
+        )
+        self.bleu = corpus_bleu(
+            (tokenize(r["predicted_query"]), tokenize(r["reference_query"])) for r in records
+        )
+        self.confusion = {}
+        for r in records:
+            row = self.confusion.setdefault(r["oracle_state"], {})
+            row[r["predicted_state"]] = row.get(r["predicted_state"], 0) + 1
 
 
 def eval_dialogue(
@@ -280,11 +297,7 @@ def eval_dialogue(
     manifest: list[dict],
     lexicon: Lexicon,
 ) -> DialogueResult:
-    result = DialogueResult()
-    ambiguity_pairs: list[tuple[bool, bool]] = []
-    bleu_pairs: list[tuple[list[str], list[str]]] = []
-    state_hits = 0
-    qa_hits = 0
+    records = []
     for entry, episode_dir, session in _episode_sessions(
         dataset_dir, config, noise_preset, manifest, "dialogue", lexicon
     ):
@@ -293,39 +306,18 @@ def eval_dialogue(
             seed = query_seed_for(config.seed, f"{entry['dir']}:{case.text}")
             predicted, g = ground_in_session(session, case.text, config, lexicon, seed)
             reference = oracle_outcome(room, g, config, seed)
-            state_match = predicted.state is reference.state
-            qa_match = _candidate_signature(predicted) == _candidate_signature(reference)
-            state_hits += int(state_match)
-            qa_hits += int(qa_match)
-            ambiguity_pairs.append(
-                (
-                    predicted.state is DialogueState.INFORM_AMBIGUITY,
-                    reference.state is DialogueState.INFORM_AMBIGUITY,
-                )
-            )
-            bleu_pairs.append((tokenize(predicted.query), tokenize(reference.query)))
-            result.confusion.setdefault(reference.state.value, {}).setdefault(
-                predicted.state.value, 0
-            )
-            result.confusion[reference.state.value][predicted.state.value] += 1
-            result.records.append(
+            records.append(
                 {
                     "episode": entry["dir"],
                     "text": case.text,
                     "predicted_state": predicted.state.value,
                     "oracle_state": reference.state.value,
-                    "qa_match": qa_match,
+                    "qa_match": _candidate_signature(predicted) == _candidate_signature(reference),
                     "predicted_query": predicted.query,
                     "reference_query": reference.query,
                 }
             )
-            result.n_pairs += 1
-    if result.n_pairs:
-        result.state_accuracy = state_hits / result.n_pairs
-        result.qa = qa_hits / result.n_pairs
-    result.aa_f1 = binary_f1(ambiguity_pairs)
-    result.bleu = corpus_bleu(bleu_pairs)
-    return result
+    return DialogueResult(records)
 
 
 # -- report -------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .graph import GraphStructureError, check_kind
 
@@ -125,6 +125,24 @@ def default_lexicon() -> Lexicon:
     )
 
 
+def key_value_lines(path: str | Path, error: type[ValueError]) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, key, value) for each `key = value` line of a UTF-8
+    text file, skipping blank and `#` lines. A file that does not decode or a
+    line without `=` raises `error`; the caller prefixes the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"line {lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a key-value lexicon file (comma-separated token lists)."""
     object_classes: set[str] = set()
@@ -132,33 +150,21 @@ def load_lexicon(path: str | Path) -> Lexicon:
     relation_cues: dict[str, str] = {}
     verbs: set[str] = set()
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: not UTF-8 text: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise LexiconError(f"{path}: line {lineno}: expected 'key = tokens'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        tokens = [t.strip().lower() for t in value.split(",") if t.strip()]
-        if key == "object_classes":
-            object_classes.update(tokens)
-        elif key.startswith("self."):
-            self_values[key[5:]] = frozenset(tokens)
-        elif key.startswith("rel."):
-            kind = key[4:]
-            for cue in tokens:
-                relation_cues[cue] = kind
-        elif key == "verbs":
-            verbs.update(tokens)
-        else:
-            raise LexiconError(f"{path}: line {lineno}: unknown key {key!r}")
-    if not object_classes:
-        raise LexiconError(f"{path}: no object_classes defined")
-    try:
+        for lineno, key, value in key_value_lines(path, LexiconError):
+            tokens = [t.strip().lower() for t in value.split(",") if t.strip()]
+            if key == "object_classes":
+                object_classes.update(tokens)
+            elif key.startswith("self."):
+                self_values[key[5:]] = frozenset(tokens)
+            elif key.startswith("rel."):
+                for cue in tokens:
+                    relation_cues[cue] = key[4:]
+            elif key == "verbs":
+                verbs.update(tokens)
+            else:
+                raise LexiconError(f"line {lineno}: unknown key {key!r}")
+        if not object_classes:
+            raise LexiconError("no object_classes defined")
         return Lexicon(
             object_classes=frozenset(object_classes),
             self_values=self_values,

@@ -46,9 +46,7 @@ def report(criterion: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def config():
-    cfg = PipelineConfig()
-    cfg.validate()
-    return cfg
+    return PipelineConfig()
 
 
 @pytest.fixture(scope="module")

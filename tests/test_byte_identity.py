@@ -17,6 +17,9 @@ import pytest
 from refground import evaluation
 from refground.config import PipelineConfig
 from refground.evaluation import (
+    CountingResult,
+    DialogueResult,
+    EvalReport,
     build_parser_corpus,
     evaluate_dataset,
     simulate_counting_dataset,
@@ -78,6 +81,23 @@ def test_eval_report_bytes(request, tmp_path, kind, preset):
     h = hashlib.sha256(report.read_bytes())
     h.update(report.with_suffix(".txt").read_bytes())
     assert h.hexdigest() == REPORT_SHA256[kind, preset]
+
+
+@pytest.mark.parametrize("preset", ["none", "cs+sd+fn"])
+@pytest.mark.parametrize("kind", ["counting", "dialogue"])
+def test_eval_report_metrics_are_recomputed_from_its_records(request, tmp_path, kind, preset):
+    # every number of a report follows from its records: results rebuilt from
+    # the written records give every metric, the confusion table and the .txt
+    path = tmp_path / "report.json"
+    write_report(evaluate_dataset(request.getfixturevalue(kind), PipelineConfig(), preset), path)
+    written = json.loads(path.read_text())
+    rebuilt = EvalReport(written["config"], preset)
+    if kind == "counting":
+        rebuilt.counting = CountingResult(written["counting"]["records"])
+    else:
+        rebuilt.dialogue = DialogueResult(written["dialogue"]["records"])
+    assert json.loads(json.dumps(rebuilt.to_dict())) == written
+    assert rebuilt.render_table() + "\n" == path.with_suffix(".txt").read_text()
 
 
 @pytest.mark.parametrize("kind", ["counting", "dialogue"])

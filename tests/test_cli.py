@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -557,6 +558,33 @@ def test_negative_seed_is_config_error(tmp_path, capsys, source):
     assert main(args) == 3
     line = one_error_line(capsys)
     assert line.startswith("config error: ") and "seed must be non-negative" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"p_fn": 1.5}, "p_fn must lie in [0, 1]"), ({"seed": -1}, "seed must be non-negative"),
+     ({"gamma": 1.5}, "gamma must lie in (0, 1)")],
+    ids=["p_fn", "seed", "gamma"],
+)
+def test_config_out_of_range_cannot_be_built(change, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PipelineConfig(**change)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        dataclasses.replace(PipelineConfig(), **change)
+
+
+def test_config_cannot_change_after_it_is_built(tmp_path, capsys):
+    config = PipelineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = -1
+    assert config == PipelineConfig()
+    # the --seed flag makes a new config from the loaded one, checked in turn
+    path = tmp_path / "seed.cfg"
+    path.write_text("seed = 3\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--seed", "-1", "--out", str(out), "--rooms", "1"]) == 3
+    assert one_error_line(capsys) == "config error: config key seed must be non-negative"
     assert not out.exists()
 
 

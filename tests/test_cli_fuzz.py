@@ -19,6 +19,7 @@ import math
 import struct
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -67,7 +68,7 @@ def world(tmp_path_factory):
     config = PipelineConfig(n_waypoints=4)
     save_config(config, root / "small.cfg")
     (root / "lexicon.txt").write_bytes((CONFIGS / "lexicon.txt").read_bytes())
-    config.lexicon_path = str(root / "lexicon.txt")
+    config = replace(config, lexicon_path=str(root / "lexicon.txt"))
     save_config(config, root / "parse.cfg")
     simulate_dialogue_dataset(root / "dialogue", config, n_rooms=1)
     simulate_counting_dataset(root / "counting", config, rooms_per_count=1, counts=(2,))

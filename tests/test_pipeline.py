@@ -180,8 +180,7 @@ def frame_lists(frames):
 def test_is_near_instructions_ground_like_the_oracle(tmp_path):
     # at the default tau_near no generated room has an is-near edge, so
     # only a wider radius sends "near" through simulation and grounding
-    cfg = PipelineConfig()
-    cfg.tau_near = 1.5
+    cfg = PipelineConfig(tau_near=1.5)
     records = evaluate_dataset(simulate_dialogue_dataset(tmp_path, cfg, n_rooms=3), cfg, "none").dialogue.records
     assert any(" near " in f" {r['text']} " for r in records)
     # qa_match: the candidate signatures of pipeline and oracle are equal
