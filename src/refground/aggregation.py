@@ -27,7 +27,7 @@ empty memo.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +87,6 @@ class RegionGrid:
     dx: int
     dy: int
     scores: np.ndarray
-    total_mass: float
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,17 @@ class InstanceGroup:
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """A unique grounded instance after cross-graph fusion."""
+    """A unique grounded instance after cross-graph fusion; its instance
+    `graph` is its first contributor's, the heaviest."""
 
-    graph: ObjectGraph
     regions: frozenset[tuple[int, int]]
     centroid: tuple[float, float]
     score: float
     contributors: tuple[tuple[ObjectGraph, float], ...]
+    graph: ObjectGraph = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "graph", self.contributors[0][0])
 
 
 _NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
@@ -225,16 +228,16 @@ class AggregationSession:
         ).reshape(nx, ny)
         total = float(sums.sum())
         scores = sums / total if total > 0 else sums
-        return RegionGrid(dx, dy, scores, total)
+        return RegionGrid(dx, dy, scores)
 
     def _instances(self, oid: int, grid: RegionGrid, gamma: float) -> list[InstanceGroup]:
         """Merge the graph's scored regions into groups, for fusion.
 
         A group's centroid is the accumulated-weight (mean * frequency)
-        weighted mean of its member cell centers, in meters.
+        weighted mean of its member cell centers, in meters. Weights are
+        never negative, so a group, whose regions score at least gamma,
+        has positive mass.
         """
-        if grid.total_mass <= 0:
-            return []
         labels = merge_regions(grid, gamma)
         by_label: dict[int, list[tuple[int, int]]] = {}
         region_label = np.full(grid.scores.shape, -1, dtype=np.int64)
@@ -256,8 +259,7 @@ class AggregationSession:
         for label in sorted(by_label):
             regions = frozenset(by_label[label])
             a = acc[label]
-            centroid = (wx[label] / a, wy[label] / a) if a > 0 else (0.0, 0.0)
-            groups.append(InstanceGroup(regions, centroid, a if a > 0 else 0.0))
+            groups.append(InstanceGroup(regions, (wx[label] / a, wy[label] / a), a))
         return groups
 
     def fuse_across_graphs(
@@ -329,9 +331,8 @@ class AggregationSession:
             )
             records.append(
                 InstanceRecord(
-                    graph=contributors[0][0],
                     regions=regions,
-                    centroid=(wx / total, wy / total) if total > 0 else (0.0, 0.0),
+                    centroid=(wx / total, wy / total),
                     score=float(sum(pooled[r] for r in regions)),
                     contributors=contributors,
                 )
@@ -367,8 +368,8 @@ class AggregationSession:
         """Read a dump; SessionFormatError names the first malformed entry.
 
         Grid sizes that are not positive integers or cannot be allocated,
-        cells outside the grid, frequencies below 1 and non-finite weights
-        are refused.
+        cells outside the grid, frequencies below 1 and non-finite or
+        negative weights are refused.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -415,6 +416,7 @@ class AggregationSession:
             (inside, f"lies outside the {self.grid.d1}x{self.grid.d2} grid"),
             (freq >= 1, "has frequency below 1"),
             (np.isfinite(w), "has a non-finite weight"),
+            (w >= 0, "has a negative weight"),
         ):
             if not ok.all():
                 bad = cells[int(np.argmin(ok))]

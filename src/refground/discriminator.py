@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 from .aggregation import InstanceRecord
 from .config import PipelineConfig
-from .graph import GraphStructureError, ObjectGraph, graph_difference, to_dict
+from .graph import ObjectGraph, graph_difference, to_dict
 from .language import realize
 
 MISSING_QUERY = "I could not find that."
@@ -35,54 +35,52 @@ class DialogueState(Enum):
 
 @dataclass(frozen=True)
 class GroundingOutcome:
+    """A dialogue state and the instances it names, each with the requested
+    attribute paths it lacks. A confirm names its match as its one
+    candidate, with an empty difference; `matched` is that instance, else
+    None."""
+
     state: DialogueState
-    matched: InstanceRecord | None = None
     candidates: tuple[tuple[InstanceRecord, frozenset[tuple[tuple[str, str], ...]]], ...] = ()
     query: str = ""
+    matched: InstanceRecord | None = field(init=False)
 
     def __post_init__(self):
-        if self.state is DialogueState.CONFIRM and self.matched is None:
-            raise ValueError("confirm outcome requires a matched instance")
+        confirm = self.state is DialogueState.CONFIRM
+        if confirm and (len(self.candidates) != 1 or self.candidates[0][1]):
+            raise ValueError("confirm outcome names one candidate with an empty difference")
         if self.state is DialogueState.INFORM_MISSING and self.candidates:
             raise ValueError("missing outcome carries no candidates")
+        object.__setattr__(self, "matched", self.candidates[0][0] if confirm else None)
 
     def with_query(self, query: str) -> "GroundingOutcome":
-        return GroundingOutcome(self.state, self.matched, self.candidates, query)
+        return GroundingOutcome(self.state, self.candidates, query)
 
 
 def classify(g: ObjectGraph, instances: list[InstanceRecord]) -> GroundingOutcome:
     """Decide the dialogue state from the per-instance difference sets.
 
     The difference of the input graph against each instance graph lists the
-    requested attributes that instance lacks. Exactly one empty difference
-    grounds the instruction (confirm); several empty differences are
-    ambiguous among the exact matches; no empty difference means mismatch
-    when a single instance exists and ambiguity otherwise; no instance at
-    all is the missing state.
+    requested attributes that instance lacks; an instance of another root
+    class raises GraphStructureError. Exactly one empty difference grounds
+    the instruction (confirm); several empty differences are ambiguous
+    among the exact matches; no empty difference means mismatch when a
+    single instance exists and ambiguity otherwise; no instance at all is
+    the missing state.
     """
-    for record in instances:
-        if record.graph.root != g.root:
-            raise GraphStructureError(
-                f"instance root {record.graph.root!r} does not match input root {g.root!r}"
-            )
-    if not instances:
-        return GroundingOutcome(DialogueState.INFORM_MISSING)
-
     diffs = [graph_difference(g, record.graph) for record in instances]
     exact = [i for i, d in enumerate(diffs) if not d]
-
-    if len(exact) == 1:
-        idx = exact[0]
-        return GroundingOutcome(DialogueState.CONFIRM, matched=instances[idx])
-    if len(exact) >= 2:
-        cands = tuple((instances[i], diffs[i]) for i in exact)
-        return GroundingOutcome(DialogueState.INFORM_AMBIGUITY, candidates=cands)
-    if len(instances) == 1:
-        return GroundingOutcome(
-            DialogueState.INFORM_MISMATCH, candidates=((instances[0], diffs[0]),)
-        )
-    cands = tuple((instances[i], diffs[i]) for i in range(len(instances)))
-    return GroundingOutcome(DialogueState.INFORM_AMBIGUITY, candidates=cands)
+    if not instances:
+        state, indices = DialogueState.INFORM_MISSING, []
+    elif len(exact) == 1:
+        state, indices = DialogueState.CONFIRM, exact
+    elif exact:
+        state, indices = DialogueState.INFORM_AMBIGUITY, exact
+    elif len(instances) == 1:
+        state, indices = DialogueState.INFORM_MISMATCH, [0]
+    else:
+        state, indices = DialogueState.INFORM_AMBIGUITY, range(len(instances))
+    return GroundingOutcome(state, tuple((instances[i], diffs[i]) for i in indices))
 
 
 def _strip_article(text: str) -> str:
@@ -134,11 +132,12 @@ def _record_dict(record: InstanceRecord) -> dict:
 
 
 def outcome_to_dict(outcome: GroundingOutcome) -> dict:
+    """The outcome record; a confirm writes its one candidate as "matched"."""
     return {
         "state": outcome.state.value,
         "query": outcome.query,
         "matched": _record_dict(outcome.matched) if outcome.matched else None,
-        "candidates": [
+        "candidates": [] if outcome.matched else [
             {
                 **_record_dict(record),
                 "difference": sorted([list(step) for step in p] for p in diff),

@@ -251,9 +251,6 @@ def eval_counting(
 
 
 def _candidate_signature(outcome: GroundingOutcome) -> tuple:
-    if outcome.state is DialogueState.CONFIRM:
-        assert outcome.matched is not None
-        return (outcome.state.value, (serialize(outcome.matched.graph),))
     graphs = sorted(serialize(record.graph) for record, _ in outcome.candidates)
     return (outcome.state.value, tuple(graphs))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .aggregation import AggregationSession, InstanceRecord
 from .config import PipelineConfig
-from .discriminator import DialogueState, GroundingOutcome, classify, generate_query
+from .discriminator import GroundingOutcome, classify, generate_query
 from .episodes import FrameRecord, load_episode, trajectory_frames
 from .geometry import bbox_cloud_arrays, voxelize_bev_arrays
 from .graph import ObjectGraph
@@ -156,7 +156,6 @@ def oracle_records(
         cx, cy, _ = obj.centroid
         records.append(
             InstanceRecord(
-                graph=g,
                 regions=frozenset(),
                 centroid=(cx, cy),
                 score=1.0,
@@ -180,17 +179,7 @@ def oracle_outcome(
     """
     records = oracle_records(room, g.root, config.tau_near)
     state, indices = oracle_classify(g, [r.graph for r in records])
-
-    def diff_for(record: InstanceRecord) -> frozenset:
-        want = oracle_paths(g)
-        have = oracle_paths(record.graph)
-        return frozenset(want - have)
-
-    if state is DialogueState.INFORM_MISSING:
-        outcome = GroundingOutcome(state)
-    elif state is DialogueState.CONFIRM:
-        outcome = GroundingOutcome(state, matched=records[indices[0]])
-    else:
-        cands = tuple((records[i], diff_for(records[i])) for i in indices)
-        outcome = GroundingOutcome(state, candidates=cands)
+    want = oracle_paths(g)
+    cands = tuple((records[i], frozenset(want - oracle_paths(records[i].graph))) for i in indices)
+    outcome = GroundingOutcome(state, cands)
     return outcome.with_query(generate_query(outcome, query_seed, config))

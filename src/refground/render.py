@@ -191,7 +191,6 @@ def render_scene(
     pose: Pose,
     intrinsics: CameraIntrinsics,
     max_range: float,
-    include_structure: bool = True,
     *,
     setup: RenderSetup | None = None,
     rects: np.ndarray | None = None,
@@ -200,12 +199,11 @@ def render_scene(
 
     winner holds the index of the nearest object per pixel, STRUCTURE_ID for
     walls/floor, NO_HIT where nothing is within max_range. Depth is 0 there.
-    setup is render_setup(room, intrinsics, include_structure) and rects
-    this pose's rows of _pixel_rects over it; each is computed here when
-    not given.
+    setup is render_setup(room, intrinsics) and rects this pose's rows of
+    _pixel_rects over it; each is computed here when not given.
     """
     if setup is None:
-        setup = render_setup(room, intrinsics, include_structure)
+        setup = render_setup(room, intrinsics)
     if rects is None:
         rects = _pixel_rects(setup, [pose], max_range)[0]
     w, h = setup.intrinsics.width, setup.intrinsics.height
@@ -264,7 +262,7 @@ def gt_detections(
     winner: np.ndarray,
     captions: dict[int, str],
     min_pixels: int,
-    rects: np.ndarray | None = None,
+    rects: np.ndarray,
 ) -> list[Detection]:
     """Tight boxes around each object's visible pixels, with its caption.
 
@@ -272,13 +270,11 @@ def gt_detections(
     no pixel and yields nothing; an object clipped by the frame edge gets a
     clamped box; one that wins fewer than min_pixels pixels is dropped.
     An object wins pixels only inside its row of the rects render_scene
-    took, so given them each object is scanned there, else over the frame.
+    took, so each object is scanned there.
     """
-    h, w = winner.shape
     n = len(room.objects)
-    scans = [(0, w, 0, h)] * n if rects is None else rects[:n].tolist()
     detections: list[Detection] = []
-    for idx, (obj, (u0, u1, v0, v1)) in enumerate(zip(room.objects, scans)):
+    for idx, (obj, (u0, u1, v0, v1)) in enumerate(zip(room.objects, rects[:n].tolist())):
         if u0 == u1:
             continue
         mine = winner[v0:v1, u0:u1] == idx

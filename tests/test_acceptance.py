@@ -164,7 +164,7 @@ def _instance_space():
 
 
 def _record(g: ObjectGraph, index: int) -> InstanceRecord:
-    return InstanceRecord(g, frozenset(), (float(index), 0.0), 1.0, ((g, 1.0),))
+    return InstanceRecord(frozenset(), (float(index), 0.0), 1.0, ((g, 1.0),))
 
 
 def test_c5_discriminator_oracle_equivalence():

@@ -157,7 +157,6 @@ def test_region_scores_empty_is_zero_grid():
     s = session()
     oid = s.register_graph(CUP_RED)
     grid = s.region_scores(oid, 10, 10)
-    assert grid.total_mass == 0.0
     assert not grid.scores.any()
 
 
@@ -178,7 +177,7 @@ def test_region_scores_nonnegative_and_normalized():
 
 def grid_of(array):
     scores = np.asarray(array, dtype=float)
-    return RegionGrid(10, 10, scores, float(scores.sum()))
+    return RegionGrid(10, 10, scores)
 
 
 def test_merge_single_region():
@@ -219,7 +218,7 @@ def test_merge_labels_partition_survivors():
     rng = np.random.default_rng(4)
     scores = rng.uniform(0, 0.08, (6, 6))
     scores /= scores.sum()
-    grid = RegionGrid(10, 10, scores, 1.0)
+    grid = RegionGrid(10, 10, scores)
     labels = merge_regions(grid, 0.02)
     survivors = {tuple(r) for r in np.argwhere(scores >= 0.02)}
     assert set(labels) == survivors
@@ -245,7 +244,7 @@ def blob_grid(rng, n_blobs):
             for dy in range(-1, 2):
                 scores[c[0] + dx, c[1] + dy] += amp * (0.3 ** (abs(dx) + abs(dy)))
     scores /= scores.sum()
-    return RegionGrid(10, 10, scores, 1.0)
+    return RegionGrid(10, 10, scores)
 
 
 def test_merge_monotone_in_gamma_on_blob_grids():
@@ -551,6 +550,14 @@ def test_load_refuses_frequency_below_one(tmp_path):
 def test_load_refuses_non_finite_weight(tmp_path):
     path = dump_with_row(tmp_path, [7, 8, float("nan"), 2])
     with pytest.raises(SessionFormatError, match=refusal(path, (7, 8), "non-finite weight")):
+        AggregationSession.load(path)
+
+
+def test_load_refuses_negative_weight(tmp_path):
+    # a stored weight is a running mean of soft-mask values; zero stays legal
+    AggregationSession.load(dump_with_row(tmp_path, [7, 8, 0.0, 2]))
+    path = dump_with_row(tmp_path, [7, 8, -0.25, 2])
+    with pytest.raises(SessionFormatError, match=refusal(path, (7, 8), "negative weight")):
         AggregationSession.load(path)
 
 

@@ -248,6 +248,12 @@ def write_bad_session(kind, path, dataset):
         payload = json.loads(path.read_text())
         if kind == "huge_grid":
             payload["grid"].update(d1=10**9, d2=10**9)
+        elif kind == "negative_weight":  # one cup cell outweighed by negative ones
+            oid = next(e["oid"] for e in payload["graphs"] if e["graph"]["root"] == "cup")
+            rows = payload["cells"][str(oid)]
+            rows[0][2:] = [1.0, 1]
+            for row in rows[1:]:
+                row[2:] = [-0.01, 40]
         else:
             rows = next(rows for rows in payload["cells"].values() if rows)
             rows[0][0] = -3
@@ -255,7 +261,8 @@ def write_bad_session(kind, path, dataset):
 
 
 @pytest.mark.parametrize(
-    "kind", ["not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph"]
+    "kind",
+    ["not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph", "negative_weight"],
 )
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
     session_file = tmp_path / "session.json"
@@ -271,6 +278,8 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
     if kind == "other_grid":
         assert str(PipelineConfig().grid_spec()) in lines[0]
         assert "cell_size=0.1, d1=50, d2=50" in lines[0]
+    if kind == "negative_weight":
+        assert lines[0].endswith("has a negative weight")
 
 
 @pytest.mark.parametrize("command", ["ground", "aggregate", "eval"])

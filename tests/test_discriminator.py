@@ -19,7 +19,7 @@ from refground.oracle import oracle_classify
 
 
 def record(graph, centroid=(0.0, 0.0), score=1.0):
-    return InstanceRecord(graph, frozenset(), centroid, score, ((graph, 1.0),))
+    return InstanceRecord(frozenset(), centroid, score, ((graph, 1.0),))
 
 
 def g_cup(*self_attrs, rel=None):

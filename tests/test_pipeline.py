@@ -21,7 +21,7 @@ from refground.evaluation import (
     simulate_dialogue_dataset,
 )
 from refground.geometry import bbox_cloud_arrays
-from refground.graph import ObjectGraph
+from refground.graph import ObjectGraph, graph_difference
 from refground.language import realize
 from refground.pipeline import (
     build_observation_bank,
@@ -235,6 +235,31 @@ def test_oracle_outcome_candidates_sorted_by_description(episode):
     assert outcome.state is DialogueState.INFORM_AMBIGUITY
     descs = [realize(rec.graph) for rec, _ in outcome.candidates]
     assert descs == sorted(descs)
+
+
+def test_pipeline_and_oracle_name_instances_alike(small_datasets):
+    # every state lists the instances it names as candidates with their
+    # differences; a confirm names its match, with an empty difference
+    cfg = PipelineConfig()
+    lexicon = cfg.lexicon()
+    states = set()
+    for out in small_datasets:
+        session, room = session_for_episode(out, cfg, "none", lexicon), load_room(out)
+        for case in load_instructions(out):
+            seed = query_seed_for(cfg.seed, f"{out.name}:{case.text}")
+            outcome, g = ground_in_session(session, case.text, cfg, lexicon, seed)
+            reference = oracle_outcome(room, g, cfg, seed)
+            for named in (outcome, reference):
+                if named.state is DialogueState.CONFIRM:
+                    ((record, difference),) = named.candidates
+                    assert named.matched is record and difference == frozenset()
+                for record, difference in named.candidates:
+                    assert difference == graph_difference(g, record.graph)
+            if _candidate_signature(outcome) == _candidate_signature(reference):
+                assert outcome.state is reference.state
+                assert [r.graph for r, _ in outcome.candidates] == [r.graph for r, _ in reference.candidates]
+            states.add(outcome.state)
+    assert states == set(DialogueState)
 
 
 def test_stream_and_query_seeds_stable():

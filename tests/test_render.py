@@ -61,7 +61,9 @@ def dense_render_with_hits(room, pose, intrinsics, max_range=10.0, include_struc
 
 def assert_same_render(room, pose, intrinsics=K, ranges=RANGES, include_structure=True):
     for max_range in ranges:
-        depth, winner = render_scene(room, pose, intrinsics, max_range, include_structure)
+        depth, winner = render_scene(
+            room, pose, intrinsics, max_range, setup=render_setup(room, intrinsics, include_structure)
+        )
         want_depth, want_winner = dense_render_scene(room, pose, intrinsics, max_range, include_structure)
         assert depth.dtype == want_depth.dtype and winner.dtype == want_winner.dtype
         assert depth.tobytes() == want_depth.tobytes(), f"depth differs at max_range={max_range}"
@@ -194,15 +196,20 @@ def test_edge_scene_matches_dense(name):
 
 def test_edge_scenes_show_their_case():
     pose = look_at_pose(EYE, (4.0, 3.0, 1.2))
-    depth, winner = render_scene(manual_room(SCENES["camera_inside_box"]), pose, K, 10.0, False)
+
+    def objects_only(name, max_range=10.0):
+        room = manual_room(SCENES[name])
+        return render_scene(room, pose, K, max_range, setup=render_setup(room, K, False))
+
+    depth, winner = objects_only("camera_inside_box")
     assert (winner == 0).all() and depth.max() <= 0.6 + 1e-6
-    _, winner = render_scene(manual_room(SCENES["behind_camera"]), pose, K, 10.0, False)
+    _, winner = objects_only("behind_camera")
     assert (winner == NO_HIT).all()
-    depth, winner = render_scene(manual_room(SCENES["at_and_beyond_max_range"]), pose, K, 2.0, False)
+    depth, winner = objects_only("at_and_beyond_max_range", 2.0)
     assert set(np.unique(winner)) == {NO_HIT, 0, 5}
-    _, winner = render_scene(manual_room(SCENES["touches_frame_edge"]), pose, K, 10.0, False)
+    _, winner = objects_only("touches_frame_edge")
     assert (winner[:, 0] == 0).any() and set(np.unique(winner)) == {NO_HIT, 0}
-    _, winner = render_scene(manual_room(SCENES["coincident_faces"]), pose, K, 10.0, False)
+    _, winner = objects_only("coincident_faces")
     assert set(np.unique(winner)) == {NO_HIT, 0, 1}
 
 
@@ -365,12 +372,12 @@ def bincount_detections(room, winner, captions, min_pixels):
 
 def assert_rect_detections_match(room, pose, intrinsics, max_range, include_structure=True):
     captions = {o.id: f"box {o.id}" for o in room.objects}
-    rects = _pixel_rects(render_setup(room, intrinsics, include_structure), [pose], max_range)[0]
-    _, winner = render_scene(room, pose, intrinsics, max_range, include_structure, rects=rects)
+    setup = render_setup(room, intrinsics, include_structure)
+    rects = _pixel_rects(setup, [pose], max_range)[0]
+    _, winner = render_scene(room, pose, intrinsics, max_range, setup=setup, rects=rects)
     for min_pixels in (0, 1, 25):
         want = bincount_detections(room, winner, captions, min_pixels)
         assert gt_detections(room, winner, captions, min_pixels, rects) == want
-        assert gt_detections(room, winner, captions, min_pixels) == want
     return winner
 
 

@@ -11,7 +11,7 @@ from refground.graph import ObjectGraph
 from refground.language import phrase_to_graph, realize, tag, tokenize
 from refground.lexicon import default_lexicon
 from refground.oracle import oracle_classify
-from refground.render import NO_HIT, gt_detections, render_scene
+from refground.render import NO_HIT, gt_detections, render_scene, render_setup
 from refground.simulator import (
     Detection,
     GenerationError,
@@ -422,7 +422,7 @@ def test_render_empty_scene_all_zero():
     room = manual_room([])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=32.0, cy=32.0, width=64, height=64)
     pose = look_at_pose((3.0, 3.0, 1.2), (5.0, 3.0, 1.0))
-    depth, winner = render_scene(room, pose, K, max_range=10.0, include_structure=False)
+    depth, winner = render_scene(room, pose, K, max_range=10.0, setup=render_setup(room, K, False))
     assert not depth.any()
     assert (winner == NO_HIT).all()
 
@@ -456,6 +456,12 @@ def _captions(room):
     return {oid: realize(g) for oid, g in scene_graphs(room, 0.75).items()}
 
 
+def _whole_frame(room, winner):
+    """Every object's scan rectangle as the whole frame."""
+    h, w = winner.shape
+    return np.array([(0, w, 0, h)] * len(room.objects))
+
+
 def test_fully_occluded_object_not_detected():
     near = box_obj(0, "sofa", 2.0, 2.0, 1.6, 1.0, 1.2)
     hidden = box_obj(1, "cup", 4.2, 2.4, 0.1, 0.1, 0.12)
@@ -463,7 +469,7 @@ def test_fully_occluded_object_not_detected():
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((0.5, 2.5, 0.6), (4.3, 2.45, 0.1))
     _, winner = render_scene(room, pose, K, 10.0)
-    dets = gt_detections(room, winner, _captions(room), min_pixels=25)
+    dets = gt_detections(room, winner, _captions(room), 25, _whole_frame(room, winner))
     assert all(d.gt_object_id != 1 for d in dets)
 
 
@@ -474,7 +480,7 @@ def test_detection_caption_and_clamping():
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((2.5, 0.8, 1.8), (2.5, 2.4, 0.6))
     _, winner = render_scene(room, pose, K, 10.0)
-    dets = gt_detections(room, winner, _captions(room), min_pixels=25)
+    dets = gt_detections(room, winner, _captions(room), 25, _whole_frame(room, winner))
     by_id = {d.gt_object_id: d for d in dets}
     assert by_id[1].caption == "a red plastic cup on top of a table"
     for d in dets:
@@ -488,7 +494,7 @@ def test_min_pixels_threshold():
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((0.5, 3.0, 1.5), (3.0, 3.0, 0.1))
     _, winner = render_scene(room, pose, K, 10.0)
-    few = gt_detections(room, winner, _captions(room), min_pixels=10_000)
+    few = gt_detections(room, winner, _captions(room), 10_000, _whole_frame(room, winner))
     assert few == []
 
 
@@ -507,7 +513,7 @@ def test_detections_match_per_object_scan_of_winner_map():
                 if xs.size and xs.size >= min_pixels:
                     bbox = BoundingBox(float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1))
                     want.append(Detection(bbox, captions[obj.id], obj.id))
-            assert gt_detections(room, winner, captions, min_pixels) == want
+            assert gt_detections(room, winner, captions, min_pixels, _whole_frame(room, winner)) == want
 
 
 # -- error models -------------------------------------------------------------------

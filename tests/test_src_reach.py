@@ -40,7 +40,6 @@ ALLOWED_DEFAULTS = {
     # benchmark reads render_scene's positional signature
     ("render_scene", "setup"),
     ("render_scene", "rects"),
-    ("gt_detections", "rects"),
 }
 
 
