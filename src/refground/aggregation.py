@@ -368,8 +368,8 @@ class AggregationSession:
         """Read a dump; SessionFormatError names the first malformed entry.
 
         Grid sizes that are not positive integers or cannot be allocated,
-        cells outside the grid, frequencies below 1 and non-finite or
-        negative weights are refused.
+        a graph listed under two oids, cells outside the grid, frequencies
+        below 1 and non-finite or negative weights are refused.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -390,7 +390,9 @@ class AggregationSession:
             for expected, entry in enumerate(entries):
                 if entry["oid"] != expected:
                     raise SessionFormatError(f"{path}: non-contiguous oid {entry['oid']}")
-                session.register_graph(from_dict(entry["graph"]))
+                oid = session.register_graph(from_dict(entry["graph"]))
+                if oid != expected:  # a dump lists each graph once
+                    raise SessionFormatError(f"{path}: oid {expected} repeats the graph of oid {oid}")
             for oid_text, cells in payload["cells"].items():
                 oid = int(oid_text)
                 if oid not in session.registry:

@@ -186,9 +186,9 @@ def _manifest_entry(record) -> dict:
     if not isinstance(record.get("kind", ""), str):
         raise ValueError('manifest entry "kind" must be a string')
     if record.get("kind") == "counting" and not (
-        isinstance(record.get("target"), str) and type(record.get("count")) is int
+        isinstance(record.get("target"), str) and type(record.get("count")) is int and record["count"] >= 1
     ):
-        raise ValueError('counting manifest entry must have a "target" string and an integer "count"')
+        raise ValueError('counting manifest entry must have a "target" string and an integer "count" of at least 1')
     return record
 
 

@@ -127,12 +127,14 @@ def default_lexicon() -> Lexicon:
 
 def key_value_lines(path: str | Path, error: type[ValueError]) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, key, value) for each `key = value` line of a UTF-8
-    text file, skipping blank and `#` lines. A file that does not decode or a
-    line without `=` raises `error`; the caller prefixes the path."""
+    text file, skipping blank and `#` lines. A file that does not decode, a
+    line without `=` or a key set twice raises `error`; the caller prefixes
+    the path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8 text: {exc}") from exc
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -140,7 +142,11 @@ def key_value_lines(path: str | Path, error: type[ValueError]) -> Iterator[tuple
         if "=" not in line:
             raise error(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        yield lineno, key.strip(), value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise error(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        yield lineno, key, value.strip()
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

@@ -199,102 +199,65 @@ def generate_room(
 
     objects: list[SceneObject] = []
 
-    def size_for(cls_name: str) -> tuple[float, float, float]:
+    def place(cls_name: str, attempts: int, surface: SceneObject | None) -> bool:
+        """Make up to `attempts` tries to put one `cls_name` on the floor
+        (surface None) or on `surface`; append it to `objects` on success."""
         spec = PALETTE[cls_name]
-        return uniform(*spec.size_x), uniform(*spec.size_y), uniform(*spec.size_z)
-
-    def next_attrs(cls_name: str) -> tuple[str, str]:
-        return attr_combos[cls_name].pop(0)
-
-    def separation_ok(candidate_min, candidate_max, cls_name: str) -> bool:
-        cx = 0.5 * (candidate_min[0] + candidate_max[0])
-        cy = 0.5 * (candidate_min[1] + candidate_max[1])
-        half = 0.5 * max(candidate_max[0] - candidate_min[0], candidate_max[1] - candidate_min[1])
-        for other in objects:
-            if other.cls != cls_name:
-                continue
-            ox, oy, _ = other.centroid
-            other_half = 0.5 * max(*other.footprint)
-            # big same-class bodies need extra spacing or their BEV groups touch
-            required = max(config.min_separation, half + other_half + 0.6)
-            if math.hypot(cx - ox, cy - oy) < required:
-                return False
-        return True
-
-    for cls_name in floor_classes:
-        placed = False
-        for _ in range(config.max_attempts):
-            sx, sy, sz = size_for(cls_name)
-            lo_x, hi_x = config.wall_margin, ex - config.wall_margin - sx
-            lo_y, hi_y = config.wall_margin, ey - config.wall_margin - sy
+        if surface is None:
+            x_min, y_min, z0, x_max, y_max = 0.0, 0.0, 0.0, ex, ey
+            clearance, support = config.floor_clearance, None
+        else:
+            (x_min, y_min, _), (x_max, y_max, z0) = surface.box_min, surface.box_max
+            clearance, support = _SURFACE_CLEARANCE, surface.id
+        peers = [o for o in objects if o.support == support]
+        if surface is not None and any(o.cls == cls_name for o in peers):
+            return False  # one object per class per surface
+        kin = [(*o.centroid[:2], 0.5 * max(*o.footprint)) for o in objects if o.cls == cls_name]
+        for _ in range(attempts):
+            sx, sy, sz = uniform(*spec.size_x), uniform(*spec.size_y), uniform(*spec.size_z)
+            if surface is None:
+                inset_x = inset_y = config.wall_margin
+            else:
+                # keep small objects away from the surface edge when room
+                # allows: bbox pixels then land on the supporter, not the floor
+                inset_x = max(config.support_inset, min(0.20, (x_max - x_min - sx) / 2.0 - 0.01))
+                inset_y = max(config.support_inset, min(0.20, (y_max - y_min - sy) / 2.0 - 0.01))
+            lo_x, hi_x = x_min + inset_x, x_max - inset_x - sx
+            lo_y, hi_y = y_min + inset_y, y_max - inset_y - sy
             if hi_x <= lo_x or hi_y <= lo_y:
-                continue
+                if surface is None:
+                    continue
+                return False  # a supporter too small for this size is given up
             x0 = uniform(lo_x, hi_x)
             y0 = uniform(lo_y, hi_y)
-            bmin, bmax = (x0, y0, 0.0), (x0 + sx, y0 + sy, sz)
-            clash = any(
-                _xy_boxes_clash(bmin, bmax, o.box_min, o.box_max, config.floor_clearance)
-                for o in objects
-                if o.support is None
-            )
-            if clash or not separation_ok(bmin, bmax, cls_name):
+            bmin, bmax = (x0, y0, z0), (x0 + sx, y0 + sy, z0 + sz)
+            if any(_xy_boxes_clash(bmin, bmax, o.box_min, o.box_max, clearance) for o in peers):
                 continue
-            color, material = next_attrs(cls_name)
-            objects.append(SceneObject(len(objects), cls_name, color, material, bmin, bmax))
-            placed = True
-            break
-        if not placed:
+            cx, cy = 0.5 * (x0 + bmax[0]), 0.5 * (y0 + bmax[1])
+            half = 0.5 * max(bmax[0] - x0, bmax[1] - y0)
+            # big same-class bodies need extra spacing or their BEV groups touch
+            if any(
+                math.hypot(cx - ox, cy - oy) < max(config.min_separation, half + other_half + 0.6)
+                for ox, oy, other_half in kin
+            ):
+                continue
+            color, material = attr_combos[cls_name].pop(0)
+            objects.append(SceneObject(len(objects), cls_name, color, material, bmin, bmax, support))
+            return True
+        return False
+
+    for cls_name in floor_classes:
+        if not place(cls_name, config.max_attempts, None):
             raise GenerationError(
                 f"could not place {cls_name!r} after {config.max_attempts} attempts "
                 f"(room {ex}x{ey} m, {len(objects)} objects placed)"
             )
 
     supporters = [o for o in objects if PALETTE[o.cls].supporter]
-    surface_load: dict[int, set[str]] = {s.id: set() for s in supporters}
-
     for cls_name in small_classes:
         if not supporters:
             raise GenerationError(f"{cls_name!r} needs a supporter but the room has none")
-        placed = False
-        for sup_idx in rng.permutation(len(supporters)):
-            supporter = supporters[int(sup_idx)]
-            if cls_name in surface_load[supporter.id]:
-                continue  # one object per class per surface
-            for _ in range(200):
-                sx, sy, sz = size_for(cls_name)
-                # keep small objects away from the surface edge when room
-                # allows: bbox pixels then land on the supporter, not the floor
-                free_x = (supporter.box_max[0] - supporter.box_min[0] - sx) / 2.0
-                free_y = (supporter.box_max[1] - supporter.box_min[1] - sy) / 2.0
-                inset_x = max(config.support_inset, min(0.20, free_x - 0.01))
-                inset_y = max(config.support_inset, min(0.20, free_y - 0.01))
-                lo_x = supporter.box_min[0] + inset_x
-                hi_x = supporter.box_max[0] - inset_x - sx
-                lo_y = supporter.box_min[1] + inset_y
-                hi_y = supporter.box_max[1] - inset_y - sy
-                if hi_x <= lo_x or hi_y <= lo_y:
-                    break
-                x0 = uniform(lo_x, hi_x)
-                y0 = uniform(lo_y, hi_y)
-                z0 = supporter.box_max[2]
-                bmin, bmax = (x0, y0, z0), (x0 + sx, y0 + sy, z0 + sz)
-                clash = any(
-                    _xy_boxes_clash(bmin, bmax, o.box_min, o.box_max, _SURFACE_CLEARANCE)
-                    for o in objects
-                    if o.support == supporter.id
-                )
-                if clash or not separation_ok(bmin, bmax, cls_name):
-                    continue
-                color, material = next_attrs(cls_name)
-                objects.append(
-                    SceneObject(len(objects), cls_name, color, material, bmin, bmax, supporter.id)
-                )
-                surface_load[supporter.id].add(cls_name)
-                placed = True
-                break
-            if placed:
-                break
-        if not placed:
+        if not any(place(cls_name, 200, supporters[i]) for i in rng.permutation(len(supporters))):
             raise GenerationError(
                 f"could not place supported object {cls_name!r} on any of "
                 f"{len(supporters)} supporters"

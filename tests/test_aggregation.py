@@ -580,6 +580,23 @@ def test_load_refuses_cells_for_unknown_graph(tmp_path):
         AggregationSession.load(path)
 
 
+@pytest.mark.parametrize("cells", [None, []], ids=["no_cells_key", "empty_cells"])
+def test_load_refuses_a_graph_listed_under_two_oids(tmp_path, cells):
+    # loading would register the graph once, so the dump would not survive a round trip
+    s = session()
+    s.register_graph(CUP_RED)
+    s.register_graph(CUP_BLACK)
+    path = tmp_path / "session.json"
+    s.dump(path)
+    payload = json.loads(path.read_text())
+    payload["graphs"].append({"oid": 2, "graph": payload["graphs"][0]["graph"]})
+    if cells is not None:
+        payload["cells"]["2"] = cells
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SessionFormatError, match=f"^{re.escape(str(path))}: oid 2 repeats the graph of oid 0$"):
+        AggregationSession.load(path)
+
+
 def dump_with_grid(tmp_path, d1, d2):
     """A valid one-graph session dump that declares a d1 x d2 grid."""
     path = dump_with_row(tmp_path, [7, 8, 0.5, 1])

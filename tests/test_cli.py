@@ -254,6 +254,9 @@ def write_bad_session(kind, path, dataset):
             rows[0][2:] = [1.0, 1]
             for row in rows[1:]:
                 row[2:] = [-0.01, 40]
+        elif kind == "repeated_graph":  # oid 0's graph listed again under the next oid
+            graph = next(e["graph"] for e in payload["graphs"] if e["oid"] == 0)
+            payload["graphs"].append({"oid": len(payload["graphs"]), "graph": graph})
         else:
             rows = next(rows for rows in payload["cells"].values() if rows)
             rows[0][0] = -3
@@ -262,7 +265,10 @@ def write_bad_session(kind, path, dataset):
 
 @pytest.mark.parametrize(
     "kind",
-    ["not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph", "negative_weight"],
+    [
+        "not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph",
+        "negative_weight", "repeated_graph",
+    ],
 )
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
     session_file = tmp_path / "session.json"
@@ -280,6 +286,8 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
         assert "cell_size=0.1, d1=50, d2=50" in lines[0]
     if kind == "negative_weight":
         assert lines[0].endswith("has a negative weight")
+    if kind == "repeated_graph":
+        assert lines[0].endswith("repeats the graph of oid 0")
 
 
 @pytest.mark.parametrize("command", ["ground", "aggregate", "eval"])
@@ -495,8 +503,8 @@ def test_eval_loads_the_lexicon_once(dataset, counting_dataset, tmp_path, capsys
 
 @pytest.mark.parametrize(
     "key, value",
-    [("target", None), ("count", None), ("count", "two"), ("count", 2.5)],
-    ids=["no_target", "no_count", "count_text", "count_fraction"],
+    [("target", None), ("count", None), ("count", "two"), ("count", 2.5), ("count", -1), ("count", 0)],
+    ids=["no_target", "no_count", "count_text", "count_fraction", "count_negative", "count_zero"],
 )
 def test_eval_counting_manifest_entry_without_target_or_integer_count_is_io_error(
     counting_dataset, tmp_path, capsys, key, value
@@ -629,6 +637,7 @@ def test_ring_aimed_at_its_own_eye_is_config_error(tmp_path, capsys):
         ("foo = 1", "config error: {config}: line 1: unknown config key"),
         ("seed = x", "config error: {config}: line 1: bad value for seed"),
         ("seed 3", "config error: {config}: line 1: expected 'key = value'"),
+        ("gamma = 0.05\n# a later line\ngamma = 0.2", "config error: {config}: line 3: key 'gamma' already set on line 1"),
         ("lexicon_path = a\0b", "config error: {config}: config key lexicon_path must not contain a NUL"),
     ],
 )
@@ -664,6 +673,8 @@ def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):
         (b"object_classes = cup\nself. = red\n", "attribute kind must be lowercase, non-empty"),
         # the tagger leaves every word outside the tables as O, so no key lists such words
         (b"object_classes = cup\nstopwords = a, the\n", "line 2: unknown key 'stopwords'"),
+        # a second list would replace the first and its words would tag as O
+        (b"object_classes = cup\nself.color = red\nself.color = blue\n", "line 3: key 'self.color' already set on line 2"),
     ],
 )
 @pytest.mark.parametrize("command", ["parse", "ground", "eval"])

@@ -9,7 +9,7 @@ from refground.config import ConfigError, PipelineConfig
 from refground.geometry import BoundingBox, CameraIntrinsics
 from refground.graph import ObjectGraph
 from refground.language import phrase_to_graph, realize, tag, tokenize
-from refground.lexicon import default_lexicon
+from refground.lexicon import COLORS, MATERIALS, default_lexicon
 from refground.oracle import oracle_classify
 from refground.render import NO_HIT, gt_detections, render_scene, render_setup
 from refground.simulator import (
@@ -25,7 +25,9 @@ from refground.simulator import (
     look_at_pose,
     plan_trajectory,
     scene_graphs,
+    _SURFACE_CLEARANCE,
     _uniform_draws,
+    _xy_boxes_clash,
 )
 
 CONFIG = PipelineConfig()
@@ -131,6 +133,194 @@ def test_copies_bounds_validated():
         generate_room(0, {"cup": 6}, CONFIG)
     with pytest.raises(GenerationError):
         generate_room(0, {"spaceship": 1}, CONFIG)
+
+
+# Reference: generate_room as it stood with one placement loop for the floor
+# and one for supporters, kept unedited but for its name.
+def reference_generate_room(
+    seed: int, copies: dict[str, int], config: PipelineConfig, min_extent: float = 0.0
+) -> RoomSpec:
+    """Rejection-sample a room holding `copies`; deterministic under the seed.
+
+    The floor is config.room_x by config.room_y, each side at least
+    min_extent. Floor objects are placed largest first with pairwise
+    clearance; supported objects go on supporter surfaces, at most one
+    object of a class per supporter. Same-class copies keep the configured
+    centroid separation.
+    """
+    for cls_name, count in copies.items():
+        if cls_name not in PALETTE:
+            raise GenerationError(f"unknown object class {cls_name!r}")
+        if not 1 <= count <= 5:
+            raise GenerationError(f"copies for {cls_name!r} must be in 1..5, got {count}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    uniform = _uniform_draws(rng)
+    ex, ey = max(min_extent, config.room_x), max(min_extent, config.room_y)
+
+    order: list[str] = []
+    for cls_name in sorted(copies):
+        order.extend([cls_name] * copies[cls_name])
+    floor_classes = [c for c in order if not PALETTE[c].supported]
+    small_classes = [c for c in order if PALETTE[c].supported]
+    floor_classes.sort(key=lambda c: -(PALETTE[c].size_x[1] * PALETTE[c].size_y[1]))
+
+    attr_combos: dict[str, list[tuple[str, str]]] = {}
+    for cls_name, count in sorted(copies.items()):
+        pairs = [(c, m) for c in COLORS for m in MATERIALS]
+        idx = rng.permutation(len(pairs))[:count]
+        attr_combos[cls_name] = [pairs[i] for i in idx]
+
+    objects: list[SceneObject] = []
+
+    def size_for(cls_name: str) -> tuple[float, float, float]:
+        spec = PALETTE[cls_name]
+        return uniform(*spec.size_x), uniform(*spec.size_y), uniform(*spec.size_z)
+
+    def next_attrs(cls_name: str) -> tuple[str, str]:
+        return attr_combos[cls_name].pop(0)
+
+    def separation_ok(candidate_min, candidate_max, cls_name: str) -> bool:
+        cx = 0.5 * (candidate_min[0] + candidate_max[0])
+        cy = 0.5 * (candidate_min[1] + candidate_max[1])
+        half = 0.5 * max(candidate_max[0] - candidate_min[0], candidate_max[1] - candidate_min[1])
+        for other in objects:
+            if other.cls != cls_name:
+                continue
+            ox, oy, _ = other.centroid
+            other_half = 0.5 * max(*other.footprint)
+            # big same-class bodies need extra spacing or their BEV groups touch
+            required = max(config.min_separation, half + other_half + 0.6)
+            if math.hypot(cx - ox, cy - oy) < required:
+                return False
+        return True
+
+    for cls_name in floor_classes:
+        placed = False
+        for _ in range(config.max_attempts):
+            sx, sy, sz = size_for(cls_name)
+            lo_x, hi_x = config.wall_margin, ex - config.wall_margin - sx
+            lo_y, hi_y = config.wall_margin, ey - config.wall_margin - sy
+            if hi_x <= lo_x or hi_y <= lo_y:
+                continue
+            x0 = uniform(lo_x, hi_x)
+            y0 = uniform(lo_y, hi_y)
+            bmin, bmax = (x0, y0, 0.0), (x0 + sx, y0 + sy, sz)
+            clash = any(
+                _xy_boxes_clash(bmin, bmax, o.box_min, o.box_max, config.floor_clearance)
+                for o in objects
+                if o.support is None
+            )
+            if clash or not separation_ok(bmin, bmax, cls_name):
+                continue
+            color, material = next_attrs(cls_name)
+            objects.append(SceneObject(len(objects), cls_name, color, material, bmin, bmax))
+            placed = True
+            break
+        if not placed:
+            raise GenerationError(
+                f"could not place {cls_name!r} after {config.max_attempts} attempts "
+                f"(room {ex}x{ey} m, {len(objects)} objects placed)"
+            )
+
+    supporters = [o for o in objects if PALETTE[o.cls].supporter]
+    surface_load: dict[int, set[str]] = {s.id: set() for s in supporters}
+
+    for cls_name in small_classes:
+        if not supporters:
+            raise GenerationError(f"{cls_name!r} needs a supporter but the room has none")
+        placed = False
+        for sup_idx in rng.permutation(len(supporters)):
+            supporter = supporters[int(sup_idx)]
+            if cls_name in surface_load[supporter.id]:
+                continue  # one object per class per surface
+            for _ in range(200):
+                sx, sy, sz = size_for(cls_name)
+                # keep small objects away from the surface edge when room
+                # allows: bbox pixels then land on the supporter, not the floor
+                free_x = (supporter.box_max[0] - supporter.box_min[0] - sx) / 2.0
+                free_y = (supporter.box_max[1] - supporter.box_min[1] - sy) / 2.0
+                inset_x = max(config.support_inset, min(0.20, free_x - 0.01))
+                inset_y = max(config.support_inset, min(0.20, free_y - 0.01))
+                lo_x = supporter.box_min[0] + inset_x
+                hi_x = supporter.box_max[0] - inset_x - sx
+                lo_y = supporter.box_min[1] + inset_y
+                hi_y = supporter.box_max[1] - inset_y - sy
+                if hi_x <= lo_x or hi_y <= lo_y:
+                    break
+                x0 = uniform(lo_x, hi_x)
+                y0 = uniform(lo_y, hi_y)
+                z0 = supporter.box_max[2]
+                bmin, bmax = (x0, y0, z0), (x0 + sx, y0 + sy, z0 + sz)
+                clash = any(
+                    _xy_boxes_clash(bmin, bmax, o.box_min, o.box_max, _SURFACE_CLEARANCE)
+                    for o in objects
+                    if o.support == supporter.id
+                )
+                if clash or not separation_ok(bmin, bmax, cls_name):
+                    continue
+                color, material = next_attrs(cls_name)
+                objects.append(
+                    SceneObject(len(objects), cls_name, color, material, bmin, bmax, supporter.id)
+                )
+                surface_load[supporter.id].add(cls_name)
+                placed = True
+                break
+            if placed:
+                break
+        if not placed:
+            raise GenerationError(
+                f"could not place supported object {cls_name!r} on any of "
+                f"{len(supporters)} supporters"
+            )
+
+    return RoomSpec((ex, ey, config.room_z), tuple(objects), seed, dict(copies))
+
+
+ROOM_RECIPES = [
+    COPIES,
+    {"cup": 3, "book": 2, "table": 2, "counter": 1},
+    {"chair": 3, "lamp": 2, "desk": 1, "bowl": 1},
+    {"cup": 5, "book": 5, "laptop": 2, "plant": 2, "dining table": 1, "desk": 1},
+    dict.fromkeys(
+        ("cup", "book", "lamp", "bowl", "laptop", "plant", "chair", "armchair", "sofa", "table", "desk", "counter"), 1
+    ),
+    {"sofa": 5},
+    {"cup": 5, "table": 1},
+    {"bowl": 1},
+]
+ROOM_CONFIGS = [  # (config, min_extent)
+    (CONFIG, 0.0),
+    (PipelineConfig(room_x=3.0, room_y=3.0, max_attempts=300), 0.0),
+    (CONFIG, 6.5),
+    (PipelineConfig(support_inset=0.2), 0.0),  # some sizes do not fit some supporters
+]
+
+
+def generation_outcome(generate, seed, copies, config, min_extent):
+    """The room as a dict, or the GenerationError's message."""
+    try:
+        return generate(seed, copies, config, min_extent).to_dict()
+    except GenerationError as exc:
+        return str(exc)
+
+
+def test_generate_room_matches_two_loop_reference():
+    """Rooms and failure messages equal the two-loop code's, draw for draw,
+    over placed rooms and every kind of placement failure."""
+    failures = {"floor": 0, "supported": 0, "no supporter": 0}
+    for config, min_extent in ROOM_CONFIGS:
+        for seed in range(25):
+            for copies in ROOM_RECIPES:
+                got = generation_outcome(generate_room, seed, copies, config, min_extent)
+                assert got == generation_outcome(reference_generate_room, seed, copies, config, min_extent)
+                if isinstance(got, str):
+                    kind = (
+                        "no supporter" if "needs a supporter" in got
+                        else "supported" if "supported object" in got
+                        else "floor"
+                    )
+                    failures[kind] += 1
+    assert all(failures.values()), failures
 
 
 # -- ground-truth graphs --------------------------------------------------------
