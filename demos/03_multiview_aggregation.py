@@ -34,12 +34,12 @@ for oid, graph in session.registry.items():
     print(f"  oid {oid}: {realize(graph)!r} ({np.count_nonzero(freq)} occupied cells)")
 
 oid = session.registry.oids_for_root("cup")[0]
-grid = session.region_scores(oid, config.region_dx, config.region_dy)
+scores = session.region_scores(oid, config.region_dx, config.region_dy)
 print(f"\n=== region scores for oid {oid} (percent, y up) ===")
-for row in (grid.scores.T[::-1] * 100).round(0).astype(int):
+for row in (scores.T[::-1] * 100).round(0).astype(int):
     print("  " + " ".join(f"{v:3d}" if v else "  ." for v in row))
 
-labels = merge_regions(grid, config.gamma)
+labels = merge_regions(scores, config.gamma)
 print(f"\nmerged labels (gamma={config.gamma}): {labels}")
 
 print("\n=== fused instances per class ===")

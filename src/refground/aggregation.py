@@ -75,29 +75,6 @@ class GraphRegistry:
         return 0 <= oid < len(self._graphs)
 
 
-@dataclass(frozen=True, eq=False)
-class RegionGrid:
-    """Normalized occupancy scores over dx-by-dy cell regions.
-
-    scores[rx, ry] approximates the probability that an instance of the
-    graph's root class occupies region (rx, ry); scores sum to 1 whenever
-    any mass exists.
-    """
-
-    dx: int
-    dy: int
-    scores: np.ndarray
-
-
-@dataclass(frozen=True)
-class InstanceGroup:
-    """One merged group of regions for a single object graph."""
-
-    regions: frozenset[tuple[int, int]]
-    centroid: tuple[float, float]
-    accumulated_weight: float
-
-
 @dataclass(frozen=True)
 class InstanceRecord:
     """A unique grounded instance after cross-graph fusion; its instance
@@ -124,7 +101,7 @@ def _find(parent, x):
     return x
 
 
-def merge_regions(grid: RegionGrid, gamma: float) -> dict[tuple[int, int], int]:
+def merge_regions(scores: np.ndarray, gamma: float) -> dict[tuple[int, int], int]:
     """Greedy non-maximal region merging with explicit instance labels.
 
     Regions scoring at least gamma are visited in descending score order
@@ -139,8 +116,8 @@ def merge_regions(grid: RegionGrid, gamma: float) -> dict[tuple[int, int], int]:
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
     order = sorted(
-        map(tuple, np.argwhere(grid.scores >= gamma).tolist()),
-        key=lambda r: (-grid.scores[r], r),
+        map(tuple, np.argwhere(scores >= gamma).tolist()),
+        key=lambda r: (-scores[r], r),
     )
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     for region in order:
@@ -209,11 +186,13 @@ class AggregationSession:
             raise RegistryError(oid)
         return self._mean[oid].copy(), self._freq[oid].copy()
 
-    def region_scores(self, oid: int, dx: int, dy: int) -> RegionGrid:
-        """Sum cell weights per region and normalize over the whole grid.
+    def region_scores(self, oid: int, dx: int, dy: int) -> np.ndarray:
+        """Sum cell weights per dx-by-dy region and normalize over the whole grid.
 
-        The grid is zero-padded so dx, dy divide its dimensions. A graph
-        with no mass yields an all-zero grid (missing object).
+        scores[rx, ry] approximates the probability that an instance of the
+        graph's root class occupies region (rx, ry); scores sum to 1 whenever
+        any mass exists. The grid is zero-padded so dx, dy divide its
+        dimensions. A graph with no mass yields all zeros (missing object).
         """
         if dx < 1 or dy < 1:
             raise ValueError("region dimensions must be >= 1")
@@ -227,40 +206,7 @@ class AggregationSession:
             (ix // dx) * ny + iy // dy, weights=self._mean[oid][ix, iy], minlength=nx * ny
         ).reshape(nx, ny)
         total = float(sums.sum())
-        scores = sums / total if total > 0 else sums
-        return RegionGrid(dx, dy, scores)
-
-    def _instances(self, oid: int, grid: RegionGrid, gamma: float) -> list[InstanceGroup]:
-        """Merge the graph's scored regions into groups, for fusion.
-
-        A group's centroid is the accumulated-weight (mean * frequency)
-        weighted mean of its member cell centers, in meters. Weights are
-        never negative, so a group, whose regions score at least gamma,
-        has positive mass.
-        """
-        labels = merge_regions(grid, gamma)
-        by_label: dict[int, list[tuple[int, int]]] = {}
-        region_label = np.full(grid.scores.shape, -1, dtype=np.int64)
-        for region, label in labels.items():
-            by_label.setdefault(label, []).append(region)
-            region_label[region] = label
-        ix, iy = np.nonzero(self._freq[oid])
-        cell_label = region_label[ix // grid.dx, iy // grid.dy]
-        member = cell_label >= 0
-        ix, iy, cell_label = ix[member], iy[member], cell_label[member]
-        mass = self._mean[oid][ix, iy] * self._freq[oid][ix, iy]
-        xs = self.grid.origin_x + (ix + 0.5) * self.grid.cell_size
-        ys = self.grid.origin_y + (iy + 0.5) * self.grid.cell_size
-        n = len(by_label)
-        acc = np.bincount(cell_label, weights=mass, minlength=n).tolist()
-        wx = np.bincount(cell_label, weights=mass * xs, minlength=n).tolist()
-        wy = np.bincount(cell_label, weights=mass * ys, minlength=n).tolist()
-        groups = []
-        for label in sorted(by_label):
-            regions = frozenset(by_label[label])
-            a = acc[label]
-            groups.append(InstanceGroup(regions, (wx[label] / a, wy[label] / a), a))
-        return groups
+        return sums / total if total > 0 else sums
 
     def fuse_across_graphs(
         self, root: str, dx: int, dy: int, gamma: float
@@ -283,48 +229,63 @@ class AggregationSession:
         return list(records)
 
     def _fuse(self, root: str, dx: int, dy: int, gamma: float) -> list[InstanceRecord]:
-        grids = {oid: self.region_scores(oid, dx, dy) for oid in self.registry.oids_for_root(root)}
-        members: list[tuple[int, InstanceGroup]] = []
-        for oid, grid in grids.items():
-            for group in self._instances(oid, grid, gamma):
-                members.append((oid, group))
-        if not members:
-            return []
+        """Merge each graph's scored regions into groups, then unite groups across graphs.
+
+        A group is (oid, regions, x, y, mass): its centroid (x, y) is the
+        accumulated-weight (mean * frequency) weighted mean of its member
+        cell centers, in meters. Weights are never negative, so a group,
+        whose regions score at least gamma, has positive mass. A region's
+        pooled score is its best over the graphs that label it.
+        """
+        groups: list[tuple[int, frozenset[tuple[int, int]], float, float, float]] = []
+        pooled: dict[tuple[int, int], float] = {}
+        for oid in self.registry.oids_for_root(root):
+            scores = self.region_scores(oid, dx, dy)
+            by_label: dict[int, list[tuple[int, int]]] = {}
+            region_label = np.full(scores.shape, -1, dtype=np.int64)
+            for region, label in merge_regions(scores, gamma).items():
+                by_label.setdefault(label, []).append(region)
+                region_label[region] = label
+                pooled[region] = max(pooled.get(region, 0.0), float(scores[region]))
+            ix, iy = np.nonzero(self._freq[oid])
+            cell_label = region_label[ix // dx, iy // dy]
+            member = cell_label >= 0
+            ix, iy, cell_label = ix[member], iy[member], cell_label[member]
+            mass = self._mean[oid][ix, iy] * self._freq[oid][ix, iy]
+            xs = self.grid.origin_x + (ix + 0.5) * self.grid.cell_size
+            ys = self.grid.origin_y + (iy + 0.5) * self.grid.cell_size
+            n = len(by_label)
+            acc = np.bincount(cell_label, weights=mass, minlength=n).tolist()
+            wx = np.bincount(cell_label, weights=mass * xs, minlength=n).tolist()
+            wy = np.bincount(cell_label, weights=mass * ys, minlength=n).tolist()
+            for label in sorted(by_label):
+                a = acc[label]
+                groups.append((oid, frozenset(by_label[label]), wx[label] / a, wy[label] / a, a))
 
         # union-find over groups sharing any region
-        parent = list(range(len(members)))
-        region_owner: dict[tuple[int, int], int] = {}
-        for idx, (_, group) in enumerate(members):
-            for region in group.regions:
-                if region in region_owner:
-                    ra, rb = _find(parent, region_owner[region]), _find(parent, idx)
-                    if ra != rb:
-                        parent[rb] = ra
-                else:
-                    region_owner[region] = idx
+        parent = list(range(len(groups)))
+        owner: dict[tuple[int, int], int] = {}
+        for idx, (_, regions, _, _, _) in enumerate(groups):
+            for region in regions:
+                ra, rb = _find(parent, owner.setdefault(region, idx)), _find(parent, idx)
+                if ra != rb:
+                    parent[rb] = ra
 
         clusters: dict[int, list[int]] = {}
-        for idx in range(len(members)):
+        for idx in range(len(groups)):
             clusters.setdefault(_find(parent, idx), []).append(idx)
-
-        # pooled score per region = max over contributing graphs
-        pooled: dict[tuple[int, int], float] = {}
-        for oid, group in members:
-            for region in group.regions:
-                val = float(grids[oid].scores[region])
-                pooled[region] = max(pooled.get(region, 0.0), val)
 
         records = []
         for indices in clusters.values():
-            regions = frozenset().union(*(members[i][1].regions for i in indices))
+            regions = frozenset().union(*(groups[i][1] for i in indices))
             per_oid: dict[int, float] = {}
             wx = wy = total = 0.0
             for i in indices:
-                oid, group = members[i]
-                per_oid[oid] = per_oid.get(oid, 0.0) + group.accumulated_weight
-                wx += group.centroid[0] * group.accumulated_weight
-                wy += group.centroid[1] * group.accumulated_weight
-                total += group.accumulated_weight
+                oid, _, x, y, mass = groups[i]
+                per_oid[oid] = per_oid.get(oid, 0.0) + mass
+                wx += x * mass
+                wy += y * mass
+                total += mass
             contributors = tuple(
                 (self.registry.graph(oid), weight)
                 for oid, weight in sorted(per_oid.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -368,8 +329,9 @@ class AggregationSession:
         """Read a dump; SessionFormatError names the first malformed entry.
 
         Grid sizes that are not positive integers or cannot be allocated,
-        a graph listed under two oids, cells outside the grid, frequencies
-        below 1 and non-finite or negative weights are refused.
+        a graph listed under two oids, cells outside the grid or with a
+        non-integer index, frequencies that are not whole numbers in
+        [1, 2**63) and non-finite or negative weights are refused.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -416,7 +378,10 @@ class AggregationSession:
         inside = (cx >= 0) & (cx < self.grid.d1) & (cy >= 0) & (cy < self.grid.d2)
         for ok, problem in (
             (inside, f"lies outside the {self.grid.d1}x{self.grid.d2} grid"),
+            ((cx == np.floor(cx)) & (cy == np.floor(cy)), "has a non-integer index"),
             (freq >= 1, "has frequency below 1"),
+            (freq == np.floor(freq), "has a non-integer frequency"),
+            (freq < 2.0**63, "has frequency 2**63 or more"),
             (np.isfinite(w), "has a non-finite weight"),
             (w >= 0, "has a negative weight"),
         ):

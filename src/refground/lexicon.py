@@ -150,20 +150,34 @@ def key_value_lines(path: str | Path, error: type[ValueError]) -> Iterator[tuple
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Read a key-value lexicon file (comma-separated token lists)."""
+    """Read a key-value lexicon file (comma-separated token lists).
+
+    A cue or a self value listed under two kinds is refused with both
+    lines; otherwise the later line would silently win.
+    """
     object_classes: set[str] = set()
     self_values: dict[str, frozenset[str]] = {}
     relation_cues: dict[str, str] = {}
     verbs: set[str] = set()
+    named: dict[tuple[str, str], tuple[str, int]] = {}  # (role, token) -> (kind, line)
+
+    def name(role: str, token: str, kind: str, lineno: int) -> None:
+        first_kind, first_line = named.setdefault((role, token), (kind, lineno))
+        if first_kind != kind:
+            raise LexiconError(f"line {lineno}: {role} {token!r} already names {first_kind} on line {first_line}")
+
     try:
         for lineno, key, value in key_value_lines(path, LexiconError):
             tokens = [t.strip().lower() for t in value.split(",") if t.strip()]
             if key == "object_classes":
                 object_classes.update(tokens)
             elif key.startswith("self."):
+                for token in tokens:
+                    name("value", token, key[5:], lineno)
                 self_values[key[5:]] = frozenset(tokens)
             elif key.startswith("rel."):
                 for cue in tokens:
+                    name("cue", cue, key[4:], lineno)
                     relation_cues[cue] = key[4:]
             elif key == "verbs":
                 verbs.update(tokens)

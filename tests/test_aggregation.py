@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from refground.aggregation import (
     _NEIGHBORS,
     AggregationSession,
     GraphRegistry,
-    RegionGrid,
+    InstanceRecord,
     RegistryError,
     SessionFormatError,
+    _find,
     merge_regions,
 )
 from refground.geometry import GridSpec
@@ -129,35 +132,35 @@ def test_region_scores_all_mass_one_region():
     s = session()
     oid = s.register_graph(CUP_RED)
     s.accumulate(oid, *obs(((3, 4), 0.5), ((5, 6), 0.2)))
-    grid = s.region_scores(oid, 10, 10)
-    assert grid.scores[0, 0] == pytest.approx(1.0)
-    assert grid.scores.sum() == pytest.approx(1.0)
+    scores = s.region_scores(oid, 10, 10)
+    assert scores[0, 0] == pytest.approx(1.0)
+    assert scores.sum() == pytest.approx(1.0)
 
 
 def test_region_scores_equal_split():
     s = session()
     oid = s.register_graph(CUP_RED)
     s.accumulate(oid, *obs(((3, 4), 0.5), ((13, 4), 0.5)))
-    grid = s.region_scores(oid, 10, 10)
-    assert grid.scores[0, 0] == pytest.approx(0.5)
-    assert grid.scores[1, 0] == pytest.approx(0.5)
+    scores = s.region_scores(oid, 10, 10)
+    assert scores[0, 0] == pytest.approx(0.5)
+    assert scores[1, 0] == pytest.approx(0.5)
 
 
 def test_region_scores_hand_normalization():
     s = session()
     oid = s.register_graph(CUP_RED)
     s.accumulate(oid, *obs(((0, 0), 1.5), ((1, 1), 1.5), ((10, 0), 1.0)))
-    grid = s.region_scores(oid, 10, 10)
-    assert grid.scores[0, 0] == pytest.approx(0.75)
-    assert grid.scores[1, 0] == pytest.approx(0.25)
-    assert np.count_nonzero(grid.scores) == 2
+    scores = s.region_scores(oid, 10, 10)
+    assert scores[0, 0] == pytest.approx(0.75)
+    assert scores[1, 0] == pytest.approx(0.25)
+    assert np.count_nonzero(scores) == 2
 
 
 def test_region_scores_empty_is_zero_grid():
     s = session()
     oid = s.register_graph(CUP_RED)
-    grid = s.region_scores(oid, 10, 10)
-    assert not grid.scores.any()
+    scores = s.region_scores(oid, 10, 10)
+    assert not scores.any()
 
 
 def test_region_scores_nonnegative_and_normalized():
@@ -167,17 +170,16 @@ def test_region_scores_nonnegative_and_normalized():
     cells = [((int(x), int(y)), float(w)) for x, y, w in
              zip(rng.integers(0, 100, 60), rng.integers(0, 100, 60), rng.uniform(0.01, 1, 60))]
     s.accumulate(oid, *obs(*cells))
-    grid = s.region_scores(oid, 7, 13)  # padding path: 7 and 13 do not divide 100
-    assert (grid.scores >= 0).all()
-    assert grid.scores.sum() == pytest.approx(1.0, abs=1e-9)
+    scores = s.region_scores(oid, 7, 13)  # padding path: 7 and 13 do not divide 100
+    assert (scores >= 0).all()
+    assert scores.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 # -- merge_regions ---------------------------------------------------------------
 
 
 def grid_of(array):
-    scores = np.asarray(array, dtype=float)
-    return RegionGrid(10, 10, scores)
+    return np.asarray(array, dtype=float)
 
 
 def test_merge_single_region():
@@ -218,8 +220,7 @@ def test_merge_labels_partition_survivors():
     rng = np.random.default_rng(4)
     scores = rng.uniform(0, 0.08, (6, 6))
     scores /= scores.sum()
-    grid = RegionGrid(10, 10, scores)
-    labels = merge_regions(grid, 0.02)
+    labels = merge_regions(scores, 0.02)
     survivors = {tuple(r) for r in np.argwhere(scores >= 0.02)}
     assert set(labels) == survivors
 
@@ -244,7 +245,7 @@ def blob_grid(rng, n_blobs):
             for dy in range(-1, 2):
                 scores[c[0] + dx, c[1] + dy] += amp * (0.3 ** (abs(dx) + abs(dy)))
     scores /= scores.sum()
-    return RegionGrid(10, 10, scores)
+    return scores
 
 
 def test_merge_monotone_in_gamma_on_blob_grids():
@@ -258,12 +259,12 @@ def test_merge_monotone_in_gamma_on_blob_grids():
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def reference_merge_regions(grid, gamma):
+def reference_merge_regions(scores, gamma):
     """merge_regions before pruning: sort every region, skip those below gamma."""
-    nx, ny = grid.scores.shape
+    nx, ny = scores.shape
     order = sorted(
         ((rx, ry) for rx in range(nx) for ry in range(ny)),
-        key=lambda r: (-grid.scores[r], r),
+        key=lambda r: (-scores[r], r),
     )
     parent = {}
 
@@ -274,7 +275,7 @@ def reference_merge_regions(grid, gamma):
         return r
 
     for region in order:
-        if grid.scores[region] < gamma:
+        if scores[region] < gamma:
             continue
         parent[region] = region
         for dx, dy in _NEIGHBORS:
@@ -434,8 +435,199 @@ def test_fuse_score_is_pooled_sum():
     oid = s.register_graph(CUP_RED)
     splat(s, oid, 15, 15)
     (record,) = s.fuse_across_graphs("cup", 10, 10, 0.05)
-    grid = s.region_scores(oid, 10, 10)
-    assert record.score == pytest.approx(sum(grid.scores[r] for r in record.regions))
+    scores = s.region_scores(oid, 10, 10)
+    assert record.score == pytest.approx(sum(scores[r] for r in record.regions))
+
+
+# -- fusion against the code it replaced -------------------------------------------
+# RegionGrid, InstanceGroup, _instances and _fuse as they stood before fusion read each
+# graph in one loop. The only edits: self became session, region_scores' array is
+# wrapped in a RegionGrid, and merge_regions, which now takes the array, is handed it.
+
+
+@dataclass(frozen=True, eq=False)
+class RegionGrid:
+    """Normalized occupancy scores over dx-by-dy cell regions.
+
+    scores[rx, ry] approximates the probability that an instance of the
+    graph's root class occupies region (rx, ry); scores sum to 1 whenever
+    any mass exists.
+    """
+
+    dx: int
+    dy: int
+    scores: np.ndarray
+
+
+@dataclass(frozen=True)
+class InstanceGroup:
+    """One merged group of regions for a single object graph."""
+
+    regions: frozenset[tuple[int, int]]
+    centroid: tuple[float, float]
+    accumulated_weight: float
+
+
+def _instances(session, oid: int, grid: RegionGrid, gamma: float) -> list[InstanceGroup]:
+    """Merge the graph's scored regions into groups, for fusion.
+
+    A group's centroid is the accumulated-weight (mean * frequency)
+    weighted mean of its member cell centers, in meters. Weights are
+    never negative, so a group, whose regions score at least gamma,
+    has positive mass.
+    """
+    labels = merge_regions(grid.scores, gamma)
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    region_label = np.full(grid.scores.shape, -1, dtype=np.int64)
+    for region, label in labels.items():
+        by_label.setdefault(label, []).append(region)
+        region_label[region] = label
+    ix, iy = np.nonzero(session._freq[oid])
+    cell_label = region_label[ix // grid.dx, iy // grid.dy]
+    member = cell_label >= 0
+    ix, iy, cell_label = ix[member], iy[member], cell_label[member]
+    mass = session._mean[oid][ix, iy] * session._freq[oid][ix, iy]
+    xs = session.grid.origin_x + (ix + 0.5) * session.grid.cell_size
+    ys = session.grid.origin_y + (iy + 0.5) * session.grid.cell_size
+    n = len(by_label)
+    acc = np.bincount(cell_label, weights=mass, minlength=n).tolist()
+    wx = np.bincount(cell_label, weights=mass * xs, minlength=n).tolist()
+    wy = np.bincount(cell_label, weights=mass * ys, minlength=n).tolist()
+    groups = []
+    for label in sorted(by_label):
+        regions = frozenset(by_label[label])
+        a = acc[label]
+        groups.append(InstanceGroup(regions, (wx[label] / a, wy[label] / a), a))
+    return groups
+
+
+def reference_fuse(session, root: str, dx: int, dy: int, gamma: float) -> list[InstanceRecord]:
+    grids = {
+        oid: RegionGrid(dx, dy, session.region_scores(oid, dx, dy))
+        for oid in session.registry.oids_for_root(root)
+    }
+    members: list[tuple[int, InstanceGroup]] = []
+    for oid, grid in grids.items():
+        for group in _instances(session, oid, grid, gamma):
+            members.append((oid, group))
+    if not members:
+        return []
+
+    # union-find over groups sharing any region
+    parent = list(range(len(members)))
+    region_owner: dict[tuple[int, int], int] = {}
+    for idx, (_, group) in enumerate(members):
+        for region in group.regions:
+            if region in region_owner:
+                ra, rb = _find(parent, region_owner[region]), _find(parent, idx)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                region_owner[region] = idx
+
+    clusters: dict[int, list[int]] = {}
+    for idx in range(len(members)):
+        clusters.setdefault(_find(parent, idx), []).append(idx)
+
+    # pooled score per region = max over contributing graphs
+    pooled: dict[tuple[int, int], float] = {}
+    for oid, group in members:
+        for region in group.regions:
+            val = float(grids[oid].scores[region])
+            pooled[region] = max(pooled.get(region, 0.0), val)
+
+    records = []
+    for indices in clusters.values():
+        regions = frozenset().union(*(members[i][1].regions for i in indices))
+        per_oid: dict[int, float] = {}
+        wx = wy = total = 0.0
+        for i in indices:
+            oid, group = members[i]
+            per_oid[oid] = per_oid.get(oid, 0.0) + group.accumulated_weight
+            wx += group.centroid[0] * group.accumulated_weight
+            wy += group.centroid[1] * group.accumulated_weight
+            total += group.accumulated_weight
+        contributors = tuple(
+            (session.registry.graph(oid), weight)
+            for oid, weight in sorted(per_oid.items(), key=lambda kv: (-kv[1], kv[0]))
+        )
+        records.append(
+            InstanceRecord(
+                regions=regions,
+                centroid=(wx / total, wy / total),
+                score=float(sum(pooled[r] for r in regions)),
+                contributors=contributors,
+            )
+        )
+    records.sort(key=lambda r: (min(r.regions), r.centroid))
+    return records
+
+
+COLORS = ("red", "black", "white", "blue", "green", "yellow")
+
+
+def random_session(rng):
+    """Cup graphs that each see a random subset of a few objects, jittered per frame,
+    beside a lamp; sometimes a cup graph with no cells."""
+    s = session()
+    objects = rng.integers(10, 61, (int(rng.integers(2, 5)), 2))
+    graphs = [ObjectGraph.build("cup", [("color", c)]) for c in COLORS[: int(rng.integers(2, 7))]]
+    for g in graphs + [ObjectGraph.build("lamp")]:
+        oid = s.register_graph(g)
+        for center in objects[rng.random(len(objects)) < 0.7]:
+            for _ in range(int(rng.integers(1, 4))):
+                cx, cy = center + rng.integers(-4, 5, 2)
+                spread = int(rng.integers(1, 4))
+                xs, ys = np.meshgrid(np.arange(cx - spread, cx + spread + 1), np.arange(cy - spread, cy + spread + 1))
+                cells = np.stack([xs.ravel(), ys.ravel()], axis=1)
+                s.accumulate(oid, cells, rng.random(len(cells)))
+    if rng.random() < 0.3:
+        s.register_graph(ObjectGraph.build("cup", [("material", "glass")]))
+    return s
+
+
+def fusion_cases(s, dx, dy, gamma, records):
+    """Which of the union-find's harder cases the cup fusion went through."""
+    oids = s.registry.oids_for_root("cup")
+    groups = [
+        (oid, group.regions)
+        for oid in oids
+        for group in _instances(s, oid, RegionGrid(dx, dy, s.region_scores(oid, dx, dy)), gamma)
+    ]
+    cases = set()
+    if {oid for oid, _ in groups} != set(oids):
+        cases.add("a graph without a group")
+    for record in records:
+        members = [(oid, regions) for oid, regions in groups if regions <= record.regions]
+        graphs = [oid for oid, _ in members]
+        if len(set(graphs)) < len(graphs):  # one graph's groups never share a region
+            cases.add("two groups of one graph joined through another graph")
+        overlapping = sum(bool(a[1] & b[1]) for i, a in enumerate(members) for b in members[i + 1 :])
+        if len(set(graphs)) == len(graphs) == 3 and overlapping == 2:
+            cases.add("three graphs in a chain")
+    return cases
+
+
+def record_fields(records):
+    return [(r.regions, r.centroid, r.score, r.contributors) for r in records]
+
+
+def test_fuse_matches_the_code_it_replaced():
+    rng = np.random.default_rng(24)
+    seen = set()
+    for _ in range(30):
+        s = random_session(rng)
+        for (dx, dy), gamma in itertools.product([(10, 10), (7, 13), (5, 5)], [0.01, 0.05, 0.2]):
+            fused = {root: s.fuse_across_graphs(root, dx, dy, gamma) for root in ("cup", "lamp")}
+            for root, records in fused.items():
+                # ==, not approx: every output byte depends on these floats
+                assert record_fields(records) == record_fields(reference_fuse(s, root, dx, dy, gamma))
+            seen |= fusion_cases(s, dx, dy, gamma, fused["cup"])
+    assert seen == {
+        "a graph without a group",
+        "two groups of one graph joined through another graph",
+        "three graphs in a chain",
+    }
 
 
 # -- fusion memo ------------------------------------------------------------------
@@ -545,6 +737,31 @@ def test_load_refuses_frequency_below_one(tmp_path):
     path = dump_with_row(tmp_path, [7, 8, 0.5, 0])
     with pytest.raises(SessionFormatError, match=refusal(path, (7, 8), "frequency below 1")):
         AggregationSession.load(path)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ([10.5, 38, 0.5, 1], "non-integer index"),
+        ([10, 38.25, 0.5, 1], "non-integer index"),
+        ([7, 8, 0.5, 1.5], "non-integer frequency"),
+        ([7, 8, 0.5, 1e300], r"frequency 2\*\*63 or more"),
+        ([7, 8, 0.5, 2**63], r"frequency 2\*\*63 or more"),
+        ([7, 8, 0.5, float("inf")], r"frequency 2\*\*63 or more"),
+    ],
+    ids=["half_cx", "fractional_cy", "half_frequency", "frequency_1e300", "frequency_2_63", "infinite_frequency"],
+)
+def test_load_refuses_a_cell_that_would_not_round_trip(tmp_path, row, problem):
+    # an int64 cast would truncate the row, or wrap its frequency negative
+    path = dump_with_row(tmp_path, row)
+    with pytest.raises(SessionFormatError, match=refusal(path, row, problem)):
+        AggregationSession.load(path)
+
+
+def test_load_takes_the_largest_frequency_below_2_to_the_63(tmp_path):
+    largest = int(np.nextafter(2.0**63, 0.0))
+    loaded = AggregationSession.load(dump_with_row(tmp_path, [7, 8, 0.5, largest]))
+    assert loaded.occupancy(0)[1][7, 8] == largest
 
 
 def test_load_refuses_non_finite_weight(tmp_path):

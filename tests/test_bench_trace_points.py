@@ -38,6 +38,10 @@ def test_install_traces_every_layer_and_unpatch_restores(tmp_path, monkeypatch):
         _, graph = pipeline.ground_in_session(session, "bring a cup", config, lexicon, 0)
         room = episodes.load_room(data / "episode_00000")
         pipeline.oracle_outcome(room, graph, config, 0)
+        # a cold fusion of the root with the most graphs (a gamma not fused before), then its repeat
+        root = max(sorted({g.root for _, g in session.registry.items()}), key=lambda r: len(session.registry.oids_for_root(r)))
+        for _ in range(2):
+            session.fuse_across_graphs(root, config.region_dx, config.region_dy, 0.07)
     finally:
         tracer.unpatch()
     after = [dict(vars(owner)) for owner in PATCHED]
@@ -70,3 +74,21 @@ def test_install_traces_every_layer_and_unpatch_restores(tmp_path, monkeypatch):
     # the bank's generate_room goes through pipeline, the dataset's through evaluation
     bank = next(s for s in tracer.spans if s.name == "pipeline.bank")
     assert any(s.name == "simulator.generate_room" and s.parent == bank.sid for s in tracer.spans)
+
+    # what region_scores_per_fused_graph counts: region scoring and merging run only inside
+    # a fusion, a cold fusion scores and merges each graph of its root once, a repeat none
+    by_id = {span.sid: span for span in tracer.spans}
+
+    def under_fuse(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            if span.name == "aggregation.fuse":
+                return True
+        return False
+
+    assert all(under_fuse(s) for s in tracer.spans if s.name in ("aggregation.region_scores", "aggregation.merge"))
+    cold, warm = [s for s in tracer.spans if s.name == "aggregation.fuse"][-2:]
+    assert cold.counts["graphs"] == len(session.registry.oids_for_root(root)) >= 2
+    for name in ("aggregation.region_scores", "aggregation.merge"):
+        assert sum(s.parent == cold.sid for s in tracer.spans if s.name == name) == cold.counts["graphs"]
+        assert not any(s.parent == warm.sid for s in tracer.spans if s.name == name)

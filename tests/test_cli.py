@@ -257,9 +257,14 @@ def write_bad_session(kind, path, dataset):
         elif kind == "repeated_graph":  # oid 0's graph listed again under the next oid
             graph = next(e["graph"] for e in payload["graphs"] if e["oid"] == 0)
             payload["graphs"].append({"oid": len(payload["graphs"]), "graph": graph})
-        else:
-            rows = next(rows for rows in payload["cells"].values() if rows)
-            rows[0][0] = -3
+        else:  # one cell row edited in place
+            row = next(rows for rows in payload["cells"].values() if rows)[0]
+            if kind == "cell_outside_grid":
+                row[0] = -3
+            elif kind == "non_integer_cell":
+                row[0], row[3] = row[0] + 0.5, 1.5
+            else:  # huge_frequency: an int64 cast would wrap it negative
+                row[3] = 1e300
         path.write_text(json.dumps(payload))
 
 
@@ -267,7 +272,7 @@ def write_bad_session(kind, path, dataset):
     "kind",
     [
         "not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph",
-        "negative_weight", "repeated_graph",
+        "negative_weight", "repeated_graph", "non_integer_cell", "huge_frequency",
     ],
 )
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
@@ -288,6 +293,10 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
         assert lines[0].endswith("has a negative weight")
     if kind == "repeated_graph":
         assert lines[0].endswith("repeats the graph of oid 0")
+    if kind == "non_integer_cell":
+        assert lines[0].endswith("has a non-integer index")
+    if kind == "huge_frequency":
+        assert lines[0].endswith("has frequency 2**63 or more")
 
 
 @pytest.mark.parametrize("command", ["ground", "aggregate", "eval"])
@@ -675,6 +684,9 @@ def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):
         (b"object_classes = cup\nstopwords = a, the\n", "line 2: unknown key 'stopwords'"),
         # a second list would replace the first and its words would tag as O
         (b"object_classes = cup\nself.color = red\nself.color = blue\n", "line 3: key 'self.color' already set on line 2"),
+        # the later kind would silently win; a cue or value names one kind
+        (b"object_classes = cup\nrel.is-on = on\nrel.is-near = on, near\n", "line 3: cue 'on' already names is-on on line 2"),
+        (b"object_classes = cup\nself.color = red\nself.finish = matte, red\n", "line 3: value 'red' already names color on line 2"),
     ],
 )
 @pytest.mark.parametrize("command", ["parse", "ground", "eval"])
