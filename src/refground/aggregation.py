@@ -329,7 +329,8 @@ class AggregationSession:
         """Read a dump; SessionFormatError names the first malformed entry.
 
         Grid sizes that are not positive integers or cannot be allocated,
-        a graph listed under two oids, cells outside the grid or with a
+        a graph listed under two oids, a cells key that is not str(oid) of a
+        listed oid, cells outside the grid or with a
         non-integer index, frequencies that are not whole numbers in
         [1, 2**63) and non-finite or negative weights are refused.
         """
@@ -355,12 +356,12 @@ class AggregationSession:
                 oid = session.register_graph(from_dict(entry["graph"]))
                 if oid != expected:  # a dump lists each graph once
                     raise SessionFormatError(f"{path}: oid {expected} repeats the graph of oid {oid}")
-            for oid_text, cells in payload["cells"].items():
-                oid = int(oid_text)
-                if oid not in session.registry:
-                    raise SessionFormatError(f"{path}: cells for unknown oid {oid}")
+            oids = {str(oid): oid for oid, _ in session.registry.items()}
+            for key, cells in payload["cells"].items():
+                if key not in oids:  # "02" or " 2" would overwrite oid 2's cells
+                    raise SessionFormatError(f"{path}: cells for unknown oid {key}; a key is str(oid)")
                 if cells:
-                    session._load_cells(path, oid, cells)
+                    session._load_cells(path, oids[key], cells)
         except MemoryError as exc:
             raise SessionFormatError(f"{path}: cannot allocate the {g['d1']}x{g['d2']} grid") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -86,20 +86,19 @@ def _detection_from_dict(d: dict, k: CameraIntrinsics) -> Detection:
     return Detection(BoundingBox(u0, v0, u1, v1), d["caption"], d.get("gt_id"))
 
 
-def trajectory_frames(
-    room: RoomSpec, config: PipelineConfig, n_poses: int | None = None, graphs: dict | None = None
-):
-    """Yield (pose, depth, detections) for each pose of the room's camera loop.
+def trajectory_frames(room: RoomSpec, config: PipelineConfig, graphs: dict | None = None):
+    """Yield (pose, depth, detections) for each of the config.n_waypoints
+    poses of the room's camera loop.
 
-    The loop has config.n_waypoints poses unless n_poses is given; depth is
-    the rendered float32 map, detections the visible objects with captions.
-    graphs is scene_graphs(room, config.tau_near), computed when not given.
+    depth is the rendered float32 map, detections the visible objects with
+    captions. graphs is scene_graphs(room, config.tau_near), computed when
+    not given.
     """
     if graphs is None:
         graphs = scene_graphs(room, config.tau_near)
     captions = {oid: realize(g) for oid, g in graphs.items()}
     intrinsics = config.intrinsics()
-    poses = plan_trajectory(room, config, config.n_waypoints if n_poses is None else n_poses)
+    poses = plan_trajectory(room, config)
     setup = render_setup(room, intrinsics)
     all_rects = _pixel_rects(setup, poses, config.max_range)
     for pose, rects in zip(poses, all_rects):

@@ -76,6 +76,10 @@ class Lexicon:
         blank = sorted({w for w in words if not w.strip()})
         if blank:
             raise LexiconError(f"lexicon words must not be empty or whitespace: {blank}")
+        # the tagger lowercases every token, so it could never match these
+        upper = sorted({w for w in words if w != w.lower()})
+        if upper:
+            raise LexiconError(f"lexicon words must be lowercase: {upper}")
         # the graph's own kind rule, so every kind named here builds a graph
         try:
             for kind in self.self_values:
@@ -90,9 +94,6 @@ class Lexicon:
             if overlap:
                 raise LexiconError(f"value tokens shared across self kinds: {sorted(overlap)}")
             all_values |= set(values)
-        for cue in self.relation_cues:
-            if cue != cue.lower():
-                raise LexiconError(f"relation cue must be lowercase: {cue!r}")
         object.__setattr__(self, "phrase_index", self._build_phrase_index())
 
     def _build_phrase_index(self) -> dict[str, tuple[PhraseEntry, ...]]:

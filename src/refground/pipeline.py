@@ -9,6 +9,7 @@ the reference for evaluation.
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 from .aggregation import AggregationSession, InstanceRecord
@@ -41,11 +42,15 @@ _BANK_CLASSES = (
 
 def build_observation_bank(config: PipelineConfig) -> tuple:
     """(bbox, caption) of every detection along 10 poses of a different seeded
-    room, one object of each bank class; used by the false-positive model."""
-    room = generate_room(config.seed + 9999, dict.fromkeys(_BANK_CLASSES, 1), config, min_extent=6.5)
+    room, at least 6.5 m a side, with one object of each bank class; used by
+    the false-positive model."""
+    bank_config = replace(
+        config, room_x=max(6.5, config.room_x), room_y=max(6.5, config.room_y), n_waypoints=10
+    )
+    room = generate_room(config.seed + 9999, dict.fromkeys(_BANK_CLASSES, 1), bank_config)
     return tuple(
         (det.bbox, det.caption)
-        for _, _, detections in trajectory_frames(room, config, n_poses=10)
+        for _, _, detections in trajectory_frames(room, bank_config)
         for det in detections
     )
 

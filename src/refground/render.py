@@ -32,18 +32,17 @@ read-only: a frame's world rays `R @ rays` are a fresh array, which the
 frame overwrites with their inverses and then with shell face products.
 The rectangles of a whole trajectory are worked out in one pass over its
 poses (`_pixel_rects` with a leading frame axis); `trajectory_frames`
-hands each frame the set-up and its rows, and `render_scene` builds
-either through the same functions only when called without it. Per frame, each box's `mins - origin` and
-`maxs - origin` are formed once, the 1e-12 clamp on ray components runs
-only when some component is that small, and a pixel is a miss when
-`not best <= max_range` (no hit leaves best at inf). An object wins
-pixels only inside its rectangle, so `gt_detections` scans each object's
-rectangle of the winner map, not the whole frame.
+hands each frame the set-up and its rows. Per frame, each box's
+`mins - origin` and `maxs - origin` are formed once, the 1e-12 clamp on
+ray components runs only when some component is that small, and a pixel
+is a miss when `not best <= max_range` (no hit leaves best at inf). An
+object wins pixels only inside its rectangle, so `gt_detections` scans
+each object's rectangle of the winner map, not the whole frame.
 
 The room shell (floor and four walls) takes one full-frame pass after the
-objects when the camera is strictly inside the room: each of its six
-distances to the floor, the wall planes and the top of the walls exceeds
-1e-6 * K. Per axis the ray meets the inner face it points at, at
+objects when the set-up holds it (boxes beyond the objects) and the camera
+is strictly inside the room: each of its six distances to the floor, the
+wall planes and the top of the walls exceeds 1e-6 * K. Per axis the ray meets the inner face it points at, at
 tx = (ex - ox) * ix if ix > 0 else (0 - ox) * ix, with ix = 1 / dx
 (likewise y and z). Inside the room ex - ox > 0 > 0 - ox, and ix is
 finite and nonzero, so the two products have opposite signs and tx is
@@ -120,16 +119,15 @@ class RenderSetup(NamedTuple):
     mins: np.ndarray  # (B, 3) scene_boxes
     maxs: np.ndarray  # (B, 3)
     ids: np.ndarray  # (B,)
-    n_objects: int
-    structure: bool  # the last five boxes are the floor and walls
+    n_objects: int  # the boxes after these are the floor and walls
     extents: np.ndarray  # (3,)
     ray_len: float  # longest ray per unit of depth, the frame corner's
     rays: np.ndarray  # (3, h * w) camera rays, planar; read-only
 
 
-def render_setup(room: RoomSpec, intrinsics: CameraIntrinsics, include_structure: bool = True) -> RenderSetup:
-    """The boxes of scene_boxes(room, include_structure) and the camera rays
-    at the pixel centres, each with camera z = 1."""
+def render_setup(room: RoomSpec, intrinsics: CameraIntrinsics) -> RenderSetup:
+    """The boxes of scene_boxes(room, True) and the camera rays at the pixel
+    centres, each with camera z = 1."""
     w, h = intrinsics.width, intrinsics.height
     us = (np.arange(w) + 0.5 - intrinsics.cx) / intrinsics.fx
     vs = (np.arange(h) + 0.5 - intrinsics.cy) / intrinsics.fy
@@ -140,9 +138,9 @@ def render_setup(room: RoomSpec, intrinsics: CameraIntrinsics, include_structure
     rays[2] = 1.0
     rays = rays.reshape(3, -1)
     rays.flags.writeable = False
-    mins, maxs, ids = scene_boxes(room, include_structure)
+    mins, maxs, ids = scene_boxes(room, True)
     extents = np.asarray(room.extents, dtype=np.float64)
-    return RenderSetup(intrinsics, mins, maxs, ids, len(room.objects), include_structure, extents, ray_len, rays)
+    return RenderSetup(intrinsics, mins, maxs, ids, len(room.objects), extents, ray_len, rays)
 
 
 def _pixel_rects(setup: RenderSetup, poses: list[Pose], max_range: float) -> np.ndarray:
@@ -192,20 +190,16 @@ def render_scene(
     intrinsics: CameraIntrinsics,
     max_range: float,
     *,
-    setup: RenderSetup | None = None,
-    rects: np.ndarray | None = None,
+    setup: RenderSetup,
+    rects: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render (depth (h, w) float32, winner (h, w) int64) for one view.
 
     winner holds the index of the nearest object per pixel, STRUCTURE_ID for
     walls/floor, NO_HIT where nothing is within max_range. Depth is 0 there.
     setup is render_setup(room, intrinsics) and rects this pose's rows of
-    _pixel_rects over it; each is computed here when not given.
+    _pixel_rects over it.
     """
-    if setup is None:
-        setup = render_setup(room, intrinsics)
-    if rects is None:
-        rects = _pixel_rects(setup, [pose], max_range)[0]
     w, h = setup.intrinsics.width, setup.intrinsics.height
     dirs = pose.rotation @ setup.rays  # a fresh array: the only one written below
     if np.abs(dirs).min() < 1e-12:
@@ -215,7 +209,7 @@ def render_scene(
 
     extents = setup.extents
     gaps = np.concatenate([origin, extents - origin])
-    shell = setup.structure and bool((gaps > 1e-6 * setup.ray_len).all())
+    shell = len(setup.ids) > setup.n_objects and bool((gaps > 1e-6 * setup.ray_len).all())
     n_loop = setup.n_objects if shell else len(setup.ids)  # the shell pass replaces the structure boxes
     best = np.full((h, w), np.inf)
     winner = np.full((h, w), NO_HIT, dtype=np.int64)

@@ -164,16 +164,13 @@ def _uniform_draws(rng: np.random.Generator):
     return uniform
 
 
-def generate_room(
-    seed: int, copies: dict[str, int], config: PipelineConfig, min_extent: float = 0.0
-) -> RoomSpec:
+def generate_room(seed: int, copies: dict[str, int], config: PipelineConfig) -> RoomSpec:
     """Rejection-sample a room holding `copies`; deterministic under the seed.
 
-    The floor is config.room_x by config.room_y, each side at least
-    min_extent. Floor objects are placed largest first with pairwise
-    clearance; supported objects go on supporter surfaces, at most one
-    object of a class per supporter. Same-class copies keep the configured
-    centroid separation.
+    The floor is config.room_x by config.room_y. Floor objects are placed
+    largest first with pairwise clearance; supported objects go on
+    supporter surfaces, at most one object of a class per supporter.
+    Same-class copies keep the configured centroid separation.
     """
     for cls_name, count in copies.items():
         if cls_name not in PALETTE:
@@ -182,7 +179,7 @@ def generate_room(
             raise GenerationError(f"copies for {cls_name!r} must be in 1..5, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     uniform = _uniform_draws(rng)
-    ex, ey = max(min_extent, config.room_x), max(min_extent, config.room_y)
+    ex, ey = config.room_x, config.room_y
 
     order: list[str] = []
     for cls_name in sorted(copies):
@@ -327,9 +324,9 @@ def look_at_pose(eye: Sequence[float], target: Sequence[float]) -> Pose:
     return Pose(rotation, eye)
 
 
-def plan_trajectory(room: RoomSpec, config: PipelineConfig, n_waypoints: int) -> list[Pose]:
-    """Inset perimeter loop plus jittered interior poses, all oriented toward
-    the room center.
+def plan_trajectory(room: RoomSpec, config: PipelineConfig) -> list[Pose]:
+    """config.n_waypoints poses: an inset perimeter loop plus jittered
+    interior poses, all oriented toward the room center.
 
     Poses fly at cam_height, the loop runs traj_margin in from the walls,
     and every look-at point lies at look_height (all config keys).
@@ -338,8 +335,6 @@ def plan_trajectory(room: RoomSpec, config: PipelineConfig, n_waypoints: int) ->
     more steeply, which keeps each detection's background pixels landing
     close behind the object instead of far across the room.
     """
-    if n_waypoints < 4:
-        raise ValueError("n_waypoints must be at least 4")
     rng = np.random.default_rng(np.random.SeedSequence([room.seed, 202]))
     cam_height, margin = config.cam_height, config.traj_margin
     look_height, look_frac = config.look_height, config.look_frac
@@ -349,8 +344,8 @@ def plan_trajectory(room: RoomSpec, config: PipelineConfig, n_waypoints: int) ->
     y0, y1 = margin, ey - margin
     perimeter = 2 * ((x1 - x0) + (y1 - y0))
 
-    n_ring = max(4, int(round(0.75 * n_waypoints)))
-    n_interior = n_waypoints - n_ring
+    n_ring = max(4, int(round(0.75 * config.n_waypoints)))
+    n_interior = config.n_waypoints - n_ring
     poses: list[Pose] = []
 
     def aim(px: float, py: float) -> tuple[float, float, float]:
@@ -413,12 +408,15 @@ def apply_errors(
     chosen quadrant diagonal; distortion scales the box about its center by
     1 +/- |N(mu_s, sigma_s)|. False positives overlay a bounding box and
     caption drawn from another room's observation `bank`; their pixels pick
-    up the current frame's depth downstream.
+    up the current frame's depth downstream. An empty bank is refused when
+    false positives run.
     """
     shifts = "cs" in models and (config.mu_c != 0 or config.sigma_c != 0)
     distorts = "sd" in models and (config.mu_s != 0 or config.sigma_s != 0)
     p_fn = config.p_fn if "fn" in models else 0.0
     p_fp = config.p_fp if "fp" in models else 0.0
+    if p_fp > 0 and not bank:
+        raise ValueError("the false-positive model runs, but its observation bank is empty")
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, stream_seed, frame_index, 303])
     )
@@ -446,7 +444,7 @@ def apply_errors(
             continue
         out.append(Detection(clamped, det.caption, det.gt_object_id))
 
-    if p_fp > 0 and bank:
+    if p_fp > 0:
         rolls = len(detections) if config.fp_per_detection else 1
         for _ in range(rolls):
             if rng.random() < p_fp:

@@ -10,6 +10,7 @@ from refground.config import PipelineConfig
 from refground.geometry import GridSpec
 from refground.graph import ObjectGraph
 from refground.lexicon import COLORS, MATERIALS, OBJECT_CLASSES, default_lexicon
+from refground.render import _pixel_rects, render_scene, render_setup, scene_boxes
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,22 @@ def cell_center(grid: GridSpec, cell: tuple[int, int]) -> tuple[float, float]:
         grid.origin_x + (cell[0] + 0.5) * grid.cell_size,
         grid.origin_y + (cell[1] + 0.5) * grid.cell_size,
     )
+
+
+def view_setup(room, pose, intrinsics, max_range, include_structure=True):
+    """(set-up, pixel rectangles) that render_scene takes for one view outside
+    a trajectory; without the structure the set-up holds the objects only."""
+    setup = render_setup(room, intrinsics)
+    if not include_structure:
+        mins, maxs, ids = scene_boxes(room, False)
+        setup = setup._replace(mins=mins, maxs=maxs, ids=ids)
+    return setup, _pixel_rects(setup, [pose], max_range)[0]
+
+
+def render_view(room, pose, intrinsics, max_range, include_structure=True):
+    """render_scene of one view, through view_setup."""
+    setup, rects = view_setup(room, pose, intrinsics, max_range, include_structure)
+    return render_scene(room, pose, intrinsics, max_range, setup=setup, rects=rects)
 
 
 def save_config(config: PipelineConfig, path: Path) -> None:

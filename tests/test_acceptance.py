@@ -30,11 +30,10 @@ from refground.geometry import BoundingBox, CameraIntrinsics, Pose, to_world
 from refground.graph import ObjectGraph
 from refground.language import phrase_to_graph, realize
 from refground.oracle import oracle_classify
-from refground.render import render_scene
 from refground.simulator import Detection, RoomSpec, apply_errors
 from refground.simulator import look_at_pose
 
-from conftest import random_expressible_graph
+from conftest import random_expressible_graph, render_view
 
 RESULTS: dict = {}
 
@@ -269,7 +268,7 @@ def test_c8_geometry_and_error_model_numerics():
     # closed-form frontal wall depth to 1e-6 m
     room = RoomSpec((6.0, 6.0, 2.5), (), seed=0, copies={})
     K = CameraIntrinsics(110.0, 110.0, 64.0, 64.0, 128, 128)
-    depth, _ = render_scene(room, look_at_pose((4.0, 3.0, 1.2), (6.0, 3.0, 1.2)), K, max_range=10.0)
+    depth, _ = render_view(room, look_at_pose((4.0, 3.0, 1.2), (6.0, 3.0, 1.2)), K, max_range=10.0)
     wall_error = abs(float(depth[64, 64]) - 2.0)
 
     # Monte Carlo error-model statistics over 10^4 draws, tolerance 0.01

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +224,27 @@ def test_merge_labels_partition_survivors():
     labels = merge_regions(scores, 0.02)
     survivors = {tuple(r) for r in np.argwhere(scores >= 0.02)}
     assert set(labels) == survivors
+
+
+def test_merge_matches_the_worked_trace_in_docs():
+    """docs/merge_trace.md's grid, its 10 scores and zeros elsewhere, merges
+    as its table says: the table's regions in its order, at its scores, all
+    under label 0."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "merge_trace.md").read_text(encoding="utf-8")
+    grid = re.search(r"```\n(.*?)```", doc, re.S).group(1).splitlines()
+    xs = [int(x) for x in re.findall(r"x=(\d+)", grid[-1])]
+    scores = np.zeros((10, 10))
+    for line in grid[:-1]:
+        y, *values = line.split()
+        for x, value in zip(xs, values, strict=True):
+            scores[x, int(y.removeprefix("y="))] = float(value)
+    assert np.count_nonzero(scores) == 10
+    steps = re.findall(r"^\| \d+ +\| \((\d+),(\d+)\) +\| (0\.\d+) ", doc, re.M)
+    assert len(steps) == 5
+    labels = merge_regions(scores, float(re.search(r"`gamma = (0\.\d+)`", doc).group(1)))
+    assert list(labels) == [(int(x), int(y)) for x, y, _ in steps]
+    assert [scores[region] for region in labels] == [float(score) for _, _, score in steps]
+    assert set(labels.values()) == {0}
 
 
 def test_merge_gamma_validation():
@@ -794,6 +816,21 @@ def test_load_refuses_cells_for_unknown_graph(tmp_path):
     payload["cells"]["-1"] = [[7, 8, 0.5, 1]]
     path.write_text(json.dumps(payload))
     with pytest.raises(SessionFormatError, match="cells for unknown oid -1"):
+        AggregationSession.load(path)
+
+
+@pytest.mark.parametrize("key", ["00", " 0", "0 ", "+0"])
+def test_load_refuses_a_cells_key_that_is_not_its_oid(tmp_path, key):
+    # int() reads each of these as oid 0, so its rows would silently replace oid 0's
+    s = session()
+    s.register_graph(CUP_RED)
+    s.accumulate(0, *obs(((3, 4), 0.5)))
+    path = tmp_path / "session.json"
+    s.dump(path)
+    payload = json.loads(path.read_text())
+    payload["cells"][key] = [[3, 4, 25.0, 50]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SessionFormatError, match=f"^{re.escape(str(path))}: cells for unknown oid {re.escape(key)};"):
         AggregationSession.load(path)
 
 

@@ -257,6 +257,12 @@ def write_bad_session(kind, path, dataset):
         elif kind == "repeated_graph":  # oid 0's graph listed again under the next oid
             graph = next(e["graph"] for e in payload["graphs"] if e["oid"] == 0)
             payload["graphs"].append({"oid": len(payload["graphs"]), "graph": graph})
+        elif kind == "padded_oid_key":  # a cup's rows again under "0<oid>", three weights x50
+            oid = next(e["oid"] for e in payload["graphs"] if e["graph"]["root"] == "cup")
+            rows = [list(row) for row in payload["cells"][str(oid)]]
+            for row in rows[:3]:
+                row[2] *= 50
+            payload["cells"][f"0{oid}"] = rows
         else:  # one cell row edited in place
             row = next(rows for rows in payload["cells"].values() if rows)[0]
             if kind == "cell_outside_grid":
@@ -272,7 +278,7 @@ def write_bad_session(kind, path, dataset):
     "kind",
     [
         "not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph",
-        "negative_weight", "repeated_graph", "non_integer_cell", "huge_frequency",
+        "negative_weight", "repeated_graph", "non_integer_cell", "huge_frequency", "padded_oid_key",
     ],
 )
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
@@ -297,6 +303,8 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
         assert lines[0].endswith("has a non-integer index")
     if kind == "huge_frequency":
         assert lines[0].endswith("has frequency 2**63 or more")
+    if kind == "padded_oid_key":
+        assert ": cells for unknown oid 0" in lines[0]
 
 
 @pytest.mark.parametrize("command", ["ground", "aggregate", "eval"])

@@ -244,6 +244,25 @@ def test_lexicon_refuses_blank_words(field, blank):
         Lexicon(**tables)
 
 
+@pytest.mark.parametrize("field", ["object_classes", "value", "cue", "verbs"])
+def test_lexicon_refuses_words_the_tagger_cannot_match(field):
+    # the tagger lowercases every token, so "Cup" would never be tagged
+    tables = {
+        "object_classes": frozenset({"cup", "table"}),
+        "self_values": {"color": frozenset({"red"})},
+        "relation_cues": {"on": "is-on"},
+        "verbs": frozenset({"bring"}),
+    }
+    if field == "value":
+        tables["self_values"] = {"color": frozenset({"red", "Blue"})}
+    elif field == "cue":
+        tables["relation_cues"] = {"on": "is-on", "Next to": "is-near"}
+    else:
+        tables[field] = tables[field] | {"Pick up" if field == "verbs" else "Cup"}
+    with pytest.raises(LexiconError, match="must be lowercase"):
+        Lexicon(**tables)
+
+
 def test_lexicon_file_drops_empty_tokens(tmp_path):
     path = tmp_path / "lexicon.txt"
     path.write_text("object_classes = cup, , table\nself.color = red,\nverbs = , bring\n")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,6 +124,17 @@ def test_build_session_skips_unparseable_captions(episode, tmp_path):
     session.dump(tmp_path / "patched.json")
     plain.dump(tmp_path / "plain.json")
     assert (tmp_path / "patched.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_false_positives_without_a_bank_are_refused(episode):
+    # without a bank the fp model would add nothing, and its session would read as noise-free
+    cfg, _, out = episode
+    frames, fp_cfg, fp = load_episode(out), replace(cfg, p_fp=1.0), frozenset({"fp"})
+    with pytest.raises(ValueError, match="observation bank is empty"):
+        build_session(frames, fp_cfg, cfg.lexicon(), models=fp)
+    noisy = build_session(frames, fp_cfg, cfg.lexicon(), fp, build_observation_bank(fp_cfg))
+    plain = build_session(frames, fp_cfg, cfg.lexicon())
+    assert len(list(noisy.registry.items())) > len(list(plain.registry.items()))
 
 
 def test_ground_states_match_oracle(episode):

@@ -2,6 +2,8 @@
 batched pixel rectangles and the detections that read them against their
 references."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from refground.render import (
     NO_HIT, STRUCTURE_ID, _pixel_rects, gt_detections, render_scene, render_setup, scene_boxes,
 )
 from refground.simulator import Detection, RoomSpec, SceneObject, look_at_pose, plan_trajectory, scene_graphs
+
+from conftest import render_view, view_setup
 
 RANGES = (1.0, 2.0, 2.4, 10.0)
 K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
@@ -61,9 +65,7 @@ def dense_render_with_hits(room, pose, intrinsics, max_range=10.0, include_struc
 
 def assert_same_render(room, pose, intrinsics=K, ranges=RANGES, include_structure=True):
     for max_range in ranges:
-        depth, winner = render_scene(
-            room, pose, intrinsics, max_range, setup=render_setup(room, intrinsics, include_structure)
-        )
+        depth, winner = render_view(room, pose, intrinsics, max_range, include_structure)
         want_depth, want_winner = dense_render_scene(room, pose, intrinsics, max_range, include_structure)
         assert depth.dtype == want_depth.dtype and winner.dtype == want_winner.dtype
         assert depth.tobytes() == want_depth.tobytes(), f"depth differs at max_range={max_range}"
@@ -90,15 +92,17 @@ def test_trajectory_frames_match_dense(make_room):
     config = PipelineConfig()
     room = make_room(config)
     intrinsics = config.intrinsics()
-    poses = plan_trajectory(room, config, config.n_waypoints)
+    poses = plan_trajectory(room, config)
     setup = render_setup(room, intrinsics)
     rays = setup.rays.tobytes()
     depths = [depth for _, depth, _ in trajectory_frames(room, config)]
     for max_range in RANGES:
         for pose, rows, depth in zip(poses, _pixel_rects(setup, poses, max_range), depths):
             want_depth, want_winner = dense_render_scene(room, pose, intrinsics, max_range)
-            for kwargs in ({}, {"setup": setup, "rects": rows}):
-                got_depth, got_winner = render_scene(room, pose, intrinsics, max_range, **kwargs)
+            for own_setup, own_rows in (view_setup(room, pose, intrinsics, max_range), (setup, rows)):
+                got_depth, got_winner = render_scene(
+                    room, pose, intrinsics, max_range, setup=own_setup, rects=own_rows
+                )
                 assert got_depth.tobytes() == want_depth.tobytes() and got_winner.tobytes() == want_winner.tobytes()
             if max_range == config.max_range:
                 assert depth.tobytes() == want_depth.tobytes()
@@ -109,7 +113,7 @@ def test_trajectory_frames_match_dense(make_room):
 def test_trajectory_rects_equal_their_single_pose_rows(make_room):
     config = PipelineConfig()
     room = make_room(config)
-    poses = plan_trajectory(room, config, config.n_waypoints)
+    poses = plan_trajectory(room, config)
     intrinsics = config.intrinsics()
     for max_range in RANGES:
         batch = _pixel_rects(render_setup(room, intrinsics), poses, max_range)
@@ -134,8 +138,10 @@ def test_rects_of_a_mixed_batch_render_as_dense():
         for pose, rows in zip(poses, batch):
             assert rows.tobytes() == _pixel_rects(render_setup(room, K), [pose], max_range)[0].tobytes()
             want_depth, want_winner = dense_render_scene(room, pose, K, max_range)
-            for kwargs in ({"setup": setup, "rects": rows}, {"rects": rows}, {}):
-                depth, winner = render_scene(room, pose, K, max_range, **kwargs)
+            for own_setup, own_rows in (
+                (setup, rows), (render_setup(room, K), rows), view_setup(room, pose, K, max_range)
+            ):
+                depth, winner = render_scene(room, pose, K, max_range, setup=own_setup, rects=own_rows)
                 assert depth.tobytes() == want_depth.tobytes() and winner.tobytes() == want_winner.tobytes()
         assert (batch[1, len(room.objects):, 0] < batch[1, len(room.objects):, 1]).any()
     assert setup.rays.tobytes() == rays
@@ -144,7 +150,7 @@ def test_rects_of_a_mixed_batch_render_as_dense():
 def test_without_structure_matches_dense():
     config = PipelineConfig()
     room = counting_room(config)
-    for pose in plan_trajectory(room, config, 4):
+    for pose in plan_trajectory(room, replace(config, n_waypoints=4)):
         assert_same_render(room, pose, include_structure=False)
 
 
@@ -199,7 +205,7 @@ def test_edge_scenes_show_their_case():
 
     def objects_only(name, max_range=10.0):
         room = manual_room(SCENES[name])
-        return render_scene(room, pose, K, max_range, setup=render_setup(room, K, False))
+        return render_view(room, pose, K, max_range, include_structure=False)
 
     depth, winner = objects_only("camera_inside_box")
     assert (winner == 0).all() and depth.max() <= 0.6 + 1e-6
@@ -314,9 +320,9 @@ def test_straight_down_and_into_corners_matches_dense():
 
 
 def test_structure_loses_ties_to_flush_objects():
-    _, winner = render_scene(SHELL_ROOM, look_at_pose((2.0, 2.0, 2.2), (2.0, 2.0, 0.0)), SHELL_K, 10.0)
+    _, winner = render_view(SHELL_ROOM, look_at_pose((2.0, 2.0, 2.2), (2.0, 2.0, 0.0)), SHELL_K, 10.0)
     assert winner[16, 16] == 0  # the rug, not the floor it lies flush with
-    _, winner = render_scene(SHELL_ROOM, look_at_pose((3.0, 2.5, 1.0), (6.0, 2.5, 1.0)), SHELL_K, 10.0)
+    _, winner = render_view(SHELL_ROOM, look_at_pose((3.0, 2.5, 1.0), (6.0, 2.5, 1.0)), SHELL_K, 10.0)
     assert winner[16, 16] == 1  # the poster, not the wall behind it
 
 
@@ -328,7 +334,7 @@ def test_rays_leaving_exactly_over_the_top_of_a_wall():
     room = manual_room([], EXTENTS)
     pose = look_at_pose((2.0, 3.0, 1.5), (6.0, 3.0, 1.5))
     assert_same_render(room, pose, intrinsics, ranges=(2.4, 4.0, 10.0))
-    depth, winner = render_scene(room, pose, intrinsics, 10.0)
+    depth, winner = render_view(room, pose, intrinsics, 10.0)
     assert (winner[:8] == NO_HIT).all()
     assert (winner[8] == STRUCTURE_ID).all() and (depth[8] == 4.0).all()
 
@@ -372,8 +378,7 @@ def bincount_detections(room, winner, captions, min_pixels):
 
 def assert_rect_detections_match(room, pose, intrinsics, max_range, include_structure=True):
     captions = {o.id: f"box {o.id}" for o in room.objects}
-    setup = render_setup(room, intrinsics, include_structure)
-    rects = _pixel_rects(setup, [pose], max_range)[0]
+    setup, rects = view_setup(room, pose, intrinsics, max_range, include_structure)
     _, winner = render_scene(room, pose, intrinsics, max_range, setup=setup, rects=rects)
     for min_pixels in (0, 1, 25):
         want = bincount_detections(room, winner, captions, min_pixels)
@@ -387,11 +392,11 @@ def test_trajectory_detections_match_bincount(make_room):
     room = make_room(config)
     intrinsics = config.intrinsics()
     captions = {oid: realize(g) for oid, g in scene_graphs(room, config.tau_near).items()}
-    poses = plan_trajectory(room, config, config.n_waypoints)
+    poses = plan_trajectory(room, config)
     frames = list(trajectory_frames(room, config))
     assert sum(len(detections) for _, _, detections in frames) > 0
     for pose, (_, _, detections) in zip(poses, frames):
-        _, winner = render_scene(room, pose, intrinsics, config.max_range)
+        _, winner = render_view(room, pose, intrinsics, config.max_range)
         assert detections == bincount_detections(room, winner, captions, config.min_pixels)
         for max_range in (2.4, 10.0):
             assert_rect_detections_match(room, pose, intrinsics, max_range)

@@ -11,7 +11,7 @@ from refground.graph import ObjectGraph
 from refground.language import phrase_to_graph, realize, tag, tokenize
 from refground.lexicon import COLORS, MATERIALS, default_lexicon
 from refground.oracle import oracle_classify
-from refground.render import NO_HIT, gt_detections, render_scene, render_setup
+from refground.render import NO_HIT, gt_detections
 from refground.simulator import (
     Detection,
     GenerationError,
@@ -29,6 +29,8 @@ from refground.simulator import (
     _uniform_draws,
     _xy_boxes_clash,
 )
+
+from conftest import render_view
 
 CONFIG = PipelineConfig()
 COPIES = {"cup": 2, "table": 1, "desk": 1, "lamp": 1, "sofa": 1}
@@ -288,18 +290,18 @@ ROOM_RECIPES = [
     {"cup": 5, "table": 1},
     {"bowl": 1},
 ]
-ROOM_CONFIGS = [  # (config, min_extent)
-    (CONFIG, 0.0),
-    (PipelineConfig(room_x=3.0, room_y=3.0, max_attempts=300), 0.0),
-    (CONFIG, 6.5),
-    (PipelineConfig(support_inset=0.2), 0.0),  # some sizes do not fit some supporters
+ROOM_CONFIGS = [
+    CONFIG,
+    PipelineConfig(room_x=3.0, room_y=3.0, max_attempts=300),
+    PipelineConfig(room_x=6.5, room_y=6.5),  # the false-positive bank's room
+    PipelineConfig(support_inset=0.2),  # some sizes do not fit some supporters
 ]
 
 
-def generation_outcome(generate, seed, copies, config, min_extent):
+def generation_outcome(generate, seed, copies, config):
     """The room as a dict, or the GenerationError's message."""
     try:
-        return generate(seed, copies, config, min_extent).to_dict()
+        return generate(seed, copies, config).to_dict()
     except GenerationError as exc:
         return str(exc)
 
@@ -308,11 +310,11 @@ def test_generate_room_matches_two_loop_reference():
     """Rooms and failure messages equal the two-loop code's, draw for draw,
     over placed rooms and every kind of placement failure."""
     failures = {"floor": 0, "supported": 0, "no supporter": 0}
-    for config, min_extent in ROOM_CONFIGS:
+    for config in ROOM_CONFIGS:
         for seed in range(25):
             for copies in ROOM_RECIPES:
-                got = generation_outcome(generate_room, seed, copies, config, min_extent)
-                assert got == generation_outcome(reference_generate_room, seed, copies, config, min_extent)
+                got = generation_outcome(generate_room, seed, copies, config)
+                assert got == generation_outcome(reference_generate_room, seed, copies, config)
                 if isinstance(got, str):
                     kind = (
                         "no supporter" if "needs a supporter" in got
@@ -498,7 +500,7 @@ def test_caption_prefers_is_on():
 
 def test_trajectory_count_and_bounds():
     room = generate_room(4, COPIES, CONFIG)
-    poses = plan_trajectory(room, CONFIG, 8)
+    poses = plan_trajectory(room, dataclasses.replace(CONFIG, n_waypoints=8))
     assert len(poses) == 8
     ex, ey, _ = room.extents
     for pose in poses:
@@ -508,15 +510,15 @@ def test_trajectory_count_and_bounds():
 
 def test_trajectory_deterministic():
     room = generate_room(4, COPIES, CONFIG)
-    a = plan_trajectory(room, CONFIG, 8)
-    b = plan_trajectory(room, CONFIG, 8)
+    a = plan_trajectory(room, dataclasses.replace(CONFIG, n_waypoints=8))
+    b = plan_trajectory(room, dataclasses.replace(CONFIG, n_waypoints=8))
     assert all(np.array_equal(p.matrix(), q.matrix()) for p, q in zip(a, b))
 
 
 def test_trajectory_requires_four_waypoints():
     room = generate_room(4, COPIES, CONFIG)
     with pytest.raises(ValueError):
-        plan_trajectory(room, CONFIG, 3)
+        plan_trajectory(room, dataclasses.replace(CONFIG, n_waypoints=3))
 
 
 def test_look_at_pose_points_at_target():
@@ -569,9 +571,9 @@ def test_trajectory_surface_coverage():
     for seed in (11, 22):
         copies = {"cup": 2, "table": 1, "desk": 1, "counter": 1, "lamp": 1, "sofa": 1}
         room = generate_room(seed, copies, cfg)
-        poses = plan_trajectory(room, cfg, cfg.n_waypoints)
+        poses = plan_trajectory(room, cfg)
         K = cfg.intrinsics()
-        renders = [render_scene(room, p, K, cfg.max_range) for p in poses]
+        renders = [render_view(room, p, K, cfg.max_range) for p in poses]
         for obj in room.objects:
             bmin, bmax = np.array(obj.box_min), np.array(obj.box_max)
             xs = np.linspace(bmin[0] + 0.01, bmax[0] - 0.01, 4)
@@ -604,7 +606,7 @@ def test_render_frontal_wall_depth():
     room = manual_room([], extents=(6.0, 6.0, 2.5))
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((4.0, 3.0, 1.2), (6.0, 3.0, 1.2))  # facing the x=6 wall, 2 m away
-    depth, _ = render_scene(room, pose, K, max_range=10.0)
+    depth, _ = render_view(room, pose, K, max_range=10.0)
     assert abs(float(depth[64, 64]) - 2.0) < 1e-6
 
 
@@ -612,7 +614,7 @@ def test_render_empty_scene_all_zero():
     room = manual_room([])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=32.0, cy=32.0, width=64, height=64)
     pose = look_at_pose((3.0, 3.0, 1.2), (5.0, 3.0, 1.0))
-    depth, winner = render_scene(room, pose, K, max_range=10.0, setup=render_setup(room, K, False))
+    depth, winner = render_view(room, pose, K, max_range=10.0, include_structure=False)
     assert not depth.any()
     assert (winner == NO_HIT).all()
 
@@ -623,7 +625,7 @@ def test_render_occlusion_reports_nearer_box():
     room = manual_room([near, far])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((1.0, 3.0, 1.0), (4.5, 3.0, 0.5))
-    depth, winner = render_scene(room, pose, K, max_range=10.0)
+    depth, winner = render_view(room, pose, K, max_range=10.0)
     center = float(depth[64, 64])
     assert winner[64, 64] == 0
     assert center == pytest.approx(1.5, abs=0.1)
@@ -634,7 +636,7 @@ def test_render_beyond_max_range_is_invalid():
     room = manual_room([])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=32.0, cy=32.0, width=64, height=64)
     pose = look_at_pose((1.0, 3.0, 1.2), (6.0, 3.0, 1.2))  # wall 5 m ahead
-    depth, winner = render_scene(room, pose, K, max_range=2.0)
+    depth, winner = render_view(room, pose, K, max_range=2.0)
     assert float(depth[32, 32]) == 0.0
     assert winner[32, 32] == NO_HIT
 
@@ -658,7 +660,7 @@ def test_fully_occluded_object_not_detected():
     room = manual_room([near, hidden])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((0.5, 2.5, 0.6), (4.3, 2.45, 0.1))
-    _, winner = render_scene(room, pose, K, 10.0)
+    _, winner = render_view(room, pose, K, 10.0)
     dets = gt_detections(room, winner, _captions(room), 25, _whole_frame(room, winner))
     assert all(d.gt_object_id != 1 for d in dets)
 
@@ -669,7 +671,7 @@ def test_detection_caption_and_clamping():
     room = manual_room([table, cup])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((2.5, 0.8, 1.8), (2.5, 2.4, 0.6))
-    _, winner = render_scene(room, pose, K, 10.0)
+    _, winner = render_view(room, pose, K, 10.0)
     dets = gt_detections(room, winner, _captions(room), 25, _whole_frame(room, winner))
     by_id = {d.gt_object_id: d for d in dets}
     assert by_id[1].caption == "a red plastic cup on top of a table"
@@ -683,7 +685,7 @@ def test_min_pixels_threshold():
     room = manual_room([tiny])
     K = CameraIntrinsics(fx=110.0, fy=110.0, cx=64.0, cy=64.0, width=128, height=128)
     pose = look_at_pose((0.5, 3.0, 1.5), (3.0, 3.0, 0.1))
-    _, winner = render_scene(room, pose, K, 10.0)
+    _, winner = render_view(room, pose, K, 10.0)
     few = gt_detections(room, winner, _captions(room), 10_000, _whole_frame(room, winner))
     assert few == []
 
@@ -734,6 +736,14 @@ def test_models_with_zero_parameters_do_not_run():
     config = PipelineConfig(seed=0, mu_c=0.0, sigma_c=0.0, mu_s=0.0, sigma_s=0.0, p_fn=0.0, p_fp=0.0)
     bank = ((BoundingBox(10.0, 10.0, 30.0, 30.0), "a blue lamp"),)
     assert noisy(DETS, 0, config, frozenset({"cs", "sd", "fn", "fp"}), bank) == DETS
+
+
+def test_false_positives_refuse_an_empty_bank():
+    with pytest.raises(ValueError, match="observation bank is empty"):
+        noisy(DETS, 0, PipelineConfig(seed=0, p_fp=1.0), FP)
+    # a model that does not run needs no bank
+    assert noisy(DETS, 0, PipelineConfig(seed=0, p_fp=0.0), FP) == DETS
+    assert noisy(DETS, 0, PipelineConfig(seed=0, p_fp=1.0), frozenset()) == DETS
 
 
 def test_errors_deterministic_per_seed_and_frame():

@@ -10,9 +10,11 @@ count, since a re-export is no use.
 
 The second test lists each parameter default of every function and method
 in src/refground and asserts that some call of that name in the same code
-leaves the argument out. A call with `*args` or `**kwargs` counts as leaving
-it out. A default that every call overrides is a second path that only
-tests take.
+leaves the argument out, and the third that some call passes it. A call
+with `*args` or `**kwargs` counts as doing both, and so does passing the
+function as a value (bench's `timed_call(tracer, fn, *args)`). A default
+that every call overrides is a second path that only tests take; one that
+no call overrides is a constant in disguise.
 
 Limit: the match is by name alone, so a dead name that shares its name with
 a live one (a method `matrix` on two classes, a function `bleu` and a
@@ -34,12 +36,13 @@ ALLOWED = {
     "eval_parser_corpus",
 }
 
-ALLOWED_DEFAULTS = {
-    # one view rendered outside a trajectory builds its own set-up and pixel
-    # rectangles: the dense-reference tests compare that path, and the
-    # benchmark reads render_scene's positional signature
-    ("render_scene", "setup"),
-    ("render_scene", "rects"),
+ALLOWED_DEFAULTS: set[tuple[str, str]] = set()  # defaults that no system call leaves out
+
+ALLOWED_CONSTANT_DEFAULTS = {  # defaults that no system call overrides
+    # the test seam: tests pass argv, the console script takes sys.argv
+    ("main", "argv"),
+    # the paper's BLEU-4; tests check the formula at orders 1 and 2
+    ("corpus_bleu", "max_n"),
 }
 
 
@@ -110,27 +113,66 @@ def defaults(node: ast.FunctionDef) -> list[tuple[str, int | None]]:
 
 def omits(call: ast.Call, name: str, index: int | None) -> bool:
     """Whether `call` leaves the argument out, so that the default runs."""
-    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
-        return True
     passed = index is not None and index < len(call.args)
     return not passed and name not in {k.arg for k in call.keywords}
 
 
-def test_every_default_in_src_is_taken_by_a_call_outside_tests():
+def unpacks(call: ast.Call) -> bool:
+    """Whether `call` passes `*args` or `**kwargs`, which may or may not hold the argument."""
+    return any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords)
+
+
+def called_name(node: ast.AST) -> str | None:
+    """The name a callee or an argument goes by: `f` or `module.f` give `f`."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def system_calls() -> tuple[dict[str, list[ast.Call]], set[str]]:
+    """Name -> every call of that name in the system's code, and the names
+    the system's code passes to a call as a value."""
     calls: dict[str, list[ast.Call]] = {}
+    values: set[str] = set()
     for _, tree in system_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
-    untaken = []
+                calls.setdefault(called_name(node.func), []).append(node)
+                values.update(called_name(arg) for arg in [*node.args, *(k.value for k in node.keywords)])
+    return calls, values
+
+
+def src_defaults() -> list[tuple[str, str, str, int | None]]:
+    """(where, function name, parameter name, positional index or None) of
+    every parameter default in src/refground."""
+    found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for name, index in defaults(node):
-                taken = any(omits(call, name, index) for call in calls.get(node.name, []))
-                if not taken and (node.name, name) not in ALLOWED_DEFAULTS:
-                    untaken.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name})")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{path.relative_to(ROOT)}:{node.lineno}"
+                found.extend((where, node.name, name, index) for name, index in defaults(node))
+    return found
+
+
+def test_every_default_in_src_is_taken_by_a_call_outside_tests():
+    calls, values = system_calls()
+    untaken = [
+        f"{where} {func}({name})"
+        for where, func, name, index in src_defaults()
+        if func not in values
+        and not any(unpacks(call) or omits(call, name, index) for call in calls.get(func, []))
+        and (func, name) not in ALLOWED_DEFAULTS
+    ]
     assert untaken == []
+
+
+def test_every_default_in_src_is_overridden_by_a_call_outside_tests():
+    calls, values = system_calls()
+    constant = [
+        f"{where} {func}({name})"
+        for where, func, name, index in src_defaults()
+        if func not in values
+        and not any(unpacks(call) or not omits(call, name, index) for call in calls.get(func, []))
+        and (func, name) not in ALLOWED_CONSTANT_DEFAULTS
+    ]
+    assert constant == []
