@@ -44,6 +44,12 @@ class SessionFormatError(ValueError):
     """Session dump text is malformed."""
 
 
+def root_key(root: str) -> str:
+    """The form a root class takes when compared with graph roots, which
+    the tagger has lowercased."""
+    return root.lower()
+
+
 class GraphRegistry:
     """Bijection between canonical object graphs and auto-incremental ids."""
 
@@ -65,7 +71,7 @@ class GraphRegistry:
         return self._graphs[oid]
 
     def oids_for_root(self, root: str) -> list[int]:
-        root = root.lower()
+        root = root_key(root)
         return [i for i, g in enumerate(self._graphs) if g.root == root]
 
     def items(self):

@@ -220,7 +220,8 @@ def _episode_sessions(
     lexicon: Lexicon,
 ):
     """Yield (entry, episode dir, session) for each `kind` episode of the
-    dataset; the manifest is read unless given, and one bank serves all."""
+    dataset; the manifest is read unless given, and one bank serves all.
+    A counting episode's session holds its target's detections only."""
     dataset_dir = Path(dataset_dir)
     entries = load_manifest(dataset_dir) if manifest is None else manifest
     selected = [m for m in entries if m.get("kind") == kind]
@@ -229,7 +230,10 @@ def _episode_sessions(
     bank = build_observation_bank(config) if needs_bank(config, noise_preset) else ()
     for entry in selected:
         episode_dir = dataset_dir / entry["dir"]
-        yield entry, episode_dir, session_for_episode(episode_dir, config, noise_preset, lexicon, bank=bank)
+        root = entry["target"] if kind == "counting" else None
+        yield entry, episode_dir, session_for_episode(
+            episode_dir, config, noise_preset, lexicon, bank=bank, root=root
+        )
 
 
 def eval_counting(

@@ -12,7 +12,7 @@ import zlib
 from dataclasses import replace
 from pathlib import Path
 
-from .aggregation import AggregationSession, InstanceRecord
+from .aggregation import AggregationSession, InstanceRecord, root_key
 from .config import PipelineConfig
 from .discriminator import GroundingOutcome, classify, generate_query
 from .episodes import FrameRecord, load_episode, trajectory_frames
@@ -67,13 +67,20 @@ def build_session(
     models: frozenset[str] = frozenset(),
     bank: tuple = (),
     stream_seed: int = 0,
+    root: str | None = None,
 ) -> AggregationSession:
     """Accumulate every detection of every frame into one session.
 
     `models` names the detector error models applied to each frame's
     detections (none by default). Captions are parsed once each (cached);
-    detections whose caption fails to parse are skipped.
+    detections whose caption fails to parse are skipped. With a `root`,
+    only detections whose graph has that root class are accumulated:
+    fusing the root reads no other graph and keeps its graphs' relative
+    order, so it gives the full session's records. Errors are still drawn
+    for every detection and depth still read for every frame with one, so
+    the noise streams and the depth checks are those of the full session.
     """
+    key = None if root is None else root_key(root)
     session = AggregationSession(config.grid_spec())
     graph_cache: dict[str, ObjectGraph | None] = {}
     for frame in frames:
@@ -92,6 +99,8 @@ def build_session(
                 try:
                     graph = phrase_to_graph(det.caption, lexicon)
                 except PhraseError:
+                    graph = None
+                if graph is not None and key is not None and graph.root != key:
                     graph = None
                 graph_cache[det.caption] = graph
             if graph is None:
@@ -131,7 +140,10 @@ def session_for_episode(
     noise_preset: str,
     lexicon: Lexicon,
     bank: tuple | None = None,
+    root: str | None = None,
 ) -> AggregationSession:
+    """build_session over the episode's frames under the preset, with the
+    episode's noise stream; `root` as in build_session."""
     episode_dir = Path(episode_dir)
     frames = load_episode(episode_dir)
     models = config.noise_models(noise_preset)
@@ -144,6 +156,7 @@ def session_for_episode(
         models=models,
         bank=bank or (),
         stream_seed=stream_seed_for(episode_dir.name),
+        root=root,
     )
 
 

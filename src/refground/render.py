@@ -198,8 +198,10 @@ def render_scene(
     winner holds the index of the nearest object per pixel, STRUCTURE_ID for
     walls/floor, NO_HIT where nothing is within max_range. Depth is 0 there.
     setup is render_setup(room, intrinsics) and rects this pose's rows of
-    _pixel_rects over it.
+    _pixel_rects over it; intrinsics other than the set-up's are refused.
     """
+    if intrinsics is not setup.intrinsics and intrinsics != setup.intrinsics:
+        raise ValueError(f"intrinsics {intrinsics} differ from the set-up's {setup.intrinsics}")
     w, h = setup.intrinsics.width, setup.intrinsics.height
     dirs = pose.rotation @ setup.rays  # a fresh array: the only one written below
     if np.abs(dirs).min() < 1e-12:

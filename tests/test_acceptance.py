@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refground import episodes
 from refground.aggregation import InstanceRecord
 from refground.cli import main
 from refground.config import PipelineConfig
@@ -22,6 +23,7 @@ from refground.evaluation import (
     eval_counting,
     eval_parser_corpus,
     evaluate_dataset,
+    load_manifest,
     simulate_counting_dataset,
     simulate_dialogue_dataset,
     write_report,
@@ -30,12 +32,14 @@ from refground.geometry import BoundingBox, CameraIntrinsics, Pose, to_world
 from refground.graph import ObjectGraph
 from refground.language import phrase_to_graph, realize
 from refground.oracle import oracle_classify
+from refground.pipeline import build_observation_bank, needs_bank, session_for_episode
 from refground.simulator import Detection, RoomSpec, apply_errors
 from refground.simulator import look_at_pose
 
 from conftest import random_expressible_graph, render_view
 
 RESULTS: dict = {}
+COUNT_PRESETS = ("none", "cs", "cs+sd", "cs+sd+fn", "fp")
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -148,6 +152,50 @@ def test_c4_counting_under_noise(config, counting_dataset):
         f"cs+sd+fn={noisy:.3f} (degradation {degradation:.3f}) fp={fp:.3f} "
         f"fp strictly worst={all(fp < v for v in others)}",
     )
+
+
+def test_counting_sessions_of_the_target_alone_count_as_full_sessions(config, counting_dataset, monkeypatch):
+    """eval_counting accumulates only its target's detections: fusing the
+    target on that session gives the full session's records, and both
+    builds read the same depth files."""
+    read: list[Path] = []
+    read_depth_file = episodes.read_depth_file
+
+    def recording_read(path, *args, **kwargs):
+        read.append(Path(path))
+        return read_depth_file(path, *args, **kwargs)
+
+    monkeypatch.setattr(episodes, "read_depth_file", recording_read)
+    lexicon = config.lexicon()
+    fuse = (config.region_dx, config.region_dy, config.gamma)
+    for preset in COUNT_PRESETS:
+        bank = build_observation_bank(config) if needs_bank(config, preset) else ()
+        dropped = 0
+        for entry in load_manifest(counting_dataset):
+            target, episode = entry["target"], counting_dataset / entry["dir"]
+            sessions, paths = [], []
+            for root in (None, target):
+                read.clear()
+                sessions.append(session_for_episode(episode, config, preset, lexicon, bank=bank, root=root))
+                paths.append(list(read))
+            full, own = sessions
+            assert own.fuse_across_graphs(target, *fuse) == full.fuse_across_graphs(target, *fuse)
+            assert paths[0] == paths[1] and paths[0]
+            kept = [g for _, g in own.registry.items()]
+            assert all(g.root == target for g in kept)
+            dropped += len(list(full.registry.items())) - len(kept)
+        assert dropped > 0
+
+
+@pytest.mark.parametrize("preset", ["none", "fp"])
+def test_counting_reads_a_capitalised_target_as_its_class(config, counting_dataset, preset):
+    manifest = load_manifest(counting_dataset)
+    capitalised = [dict(m, target=m["target"].capitalize()) for m in manifest]
+    lower = eval_counting(counting_dataset, config, preset, manifest)
+    upper = eval_counting(counting_dataset, config, preset, capitalised)
+    assert [r["target"] for r in upper.records] == [m["target"] for m in capitalised]
+    assert [dict(r, target=r["target"].lower()) for r in upper.records] == lower.records
+    assert upper.per_count == lower.per_count
 
 
 def _instance_space():

@@ -307,15 +307,16 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
         assert ": cells for unknown oid 0" in lines[0]
 
 
-@pytest.mark.parametrize("command", ["ground", "aggregate", "eval"])
-def test_depth_beyond_configured_max_range_is_io_error(dataset, tmp_path, capsys, command):
-    # the dataset is written at the default max_range 2.4, so its depths run past 2.0
+@pytest.mark.parametrize("command", ["ground", "aggregate", "eval", "eval_counting"])
+def test_depth_beyond_configured_max_range_is_io_error(dataset, counting_dataset, tmp_path, capsys, command):
+    # the datasets are written at the default max_range 2.4, so their depths run past 2.0
     config = tmp_path / "short.cfg"
     config.write_text("max_range = 2.0\n")
     args = {
         "ground": ["ground", str(episode_dir(dataset)), "bring a cup"],
         "aggregate": ["aggregate", str(episode_dir(dataset)), "--out", str(tmp_path / "s.json")],
         "eval": ["eval", str(dataset)],
+        "eval_counting": ["eval", str(counting_dataset)],
     }[command]
     assert main(args + ["--config", str(config)]) == 3
     captured = capsys.readouterr()

@@ -408,3 +408,19 @@ def test_frame_edge_clipped_detection_matches_bincount():
     for include_structure in (True, False):
         winner = assert_rect_detections_match(room, pose, K, 10.0, include_structure)
         assert (winner[:, 0] == 0).any()  # the box reaches the left edge of the frame
+
+
+def test_render_refuses_intrinsics_other_than_its_setups():
+    """The set-up fixes the frame size and focal length; intrinsics that
+    disagree with it are refused, equal ones in another object are not."""
+    config = PipelineConfig()
+    room = counting_room(config)
+    pose = plan_trajectory(room, config)[0]
+    setup, rects = view_setup(room, pose, K, config.max_range)
+    want_depth, want_winner = render_scene(room, pose, K, config.max_range, setup=setup, rects=rects)
+    depth, winner = render_scene(room, pose, replace(K), config.max_range, setup=setup, rects=rects)
+    assert depth.tobytes() == want_depth.tobytes() and winner.tobytes() == want_winner.tobytes()
+    for other in (replace(K, fx=120.0), replace(K, width=96, cx=48.0)):
+        with pytest.raises(ValueError) as info:
+            render_scene(room, pose, other, config.max_range, setup=setup, rects=rects)
+        assert str(other) in str(info.value) and str(K) in str(info.value)
