@@ -17,11 +17,11 @@ session, its counts, states, candidate sets and queries, do not.
 
 A session is single-threaded: one session per stream, used by one thread,
 queries included. fuse_across_graphs keeps each fusion it computes in a
-per-session memo keyed by (root, dx, dy, gamma) and hands back a fresh
-list of the stored records on a repeat call. accumulate clears the memo;
-registering a graph leaves it valid, since a graph with no accumulated
-weight contributes to no fusion. A session built by load starts with an
-empty memo.
+per-session memo keyed by (root_key(root), dx, dy, gamma), so "Cup" and
+"cup" share one entry, and hands back a fresh list of the stored records
+on a repeat call. accumulate clears the memo; registering a graph leaves
+it valid, since a graph with no accumulated weight contributes to no
+fusion. A session built by load starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -121,10 +121,8 @@ def merge_regions(scores: np.ndarray, gamma: float) -> dict[tuple[int, int], int
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    order = sorted(
-        map(tuple, np.argwhere(scores >= gamma).tolist()),
-        key=lambda r: (-scores[r], r),
-    )
+    rx, ry = np.divmod(np.flatnonzero(scores.reshape(-1) >= gamma), scores.shape[1])
+    order = sorted(zip(rx.tolist(), ry.tolist()), key=lambda r: (-scores[r], r))
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     for region in order:
         parent[region] = region
@@ -192,6 +190,14 @@ class AggregationSession:
             raise RegistryError(oid)
         return self._mean[oid].copy(), self._freq[oid].copy()
 
+    def _occupied(self, oid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph's occupied cells as flat indices into its maps and as
+        (cx, cy), in row-major order: np.nonzero's cells, found by a flat
+        scan, which is several times faster on the dense maps."""
+        flat = np.flatnonzero(self._freq[oid].reshape(-1) != 0)
+        ix, iy = np.divmod(flat, self.grid.d2)
+        return flat, ix, iy
+
     def region_scores(self, oid: int, dx: int, dy: int) -> np.ndarray:
         """Sum cell weights per dx-by-dy region and normalize over the whole grid.
 
@@ -206,11 +212,11 @@ class AggregationSession:
             raise RegistryError(oid)
         nx = -(-self.grid.d1 // dx)
         ny = -(-self.grid.d2 // dy)
-        ix, iy = np.nonzero(self._freq[oid])
+        flat, ix, iy = self._occupied(oid)
         # bincount adds in input order, here row-major cell order
-        sums = np.bincount(
-            (ix // dx) * ny + iy // dy, weights=self._mean[oid][ix, iy], minlength=nx * ny
-        ).reshape(nx, ny)
+        weights = self._mean[oid].reshape(-1)[flat]
+        sums = np.bincount((ix // dx) * ny + iy // dy, weights=weights, minlength=nx * ny)
+        sums = sums.reshape(nx, ny)
         total = float(sums.sum())
         return sums / total if total > 0 else sums
 
@@ -225,13 +231,14 @@ class AggregationSession:
         the contributing graph with the highest accumulated weight as its
         instance graph, the rest as alternates.
 
-        The fusion is computed once per (root, dx, dy, gamma) until the
-        next accumulate; every call returns a new list the caller may sort.
+        The fusion is computed once per (root_key(root), dx, dy, gamma)
+        until the next accumulate; every call returns a new list the
+        caller may sort.
         """
-        key = (root, dx, dy, gamma)
+        key = (root_key(root), dx, dy, gamma)
         records = self._fused.get(key)
         if records is None:
-            records = self._fused[key] = self._fuse(root, dx, dy, gamma)
+            records = self._fused[key] = self._fuse(key[0], dx, dy, gamma)
         return list(records)
 
     def _fuse(self, root: str, dx: int, dy: int, gamma: float) -> list[InstanceRecord]:
@@ -253,11 +260,11 @@ class AggregationSession:
                 by_label.setdefault(label, []).append(region)
                 region_label[region] = label
                 pooled[region] = max(pooled.get(region, 0.0), float(scores[region]))
-            ix, iy = np.nonzero(self._freq[oid])
+            flat, ix, iy = self._occupied(oid)
             cell_label = region_label[ix // dx, iy // dy]
             member = cell_label >= 0
-            ix, iy, cell_label = ix[member], iy[member], cell_label[member]
-            mass = self._mean[oid][ix, iy] * self._freq[oid][ix, iy]
+            flat, ix, iy, cell_label = flat[member], ix[member], iy[member], cell_label[member]
+            mass = self._mean[oid].reshape(-1)[flat] * self._freq[oid].reshape(-1)[flat]
             xs = self.grid.origin_x + (ix + 0.5) * self.grid.cell_size
             ys = self.grid.origin_y + (iy + 0.5) * self.grid.cell_size
             n = len(by_label)
@@ -326,9 +333,9 @@ class AggregationSession:
 
     def _cell_rows(self, oid: int) -> list[tuple[int, int, float, int]]:
         """Occupied cells as (cx, cy, mean weight, frequency), in row-major order."""
-        mean, freq = self._mean[oid], self._freq[oid]
-        ix, iy = np.nonzero(freq)
-        return list(zip(ix.tolist(), iy.tolist(), mean[ix, iy].tolist(), freq[ix, iy].tolist()))
+        flat, ix, iy = self._occupied(oid)
+        mean, freq = self._mean[oid].reshape(-1)[flat], self._freq[oid].reshape(-1)[flat]
+        return list(zip(ix.tolist(), iy.tolist(), mean.tolist(), freq.tolist()))
 
     @classmethod
     def load(cls, path: str | Path) -> "AggregationSession":

@@ -588,10 +588,11 @@ def reference_fuse(session, root: str, dx: int, dy: int, gamma: float) -> list[I
 COLORS = ("red", "black", "white", "blue", "green", "yellow")
 
 
-def random_session(rng):
+def random_session(rng, grid=GRID):
     """Cup graphs that each see a random subset of a few objects, jittered per frame,
-    beside a lamp; sometimes a cup graph with no cells."""
-    s = session()
+    beside a lamp; sometimes a cup graph with no cells. Cells stay inside
+    [3, 67] on both axes, so any grid at least 70 cells a side holds them."""
+    s = AggregationSession(grid)
     objects = rng.integers(10, 61, (int(rng.integers(2, 5)), 2))
     graphs = [ObjectGraph.build("cup", [("color", c)]) for c in COLORS[: int(rng.integers(2, 7))]]
     for g in graphs + [ObjectGraph.build("lamp")]:
@@ -652,6 +653,100 @@ def test_fuse_matches_the_code_it_replaced():
     }
 
 
+# -- the flat occupied-cell scan against the 2D one -------------------------------
+# Every other session in these tests has a square grid, where a flat index divided by
+# d1 or by d2 gives the same cells.
+
+NON_SQUARE = [GridSpec(0.0, 0.0, 0.05, 100, 70), GridSpec(0.0, 0.0, 0.05, 70, 100)]
+
+
+def reference_region_scores(session, oid, dx, dy):
+    """region_scores as it stood with np.nonzero's 2D scan."""
+    nx = -(-session.grid.d1 // dx)
+    ny = -(-session.grid.d2 // dy)
+    ix, iy = np.nonzero(session._freq[oid])
+    sums = np.bincount(
+        (ix // dx) * ny + iy // dy, weights=session._mean[oid][ix, iy], minlength=nx * ny
+    ).reshape(nx, ny)
+    total = float(sums.sum())
+    return sums / total if total > 0 else sums
+
+
+def reference_cell_rows(session, oid):
+    """_cell_rows as it stood with np.nonzero's 2D scan."""
+    mean, freq = session._mean[oid], session._freq[oid]
+    ix, iy = np.nonzero(freq)
+    return list(zip(ix.tolist(), iy.tolist(), mean[ix, iy].tolist(), freq[ix, iy].tolist()))
+
+
+def assert_reads_like_the_2d_scan(s, tmp_path, monkeypatch, gammas=(0.01, 0.05, 0.2)):
+    """Scores, merges, fusions and dump bytes of s equal the 2D scan's, bit for bit.
+    On a non-square grid the score arrays merge_regions takes are non-square too."""
+    for (dx, dy), gamma in itertools.product([(10, 10), (7, 13)], gammas):
+        for oid, _ in s.registry.items():
+            scores = s.region_scores(oid, dx, dy)
+            want = reference_region_scores(s, oid, dx, dy)
+            assert scores.shape == want.shape and scores.tobytes() == want.tobytes()
+            labels = merge_regions(scores, gamma)
+            assert list(labels.items()) == list(reference_merge_regions(scores, gamma).items())
+        for root in {g.root for _, g in s.registry.items()}:
+            records = s.fuse_across_graphs(root, dx, dy, gamma)
+            assert record_fields(records) == record_fields(reference_fuse(s, root, dx, dy, gamma))
+    s.dump(tmp_path / "flat.json")
+    with monkeypatch.context() as m:
+        m.setattr(AggregationSession, "_cell_rows", reference_cell_rows)
+        s.dump(tmp_path / "2d.json")
+    assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "2d.json").read_bytes()
+    loaded = AggregationSession.load(tmp_path / "flat.json")
+    loaded.dump(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "flat.json").read_bytes()
+
+
+@pytest.mark.parametrize("grid", NON_SQUARE, ids=["100x70", "70x100"])
+def test_non_square_sessions_read_like_the_2d_scan(tmp_path, monkeypatch, grid):
+    rng = np.random.default_rng(27)
+    for _ in range(6):
+        assert_reads_like_the_2d_scan(random_session(rng, grid), tmp_path, monkeypatch)
+
+
+def edge_session(grid, case):
+    """One cup graph holding no cell, the first cell, the last cell or every cell."""
+    s = AggregationSession(grid)
+    oid = s.register_graph(CUP_RED)
+    if case == "full":
+        xs, ys = np.meshgrid(np.arange(grid.d1), np.arange(grid.d2), indexing="ij")
+        cells = np.stack([xs.ravel(), ys.ravel()], axis=1)
+        s.accumulate(oid, cells, np.random.default_rng(5).random(len(cells)))
+    elif case != "empty":
+        cell = (0, 0) if case == "first" else (grid.d1 - 1, grid.d2 - 1)
+        s.accumulate(oid, *obs((cell, 0.5)))
+    return s, oid
+
+
+@pytest.mark.parametrize("grid", [GRID] + NON_SQUARE, ids=["100x100", "100x70", "70x100"])
+@pytest.mark.parametrize("case", ["empty", "first", "last", "full"])
+def test_edge_maps_read_like_the_2d_scan(tmp_path, monkeypatch, grid, case):
+    s, oid = edge_session(grid, case)
+    assert_reads_like_the_2d_scan(s, tmp_path, monkeypatch, gammas=(0.005, 0.05))
+    scores = s.region_scores(oid, 10, 10)
+    records = s.fuse_across_graphs("cup", 10, 10, 0.05)
+    rows = s._cell_rows(oid)
+    if case == "empty":
+        assert not scores.any() and merge_regions(scores, 0.05) == {}
+        assert records == [] and rows == []
+    elif case == "full":
+        assert len(rows) == grid.d1 * grid.d2
+        assert rows[0][:2] == (0, 0) and rows[-1][:2] == (grid.d1 - 1, grid.d2 - 1)
+    else:
+        cx, cy = rows[0][:2]
+        assert rows == [(cx, cy, 0.5, 1)]
+        region = (cx // 10, cy // 10)
+        assert scores[region] == 1.0 and np.count_nonzero(scores) == 1
+        (record,) = records
+        assert record.regions == {region}
+        assert record.centroid == ((cx + 0.5) * grid.cell_size, (cy + 0.5) * grid.cell_size)
+
+
 # -- fusion memo ------------------------------------------------------------------
 
 
@@ -669,6 +764,23 @@ def test_fuse_repeat_returns_equal_records_in_new_list():
     second.reverse()
     second.pop()
     assert fuse_cup(s) == first
+
+
+def test_fuse_memo_keeps_one_entry_per_root_class(monkeypatch):
+    calls = []
+    fuse = AggregationSession._fuse
+
+    def counted(self, root, *args):
+        calls.append(root)
+        return fuse(self, root, *args)
+
+    monkeypatch.setattr(AggregationSession, "_fuse", counted)
+    s = session()
+    splat(s, s.register_graph(CUP_RED), 15, 15)
+    splat(s, s.register_graph(CUP_BLACK), 75, 75)
+    first = s.fuse_across_graphs("Cup", 10, 10, 0.05)
+    assert len(first) == 2 and s.fuse_across_graphs("cup", 10, 10, 0.05) == first
+    assert len(calls) == 1 and len(s._fused) == 1
 
 
 def test_fuse_after_accumulate_matches_fresh_session():
