@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import GridSpec
-from .graph import ObjectGraph, from_dict, to_dict
+from .graph import ObjectGraph, from_dict, root_key, to_dict
 
 
 class RegistryError(KeyError):
@@ -42,12 +42,6 @@ class RegistryError(KeyError):
 
 class SessionFormatError(ValueError):
     """Session dump text is malformed."""
-
-
-def root_key(root: str) -> str:
-    """The form a root class takes when compared with graph roots, which
-    the tagger has lowercased."""
-    return root.lower()
 
 
 class GraphRegistry:

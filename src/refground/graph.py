@@ -42,6 +42,12 @@ def check_kind(kind: str, relational: bool) -> None:
         raise GraphStructureError(f"kind {kind!r} on a {edge} edge; only relations start with 'is-'")
 
 
+def root_key(root: str) -> str:
+    """The canonical form of a class name: the root a graph stores, and the
+    form any root is compared in."""
+    return root.lower().strip()
+
+
 @dataclass(frozen=True, order=True)
 class ObjectGraph:
     """Tree with the referred object class at the root.
@@ -59,7 +65,7 @@ class ObjectGraph:
     depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        root = self.root.lower().strip()
+        root = root_key(self.root)
         if not root:
             raise GraphStructureError("graph root must be a non-empty class name")
         for kind, value in self.self_attrs:

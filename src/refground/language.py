@@ -15,13 +15,15 @@ Tokens and labels are plain strings. A label is "O", "B-<symbol>" or
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from typing import Sequence
 
-from .graph import GraphStructureError, ObjectGraph
+from .graph import MAX_TREE_DEPTH, GraphStructureError, ObjectGraph
 from .lexicon import Lexicon
 
 ROOT_SYMBOL = "r(g)"
 LANDMARK_SYMBOL = "av_R"
+_NOUN_SYMBOLS = (ROOT_SYMBOL, LANDMARK_SYMBOL)
 
 # Edge surface forms used when rendering a graph as English. Self attribute
 # kinds render as the bare value token (empty edge surface).
@@ -84,66 +86,30 @@ def tag(tokens: Sequence[str], lexicon: Lexicon) -> list[str]:
     n = len(tokens)
     labels = ["O"] * n
 
-    spans: list[tuple[int, int, str, str]] = []  # (start, end, role, symbol)
+    pending_relation = False
+    root_found = False
     i = 0
     while i < n:
         for words, role, symbol in index.get(lowered[i], ()):
             k = len(words)
             if i + k <= n and tuple(lowered[i : i + k]) == words:
-                spans.append((i, i + k, role, symbol))
+                if role == "cue":
+                    pending_relation = True
+                elif role == "noun":
+                    if pending_relation:
+                        symbol, pending_relation = LANDMARK_SYMBOL, False
+                    elif not root_found:
+                        symbol, root_found = ROOT_SYMBOL, True
+                if symbol:  # verbs and extra ungoverned nouns stay O
+                    labels[i : i + k] = bio_span(symbol, k)
                 i += k
                 break
         else:
             i += 1  # an unknown token stays O
 
-    pending_relation = False
-    root_found = False
-    for start, end, role, symbol in spans:
-        if role == "verb":
-            continue  # verbs stay O
-        if role == "cue":
-            pending_relation = True
-        elif role == "noun":
-            if pending_relation:
-                symbol = LANDMARK_SYMBOL
-                pending_relation = False
-            elif not root_found:
-                symbol = ROOT_SYMBOL
-                root_found = True
-            else:
-                continue  # extra ungoverned noun: outside the grammar, left O
-        labels[start:end] = bio_span(symbol, end - start)
-
     if not root_found:
         raise NoReferredObjectError(f"no referred object class in: {' '.join(lowered)}")
     return labels
-
-
-def _spans(tokens: Sequence[str], labels: Sequence[str]) -> list[list]:
-    """Collapse the B-/I- runs of a BIO-valid sequence into [symbol, text, start] spans."""
-    spans: list[list] = []
-    for i, (token, label) in enumerate(zip(tokens, labels)):
-        if label[0] == "B":
-            spans.append([label[2:], token.lower(), i])
-        elif label[0] == "I":
-            spans[-1][1] += " " + token.lower()
-    return spans
-
-
-class _Node:
-    __slots__ = ("root", "selfs", "rels")
-
-    def __init__(self, root: str):
-        self.root = root
-        self.selfs: list[tuple[str, str]] = []
-        self.rels: list[tuple[str, "_Node"]] = []
-
-    def build(self) -> ObjectGraph:
-        return ObjectGraph.build(
-            self.root,
-            self.selfs,
-            [(kind, child.build()) for kind, child in self.rels],
-        )
 
 
 def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
@@ -152,53 +118,56 @@ def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
     Grammar: the root expands to self and relational attribute edges; each
     relational edge opens a landmark node that expands the same way. A self
     value span attaches to the nearest following noun; a relational span
-    connects the nearest preceding noun to the nearest following noun. A
-    graph that ObjectGraph refuses, such as two colors on one noun, is a
-    TagParseError.
+    connects the nearest preceding noun to the nearest following noun, which
+    no other relation may bind. A graph nesting more than MAX_TREE_DEPTH
+    relations, or one that ObjectGraph refuses, such as two colors on one
+    noun, is a TagParseError.
     """
     if len(tokens) != len(labels):
         raise TagParseError(f"{len(tokens)} tokens vs {len(labels)} labels")
     if not bio_valid(labels):
         raise TagParseError("label sequence violates the BIO scheme")
-    spans = _spans(tokens, labels)
+    spans: list[list] = []  # [symbol, text, start] per B-/I- run
+    for i, (token, label) in enumerate(zip(tokens, labels)):
+        if label[0] == "B":
+            spans.append([label[2:], token.lower(), i])
+        elif label[0] == "I":
+            spans[-1][1] += " " + token.lower()
 
-    roots = [s for s in spans if s[0] == ROOT_SYMBOL]
+    # noun start -> (text, self edges, [(relation, child start)])
+    nouns = {start: (text, [], []) for symbol, text, start in spans if symbol in _NOUN_SYMBOLS}
+    roots = [start for symbol, _, start in spans if symbol == ROOT_SYMBOL]
     if len(roots) != 1:
         raise TagParseError(f"expected exactly one referred-object span, found {len(roots)}")
-
-    nouns = [(start, _Node(text)) for symbol, text, start in spans if symbol in (ROOT_SYMBOL, LANDMARK_SYMBOL)]
-    root_node = next(node for (start, node) in nouns if start == roots[0][2])
-
-    def following_noun(position: int) -> _Node | None:
-        for start, node in nouns:
-            if start > position:
-                return node
-        return None
-
-    def preceding_noun(position: int) -> _Node | None:
-        best = None
-        for start, node in nouns:
-            if start < position:
-                best = node
-        return best
-
+    starts = list(nouns)
     for symbol, text, start in spans:
-        if symbol in (ROOT_SYMBOL, LANDMARK_SYMBOL):
+        if symbol in _NOUN_SYMBOLS:
             continue
+        after = bisect(starts, start)  # index of the nearest following noun
+        following = starts[after] if after < len(starts) else None
         if symbol.startswith("is-"):
-            owner = preceding_noun(start)
-            child = following_noun(start)
-            if owner is None or child is None:
+            if after == 0 or following is None:
                 raise DanglingRelationError(f"relation {symbol!r} at token {start} has no noun to bind")
-            owner.rels.append((symbol, child))
+            # relations between the same two nouns bind the same landmark
+            rels = nouns[starts[after - 1]][2]
+            if rels:
+                raise TagParseError(
+                    f"landmark {nouns[following][0]!r} at token {following} is bound by two relations"
+                )
+            rels.append((symbol, following))
+        elif following is None:
+            raise TagParseError(f"attribute {text!r} at token {start} has no following noun")
         else:
-            target = following_noun(start)
-            if target is None:
-                raise TagParseError(f"attribute {text!r} at token {start} has no following noun")
-            target.selfs.append((symbol, text))
+            nouns[following][1].append((symbol, text))
+
+    def build(start: int, depth: int) -> ObjectGraph:
+        text, selfs, rels = nouns[start]
+        if rels and depth == MAX_TREE_DEPTH:
+            raise TagParseError(f"graph nests more than {MAX_TREE_DEPTH} relations")
+        return ObjectGraph.build(text, selfs, [(kind, build(child, depth + 1)) for kind, child in rels])
 
     try:
-        return root_node.build()
+        return build(roots[0], 0)
     except GraphStructureError as exc:
         raise TagParseError(str(exc)) from exc
 

@@ -12,12 +12,12 @@ import zlib
 from dataclasses import replace
 from pathlib import Path
 
-from .aggregation import AggregationSession, InstanceRecord, root_key
+from .aggregation import AggregationSession, InstanceRecord
 from .config import PipelineConfig
 from .discriminator import GroundingOutcome, classify, generate_query
 from .episodes import FrameRecord, load_episode, trajectory_frames
 from .geometry import bbox_cloud_arrays, voxelize_bev_arrays
-from .graph import ObjectGraph
+from .graph import ObjectGraph, root_key
 from .language import PhraseError, phrase_to_graph, realize
 from .lexicon import Lexicon
 from .oracle import oracle_classify, oracle_paths

@@ -51,6 +51,16 @@ def save_config(config: PipelineConfig, path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def lexicon_pieces(lexicon):
+    """Every lexicon phrase and each of its tokens, plus unknown words."""
+    words = {*lexicon.object_classes, *lexicon.relation_cues, *lexicon.verbs}
+    for values in lexicon.self_values.values():
+        words |= values
+    words |= {token for phrase in words for token in phrase.split()}
+    unknown = {"a", "the", "thing", "xyzzy", "it", ",", ".", "Cup", "ON", "Dining"}
+    return sorted(words | unknown)
+
+
 def random_expressible_graph(rng: np.random.Generator, depth: int = 0, budget: int = 3) -> ObjectGraph:
     """A random graph the lexicon can express unambiguously.
 

@@ -189,13 +189,16 @@ def test_counting_sessions_of_the_target_alone_count_as_full_sessions(config, co
 
 @pytest.mark.parametrize("preset", ["none", "fp"])
 def test_counting_reads_a_capitalised_target_as_its_class(config, counting_dataset, preset):
+    """A capitalised or space-padded target counts as its class, and its
+    records keep the target as the manifest spells it."""
     manifest = load_manifest(counting_dataset)
-    capitalised = [dict(m, target=m["target"].capitalize()) for m in manifest]
     lower = eval_counting(counting_dataset, config, preset, manifest)
-    upper = eval_counting(counting_dataset, config, preset, capitalised)
-    assert [r["target"] for r in upper.records] == [m["target"] for m in capitalised]
-    assert [dict(r, target=r["target"].lower()) for r in upper.records] == lower.records
-    assert upper.per_count == lower.per_count
+    for spell in (str.capitalize, lambda target: f" {target} "):
+        spelled = [dict(m, target=spell(m["target"])) for m in manifest]
+        result = eval_counting(counting_dataset, config, preset, spelled)
+        assert [r["target"] for r in result.records] == [m["target"] for m in spelled]
+        assert [dict(r, target=r["target"].strip().lower()) for r in result.records] == lower.records
+        assert result.per_count == lower.per_count
 
 
 def _instance_space():

@@ -133,6 +133,36 @@ def test_conflicting_attributes_are_a_parse_failure(dataset, capsys, command):
     assert "two values for 'color'" in line
 
 
+# 600 nested is-on relations, far past MAX_TREE_DEPTH and the interpreter's recursion limit
+CHAIN = "bring the cup" + " on the table" * 600
+
+
+@pytest.mark.parametrize("command", ["parse", "ground"])
+def test_a_phrase_nesting_too_deep_is_a_parse_failure(dataset, capsys, command):
+    args = ["parse", CHAIN] if command == "parse" else ["ground", str(episode_dir(dataset)), CHAIN]
+    assert main(args) == 2
+    assert one_error_line(capsys) == "error: cannot parse: graph nests more than 32 relations"
+
+
+def test_eval_skips_a_caption_nesting_too_deep_like_any_unparseable_caption(dataset, tmp_path, capsys):
+    tables = []
+    for caption in ["a widget", CHAIN]:
+        copy = tmp_path / f"dataset_{len(tables)}"
+        shutil.copytree(dataset, copy)
+        path = copy / "episode_00000" / "episode.jsonl"
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["detections"])
+        record = json.loads(lines[index])
+        record["detections"][0]["caption"] = caption
+        lines[index] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(copy)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        tables.append(captured.out)
+    assert tables[0] == tables[1]
+
+
 # -- ground ---------------------------------------------------------------------
 
 

@@ -9,6 +9,10 @@ leaves a room unplaceable); a nonzero exit prints exactly one stderr line
 and nothing on stdout, and no run emits a warning. A lexicon with one kind
 renamed keeps every word, so `parse` must then exit 0 or refuse the
 lexicon with 3, never blame the text with 2; `simulate` never parses text.
+Each example of the third runs `parse` and `ground --session` on a text of
+lexicon pieces followed by a relation chain of up to 600 links, each link
+bound by one cue or two; a text can only parse or not, so every run exits
+0 or 2.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from hypothesis import given, note, settings, strategies as st
 from refground.cli import main
 from refground.config import PipelineConfig
 from refground.evaluation import simulate_counting_dataset, simulate_dialogue_dataset
+from refground.lexicon import default_lexicon
 
-from conftest import save_config
+from conftest import lexicon_pieces, save_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -237,3 +242,24 @@ def test_damaged_config_or_lexicon_under_parse_and_simulate(world, data):
         assert_one_line_rule(code, out, err, (0, 1, 3) if unplaceable else (0, 3))
     finally:
         path.write_bytes(raw)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_text_under_parse_and_ground_exits_0_or_2_with_one_line(world, data):
+    lexicon = default_lexicon()
+    pieces = data.draw(st.lists(st.sampled_from(lexicon_pieces(lexicon)), max_size=12))
+    cues = data.draw(st.lists(st.sampled_from(sorted(lexicon.relation_cues)), min_size=1, max_size=2))
+    landmark = data.draw(st.sampled_from(sorted(lexicon.object_classes)))
+    links = data.draw(st.one_of(st.integers(0, 40), st.integers(0, 600)))
+    text = " ".join(pieces) + f" {' '.join(cues)} the {landmark}" * links
+    note(f"{' '.join(pieces)!r} + {links} x {cues} {landmark!r}")
+    episode = str(world / "dialogue" / "episode_00000")
+    commands = [
+        ["parse", text, "--config", str(world / "parse.cfg")],
+        ["ground", episode, text, "--session", str(world / "session.json"), "--config", str(world / "small.cfg")],
+    ]
+    for args in commands:
+        code, out, err = run(args)
+        note(f"{args[0]} -> {code}: {err}")
+        assert_one_line_rule(code, out, err, (0, 2))

@@ -1,9 +1,11 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from refground.evaluation import build_parser_corpus
-from refground.graph import ObjectGraph
+from refground.graph import MAX_TREE_DEPTH, GraphStructureError, ObjectGraph
 from refground.language import (
     LANDMARK_SYMBOL,
     ROOT_SYMBOL,
@@ -21,7 +23,7 @@ from refground.language import (
 )
 from refground.lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
 
-from conftest import random_expressible_graph
+from conftest import lexicon_pieces, random_expressible_graph
 
 
 def labels_of(text, lexicon):
@@ -183,16 +185,6 @@ AMBIGUOUS_LEXICON = Lexicon(
 )
 
 
-def lexicon_pieces(lexicon):
-    """Every lexicon phrase and each of its tokens, plus unknown words."""
-    words = {*lexicon.object_classes, *lexicon.relation_cues, *lexicon.verbs}
-    for values in lexicon.self_values.values():
-        words |= values
-    words |= {token for phrase in words for token in phrase.split()}
-    unknown = {"a", "the", "thing", "xyzzy", "it", ",", ".", "Cup", "ON", "Dining"}
-    return sorted(words | unknown)
-
-
 @pytest.mark.parametrize("seed", [0, 7, 11])
 def test_tag_writes_the_corpus_gold_labels(lexicon, seed):
     """The tagger's labels and the corpus's gold labels are one format."""
@@ -337,6 +329,154 @@ def test_parse_rejects_bio_invalid():
 def test_parse_rejects_a_label_outside_the_bio_format(label):
     with pytest.raises(TagParseError):
         parse_tags(tokenize("red cup"), [label, "B-r(g)"])
+
+
+def test_parse_refuses_a_landmark_bound_by_two_relations(lexicon):
+    with pytest.raises(TagParseError) as exc:
+        phrase_to_graph("bring the cup on near the table", lexicon)
+    assert str(exc.value) == "landmark 'table' at token 6 is bound by two relations"
+
+
+def test_parse_refuses_a_deep_chain_of_doubly_bound_landmarks_at_once(lexicon):
+    # 32 levels, each landmark bound by "on" and "near": one shared node per
+    # level would make the graph's size double with every level
+    text = "bring the cup" + " on near the table on near the cup" * (MAX_TREE_DEPTH // 2)
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("parsing took more than one second")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(TagParseError, match="is bound by two relations"):
+            phrase_to_graph(text, lexicon)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_parse_checks_the_depth_before_building_the_nodes_below(lexicon):
+    chain = "bring the cup" + " on the table" * MAX_TREE_DEPTH
+    assert phrase_to_graph(chain, lexicon).depth == MAX_TREE_DEPTH
+    # the leaf's two colors would be refused first if the leaf were built first
+    with pytest.raises(TagParseError) as exc:
+        phrase_to_graph(chain + " near the red blue lamp", lexicon)
+    assert str(exc.value) == f"graph nests more than {MAX_TREE_DEPTH} relations"
+
+
+# -- parser against the node-building parser ------------------------------------
+
+
+class _Node:
+    __slots__ = ("root", "selfs", "rels")
+
+    def __init__(self, root):
+        self.root = root
+        self.selfs = []
+        self.rels = []
+
+    def build(self):
+        return ObjectGraph.build(self.root, self.selfs, [(kind, child.build()) for kind, child in self.rels])
+
+
+def reference_parse_tags(tokens, labels):
+    """The parser before the noun table: a mutable node per noun, linear
+    neighbour scans and an unbounded recursive build. A landmark bound by
+    two relations is one node shared by both edges."""
+    if len(tokens) != len(labels):
+        raise TagParseError(f"{len(tokens)} tokens vs {len(labels)} labels")
+    if not bio_valid(labels):
+        raise TagParseError("label sequence violates the BIO scheme")
+    spans = []
+    for i, (token, label) in enumerate(zip(tokens, labels)):
+        if label[0] == "B":
+            spans.append([label[2:], token.lower(), i])
+        elif label[0] == "I":
+            spans[-1][1] += " " + token.lower()
+    roots = [s for s in spans if s[0] == ROOT_SYMBOL]
+    if len(roots) != 1:
+        raise TagParseError(f"expected exactly one referred-object span, found {len(roots)}")
+    nouns = [(start, _Node(text)) for symbol, text, start in spans if symbol in (ROOT_SYMBOL, LANDMARK_SYMBOL)]
+    root_node = next(node for (start, node) in nouns if start == roots[0][2])
+
+    def following_noun(position):
+        return next((node for start, node in nouns if start > position), None)
+
+    def preceding_noun(position):
+        best = None
+        for start, node in nouns:
+            if start < position:
+                best = node
+        return best
+
+    for symbol, text, start in spans:
+        if symbol in (ROOT_SYMBOL, LANDMARK_SYMBOL):
+            continue
+        if symbol.startswith("is-"):
+            owner = preceding_noun(start)
+            child = following_noun(start)
+            if owner is None or child is None:
+                raise DanglingRelationError(f"relation {symbol!r} at token {start} has no noun to bind")
+            owner.rels.append((symbol, child))
+        else:
+            target = following_noun(start)
+            if target is None:
+                raise TagParseError(f"attribute {text!r} at token {start} has no following noun")
+            target.selfs.append((symbol, text))
+    try:
+        return root_node.build()
+    except GraphStructureError as exc:
+        raise TagParseError(str(exc)) from exc
+
+
+def parse_outcome(parser, tokens, labels):
+    try:
+        return parser(tokens, labels)
+    except PhraseError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def binds_a_noun_twice(labels):
+    """Two relation spans with no noun span between them and a noun after."""
+    relations = 0
+    for label in labels:
+        if label in (f"B-{ROOT_SYMBOL}", f"B-{LANDMARK_SYMBOL}"):
+            if relations > 1:
+                return True
+            relations = 0
+        elif label.startswith("B-is-"):
+            relations += 1
+    return False
+
+
+def assert_parsers_agree(tokens, labels):
+    """The same graph or the same error, except that a noun bound twice is
+    refused where the node-building parser shared it."""
+    outcome = parse_outcome(parse_tags, tokens, labels)
+    reference = parse_outcome(reference_parse_tags, tokens, labels)
+    if outcome != reference:
+        assert binds_a_noun_twice(labels)
+        assert outcome[0] == "TagParseError" and outcome[1].endswith(" is bound by two relations")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_parse_matches_the_node_parser_on_parser_corpus(seed):
+    for case in build_parser_corpus(600, seed):
+        tokens = tokenize(case.text)
+        assert parse_tags(tokens, case.labels) == reference_parse_tags(tokens, case.labels) == case.graph
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parse_matches_the_node_parser_on_token_sequences(data):
+    lexicon = data.draw(st.sampled_from([default_lexicon(), AMBIGUOUS_LEXICON]))
+    pieces = data.draw(st.lists(st.sampled_from(lexicon_pieces(lexicon)), min_size=1, max_size=12))
+    tokens = tokenize(" ".join(pieces))
+    try:
+        labels = tag(tokens, lexicon)
+    except PhraseError:
+        return  # nothing to parse
+    assert_parsers_agree(tokens, labels)
 
 
 def test_every_labeled_token_lands_in_graph(lexicon):
