@@ -36,10 +36,6 @@ from .geometry import GridSpec
 from .graph import ObjectGraph, from_dict, root_key, to_dict
 
 
-class RegistryError(KeyError):
-    """Unknown object id."""
-
-
 class SessionFormatError(ValueError):
     """Session dump text is malformed."""
 
@@ -61,7 +57,7 @@ class GraphRegistry:
 
     def graph(self, oid: int) -> ObjectGraph:
         if not 0 <= oid < len(self._graphs):
-            raise RegistryError(oid)
+            raise KeyError(oid)
         return self._graphs[oid]
 
     def oids_for_root(self, root: str) -> list[int]:
@@ -162,7 +158,7 @@ class AggregationSession:
         not checked against the grid.
         """
         if oid not in self.registry:
-            raise RegistryError(oid)
+            raise KeyError(oid)
         self._fused.clear()
         # flat indices into views of the C-ordered arrays register_graph made
         index = cells[:, 0] * self.grid.d2 + cells[:, 1]
@@ -181,7 +177,7 @@ class AggregationSession:
     def occupancy(self, oid: int) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the graph's (d1, d2) mean-weight and frequency arrays."""
         if oid not in self.registry:
-            raise RegistryError(oid)
+            raise KeyError(oid)
         return self._mean[oid].copy(), self._freq[oid].copy()
 
     def _occupied(self, oid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,7 +199,7 @@ class AggregationSession:
         if dx < 1 or dy < 1:
             raise ValueError("region dimensions must be >= 1")
         if oid not in self.registry:
-            raise RegistryError(oid)
+            raise KeyError(oid)
         nx = -(-self.grid.d1 // dx)
         ny = -(-self.grid.d2 // dy)
         flat, ix, iy = self._occupied(oid)

@@ -23,7 +23,6 @@ from .config import PipelineConfig
 from .geometry import (
     BoundingBox,
     CameraIntrinsics,
-    DepthFormatError,
     DepthFrame,
     Pose,
     read_depth_file,
@@ -62,7 +61,7 @@ class FrameRecord:
         depth = read_depth_file(self.depth_path, max_range=max_range)
         k = self.intrinsics
         if (depth.width, depth.height) != (k.width, k.height):
-            raise DepthFormatError(
+            raise OSError(
                 f"{self.depth_path}: depth is {depth.width}x{depth.height}, "
                 f"the frame's intrinsics {k.width}x{k.height}"
             )

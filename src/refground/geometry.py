@@ -16,10 +16,6 @@ from pathlib import Path
 import numpy as np
 
 
-class DepthFormatError(IOError):
-    """Depth file does not follow the DORODPTH layout."""
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -271,18 +267,18 @@ def write_depth_file(path: str | Path, frame: DepthFrame) -> None:
 def read_depth_file(path: str | Path, max_range: float) -> DepthFrame:
     raw = Path(path).read_bytes()
     if raw[:8] != DEPTH_MAGIC:
-        raise DepthFormatError(f"{path}: bad magic {raw[:8]!r}")
+        raise OSError(f"{path}: bad magic {raw[:8]!r}")
     if len(raw) < 16:
-        raise DepthFormatError(f"{path}: truncated header")
+        raise OSError(f"{path}: truncated header")
     width, height = struct.unpack("<II", raw[8:16])
     expected = 16 + 4 * width * height
     if len(raw) != expected:
-        raise DepthFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        raise OSError(f"{path}: expected {expected} bytes, found {len(raw)}")
     depth = np.frombuffer(raw[16:], dtype="<f4").reshape(height, width)
     try:
         return DepthFrame(width, height, depth.copy(), max_range=max_range)
     except ValueError as exc:  # e.g. written under a larger max_range than configured
-        raise DepthFormatError(
+        raise OSError(
             f"{path}: {exc}: largest depth {float(depth.max(initial=0.0))}, "
             f"configured max_range {max_range}"
         ) from exc

@@ -26,10 +26,6 @@ class GraphStructureError(ValueError):
     """A graph violates the tree or attribute invariants."""
 
 
-class GraphParseError(ValueError):
-    """A plain-dict graph could not be parsed."""
-
-
 def check_kind(kind: str, relational: bool) -> None:
     """Refuse a kind that is empty, not lowercase, holds whitespace, or
     starts with "is-" unless it names a relation."""
@@ -146,28 +142,25 @@ def to_dict(g: ObjectGraph) -> dict:
 
 def from_dict(d: object) -> ObjectGraph:
     if not isinstance(d, dict):
-        raise GraphParseError("graph node must be an object")
+        raise GraphStructureError("graph node must be an object")
     root = d.get("root")
     if not isinstance(root, str):
-        raise GraphParseError("missing or non-string 'root'")
+        raise GraphStructureError("missing or non-string 'root'")
     selfs = d.get("self", [])
     rels = d.get("rel", [])
     if not isinstance(selfs, list) or not isinstance(rels, list):
-        raise GraphParseError("'self' and 'rel' must be arrays")
+        raise GraphStructureError("'self' and 'rel' must be arrays")
     self_attrs = []
     for entry in selfs:
         if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
-            raise GraphParseError(f"bad self attribute entry: {entry!r}")
+            raise GraphStructureError(f"bad self attribute entry: {entry!r}")
         self_attrs.append((entry[0], entry[1]))
     rel_attrs = []
     for entry in rels:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
-            raise GraphParseError(f"bad relational attribute entry: {entry!r}")
+            raise GraphStructureError(f"bad relational attribute entry: {entry!r}")
         rel_attrs.append((entry[0], from_dict(entry[1])))
-    try:
-        return ObjectGraph.build(root, self_attrs, rel_attrs)
-    except GraphStructureError as exc:
-        raise GraphParseError(str(exc)) from exc
+    return ObjectGraph.build(root, self_attrs, rel_attrs)
 
 
 def serialize(g: ObjectGraph) -> str:

@@ -33,19 +33,7 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9'\-]+|[^\sA-Za-z0-9'\-]")
 
 
 class PhraseError(ValueError):
-    """Base error for the text-to-graph pipeline."""
-
-
-class NoReferredObjectError(PhraseError):
-    """No object-class token found in the input."""
-
-
-class TagParseError(PhraseError):
-    """Label sequence cannot be assembled into a graph."""
-
-
-class DanglingRelationError(TagParseError):
-    """A relational cue has no landmark noun to attach to."""
+    """Text or a label sequence cannot become an object graph."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -108,7 +96,9 @@ def tag(tokens: Sequence[str], lexicon: Lexicon) -> list[str]:
             i += 1  # an unknown token stays O
 
     if not root_found:
-        raise NoReferredObjectError(f"no referred object class in: {' '.join(lowered)}")
+        if f"B-{LANDMARK_SYMBOL}" in labels:
+            raise PhraseError(f"every object class follows a relation cue in: {' '.join(lowered)}")
+        raise PhraseError(f"no referred object class in: {' '.join(lowered)}")
     return labels
 
 
@@ -120,13 +110,13 @@ def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
     value span attaches to the nearest following noun; a relational span
     connects the nearest preceding noun to the nearest following noun, which
     no other relation may bind. A graph nesting more than MAX_TREE_DEPTH
-    relations, or one that ObjectGraph refuses, such as two colors on one
-    noun, is a TagParseError.
+    relations, a noun the root's graph does not reach, or a graph that
+    ObjectGraph refuses, such as two colors on one noun, is a PhraseError.
     """
     if len(tokens) != len(labels):
-        raise TagParseError(f"{len(tokens)} tokens vs {len(labels)} labels")
+        raise PhraseError(f"{len(tokens)} tokens vs {len(labels)} labels")
     if not bio_valid(labels):
-        raise TagParseError("label sequence violates the BIO scheme")
+        raise PhraseError("label sequence violates the BIO scheme")
     spans: list[list] = []  # [symbol, text, start] per B-/I- run
     for i, (token, label) in enumerate(zip(tokens, labels)):
         if label[0] == "B":
@@ -138,7 +128,7 @@ def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
     nouns = {start: (text, [], []) for symbol, text, start in spans if symbol in _NOUN_SYMBOLS}
     roots = [start for symbol, _, start in spans if symbol == ROOT_SYMBOL]
     if len(roots) != 1:
-        raise TagParseError(f"expected exactly one referred-object span, found {len(roots)}")
+        raise PhraseError(f"expected exactly one referred-object span, found {len(roots)}")
     starts = list(nouns)
     for symbol, text, start in spans:
         if symbol in _NOUN_SYMBOLS:
@@ -147,29 +137,38 @@ def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
         following = starts[after] if after < len(starts) else None
         if symbol.startswith("is-"):
             if after == 0 or following is None:
-                raise DanglingRelationError(f"relation {symbol!r} at token {start} has no noun to bind")
+                raise PhraseError(f"relation {symbol!r} at token {start} has no noun to bind")
             # relations between the same two nouns bind the same landmark
             rels = nouns[starts[after - 1]][2]
             if rels:
-                raise TagParseError(
+                raise PhraseError(
                     f"landmark {nouns[following][0]!r} at token {following} is bound by two relations"
                 )
             rels.append((symbol, following))
         elif following is None:
-            raise TagParseError(f"attribute {text!r} at token {start} has no following noun")
+            raise PhraseError(f"attribute {text!r} at token {start} has no following noun")
         else:
             nouns[following][1].append((symbol, text))
 
+    reached: set[int] = set()
+
     def build(start: int, depth: int) -> ObjectGraph:
+        reached.add(start)
         text, selfs, rels = nouns[start]
         if rels and depth == MAX_TREE_DEPTH:
-            raise TagParseError(f"graph nests more than {MAX_TREE_DEPTH} relations")
+            raise PhraseError(f"graph nests more than {MAX_TREE_DEPTH} relations")
         return ObjectGraph.build(text, selfs, [(kind, build(child, depth + 1)) for kind, child in rels])
 
     try:
-        return build(roots[0], 0)
+        graph = build(roots[0], 0)
     except GraphStructureError as exc:
-        raise TagParseError(str(exc)) from exc
+        raise PhraseError(str(exc)) from exc
+    if len(reached) < len(nouns):
+        start = min(nouns.keys() - reached)
+        raise PhraseError(
+            f"noun {nouns[start][0]!r} at token {start} is not reached from the referred object"
+        )
+    return graph
 
 
 def phrase_to_graph(text: str, lexicon: Lexicon) -> ObjectGraph:

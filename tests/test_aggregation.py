@@ -13,7 +13,6 @@ from refground.aggregation import (
     AggregationSession,
     GraphRegistry,
     InstanceRecord,
-    RegistryError,
     SessionFormatError,
     _find,
     merge_regions,
@@ -69,7 +68,7 @@ def test_registry_lookup_and_roots():
     oid = reg.register(CUP_RED)
     assert reg.graph(oid) == CUP_RED
     assert reg.oids_for_root("cup") == [oid]
-    with pytest.raises(RegistryError):
+    with pytest.raises(KeyError, match="^99$"):
         reg.graph(99)
 
 
@@ -105,7 +104,7 @@ def test_accumulate_no_cross_talk():
 
 
 def test_accumulate_unknown_oid():
-    with pytest.raises(RegistryError):
+    with pytest.raises(KeyError, match="^5$"):
         session().accumulate(5, *obs(((0, 0), 1.0)))
 
 

@@ -119,6 +119,14 @@ def test_parse_failure_exit_code(capsys):
 
 
 @pytest.mark.parametrize("extra", [[], ["--tags"]])
+def test_parse_says_when_every_class_follows_a_relation_cue(capsys, extra):
+    assert main(["parse", "on the cup near the table", *extra]) == 2
+    assert one_error_line(capsys) == (
+        "error: cannot parse: every object class follows a relation cue in: on the cup near the table"
+    )
+
+
+@pytest.mark.parametrize("extra", [[], ["--tags"]])
 def test_parse_of_empty_text_names_it(capsys, extra):
     assert main(["parse", "", *extra]) == 2
     assert one_error_line(capsys) == "error: cannot parse: empty input text"

@@ -12,7 +12,6 @@ from refground.geometry import (
     BoundingBox,
     CameraIntrinsics,
     DepthFrame,
-    DepthFormatError,
     GridSpec,
     Pose,
     bbox_cloud_arrays,
@@ -549,7 +548,7 @@ def test_depth_file_bytes_match_the_three_write_writer(tmp_path, source):
 def test_depth_file_bad_magic(tmp_path):
     path = tmp_path / "bad.depth"
     path.write_bytes(b"NOTDEPTH" + b"\x00" * 16)
-    with pytest.raises(DepthFormatError):
+    with pytest.raises(OSError, match=r"bad\.depth: bad magic b'NOTDEPTH'$"):
         read_depth_file(path, 10.0)
 
 
@@ -558,7 +557,7 @@ def test_depth_file_truncated(tmp_path):
     frame = DepthFrame(4, 4, np.zeros((4, 4), dtype=np.float32), 10.0)
     write_depth_file(path, frame)
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(DepthFormatError):
+    with pytest.raises(OSError, match=r"short\.depth: expected 80 bytes, found 72$"):
         read_depth_file(path, 10.0)
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from refground.graph import (
     MAX_TREE_DEPTH,
-    GraphParseError,
     GraphStructureError,
     ObjectGraph,
     attribute_paths,
@@ -109,7 +108,7 @@ def test_nesting_beyond_max_depth_rejected():
     assert deepest.depth == MAX_TREE_DEPTH
     with pytest.raises(GraphStructureError):
         ObjectGraph.build("box", [], [("is-on", deepest)])
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphStructureError, match=f"^graph nests more than {MAX_TREE_DEPTH} relations$"):
         from_dict(nested(MAX_TREE_DEPTH + 1))
 
 
@@ -268,9 +267,9 @@ def test_round_trip_random(g):
 
 
 def test_from_dict_rejects_wrong_shapes():
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphStructureError, match="^missing or non-string 'root'$"):
         from_dict({"root": 3})
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphStructureError, match=r"^bad self attribute entry: \['color'\]$"):
         from_dict({"root": "cup", "self": [["color"]], "rel": []})
 
 

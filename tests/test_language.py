@@ -9,10 +9,7 @@ from refground.graph import MAX_TREE_DEPTH, GraphStructureError, ObjectGraph
 from refground.language import (
     LANDMARK_SYMBOL,
     ROOT_SYMBOL,
-    DanglingRelationError,
-    NoReferredObjectError,
     PhraseError,
-    TagParseError,
     bio_span,
     bio_valid,
     parse_tags,
@@ -83,7 +80,7 @@ def test_tag_multiword_class_and_cue(lexicon):
 
 
 def test_tag_without_object_class_fails(lexicon):
-    with pytest.raises(NoReferredObjectError):
+    with pytest.raises(PhraseError, match="^no referred object class in: bring the red thing$"):
         tag(tokenize("bring the red thing"), lexicon)
 
 
@@ -142,7 +139,7 @@ def reference_tag(tokens, lexicon):
         if not matched:
             i += 1
     pending_relation = False
-    root_found = False
+    root_found = landmark_found = False
     for start, end, role, symbol in spans:
         if role == "cue":
             labels[start] = f"B-{symbol}"
@@ -153,6 +150,7 @@ def reference_tag(tokens, lexicon):
             if pending_relation:
                 noun_symbol = LANDMARK_SYMBOL
                 pending_relation = False
+                landmark_found = True
             elif not root_found:
                 noun_symbol = ROOT_SYMBOL
                 root_found = True
@@ -164,7 +162,9 @@ def reference_tag(tokens, lexicon):
         elif role == "value":
             labels[start] = f"B-{symbol}"
     if not root_found:
-        raise NoReferredObjectError(f"no referred object class in: {' '.join(lowered)}")
+        if landmark_found:
+            raise PhraseError(f"every object class follows a relation cue in: {' '.join(lowered)}")
+        raise PhraseError(f"no referred object class in: {' '.join(lowered)}")
     return labels
 
 
@@ -301,38 +301,38 @@ def test_parse_depth_two_nesting(lexicon):
 def test_parse_rejects_multiple_roots(lexicon):
     tokens = tokenize("cup cup")
     labels = ["B-r(g)", "B-r(g)"]
-    with pytest.raises(TagParseError):
+    with pytest.raises(PhraseError, match="^expected exactly one referred-object span, found 2$"):
         parse_tags(tokens, labels)
 
 
 def test_parse_rejects_zero_roots():
     tokens = tokenize("red")
-    with pytest.raises(TagParseError):
+    with pytest.raises(PhraseError, match="^expected exactly one referred-object span, found 0$"):
         parse_tags(tokens, ["B-color"])
 
 
 def test_parse_dangling_relation(lexicon):
     tokens = tokenize("cup on")
     labels = ["B-r(g)", "B-is-on"]
-    with pytest.raises(DanglingRelationError):
+    with pytest.raises(PhraseError, match="^relation 'is-on' at token 1 has no noun to bind$"):
         parse_tags(tokens, labels)
 
 
 def test_parse_rejects_bio_invalid():
     tokens = tokenize("red cup")
     labels = ["I-color", "B-r(g)"]
-    with pytest.raises(TagParseError):
+    with pytest.raises(PhraseError, match="^label sequence violates the BIO scheme$"):
         parse_tags(tokens, labels)
 
 
 @pytest.mark.parametrize("label", ["X-color", "O-color", "b-color", "B-", "I-", "", "B", "Bcolor"])
 def test_parse_rejects_a_label_outside_the_bio_format(label):
-    with pytest.raises(TagParseError):
+    with pytest.raises(PhraseError, match="^label sequence violates the BIO scheme$"):
         parse_tags(tokenize("red cup"), [label, "B-r(g)"])
 
 
 def test_parse_refuses_a_landmark_bound_by_two_relations(lexicon):
-    with pytest.raises(TagParseError) as exc:
+    with pytest.raises(PhraseError) as exc:
         phrase_to_graph("bring the cup on near the table", lexicon)
     assert str(exc.value) == "landmark 'table' at token 6 is bound by two relations"
 
@@ -348,7 +348,7 @@ def test_parse_refuses_a_deep_chain_of_doubly_bound_landmarks_at_once(lexicon):
     previous = signal.signal(signal.SIGALRM, out_of_time)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        with pytest.raises(TagParseError, match="is bound by two relations"):
+        with pytest.raises(PhraseError, match="is bound by two relations$"):
             phrase_to_graph(text, lexicon)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -359,9 +359,23 @@ def test_parse_checks_the_depth_before_building_the_nodes_below(lexicon):
     chain = "bring the cup" + " on the table" * MAX_TREE_DEPTH
     assert phrase_to_graph(chain, lexicon).depth == MAX_TREE_DEPTH
     # the leaf's two colors would be refused first if the leaf were built first
-    with pytest.raises(TagParseError) as exc:
+    with pytest.raises(PhraseError) as exc:
         phrase_to_graph(chain + " near the red blue lamp", lexicon)
     assert str(exc.value) == f"graph nests more than {MAX_TREE_DEPTH} relations"
+
+
+@pytest.mark.parametrize(
+    "tokens, labels, message",
+    [
+        (["table", "on", "cup"], ["B-av_R", "B-is-on", "B-r(g)"], "noun 'table' at token 0"),
+        (["cup", "table"], ["B-r(g)", "B-av_R"], "noun 'table' at token 1"),
+        (["red", "table", "cup"], ["B-color", "B-av_R", "B-r(g)"], "noun 'table' at token 1"),
+    ],
+)
+def test_parse_refuses_a_noun_the_root_does_not_reach(tokens, labels, message):
+    with pytest.raises(PhraseError) as exc:
+        parse_tags(tokens, labels)
+    assert str(exc.value) == f"{message} is not reached from the referred object"
 
 
 # -- parser against the node-building parser ------------------------------------
@@ -382,11 +396,12 @@ class _Node:
 def reference_parse_tags(tokens, labels):
     """The parser before the noun table: a mutable node per noun, linear
     neighbour scans and an unbounded recursive build. A landmark bound by
-    two relations is one node shared by both edges."""
+    two relations is one node shared by both edges, and a noun that no
+    relation links to the root is dropped."""
     if len(tokens) != len(labels):
-        raise TagParseError(f"{len(tokens)} tokens vs {len(labels)} labels")
+        raise PhraseError(f"{len(tokens)} tokens vs {len(labels)} labels")
     if not bio_valid(labels):
-        raise TagParseError("label sequence violates the BIO scheme")
+        raise PhraseError("label sequence violates the BIO scheme")
     spans = []
     for i, (token, label) in enumerate(zip(tokens, labels)):
         if label[0] == "B":
@@ -395,7 +410,7 @@ def reference_parse_tags(tokens, labels):
             spans[-1][1] += " " + token.lower()
     roots = [s for s in spans if s[0] == ROOT_SYMBOL]
     if len(roots) != 1:
-        raise TagParseError(f"expected exactly one referred-object span, found {len(roots)}")
+        raise PhraseError(f"expected exactly one referred-object span, found {len(roots)}")
     nouns = [(start, _Node(text)) for symbol, text, start in spans if symbol in (ROOT_SYMBOL, LANDMARK_SYMBOL)]
     root_node = next(node for (start, node) in nouns if start == roots[0][2])
 
@@ -416,17 +431,17 @@ def reference_parse_tags(tokens, labels):
             owner = preceding_noun(start)
             child = following_noun(start)
             if owner is None or child is None:
-                raise DanglingRelationError(f"relation {symbol!r} at token {start} has no noun to bind")
+                raise PhraseError(f"relation {symbol!r} at token {start} has no noun to bind")
             owner.rels.append((symbol, child))
         else:
             target = following_noun(start)
             if target is None:
-                raise TagParseError(f"attribute {text!r} at token {start} has no following noun")
+                raise PhraseError(f"attribute {text!r} at token {start} has no following noun")
             target.selfs.append((symbol, text))
     try:
         return root_node.build()
     except GraphStructureError as exc:
-        raise TagParseError(str(exc)) from exc
+        raise PhraseError(str(exc)) from exc
 
 
 def parse_outcome(parser, tokens, labels):
@@ -451,12 +466,17 @@ def binds_a_noun_twice(labels):
 
 def assert_parsers_agree(tokens, labels):
     """The same graph or the same error, except that a noun bound twice is
-    refused where the node-building parser shared it."""
+    refused where the node-building parser shared it, and a noun the root
+    does not reach is refused where the node-building parser dropped it."""
     outcome = parse_outcome(parse_tags, tokens, labels)
     reference = parse_outcome(reference_parse_tags, tokens, labels)
     if outcome != reference:
-        assert binds_a_noun_twice(labels)
-        assert outcome[0] == "TagParseError" and outcome[1].endswith(" is bound by two relations")
+        assert outcome[0] == "PhraseError"
+        if outcome[1].endswith(" is bound by two relations"):
+            assert binds_a_noun_twice(labels)
+        else:
+            assert isinstance(reference, ObjectGraph)
+            assert outcome[1].endswith(" is not reached from the referred object")
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])

@@ -16,6 +16,12 @@ function as a value (bench's `timed_call(tracer, fn, *args)`). A default
 that every call overrides is a second path that only tests take; one that
 no call overrides is a constant in disguise.
 
+The fourth test lists every exception class defined in src/refground and
+asserts that some handler in the same code names it: an `except` type, the
+second argument of `isinstance`, or a key of the CLI's `EXIT_CODES` table.
+A raise site is no handler; a class that no code tells apart from its base
+is a second name for the base.
+
 Limit: the match is by name alone, so a dead name that shares its name with
 a live one (a method `matrix` on two classes, a function `bleu` and a
 report field `.bleu`) goes unnoticed, and a default that one function
@@ -25,6 +31,7 @@ leaves unused passes when a call of a namesake omits its argument.
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -176,3 +183,62 @@ def test_every_default_in_src_is_overridden_by_a_call_outside_tests():
         and (func, name) not in ALLOWED_CONSTANT_DEFAULTS
     ]
     assert constant == []
+
+
+def src_exception_classes() -> list[tuple[Path, ast.ClassDef]]:
+    """Every class in src/refground that derives, through builtins or other
+    such classes, from BaseException."""
+    classes = [
+        (path, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    errors = {
+        name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    found: list[tuple[Path, ast.ClassDef]] = []
+    grew = True
+    while grew:
+        grew = False
+        for path, node in classes:
+            if node.name not in errors and any(called_name(base) in errors for base in node.bases):
+                errors.add(node.name)
+                found.append((path, node))
+                grew = True
+    return found
+
+
+def type_names(node: ast.AST | None) -> list[str | None]:
+    """The class names an `except` clause or an `isinstance` test names: one, or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in type_names(elt)]
+    return [] if node is None else [called_name(node)]
+
+
+def handled_names() -> set[str]:
+    """The class names that some handler in the system's code tells apart."""
+    names: set[str] = set()
+    for _, tree in system_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                names.update(type_names(node.type))
+            elif isinstance(node, ast.Call) and called_name(node.func) == "isinstance" and len(node.args) == 2:
+                names.update(type_names(node.args[1]))
+            elif (
+                isinstance(node, ast.Assign)
+                and any(called_name(target) == "EXIT_CODES" for target in node.targets)
+                and isinstance(node.value, ast.Dict)
+            ):
+                names.update(name for key in node.value.keys if key is not None for name in type_names(key))
+    return names
+
+
+def test_every_exception_class_in_src_is_told_apart_by_a_handler():
+    handled = handled_names()
+    unhandled = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path, node in src_exception_classes()
+        if node.name not in handled
+    ]
+    assert unhandled == []
