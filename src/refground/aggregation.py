@@ -4,6 +4,11 @@ Every distinct canonical object graph observed in the stream gets an
 auto-incremented id. Each id owns two dense (d1, d2) arrays over the grid,
 the accumulator's pair of maps: the running mean weight of every cell and
 its detection frequency; a cell is occupied when its frequency is nonzero.
+The session keeps each id's occupied cells, in row-major order, until the
+id's next accumulate: a newly registered graph has none, a flat scan of the
+frequency map finds them on first use after an accumulate, and load takes
+them from the sorted cell list it checks, so queries on a loaded session
+scan no dense map.
 Every sum over cells runs in row-major cell order, so a session and its
 dump-and-reload give bit-identical results. Region scoring normalizes
 summed cell weights into a distribution over fixed-size regions, greedy non-maximal merging groups
@@ -86,6 +91,17 @@ class InstanceRecord:
         object.__setattr__(self, "graph", self.contributors[0][0])
 
 
+def _cell_index(flat: np.ndarray, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (flat, cx, cy) of row-major flat cell indices on a grid d2 cells wide."""
+    cells = (flat, *np.divmod(flat, d2))
+    for a in cells:
+        a.flags.writeable = False
+    return cells
+
+
+# the index of a graph that holds no cell: register_graph gives it to every new graph
+_NO_CELLS = _cell_index(np.empty(0, dtype=np.intp), 1)
+
 _NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 
@@ -111,8 +127,12 @@ def merge_regions(scores: np.ndarray, gamma: float) -> dict[tuple[int, int], int
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    rx, ry = np.divmod(np.flatnonzero(scores.reshape(-1) >= gamma), scores.shape[1])
-    order = sorted(zip(rx.tolist(), ry.tolist()), key=lambda r: (-scores[r], r))
+    values = scores.reshape(-1)
+    flat = np.flatnonzero(values >= gamma)
+    ny = scores.shape[1]
+    # flat indices run in row-major region order, so (-score, flat) sorts as (-score, region)
+    ranked = sorted(zip((-values[flat]).tolist(), flat.tolist()))
+    order = [divmod(f, ny) for _, f in ranked]
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     for region in order:
         parent[region] = region
@@ -136,9 +156,12 @@ class AggregationSession:
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.registry = GraphRegistry()
-        # indexed by oid: (d1, d2) running mean weight and detection frequency
+        # indexed by oid: (d1, d2) running mean weight and detection frequency,
+        # and the occupied cells as _occupied returns them (None from an
+        # accumulate until the next scan)
         self._mean: list[np.ndarray] = []
         self._freq: list[np.ndarray] = []
+        self._cells: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
         self._fused: dict[tuple[str, int, int, float], list[InstanceRecord]] = {}
 
     # -- accumulation ------------------------------------------------------
@@ -148,6 +171,7 @@ class AggregationSession:
         if oid == len(self._mean):
             self._mean.append(np.zeros((self.grid.d1, self.grid.d2)))
             self._freq.append(np.zeros((self.grid.d1, self.grid.d2), dtype=np.int64))
+            self._cells.append(_NO_CELLS)
         return oid
 
     def accumulate(self, oid: int, cells: np.ndarray, weights: np.ndarray) -> None:
@@ -160,6 +184,7 @@ class AggregationSession:
         if oid not in self.registry:
             raise KeyError(oid)
         self._fused.clear()
+        self._cells[oid] = None
         # flat indices into views of the C-ordered arrays register_graph made
         index = cells[:, 0] * self.grid.d2 + cells[:, 1]
         mean, freq = self._mean[oid].reshape(-1), self._freq[oid].reshape(-1)
@@ -181,12 +206,16 @@ class AggregationSession:
         return self._mean[oid].copy(), self._freq[oid].copy()
 
     def _occupied(self, oid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The graph's occupied cells as flat indices into its maps and as
-        (cx, cy), in row-major order: np.nonzero's cells, found by a flat
-        scan, which is several times faster on the dense maps."""
-        flat = np.flatnonzero(self._freq[oid].reshape(-1) != 0)
-        ix, iy = np.divmod(flat, self.grid.d2)
-        return flat, ix, iy
+        """The graph's occupied cells as read-only flat indices into its maps
+        and as (cx, cy), in row-major order: np.nonzero's cells, found by a
+        flat scan, which is several times faster on the dense maps, and kept
+        until the graph's next accumulate."""
+        cells = self._cells[oid]
+        if cells is None:
+            cells = self._cells[oid] = _cell_index(
+                np.flatnonzero(self._freq[oid].reshape(-1) != 0), self.grid.d2
+            )
+        return cells
 
     def region_scores(self, oid: int, dx: int, dy: int) -> np.ndarray:
         """Sum cell weights per dx-by-dy region and normalize over the whole grid.
@@ -244,26 +273,30 @@ class AggregationSession:
         pooled: dict[tuple[int, int], float] = {}
         for oid in self.registry.oids_for_root(root):
             scores = self.region_scores(oid, dx, dy)
-            by_label: dict[int, list[tuple[int, int]]] = {}
-            region_label = np.full(scores.shape, -1, dtype=np.int64)
-            for region, label in merge_regions(scores, gamma).items():
-                by_label.setdefault(label, []).append(region)
-                region_label[region] = label
-                pooled[region] = max(pooled.get(region, 0.0), float(scores[region]))
+            ny = scores.shape[1]
+            labels = merge_regions(scores, gamma)
+            # a group's bincount bin is its label + 1; bin 0 takes the cells of no group
+            index = [x * ny + y for x, y in labels]
+            bins = [label + 1 for label in labels.values()]
+            region_bin = np.zeros(scores.size, dtype=np.int64)
+            region_bin[index] = bins
+            members: dict[int, list[tuple[int, int]]] = {}
+            for region, b, score in zip(labels, bins, scores.reshape(-1)[index].tolist()):
+                members.setdefault(b, []).append(region)
+                pooled[region] = max(pooled.get(region, 0.0), score)
             flat, ix, iy = self._occupied(oid)
-            cell_label = region_label[ix // dx, iy // dy]
-            member = cell_label >= 0
-            flat, ix, iy, cell_label = flat[member], ix[member], iy[member], cell_label[member]
+            # each bin adds its cells in row-major order, as over the group's cells alone
+            cell_bin = region_bin[(ix // dx) * ny + iy // dy]
             mass = self._mean[oid].reshape(-1)[flat] * self._freq[oid].reshape(-1)[flat]
             xs = self.grid.origin_x + (ix + 0.5) * self.grid.cell_size
             ys = self.grid.origin_y + (iy + 0.5) * self.grid.cell_size
-            n = len(by_label)
-            acc = np.bincount(cell_label, weights=mass, minlength=n).tolist()
-            wx = np.bincount(cell_label, weights=mass * xs, minlength=n).tolist()
-            wy = np.bincount(cell_label, weights=mass * ys, minlength=n).tolist()
-            for label in sorted(by_label):
-                a = acc[label]
-                groups.append((oid, frozenset(by_label[label]), wx[label] / a, wy[label] / a, a))
+            n = len(members) + 1
+            acc = np.bincount(cell_bin, weights=mass, minlength=n).tolist()
+            wx = np.bincount(cell_bin, weights=mass * xs, minlength=n).tolist()
+            wy = np.bincount(cell_bin, weights=mass * ys, minlength=n).tolist()
+            for b in sorted(members):
+                a = acc[b]
+                groups.append((oid, frozenset(members[b]), wx[b] / a, wy[b] / a, a))
 
         # union-find over groups sharing any region
         parent = list(range(len(groups)))
@@ -332,7 +365,8 @@ class AggregationSession:
         """Read a dump; SessionFormatError names the first malformed entry.
 
         Grid sizes that are not positive integers or cannot be allocated,
-        a graph listed under two oids, a cells key that is not str(oid) of a
+        a non-finite grid origin or cell size, an oid that is not an
+        integer, a graph listed under two oids, a cells key that is not str(oid) of a
         listed oid, cells outside the grid or with a
         non-integer index, frequencies that are not whole numbers in
         [1, 2**63) and non-finite or negative weights are refused.
@@ -352,6 +386,11 @@ class AggregationSession:
                     f"{path}: grid size {g['d1']!r}x{g['d2']!r} is not two positive integers"
                 )
             session = cls(GridSpec(g["origin_x"], g["origin_y"], g["cell_size"], g["d1"], g["d2"]))
+            for position, entry in enumerate(payload["graphs"]):
+                if type(entry["oid"]) is not int:  # dump writes true or 1.0 back as 1
+                    raise SessionFormatError(
+                        f"{path}: graphs entry {position} has oid {entry['oid']!r}, not an integer"
+                    )
             entries = sorted(payload["graphs"], key=lambda e: e["oid"])
             for expected, entry in enumerate(entries):
                 if entry["oid"] != expected:
@@ -394,7 +433,7 @@ class AggregationSession:
                 raise SessionFormatError(f"{path}: oid {oid}: cell ({bad[0]}, {bad[1]}) {problem}")
         index = (cx.astype(np.int64), cy.astype(np.int64))
         flat = np.ravel_multi_index(index, (self.grid.d1, self.grid.d2))
-        _, first = np.unique(flat, return_index=True)
+        occupied, first = np.unique(flat, return_index=True)
         if first.size < len(rows):
             listed_before = np.ones(len(rows), dtype=bool)
             listed_before[first] = False
@@ -402,3 +441,5 @@ class AggregationSession:
             raise SessionFormatError(f"{path}: oid {oid}: cell ({bad[0]}, {bad[1]}) is listed twice")
         self._mean[oid][index] = w
         self._freq[oid][index] = freq.astype(np.int64)
+        # np.unique sorts, so its flat indices are the scan's row-major cells
+        self._cells[oid] = _cell_index(occupied, self.grid.d2)

@@ -139,8 +139,10 @@ class GridSpec:
     d2: int
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError("cell_size must be positive and finite")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ValueError("grid origin must be finite")
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("grid dimensions must be >= 1")
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refground import aggregation
 from refground.aggregation import (
     _NEIGHBORS,
     AggregationSession,
@@ -746,6 +747,113 @@ def test_edge_maps_read_like_the_2d_scan(tmp_path, monkeypatch, grid, case):
         assert record.centroid == ((cx + 0.5) * grid.cell_size, (cy + 0.5) * grid.cell_size)
 
 
+# -- the kept cell index -----------------------------------------------------------
+# A session keeps each graph's occupied cells from the first scan (or from load) until
+# the graph's next accumulate; fusion, region scores and dumps read them from there.
+
+
+def scanned(s, oid):
+    """The occupied cells a fresh flat scan of the graph's frequency map finds."""
+    flat = np.flatnonzero(s._freq[oid].reshape(-1) != 0)
+    return (flat, *np.divmod(flat, s.grid.d2))
+
+
+def assert_index_is_the_scan(s, oid):
+    index = s._cells[oid]
+    assert index is not None
+    for got, want in zip(index, scanned(s, oid), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("grid", [GRID] + NON_SQUARE, ids=["100x100", "100x70", "70x100"])
+def test_a_loaded_session_holds_the_scanned_cell_index(tmp_path, grid):
+    rng = np.random.default_rng(30)
+    sessions = [random_session(rng, grid) for _ in range(6)]
+    sessions += [edge_session(grid, case)[0] for case in ("empty", "first", "last", "full")]
+    for s in sessions:
+        s.dump(tmp_path / "session.json")
+        loaded = AggregationSession.load(tmp_path / "session.json")
+        for oid, _ in loaded.registry.items():
+            assert_index_is_the_scan(loaded, oid)
+
+
+def feed_blob(s, rng, oid):
+    """One frame of distinct in-grid cells around a random center for graph oid."""
+    cx, cy = rng.integers(5, 60, 2)
+    xs, ys = np.meshgrid(np.arange(cx - 2, cx + 3), np.arange(cy - 2, cy + 3))
+    cells = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    s.accumulate(oid, cells, rng.random(len(cells)))
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_fuse_accumulate_fuse_matches_the_reference(tmp_path, loaded):
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        s = random_session(rng)
+        if loaded:
+            s.dump(tmp_path / "session.json")
+            s = AggregationSession.load(tmp_path / "session.json")
+        for (dx, dy), gamma in itertools.product([(10, 10), (7, 13), (5, 5)], [0.01, 0.05, 0.2]):
+            for _ in range(2):
+                for root in ("cup", "lamp"):
+                    records = s.fuse_across_graphs(root, dx, dy, gamma)
+                    assert record_fields(records) == record_fields(reference_fuse(s, root, dx, dy, gamma))
+                    for oid in s.registry.oids_for_root(root):
+                        want = reference_region_scores(s, oid, dx, dy)
+                        assert s.region_scores(oid, dx, dy).tobytes() == want.tobytes()
+                        assert_index_is_the_scan(s, oid)
+                # new evidence drops one graph's index, possibly a graph that held no cell
+                oid = int(rng.integers(len(s._mean)))
+                feed_blob(s, rng, oid)
+                assert s._cells[oid] is None
+
+
+def count_scans(monkeypatch, grid):
+    """Count aggregation's dense-map scans: the np.flatnonzero calls over a whole
+    (d1, d2) map. Returns the list that gains one entry per scan."""
+    scans = []
+    flatnonzero = np.flatnonzero
+
+    def counted(a):
+        if a.size == grid.d1 * grid.d2:
+            scans.append(a)
+        return flatnonzero(a)
+
+    monkeypatch.setattr(aggregation.np, "flatnonzero", counted)
+    return scans
+
+
+def test_a_cold_fusion_scans_each_accumulated_map_once_and_a_loaded_one_never(tmp_path, monkeypatch):
+    rng = np.random.default_rng(32)
+    s = random_session(rng)
+    # a graph that never saw evidence holds the empty index, so its map is never scanned
+    s.register_graph(ObjectGraph.build("cup", [("material", "glass")]))
+    cups = s.registry.oids_for_root("cup")
+    accumulated = [oid for oid in cups if s._freq[oid].any()]
+    assert 0 < len(accumulated) < len(cups)
+    scans = count_scans(monkeypatch, s.grid)
+
+    s.fuse_across_graphs("cup", 10, 10, 0.05)  # cold: one scan per graph with evidence
+    assert len(scans) == len(accumulated)
+    s.fuse_across_graphs("cup", 7, 13, 0.05)  # cold at a new key, the index kept
+    s.fuse_across_graphs("cup", 7, 13, 0.05)  # repeat
+    assert len(scans) == len(accumulated)
+    feed_blob(s, rng, cups[0])
+    s.fuse_across_graphs("cup", 10, 10, 0.05)  # cold again: only the fed graph is scanned
+    assert len(scans) == len(accumulated) + 1
+
+    s.dump(tmp_path / "session.json")
+    loaded = AggregationSession.load(tmp_path / "session.json")
+    scans.clear()
+    for root in ("cup", "lamp"):
+        for _ in range(2):
+            loaded.fuse_across_graphs(root, 10, 10, 0.05)
+    loaded.dump(tmp_path / "again.json")
+    assert len(scans) == 0
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "session.json").read_bytes()
+
+
 # -- fusion memo ------------------------------------------------------------------
 
 
@@ -959,6 +1067,43 @@ def test_load_refuses_a_graph_listed_under_two_oids(tmp_path, cells):
         payload["cells"]["2"] = cells
     path.write_text(json.dumps(payload))
     with pytest.raises(SessionFormatError, match=f"^{re.escape(str(path))}: oid 2 repeats the graph of oid 0$"):
+        AggregationSession.load(path)
+
+
+@pytest.mark.parametrize("oid", [True, 1.0], ids=["true", "float"])
+def test_load_refuses_an_oid_that_is_not_an_integer(tmp_path, oid):
+    # the oid would load as 1 and dump back as 1, so the bytes would not round-trip
+    s = session()
+    s.register_graph(CUP_RED)
+    s.register_graph(CUP_BLACK)
+    path = tmp_path / "session.json"
+    s.dump(path)
+    payload = json.loads(path.read_text())
+    payload["graphs"][1]["oid"] = oid
+    path.write_text(json.dumps(payload))
+    with pytest.raises(
+        SessionFormatError, match=f"^{re.escape(str(path))}: graphs entry 1 has oid {oid!r}, not an integer$"
+    ):
+        AggregationSession.load(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("origin_x", float("nan"), "grid origin must be finite"),
+        ("origin_y", float("-inf"), "grid origin must be finite"),
+        ("cell_size", float("inf"), "cell_size must be positive and finite"),
+        ("cell_size", float("nan"), "cell_size must be positive and finite"),
+    ],
+    ids=["nan_origin_x", "minus_infinity_origin_y", "infinite_cell_size", "nan_cell_size"],
+)
+def test_load_refuses_a_non_finite_grid(tmp_path, key, value, problem):
+    # json reads NaN and Infinity; such a grid would fuse to NaN centroids
+    path = dump_with_row(tmp_path, [7, 8, 0.5, 1])
+    payload = json.loads(path.read_text())
+    payload["grid"][key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SessionFormatError, match=f"^{re.escape(str(path))}: malformed session payload: {problem}$"):
         AggregationSession.load(path)
 
 

@@ -301,6 +301,10 @@ def write_bad_session(kind, path, dataset):
             for row in rows[:3]:
                 row[2] *= 50
             payload["cells"][f"0{oid}"] = rows
+        elif kind == "true_oid":  # json's true would load as oid 1
+            next(e for e in payload["graphs"] if e["oid"] == 1)["oid"] = True
+        elif kind == "nan_origin":
+            payload["grid"]["origin_x"] = float("nan")
         else:  # one cell row edited in place
             row = next(rows for rows in payload["cells"].values() if rows)[0]
             if kind == "cell_outside_grid":
@@ -317,6 +321,7 @@ def write_bad_session(kind, path, dataset):
     [
         "not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph",
         "negative_weight", "repeated_graph", "non_integer_cell", "huge_frequency", "padded_oid_key",
+        "true_oid", "nan_origin",
     ],
 )
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
@@ -343,6 +348,10 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
         assert lines[0].endswith("has frequency 2**63 or more")
     if kind == "padded_oid_key":
         assert ": cells for unknown oid 0" in lines[0]
+    if kind == "true_oid":
+        assert lines[0].endswith("has oid True, not an integer")
+    if kind == "nan_origin":
+        assert lines[0].endswith("grid origin must be finite")
 
 
 @pytest.mark.parametrize("command", ["ground", "aggregate", "eval", "eval_counting"])

@@ -606,6 +606,12 @@ def test_depth_frame_names_what_is_wrong(bad, max_range, message):
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(0.0, 0.0, 0.0, 10, 10)
+    for size in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^cell_size must be positive and finite$"):
+            GridSpec(0.0, 0.0, size, 10, 10)
+    for origin in ((float("nan"), 0.0), (0.0, float("-inf"))):
+        with pytest.raises(ValueError, match="^grid origin must be finite$"):
+            GridSpec(*origin, 0.5, 10, 10)
     grid = GridSpec(0.0, 0.0, 0.5, 10, 10)
     assert cell_center(grid, (0, 0)) == (0.25, 0.25)
     assert voxelize([[*cell_center(grid, (3, 7)), 0.0]], [1.0])[0].tolist() == [[3, 7]]
