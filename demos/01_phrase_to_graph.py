@@ -42,10 +42,10 @@ for text in [
     print(f"{text!r}\n    -> {serialize(graph)}")
 
 print("\n=== realization (graph -> English) ===")
-cup = ObjectGraph.build(
+cup = ObjectGraph(
     "cup",
     [("color", "red"), ("material", "plastic")],
-    [("is-on", ObjectGraph.build("table", [("color", "white")]))],
+    [("is-on", ObjectGraph("table", [("color", "white")]))],
 )
 print(serialize(cup))
 print(f"    -> {realize(cup)!r}")

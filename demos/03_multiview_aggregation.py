@@ -17,7 +17,7 @@ from refground import generate_room, realize
 from refground.config import PipelineConfig
 from refground.aggregation import merge_regions
 from refground.episodes import load_episode, simulate_episode
-from refground.pipeline import build_session
+from refground.pipeline import session_for_episode
 
 config = PipelineConfig()
 room = generate_room(35, {"cup": 3, "table": 1, "desk": 1, "counter": 1, "sofa": 1}, config)
@@ -25,7 +25,7 @@ with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "ep"
     simulate_episode(out, room, config)
     frames = load_episode(out)
-    session = build_session(frames, config, config.lexicon())
+    session = session_for_episode(out, config, "none", config.lexicon())
 print(f"accumulated {sum(len(f.detections) for f in frames)} detections over {len(frames)} frames")
 
 print("\n=== registered object graphs ===")

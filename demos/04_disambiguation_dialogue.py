@@ -12,8 +12,8 @@ from pathlib import Path
 
 from refground import generate_room
 from refground.config import PipelineConfig
-from refground.episodes import load_episode, load_instructions, simulate_episode
-from refground.pipeline import build_session, ground_in_session, query_seed_for
+from refground.episodes import load_instructions, simulate_episode
+from refground.pipeline import ground_in_session, query_seed_for, session_for_episode
 
 config = PipelineConfig()
 lexicon = config.lexicon()
@@ -21,7 +21,7 @@ room = generate_room(77, {"cup": 2, "table": 1, "counter": 1, "lamp": 1, "book":
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "ep"
     simulate_episode(out, room, config)
-    session = build_session(load_episode(out), config, lexicon)
+    session = session_for_episode(out, config, "none", lexicon)
     cases = load_instructions(out)
 
 print("the room contains:")

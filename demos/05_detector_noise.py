@@ -25,11 +25,11 @@ shift_cfg = PipelineConfig(mu_c=0.2, sigma_c=0.04, seed=1)
 fn_cfg = PipelineConfig(p_fn=0.15, seed=2)
 shifts, deleted = [], 0
 for frame in range(10_000):
-    (out,) = apply_errors([det], frame, 128, 128, shift_cfg, frozenset({"cs"}))
+    (out,) = apply_errors([det], frame, 128, 128, shift_cfg, frozenset({"cs"}), bank=(), stream_seed=0)
     shifts.append(
         math.hypot(out.bbox.center[0] - det.bbox.center[0], out.bbox.center[1] - det.bbox.center[1])
     )
-    if not apply_errors([det], frame, 128, 128, fn_cfg, frozenset({"fn"})):
+    if not apply_errors([det], frame, 128, 128, fn_cfg, frozenset({"fn"}), bank=(), stream_seed=0):
         deleted += 1
 print(f"  centroid shift: mean |shift| / sqrt(area) = {np.mean(shifts)/math.sqrt(area):.4f}"
       f"  (configured mu_c = 0.2)")

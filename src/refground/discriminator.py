@@ -41,7 +41,7 @@ class GroundingOutcome:
     None."""
 
     state: DialogueState
-    candidates: tuple[tuple[InstanceRecord, frozenset[tuple[tuple[str, str], ...]]], ...] = ()
+    candidates: tuple[tuple[InstanceRecord, frozenset[tuple[tuple[str, str], ...]]], ...]
     query: str = ""
     matched: InstanceRecord | None = field(init=False)
 

@@ -328,8 +328,8 @@ def eval_dialogue(
 class EvalReport:
     config_echo: dict
     noise_preset: str
-    counting: CountingResult | None = None
-    dialogue: DialogueResult | None = None
+    counting: CountingResult | None
+    dialogue: DialogueResult | None
 
     def to_dict(self) -> dict:
         out: dict = {"config": self.config_echo, "noise": self.noise_preset}
@@ -380,12 +380,12 @@ def evaluate_dataset(
     if not kinds & {"counting", "dialogue"}:
         raise DatasetError(f"{dataset_dir}: no counting or dialogue episodes in manifest")
     lexicon = config.lexicon()
-    report = EvalReport(config_echo=config.to_dict(), noise_preset=noise_preset)
+    counting = dialogue = None
     if "counting" in kinds:
-        report.counting = eval_counting(dataset_dir, config, noise_preset, manifest, lexicon)
+        counting = eval_counting(dataset_dir, config, noise_preset, manifest, lexicon)
     if "dialogue" in kinds:
-        report.dialogue = eval_dialogue(dataset_dir, config, noise_preset, manifest, lexicon)
-    return report
+        dialogue = eval_dialogue(dataset_dir, config, noise_preset, manifest, lexicon)
+    return EvalReport(config.to_dict(), noise_preset, counting, dialogue)
 
 
 def write_report(report: EvalReport, out_path: str | Path) -> None:

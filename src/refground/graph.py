@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 MAX_TREE_DEPTH = 32
 
@@ -49,7 +48,8 @@ class ObjectGraph:
     """Tree with the referred object class at the root.
 
     self_attrs holds (kind, value-token) pairs, rel_attrs holds
-    (kind, child graph) pairs, each sorted and free of duplicates. A node
+    (kind, child graph) pairs, each sorted and free of duplicates; the
+    constructor takes the edges as any iterables and reads each once. A node
     may carry several self attribute kinds but only one value per kind, and
     one landmark per (relation, class). depth counts the relational edges
     on the longest path down from this node, at most MAX_TREE_DEPTH.
@@ -61,22 +61,23 @@ class ObjectGraph:
     depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self_attrs, rel_attrs = tuple(self.self_attrs), tuple(self.rel_attrs)
         root = root_key(self.root)
         if not root:
             raise GraphStructureError("graph root must be a non-empty class name")
-        for kind, value in self.self_attrs:
+        for kind, value in self_attrs:
             check_kind(kind, relational=False)
             if not value:
                 raise GraphStructureError(f"empty value for self attribute {kind!r}")
-        selfs = sorted({(kind, value.lower()) for kind, value in self.self_attrs})
+        selfs = sorted({(kind, value.lower()) for kind, value in self_attrs})
         for (kind, _), (other, _) in zip(selfs, selfs[1:]):
             if kind == other:
                 raise GraphStructureError(f"node {root!r} carries two values for {kind!r}")
-        for kind, child in self.rel_attrs:
+        for kind, child in rel_attrs:
             check_kind(kind, relational=True)
             if not isinstance(child, ObjectGraph):
                 raise GraphStructureError(f"relational edge {kind!r} has a non-graph child")
-        rels = sorted(set(self.rel_attrs))
+        rels = sorted(set(rel_attrs))
         # one landmark per (relation, class): two different subtrees under
         # the same edge name and root would be indistinguishable as paths
         for (kind, child), (other, twin) in zip(rels, rels[1:]):
@@ -91,16 +92,6 @@ class ObjectGraph:
         object.__setattr__(self, "self_attrs", tuple(selfs))
         object.__setattr__(self, "rel_attrs", tuple(rels))
         object.__setattr__(self, "depth", depth)
-
-    @classmethod
-    def build(
-        cls,
-        root: str,
-        self_attrs: Iterable[tuple[str, str]] = (),
-        rel_attrs: Iterable[tuple[str, "ObjectGraph"]] = (),
-    ) -> "ObjectGraph":
-        """Constructor taking any iterables of edges."""
-        return cls(root, tuple(self_attrs), tuple(rel_attrs))
 
 
 def attribute_paths(g: ObjectGraph) -> frozenset[tuple[tuple[str, str], ...]]:
@@ -160,7 +151,7 @@ def from_dict(d: object) -> ObjectGraph:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise GraphStructureError(f"bad relational attribute entry: {entry!r}")
         rel_attrs.append((entry[0], from_dict(entry[1])))
-    return ObjectGraph.build(root, self_attrs, rel_attrs)
+    return ObjectGraph(root, self_attrs, rel_attrs)
 
 
 def serialize(g: ObjectGraph) -> str:

@@ -157,7 +157,7 @@ def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
         text, selfs, rels = nouns[start]
         if rels and depth == MAX_TREE_DEPTH:
             raise PhraseError(f"graph nests more than {MAX_TREE_DEPTH} relations")
-        return ObjectGraph.build(text, selfs, [(kind, build(child, depth + 1)) for kind, child in rels])
+        return ObjectGraph(text, selfs, [(kind, build(child, depth + 1)) for kind, child in rels])
 
     try:
         graph = build(roots[0], 0)

@@ -66,7 +66,7 @@ class Lexicon:
     object_classes: frozenset[str]
     self_values: Mapping[str, frozenset[str]]
     relation_cues: Mapping[str, str]
-    verbs: frozenset[str] = frozenset()
+    verbs: frozenset[str]
     phrase_index: Mapping[str, tuple[PhraseEntry, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

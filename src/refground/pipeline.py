@@ -64,17 +64,17 @@ def build_session(
     frames: list[FrameRecord],
     config: PipelineConfig,
     lexicon: Lexicon,
-    models: frozenset[str] = frozenset(),
-    bank: tuple = (),
-    stream_seed: int = 0,
-    root: str | None = None,
+    models: frozenset[str],
+    bank: tuple,
+    stream_seed: int,
+    root: str | None,
 ) -> AggregationSession:
     """Accumulate every detection of every frame into one session.
 
     `models` names the detector error models applied to each frame's
-    detections (none by default). Captions are parsed once each (cached);
-    detections whose caption fails to parse are skipped. With a `root`,
-    only detections whose graph has that root class are accumulated:
+    detections. Captions are parsed once each (cached); detections whose
+    caption fails to parse are skipped. With a `root`, only detections
+    whose graph has that root class are accumulated:
     fusing the root reads no other graph and keeps its graphs' relative
     order, so it gives the full session's records. Errors are still drawn
     for every detection and depth still read for every frame with one, so

@@ -9,7 +9,7 @@ seeds reproduce rooms, poses, captions, and noise draws bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -105,7 +105,7 @@ class RoomSpec:
     extents: tuple[float, float, float]
     objects: tuple[SceneObject, ...]
     seed: int
-    copies: dict[str, int] = field(default_factory=dict)
+    copies: dict[str, int]
 
     def objects_of(self, cls: str) -> list[SceneObject]:
         return [o for o in self.objects if o.cls == cls]
@@ -281,7 +281,7 @@ def scene_graphs(room: RoomSpec, tau_near: float) -> dict[int, ObjectGraph]:
     for obj in room.objects:
         rel_attrs = []
         if obj.support in by_id:
-            rel_attrs.append(("is-on", ObjectGraph.build(by_id[obj.support].cls)))
+            rel_attrs.append(("is-on", ObjectGraph(by_id[obj.support].cls)))
         else:
             ox, oy, _ = obj.centroid
             nears = []
@@ -293,8 +293,8 @@ def scene_graphs(room: RoomSpec, tau_near: float) -> dict[int, ObjectGraph]:
                 if distance < tau_near:
                     nears.append((distance, other.id, other.cls))
             if nears:
-                rel_attrs.append(("is-near", ObjectGraph.build(min(nears)[2])))
-        graphs[obj.id] = ObjectGraph.build(
+                rel_attrs.append(("is-near", ObjectGraph(min(nears)[2])))
+        graphs[obj.id] = ObjectGraph(
             obj.cls, [("color", obj.color), ("material", obj.material)], rel_attrs
         )
     return graphs
@@ -386,7 +386,7 @@ def plan_trajectory(room: RoomSpec, config: PipelineConfig) -> list[Pose]:
 class Detection:
     bbox: BoundingBox
     caption: str
-    gt_object_id: int | None = None
+    gt_object_id: int | None
 
 
 def apply_errors(
@@ -396,8 +396,8 @@ def apply_errors(
     height: int,
     config: PipelineConfig,
     models: frozenset[str],
-    bank: tuple[tuple[BoundingBox, str], ...] = (),
-    stream_seed: int = 0,
+    bank: tuple[tuple[BoundingBox, str], ...],
+    stream_seed: int,
 ) -> list[Detection]:
     """Centroid shift, shape distortion, false negatives, false positives.
 
@@ -478,8 +478,8 @@ class InstructionCase:
     target_class: str
     expected_state: str
     re_type: str
-    target_id: int | None = None
-    graph: ObjectGraph | None = None
+    target_id: int | None
+    graph: ObjectGraph | None
 
     def to_dict(self) -> dict:
         return {
@@ -520,19 +520,19 @@ def instruction(
     labels = ["O"] * len(verb.split())
     if attr is None:
         labels += ["O"] + bio_span(ROOT_SYMBOL, len(cls.split()))
-        return f"{verb} {article(cls)} {cls}", tuple(labels), ObjectGraph.build(cls)
+        return f"{verb} {article(cls)} {cls}", tuple(labels), ObjectGraph(cls)
     kind, value = attr
     labels += ["O"] + bio_span(kind, len(value.split())) + bio_span(ROOT_SYMBOL, len(cls.split()))
     if rel is None:
         text = f"{verb} {article(value)} {value} {cls}"
-        g = ObjectGraph.build(cls, [attr])
+        g = ObjectGraph(cls, [attr])
     else:
         rel_kind, landmark = rel
         cue = _CUE_FOR_KIND[rel_kind]
         text = f"{verb} the {value} {cls} {cue} the {landmark}"
         labels += bio_span(rel_kind, len(cue.split())) + ["O"]
         labels += bio_span(LANDMARK_SYMBOL, len(landmark.split()))
-        g = ObjectGraph.build(cls, [attr], [(rel_kind, ObjectGraph.build(landmark))])
+        g = ObjectGraph(cls, [attr], [(rel_kind, ObjectGraph(landmark))])
     return text, tuple(labels), g
 
 

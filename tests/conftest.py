@@ -82,4 +82,4 @@ def random_expressible_graph(rng: np.random.Generator, depth: int = 0, budget: i
             child = random_expressible_graph(rng, depth + 1, budget - 1)
         relation = ("is-on", "is-near", "is-at")[int(rng.integers(3))]
         rel_attrs.append((relation, child))
-    return ObjectGraph.build(cls, self_attrs, rel_attrs)
+    return ObjectGraph(cls, self_attrs, rel_attrs)

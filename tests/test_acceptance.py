@@ -204,12 +204,12 @@ def test_counting_reads_a_capitalised_target_as_its_class(config, counting_datas
 def _instance_space():
     colors = (None, "red", "black")
     materials = (None, "plastic", "metal")
-    rels = (None, ("is-on", ObjectGraph.build("table")))
+    rels = (None, ("is-on", ObjectGraph("table")))
     graphs = []
     for color, material, rel in itertools.product(colors, materials, rels):
         self_attrs = [("color", color)] if color else []
         self_attrs += [("material", material)] if material else []
-        graphs.append(ObjectGraph.build("cup", self_attrs, [rel] if rel else []))
+        graphs.append(ObjectGraph("cup", self_attrs, [rel] if rel else []))
     return graphs
 
 
@@ -241,9 +241,9 @@ def test_c5_discriminator_oracle_equivalence():
                         disagreements += 1
 
     # the two documented deviations from the literal cardinality rule
-    red = ObjectGraph.build("cup", [("color", "red")])
-    black = ObjectGraph.build("cup", [("color", "black")])
-    red_glass = ObjectGraph.build("cup", [("color", "red"), ("material", "metal")])
+    red = ObjectGraph("cup", [("color", "red")])
+    black = ObjectGraph("cup", [("color", "black")])
+    red_glass = ObjectGraph("cup", [("color", "red"), ("material", "metal")])
     exact_plus_extras = classify(red, [_record(black, 0), _record(red, 1)])
     two_exacts = classify(red, [_record(red, 0), _record(red_glass, 1), _record(black, 2)])
     pinned = (
@@ -332,15 +332,15 @@ def test_c8_geometry_and_error_model_numerics():
     fp_cfg = PipelineConfig(p_fp=0.15, seed=24)
     shifts, scales, deleted, injected = [], [], 0, 0
     for frame_index in range(10_000):
-        (out,) = apply_errors([det], frame_index, 128, 128, shift_cfg, frozenset({"cs"}))
+        (out,) = apply_errors([det], frame_index, 128, 128, shift_cfg, frozenset({"cs"}), (), 0)
         shifts.append(
             math.hypot(out.bbox.center[0] - det.bbox.center[0], out.bbox.center[1] - det.bbox.center[1])
         )
-        (out,) = apply_errors([det], frame_index, 128, 128, scale_cfg, frozenset({"sd"}))
+        (out,) = apply_errors([det], frame_index, 128, 128, scale_cfg, frozenset({"sd"}), (), 0)
         scales.append(abs(out.bbox.width / det.bbox.width - 1.0))
-        if not apply_errors([det], frame_index, 128, 128, fn_cfg, frozenset({"fn"})):
+        if not apply_errors([det], frame_index, 128, 128, fn_cfg, frozenset({"fn"}), (), 0):
             deleted += 1
-        fp_out = apply_errors([det], frame_index, 128, 128, fp_cfg, frozenset({"fp"}), bank)
+        fp_out = apply_errors([det], frame_index, 128, 128, fp_cfg, frozenset({"fp"}), bank, 0)
         injected += sum(d.gt_object_id is None for d in fp_out)
     shift_err = abs(np.mean(shifts) / math.sqrt(area) - 0.2)
     scale_err = abs(float(np.mean(scales)) - 0.2)

@@ -25,8 +25,8 @@ from conftest import cell_center
 
 GRID = GridSpec(0.0, 0.0, 0.05, 100, 100)
 
-CUP_RED = ObjectGraph.build("cup", [("color", "red")])
-CUP_BLACK = ObjectGraph.build("cup", [("color", "black")])
+CUP_RED = ObjectGraph("cup", [("color", "red")])
+CUP_BLACK = ObjectGraph("cup", [("color", "black")])
 
 
 def obs(*entries):
@@ -58,8 +58,8 @@ def test_register_different_graphs_increment():
 
 
 def test_register_permuted_duplicates_one_id():
-    a = ObjectGraph.build("cup", [("color", "red"), ("material", "glass")])
-    b = ObjectGraph.build("cup", [("material", "glass"), ("color", "red")])
+    a = ObjectGraph("cup", [("color", "red"), ("material", "glass")])
+    b = ObjectGraph("cup", [("material", "glass"), ("color", "red")])
     s = session()
     assert s.register_graph(a) == s.register_graph(b)
 
@@ -421,7 +421,7 @@ def test_fuse_single_oid_identity():
 def test_fuse_same_region_group_collapses():
     s = session()
     a = s.register_graph(CUP_RED)
-    b = s.register_graph(ObjectGraph.build("cup", [("color", "red"), ("material", "glass")]))
+    b = s.register_graph(ObjectGraph("cup", [("color", "red"), ("material", "glass")]))
     splat(s, a, 15, 15, weight=1.0)
     splat(s, b, 16, 15, weight=0.5)
     records = s.fuse_across_graphs("cup", 10, 10, 0.05)
@@ -444,7 +444,7 @@ def test_fuse_disjoint_groups_stay_separate():
 def test_fuse_filters_by_root():
     s = session()
     a = s.register_graph(CUP_RED)
-    b = s.register_graph(ObjectGraph.build("lamp"))
+    b = s.register_graph(ObjectGraph("lamp"))
     splat(s, a, 15, 15)
     splat(s, b, 16, 15)
     assert len(s.fuse_across_graphs("cup", 10, 10, 0.05)) == 1
@@ -594,8 +594,8 @@ def random_session(rng, grid=GRID):
     [3, 67] on both axes, so any grid at least 70 cells a side holds them."""
     s = AggregationSession(grid)
     objects = rng.integers(10, 61, (int(rng.integers(2, 5)), 2))
-    graphs = [ObjectGraph.build("cup", [("color", c)]) for c in COLORS[: int(rng.integers(2, 7))]]
-    for g in graphs + [ObjectGraph.build("lamp")]:
+    graphs = [ObjectGraph("cup", [("color", c)]) for c in COLORS[: int(rng.integers(2, 7))]]
+    for g in graphs + [ObjectGraph("lamp")]:
         oid = s.register_graph(g)
         for center in objects[rng.random(len(objects)) < 0.7]:
             for _ in range(int(rng.integers(1, 4))):
@@ -605,7 +605,7 @@ def random_session(rng, grid=GRID):
                 cells = np.stack([xs.ravel(), ys.ravel()], axis=1)
                 s.accumulate(oid, cells, rng.random(len(cells)))
     if rng.random() < 0.3:
-        s.register_graph(ObjectGraph.build("cup", [("material", "glass")]))
+        s.register_graph(ObjectGraph("cup", [("material", "glass")]))
     return s
 
 
@@ -828,7 +828,7 @@ def test_a_cold_fusion_scans_each_accumulated_map_once_and_a_loaded_one_never(tm
     rng = np.random.default_rng(32)
     s = random_session(rng)
     # a graph that never saw evidence holds the empty index, so its map is never scanned
-    s.register_graph(ObjectGraph.build("cup", [("material", "glass")]))
+    s.register_graph(ObjectGraph("cup", [("material", "glass")]))
     cups = s.registry.oids_for_root("cup")
     accumulated = [oid for oid in cups if s._freq[oid].any()]
     assert 0 < len(accumulated) < len(cups)
@@ -933,7 +933,7 @@ def test_session_round_trip_bit_exact(tmp_path):
     s = session()
     a = s.register_graph(CUP_RED)
     b = s.register_graph(
-        ObjectGraph.build("lamp", [], [("is-near", ObjectGraph.build("table"))])
+        ObjectGraph("lamp", [], [("is-near", ObjectGraph("table"))])
     )
     splat(s, a, 15, 15, weight=0.37)
     splat(s, b, 40, 60, weight=0.81)

@@ -91,11 +91,12 @@ def test_eval_report_metrics_are_recomputed_from_its_records(request, tmp_path, 
     path = tmp_path / "report.json"
     write_report(evaluate_dataset(request.getfixturevalue(kind), PipelineConfig(), preset), path)
     written = json.loads(path.read_text())
-    rebuilt = EvalReport(written["config"], preset)
-    if kind == "counting":
-        rebuilt.counting = CountingResult(written["counting"]["records"])
-    else:
-        rebuilt.dialogue = DialogueResult(written["dialogue"]["records"])
+    rebuilt = EvalReport(
+        written["config"],
+        preset,
+        CountingResult(written["counting"]["records"]) if kind == "counting" else None,
+        DialogueResult(written["dialogue"]["records"]) if kind == "dialogue" else None,
+    )
     assert json.loads(json.dumps(rebuilt.to_dict())) == written
     assert rebuilt.render_table() + "\n" == path.with_suffix(".txt").read_text()
 

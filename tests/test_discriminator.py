@@ -24,12 +24,12 @@ def record(graph, centroid=(0.0, 0.0), score=1.0):
 
 def g_cup(*self_attrs, rel=None):
     rels = [rel] if rel else []
-    return ObjectGraph.build("cup", list(self_attrs), rels)
+    return ObjectGraph("cup", list(self_attrs), rels)
 
 
-ON_TABLE = ("is-on", ObjectGraph.build("table"))
+ON_TABLE = ("is-on", ObjectGraph("table"))
 TEMPLATES = PipelineConfig()
-ON_DINING = ("is-on", ObjectGraph.build("dining table"))
+ON_DINING = ("is-on", ObjectGraph("dining table"))
 
 
 # -- classify -------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_missing_when_no_instances():
 
 def test_root_mismatch_rejected():
     with pytest.raises(GraphStructureError):
-        classify(g_cup(), [record(ObjectGraph.build("lamp"))])
+        classify(g_cup(), [record(ObjectGraph("lamp"))])
 
 
 # pinned deviations from the literal cardinality rule
@@ -143,10 +143,10 @@ def seed_for_index(n_options, want):
 
 def test_ambiguity_query_template_fill():
     a = record(
-        g_cup(("color", "red"), rel=("is-on", ObjectGraph.build("table", [("color", "white")]))),
+        g_cup(("color", "red"), rel=("is-on", ObjectGraph("table", [("color", "white")]))),
         centroid=(1.0, 1.0),
     )
-    b = record(g_cup(("color", "black"), rel=("is-on", ObjectGraph.build("counter"))), (3.0, 3.0))
+    b = record(g_cup(("color", "black"), rel=("is-on", ObjectGraph("counter"))), (3.0, 3.0))
     outcome = classify(g_cup(), [a, b])
     seed = seed_for_index(2, 0)  # wh-suffix list entry 0
     query = generate_query(outcome, seed, TEMPLATES)
@@ -211,7 +211,7 @@ def test_resolve_fills_query():
 
 def test_confirm_requires_matched():
     with pytest.raises(ValueError):
-        GroundingOutcome(DialogueState.CONFIRM)
+        GroundingOutcome(DialogueState.CONFIRM, ())
 
 
 def test_missing_carries_no_candidates():

@@ -14,8 +14,8 @@ from refground.graph import (
     to_dict,
 )
 
-CUP_RED = ObjectGraph.build("cup", [("color", "red")])
-CUP_BLACK = ObjectGraph.build("cup", [("color", "black")])
+CUP_RED = ObjectGraph("cup", [("color", "red")])
+CUP_BLACK = ObjectGraph("cup", [("color", "black")])
 
 
 def paths_set(g):
@@ -51,10 +51,10 @@ def graph_strategy(depth: int = 2):
         uniq = {}
         for kind, child in rels:
             uniq.setdefault((kind, child.root), (kind, child))
-        return ObjectGraph.build(root, dict(selfs).items(), uniq.values())
+        return ObjectGraph(root, dict(selfs).items(), uniq.values())
 
     if depth == 0:
-        return st.builds(lambda r: ObjectGraph.build(r), roots)
+        return st.builds(lambda r: ObjectGraph(r), roots)
     return st.builds(
         assemble,
         roots,
@@ -69,25 +69,25 @@ def graph_strategy(depth: int = 2):
 @pytest.mark.parametrize("name", ["", "Color", "has space", "IS-ON"])
 def test_attribute_kind_rejects_bad_names(name):
     with pytest.raises(GraphStructureError):
-        ObjectGraph.build("cup", [(name, "red")])
+        ObjectGraph("cup", [(name, "red")])
     with pytest.raises(GraphStructureError):
-        ObjectGraph.build("cup", [], [(name, ObjectGraph.build("table"))])
+        ObjectGraph("cup", [], [(name, ObjectGraph("table"))])
 
 
 def test_kind_category_mismatch_rejected():
     with pytest.raises(GraphStructureError):
-        ObjectGraph.build("cup", [("is-on", "table")])
+        ObjectGraph("cup", [("is-on", "table")])
     with pytest.raises(GraphStructureError):
-        ObjectGraph.build("cup", [], [("color", ObjectGraph.build("table"))])
+        ObjectGraph("cup", [], [("color", ObjectGraph("table"))])
 
 
 def test_two_values_for_one_kind_rejected():
     with pytest.raises(GraphStructureError):
-        ObjectGraph.build("cup", [("color", "red"), ("color", "black")])
+        ObjectGraph("cup", [("color", "red"), ("color", "black")])
 
 
 def test_identical_duplicate_self_attrs_allowed_and_deduped():
-    g = ObjectGraph.build("cup", [("color", "red"), ("color", "red")])
+    g = ObjectGraph("cup", [("color", "red"), ("color", "red")])
     assert g.self_attrs == (("color", "red"),)
 
 
@@ -97,17 +97,17 @@ def test_relational_kind_in_self_position_rejected():
 
 
 def test_conflicting_same_relation_children_rejected():
-    white = ObjectGraph.build("table", [("color", "white")])
-    black = ObjectGraph.build("table", [("color", "black")])
+    white = ObjectGraph("table", [("color", "white")])
+    black = ObjectGraph("table", [("color", "black")])
     with pytest.raises(GraphStructureError):
-        ObjectGraph.build("lamp", [], [("is-near", white), ("is-near", black)])
+        ObjectGraph("lamp", [], [("is-near", white), ("is-near", black)])
 
 
 def test_nesting_beyond_max_depth_rejected():
     deepest = from_dict(nested(MAX_TREE_DEPTH))
     assert deepest.depth == MAX_TREE_DEPTH
     with pytest.raises(GraphStructureError):
-        ObjectGraph.build("box", [], [("is-on", deepest)])
+        ObjectGraph("box", [], [("is-on", deepest)])
     with pytest.raises(GraphStructureError, match=f"^graph nests more than {MAX_TREE_DEPTH} relations$"):
         from_dict(nested(MAX_TREE_DEPTH + 1))
 
@@ -116,24 +116,33 @@ def test_nesting_beyond_max_depth_rejected():
 
 
 def test_canonicalize_sorts_self_attrs():
-    g = ObjectGraph.build("cup", [("material", "plastic"), ("color", "red")])
+    g = ObjectGraph("cup", [("material", "plastic"), ("color", "red")])
     assert g.self_attrs == (("color", "red"), ("material", "plastic"))
 
 
 def test_canonicalize_identity_on_empty():
-    g = ObjectGraph.build("cup")
+    g = ObjectGraph("cup")
     assert g == ObjectGraph("cup") and g.self_attrs == () and g.rel_attrs == ()
 
 
 def test_canonicalize_dedups_identical_relational_edges():
-    table = ObjectGraph.build("table", [("color", "white")])
-    g = ObjectGraph.build("lamp", [], [("is-near", table), ("is-near", table)])
+    table = ObjectGraph("table", [("color", "white")])
+    g = ObjectGraph("lamp", [], [("is-near", table), ("is-near", table)])
     assert len(g.rel_attrs) == 1
 
 
 def test_canonicalize_lowercases_tokens():
-    g = ObjectGraph.build("Cup", [("color", "RED")])
+    g = ObjectGraph("Cup", [("color", "RED")])
     assert g.root == "cup" and g.self_attrs[0][1] == "red"
+
+
+def test_constructor_reads_each_edge_generator_once():
+    table = ObjectGraph("table", [("color", "white")])
+    selfs = [("material", "glass"), ("color", "red")]
+    rels = [("is-on", table)]
+    g = ObjectGraph("cup", (edge for edge in selfs), (edge for edge in rels))
+    assert g == ObjectGraph("cup", selfs, rels)
+    assert g.self_attrs == (("color", "red"), ("material", "glass")) and g.rel_attrs == (("is-on", table),)
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,14 +155,14 @@ def test_canonicalize_idempotent(g):
 
 
 def test_graph_equal_basic():
-    assert CUP_RED == ObjectGraph.build("cup", [("color", "red")])
+    assert CUP_RED == ObjectGraph("cup", [("color", "red")])
     assert CUP_RED != CUP_BLACK
 
 
 def test_graph_equal_is_order_insensitive():
-    table = ObjectGraph.build("Table")
-    a = ObjectGraph.build("cup", [("color", "red"), ("material", "metal")], [("is-on", table)])
-    b = ObjectGraph.build(
+    table = ObjectGraph("Table")
+    a = ObjectGraph("cup", [("color", "red"), ("material", "metal")], [("is-on", table)])
+    b = ObjectGraph(
         "CUP", [("material", "Metal"), ("color", "red"), ("color", "RED")], [("is-on", table)] * 2
     )
     assert a == b and hash(a) == hash(b)
@@ -173,17 +182,17 @@ def test_graph_equal_matches_path_sets_for_permutations(g):
 
 
 def test_paths_empty_graph():
-    assert attribute_paths(ObjectGraph.build("cup")) == frozenset()
+    assert attribute_paths(ObjectGraph("cup")) == frozenset()
 
 
 def test_paths_single_self_attr():
-    g = ObjectGraph.build("cup", [("material", "plastic")])
+    g = ObjectGraph("cup", [("material", "plastic")])
     assert paths_set(g) == {(("material", "plastic"),)}
 
 
 def test_paths_nested_relational():
-    g = ObjectGraph.build(
-        "cup", [], [("is-on", ObjectGraph.build("table", [("color", "white")]))]
+    g = ObjectGraph(
+        "cup", [], [("is-on", ObjectGraph("table", [("color", "white")]))]
     )
     assert paths_set(g) == {
         (("is-on", "table"),),
@@ -201,24 +210,24 @@ def test_path_count_equals_edge_count(g):
 
 
 def test_difference_subset_is_empty():
-    g = ObjectGraph.build("cup", [("material", "plastic")])
-    h = ObjectGraph.build("cup", [("material", "plastic"), ("color", "red")])
+    g = ObjectGraph("cup", [("material", "plastic")])
+    h = ObjectGraph("cup", [("material", "plastic"), ("color", "red")])
     assert graph_difference(g, h) == frozenset()
 
 
 def test_difference_subtraction_by_hand():
-    g = ObjectGraph.build("cup", [("material", "plastic")])
-    h = ObjectGraph.build("cup", [("color", "red")])
+    g = ObjectGraph("cup", [("material", "plastic")])
+    h = ObjectGraph("cup", [("color", "red")])
     assert graph_difference(g, h) == {(("material", "plastic"),)}
 
 
 def test_difference_empty_minuend():
-    assert graph_difference(ObjectGraph.build("cup"), CUP_RED) == frozenset()
+    assert graph_difference(ObjectGraph("cup"), CUP_RED) == frozenset()
 
 
 def test_difference_root_mismatch_raises():
     with pytest.raises(GraphStructureError):
-        graph_difference(CUP_RED, ObjectGraph.build("lamp"))
+        graph_difference(CUP_RED, ObjectGraph("lamp"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,7 +248,7 @@ def test_empty_differences_iff_equal(a, b):
 
 
 def test_serialize_golden_form():
-    g = ObjectGraph.build("cup", [("color", "red")], [("is-on", ObjectGraph.build("table"))])
+    g = ObjectGraph("cup", [("color", "red")], [("is-on", ObjectGraph("table"))])
     assert serialize(g) == (
         '{"root": "cup", "self": [["color", "red"]],'
         ' "rel": [["is-on", {"root": "table", "self": [], "rel": []}]]}'
@@ -248,12 +257,12 @@ def test_serialize_golden_form():
 
 def test_round_trip_on_corpus():
     corpus = [
-        ObjectGraph.build("cup"),
+        ObjectGraph("cup"),
         CUP_RED,
-        ObjectGraph.build(
+        ObjectGraph(
             "lamp",
             [("color", "white")],
-            [("is-near", ObjectGraph.build("table", [("color", "white")]))],
+            [("is-near", ObjectGraph("table", [("color", "white")]))],
         ),
     ]
     for g in corpus:

@@ -268,32 +268,32 @@ def test_lexicon_file_drops_empty_tokens(tmp_path):
 
 def test_parse_self_and_relational(lexicon):
     g = phrase_to_graph("take the plastic cup on the table", lexicon)
-    expected = ObjectGraph.build(
-        "cup", [("material", "plastic")], [("is-on", ObjectGraph.build("table"))]
+    expected = ObjectGraph(
+        "cup", [("material", "plastic")], [("is-on", ObjectGraph("table"))]
     )
     assert g == expected
 
 
 def test_parse_bare_root(lexicon):
-    assert phrase_to_graph("bring a cup", lexicon) == ObjectGraph.build("cup")
+    assert phrase_to_graph("bring a cup", lexicon) == ObjectGraph("cup")
 
 
 def test_parse_nearest_following_noun_attachment(lexicon):
     g = phrase_to_graph("a white lamp near a white table", lexicon)
-    expected = ObjectGraph.build(
+    expected = ObjectGraph(
         "lamp",
         [("color", "white")],
-        [("is-near", ObjectGraph.build("table", [("color", "white")]))],
+        [("is-near", ObjectGraph("table", [("color", "white")]))],
     )
     assert g == expected
 
 
 def test_parse_depth_two_nesting(lexicon):
     g = phrase_to_graph("bring the cup on the table near the lamp", lexicon)
-    expected = ObjectGraph.build(
+    expected = ObjectGraph(
         "cup",
         [],
-        [("is-on", ObjectGraph.build("table", [], [("is-near", ObjectGraph.build("lamp"))]))],
+        [("is-on", ObjectGraph("table", [], [("is-near", ObjectGraph("lamp"))]))],
     )
     assert g == expected
 
@@ -390,7 +390,7 @@ class _Node:
         self.rels = []
 
     def build(self):
-        return ObjectGraph.build(self.root, self.selfs, [(kind, child.build()) for kind, child in self.rels])
+        return ObjectGraph(self.root, self.selfs, [(kind, child.build()) for kind, child in self.rels])
 
 
 def reference_parse_tags(tokens, labels):
@@ -524,32 +524,32 @@ def test_every_labeled_token_lands_in_graph(lexicon):
 
 
 def test_realize_plastic_cup():
-    g = ObjectGraph.build("cup", [("material", "plastic")])
+    g = ObjectGraph("cup", [("material", "plastic")])
     assert realize(g) == "a plastic cup"
 
 
 def test_realize_preorder_with_landmark():
-    g = ObjectGraph.build(
+    g = ObjectGraph(
         "cup",
         [("color", "red")],
-        [("is-on", ObjectGraph.build("table", [("color", "white")]))],
+        [("is-on", ObjectGraph("table", [("color", "white")]))],
     )
     assert realize(g) == "a red cup on top of a white table"
 
 
 def test_realize_bare():
-    assert realize(ObjectGraph.build("cup")) == "a cup"
+    assert realize(ObjectGraph("cup")) == "a cup"
 
 
 def test_realize_article_an():
-    g = ObjectGraph.build("cup", [("color", "orange")])
+    g = ObjectGraph("cup", [("color", "orange")])
     assert realize(g) == "an orange cup"
-    assert realize(ObjectGraph.build("armchair")) == "an armchair"
+    assert realize(ObjectGraph("armchair")) == "an armchair"
 
 
 def test_realize_self_attrs_left_of_relational():
-    g = ObjectGraph.build(
-        "lamp", [("color", "white")], [("is-at", ObjectGraph.build("desk"))]
+    g = ObjectGraph(
+        "lamp", [("color", "white")], [("is-at", ObjectGraph("desk"))]
     )
     assert realize(g) == "a white lamp at a desk"
 

@@ -100,7 +100,7 @@ def test_depth_correctness_against_boxes(episode):
 
 def test_build_session_registers_graphs(episode):
     cfg, room, out = episode
-    session = build_session(load_episode(out), cfg, cfg.lexicon())
+    session = build_session(load_episode(out), cfg, cfg.lexicon(), frozenset(), (), 0, None)
     roots = {g.root for _, g in session.registry.items()}
     assert roots == set(room.classes())
 
@@ -117,8 +117,8 @@ def test_build_session_skips_unparseable_captions(episode, tmp_path):
         frames[0].index, frames[0].pose, frames[0].intrinsics,
         tuple(frames[0].detections) + bad, frames[0].depth_path,
     )] + frames[1:]
-    session = build_session(patched, cfg, cfg.lexicon())
-    plain = build_session(frames, cfg, cfg.lexicon())
+    session = build_session(patched, cfg, cfg.lexicon(), frozenset(), (), 0, None)
+    plain = build_session(frames, cfg, cfg.lexicon(), frozenset(), (), 0, None)
     # no graph for either caption, and not a cell more
     assert list(session.registry.items()) == list(plain.registry.items())
     session.dump(tmp_path / "patched.json")
@@ -131,15 +131,15 @@ def test_false_positives_without_a_bank_are_refused(episode):
     cfg, _, out = episode
     frames, fp_cfg, fp = load_episode(out), replace(cfg, p_fp=1.0), frozenset({"fp"})
     with pytest.raises(ValueError, match="observation bank is empty"):
-        build_session(frames, fp_cfg, cfg.lexicon(), models=fp)
-    noisy = build_session(frames, fp_cfg, cfg.lexicon(), fp, build_observation_bank(fp_cfg))
-    plain = build_session(frames, fp_cfg, cfg.lexicon())
+        build_session(frames, fp_cfg, cfg.lexicon(), fp, (), 0, None)
+    noisy = build_session(frames, fp_cfg, cfg.lexicon(), fp, build_observation_bank(fp_cfg), 0, None)
+    plain = build_session(frames, fp_cfg, cfg.lexicon(), frozenset(), (), 0, None)
     assert len(list(noisy.registry.items())) > len(list(plain.registry.items()))
 
 
 def test_ground_states_match_oracle(episode):
     cfg, room, out = episode
-    session = build_session(load_episode(out), cfg, cfg.lexicon())
+    session = build_session(load_episode(out), cfg, cfg.lexicon(), frozenset(), (), 0, None)
     for case in load_instructions(out):
         seed = query_seed_for(cfg.seed, f"{out.name}:{case.text}")
         outcome, g = ground_in_session(session, case.text, cfg, cfg.lexicon(), seed)
@@ -150,9 +150,9 @@ def test_ground_states_match_oracle(episode):
 
 def test_ground_returns_the_parsed_graph(episode):
     cfg, _, out = episode
-    session = build_session(load_episode(out), cfg, cfg.lexicon())
+    session = build_session(load_episode(out), cfg, cfg.lexicon(), frozenset(), (), 0, None)
     outcome, g = ground_in_session(session, "bring a cup", cfg, cfg.lexicon(), 0)
-    assert g == ObjectGraph.build("cup")
+    assert g == ObjectGraph("cup")
     assert outcome.state is DialogueState.INFORM_AMBIGUITY
 
 
@@ -222,7 +222,7 @@ def test_decisions_do_not_depend_on_frame_order(small_datasets, preset):
         room, instructions = load_room(out), load_instructions(out)
 
         def decisions(frames):
-            session = build_session(frames, cfg, lexicon, models, bank, stream_seed_for(out.name))
+            session = build_session(frames, cfg, lexicon, models, bank, stream_seed_for(out.name), None)
             counts = [
                 len(session.fuse_across_graphs(cls, cfg.region_dx, cfg.region_dy, cfg.gamma))
                 for cls in room.classes()
@@ -243,7 +243,7 @@ def test_decisions_do_not_depend_on_frame_order(small_datasets, preset):
 
 def test_oracle_outcome_candidates_sorted_by_description(episode):
     cfg, room, _ = episode
-    outcome = oracle_outcome(room, ObjectGraph.build("cup"), cfg, query_seed=0)
+    outcome = oracle_outcome(room, ObjectGraph("cup"), cfg, query_seed=0)
     assert outcome.state is DialogueState.INFORM_AMBIGUITY
     descs = [realize(rec.graph) for rec, _ in outcome.candidates]
     assert descs == sorted(descs)

@@ -379,8 +379,8 @@ def object_graph(
     preferred = preferred_relation(room, obj, relations)
     if preferred is not None:
         kind, landmark = preferred
-        rel_attrs.append((kind, ObjectGraph.build(landmark.cls)))
-    return ObjectGraph.build(obj.cls, [("color", obj.color), ("material", obj.material)], rel_attrs)
+        rel_attrs.append((kind, ObjectGraph(landmark.cls)))
+    return ObjectGraph(obj.cls, [("color", obj.color), ("material", obj.material)], rel_attrs)
 
 
 def reference_scene_graphs(room: RoomSpec, tau_near: float) -> dict[int, ObjectGraph]:
@@ -715,7 +715,7 @@ CS, SD, FN, FP = (frozenset({model}) for model in ("cs", "sd", "fn", "fp"))
 
 
 def noisy(dets, frame, config, models, bank=()):
-    return apply_errors(dets, frame, 128, 128, config, models, bank)
+    return apply_errors(dets, frame, 128, 128, config, models, bank, 0)
 
 
 DETS = [
