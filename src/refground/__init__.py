@@ -13,7 +13,7 @@ from .geometry import (
     Pose,
     to_world,
 )
-from .graph import ObjectGraph, attribute_paths, graph_difference, serialize
+from .graph import ObjectGraph, attribute_paths, serialize
 from .language import parse_tags, phrase_to_graph, realize, tag, tokenize
 from .lexicon import Lexicon, default_lexicon, load_lexicon
 from .metrics import corpus_bleu

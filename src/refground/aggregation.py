@@ -24,9 +24,11 @@ A session is single-threaded: one session per stream, used by one thread,
 queries included. fuse_across_graphs keeps each fusion it computes in a
 per-session memo keyed by (root_key(root), dx, dy, gamma), so "Cup" and
 "cup" share one entry, and hands back a fresh list of the stored records
-on a repeat call. accumulate clears the memo; registering a graph leaves
-it valid, since a graph with no accumulated weight contributes to no
-fusion. A session built by load starts with an empty memo.
+on a repeat call. Its records carry their graph's phrase and attribute
+paths, so a repeat grounding walks no graph. accumulate clears the memo;
+registering a graph leaves it valid, since a graph with no accumulated
+weight contributes to no fusion. A session built by load starts with an
+empty memo.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import GridSpec
-from .graph import ObjectGraph, from_dict, root_key, to_dict
+from .graph import ObjectGraph, attribute_paths, from_dict, root_key, to_dict
+from .language import realize
 
 
 class SessionFormatError(ValueError):
@@ -79,16 +82,20 @@ class GraphRegistry:
 @dataclass(frozen=True)
 class InstanceRecord:
     """A unique grounded instance after cross-graph fusion; its instance
-    `graph` is its first contributor's, the heaviest."""
+    `graph` is its first contributor's, the heaviest, realized as `text`."""
 
     regions: frozenset[tuple[int, int]]
     centroid: tuple[float, float]
     score: float
     contributors: tuple[tuple[ObjectGraph, float], ...]
     graph: ObjectGraph = field(init=False)
+    text: str = field(init=False, repr=False, compare=False)
+    paths: frozenset[tuple[tuple[str, str], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "graph", self.contributors[0][0])
+        object.__setattr__(self, "text", realize(self.graph))
+        object.__setattr__(self, "paths", attribute_paths(self.graph))
 
 
 def _cell_index(flat: np.ndarray, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

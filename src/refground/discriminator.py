@@ -20,8 +20,7 @@ from pathlib import Path
 
 from .aggregation import InstanceRecord
 from .config import PipelineConfig
-from .graph import ObjectGraph, graph_difference, to_dict
-from .language import realize
+from .graph import GraphStructureError, ObjectGraph, attribute_paths, to_dict
 
 MISSING_QUERY = "I could not find that."
 
@@ -60,7 +59,7 @@ class GroundingOutcome:
 def classify(g: ObjectGraph, instances: list[InstanceRecord]) -> GroundingOutcome:
     """Decide the dialogue state from the per-instance difference sets.
 
-    The difference of the input graph against each instance graph lists the
+    The input graph's attribute paths minus an instance's list the
     requested attributes that instance lacks; an instance of another root
     class raises GraphStructureError. Exactly one empty difference grounds
     the instruction (confirm); several empty differences are ambiguous
@@ -68,7 +67,11 @@ def classify(g: ObjectGraph, instances: list[InstanceRecord]) -> GroundingOutcom
     single instance exists and ambiguity otherwise; no instance at all is
     the missing state.
     """
-    diffs = [graph_difference(g, record.graph) for record in instances]
+    want = attribute_paths(g)
+    for record in instances:
+        if record.graph.root != g.root:
+            raise GraphStructureError(f"instance root {record.graph.root!r} is not {g.root!r}")
+    diffs = [want - record.paths for record in instances]
     exact = [i for i, d in enumerate(diffs) if not d]
     if not instances:
         state, indices = DialogueState.INFORM_MISSING, []
@@ -91,7 +94,7 @@ def _strip_article(text: str) -> str:
 def _descriptions(candidates) -> list[str]:
     """Realize each candidate minus its leading article (the templates supply
     the determiner "one"); identical texts get a centroid location hint."""
-    texts = [_strip_article(realize(record.graph)) for record, _ in candidates]
+    texts = [_strip_article(record.text) for record, _ in candidates]
     dupes = {t for t in texts if texts.count(t) > 1}
     out = []
     for (record, _), text in zip(candidates, texts):
@@ -105,9 +108,9 @@ def _descriptions(candidates) -> list[str]:
 def generate_query(outcome: GroundingOutcome, rng_seed: int, config: PipelineConfig) -> str:
     """Fill the state's question template from the config's phrase lists;
     deterministic under the seed."""
-    rng = random.Random(rng_seed)
     if outcome.state is DialogueState.INFORM_MISSING:
         return MISSING_QUERY
+    rng = random.Random(rng_seed)
     if outcome.state is DialogueState.CONFIRM:
         return config.acknowledgements[rng.randrange(len(config.acknowledgements))]
     if outcome.state is DialogueState.INFORM_MISMATCH:

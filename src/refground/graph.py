@@ -30,7 +30,7 @@ def check_kind(kind: str, relational: bool) -> None:
     starts with "is-" unless it names a relation."""
     if not kind or kind != kind.lower():
         raise GraphStructureError(f"attribute kind must be lowercase, non-empty: {kind!r}")
-    if any(ch.isspace() for ch in kind):
+    if kind.split() != [kind]:  # str.split breaks at exactly the str.isspace characters
         raise GraphStructureError(f"attribute kind must not contain whitespace: {kind!r}")
     if kind.startswith("is-") != relational:
         edge = "relational" if relational else "self"
@@ -85,7 +85,7 @@ class ObjectGraph:
                 raise GraphStructureError(
                     f"node {root!r} has conflicting {kind!r} edges to {child.root!r}"
                 )
-        depth = max((1 + child.depth for _, child in rels), default=0)
+        depth = 1 + max([child.depth for _, child in rels]) if rels else 0
         if depth > MAX_TREE_DEPTH:
             raise GraphStructureError(f"graph nests more than {MAX_TREE_DEPTH} relations")
         object.__setattr__(self, "root", root)
@@ -109,17 +109,6 @@ def attribute_paths(g: ObjectGraph) -> frozenset[tuple[tuple[str, str], ...]]:
 
     walk(g, ())
     return frozenset(out)
-
-
-def graph_difference(g: ObjectGraph, h: ObjectGraph) -> frozenset[tuple[tuple[str, str], ...]]:
-    """Attribute paths requested by g that h does not satisfy.
-
-    Directed difference attribute_paths(g) minus attribute_paths(h); an empty
-    result means h satisfies every attribute of g. Roots must match.
-    """
-    if g.root != h.root:
-        raise GraphStructureError(f"graph_difference root mismatch: {g.root!r} vs {h.root!r}")
-    return attribute_paths(g) - attribute_paths(h)
 
 
 def to_dict(g: ObjectGraph) -> dict:

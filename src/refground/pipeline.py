@@ -18,7 +18,7 @@ from .discriminator import GroundingOutcome, classify, generate_query
 from .episodes import FrameRecord, load_episode, trajectory_frames
 from .geometry import bbox_cloud_arrays, voxelize_bev_arrays
 from .graph import ObjectGraph, root_key
-from .language import PhraseError, phrase_to_graph, realize
+from .language import PhraseError, phrase_to_graph
 from .lexicon import Lexicon
 from .oracle import oracle_classify, oracle_paths
 from .simulator import RoomSpec, apply_errors, generate_room, scene_graphs
@@ -115,7 +115,7 @@ def build_session(
 
 
 def _sorted_records(records: list[InstanceRecord]) -> list[InstanceRecord]:
-    return sorted(records, key=lambda r: (realize(r.graph), r.centroid))
+    return sorted(records, key=lambda r: (r.text, r.centroid))
 
 
 def ground_in_session(

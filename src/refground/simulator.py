@@ -67,7 +67,7 @@ class SceneObject:
     material: str
     box_min: tuple[float, float, float]
     box_max: tuple[float, float, float]
-    support: int | None = None
+    support: int | None
 
     @property
     def centroid(self) -> tuple[float, float, float]:
@@ -97,7 +97,8 @@ class SceneObject:
         if any(len(corner) != 3 for corner in corners):
             raise ValueError(f"box_min and box_max must hold three numbers, got {corners!r}")
         support = None if d.get("support") is None else int(d["support"])
-        return cls(int(d["id"]), *names, *corners, support)
+        return cls(id=int(d["id"]), cls=names[0], color=names[1], material=names[2],
+                   box_min=corners[0], box_max=corners[1], support=support)
 
 
 @dataclass(frozen=True)

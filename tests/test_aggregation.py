@@ -428,6 +428,8 @@ def test_fuse_same_region_group_collapses():
     assert len(records) == 1
     assert records[0].graph == CUP_RED  # higher accumulated weight wins
     assert len(records[0].contributors) == 2
+    # the phrase and paths a record carries are its instance graph's, not an alternate's
+    assert records[0].text == "a red cup" and records[0].paths == {(("color", "red"),)}
 
 
 def test_fuse_disjoint_groups_stay_separate():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,8 @@ from refground.graph import (
     GraphStructureError,
     ObjectGraph,
     attribute_paths,
+    check_kind,
     from_dict,
-    graph_difference,
     serialize,
     to_dict,
 )
@@ -20,6 +21,19 @@ CUP_BLACK = ObjectGraph("cup", [("color", "black")])
 
 def paths_set(g):
     return set(attribute_paths(g))
+
+
+def graph_difference(g: ObjectGraph, h: ObjectGraph) -> frozenset[tuple[tuple[str, str], ...]]:
+    """Reference: attribute paths requested by g that h does not satisfy.
+
+    Directed difference attribute_paths(g) minus attribute_paths(h); an empty
+    result means h satisfies every attribute of g. Roots must match. The
+    discriminator takes the same difference from the paths each instance
+    record carries.
+    """
+    if g.root != h.root:
+        raise GraphStructureError(f"graph_difference root mismatch: {g.root!r} vs {h.root!r}")
+    return attribute_paths(g) - attribute_paths(h)
 
 
 def edge_count(g):
@@ -72,6 +86,42 @@ def test_attribute_kind_rejects_bad_names(name):
         ObjectGraph("cup", [(name, "red")])
     with pytest.raises(GraphStructureError):
         ObjectGraph("cup", [], [(name, ObjectGraph("table"))])
+
+
+def old_kind_refusal(kind: str, relational: bool) -> bool:
+    """Reference: whether check_kind refused the kind when it tested for
+    whitespace one character at a time."""
+    return (
+        not kind
+        or kind != kind.lower()
+        or any(ch.isspace() for ch in kind)
+        or kind.startswith("is-") != relational
+    )
+
+
+def refused(kind: str, relational: bool) -> bool:
+    try:
+        check_kind(kind, relational)
+    except GraphStructureError:
+        return True
+    return False
+
+
+# every str.isspace character, each neighbour, and look-alikes that are not whitespace
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+NEAR_SPACES = sorted(
+    ({chr(ord(c) + step) for c in SPACES for step in (-1, 1)} | set("\u200b\u180e\u2060\ufeff")) - set(SPACES)
+)
+
+
+@pytest.mark.parametrize("relational", [False, True])
+def test_whitespace_rule_refuses_where_the_per_character_test_did(relational):
+    prefix = "is-" if relational else ""
+    kinds = ["", "color", "material", "is-on", "is-near", "is-", "on", "Color", "IS-ON"]
+    for ch in SPACES + NEAR_SPACES:
+        kinds += [f"{ch}{prefix}on", f"{prefix}o{ch}n", f"{prefix}on{ch}", ch, ch * 2]
+    for kind in kinds:
+        assert refused(kind, relational) == old_kind_refusal(kind, relational), repr(kind)
 
 
 def test_kind_category_mismatch_rejected():

@@ -1,12 +1,13 @@
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from refground.aggregation import AggregationSession
+from refground.aggregation import AggregationSession, InstanceRecord
 from refground.config import PipelineConfig
-from refground.discriminator import DialogueState, outcome_to_dict
+from refground.discriminator import MISSING_QUERY, DialogueState, outcome_to_dict
 from refground.episodes import (
     DatasetError,
     load_episode,
@@ -22,8 +23,8 @@ from refground.evaluation import (
     simulate_dialogue_dataset,
 )
 from refground.geometry import bbox_cloud_arrays
-from refground.graph import ObjectGraph, graph_difference
-from refground.language import realize
+from refground.graph import ObjectGraph, attribute_paths
+from refground.language import phrase_to_graph, realize
 from refground.pipeline import (
     build_observation_bank,
     build_session,
@@ -35,6 +36,8 @@ from refground.pipeline import (
     stream_seed_for,
 )
 from refground.simulator import Detection, generate_room
+
+from test_graph import graph_difference
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +179,52 @@ def test_ground_same_bytes_on_fresh_and_reloaded_session(episode, tmp_path, pres
             for s in (fresh, loaded)
         ]
         assert texts[0] == texts[1]
+
+
+def test_grounding_reads_the_same_cold_warm_reloaded_and_after_new_evidence(episode, tmp_path):
+    # a warm grounding reads the text and paths its fused records carry; they
+    # must give what the cold fusion, a loaded session and a cleared memo give
+    cfg, _, out = episode
+    lexicon = cfg.lexicon()
+    widget = ObjectGraph("widget")  # a class no instruction names
+    for case in load_instructions(out):
+        seed = query_seed_for(cfg.seed, f"{out.name}:{case.text}")
+        session = session_for_episode(out, cfg, "cs+sd+fn", lexicon)
+        session.dump(tmp_path / "session.json")
+        loaded = AggregationSession.load(tmp_path / "session.json")
+
+        def ground(s):
+            return json.dumps(outcome_to_dict(ground_in_session(s, case.text, cfg, lexicon, seed)[0]))
+
+        def fused(s):
+            root = phrase_to_graph(case.text, lexicon).root
+            return s.fuse_across_graphs(root, cfg.region_dx, cfg.region_dy, cfg.gamma)
+
+        cold, warm, reloaded = ground(session), ground(session), ground(loaded)
+        before = fused(session)
+        session.observe(widget, np.array([[0, 0]]), np.array([0.5]))
+        after_evidence = ground(session)
+        after = fused(session)
+        assert warm == cold and reloaded == cold and after_evidence == cold, case.text
+        assert after == before and all(a is not b for a, b in zip(after, before))
+        for record in [*before, *after, *fused(loaded)]:
+            assert record.text == realize(record.graph)
+            assert record.paths == attribute_paths(record.graph)
+            copy = InstanceRecord(record.regions, record.centroid, record.score, record.contributors)
+            assert copy == record and hash(copy) == hash(record)
+
+
+def test_a_missing_class_draws_no_query_seed(episode, monkeypatch):
+    cfg, room, out = episode
+    assert "plant" not in room.classes()
+    session = build_session(load_episode(out), cfg, cfg.lexicon(), frozenset(), (), 0, None)
+
+    def no_draws(seed):
+        raise AssertionError(f"random.Random({seed}) built for a query that draws nothing")
+
+    monkeypatch.setattr(random, "Random", no_draws)
+    outcome, _ = ground_in_session(session, "bring the plant", cfg, cfg.lexicon(), 5)
+    assert outcome.state is DialogueState.INFORM_MISSING and outcome.query == MISSING_QUERY
 
 
 def frame_lists(frames):

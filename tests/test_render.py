@@ -73,7 +73,7 @@ def assert_same_render(room, pose, intrinsics=K, ranges=RANGES, include_structur
 
 
 def manual_room(boxes, extents=(6.0, 6.0, 2.5)):
-    objects = [SceneObject(i, "box", "red", "plastic", lo, hi) for i, (lo, hi) in enumerate(boxes)]
+    objects = [SceneObject(i, "box", "red", "plastic", lo, hi, None) for i, (lo, hi) in enumerate(boxes)]
     return RoomSpec(extents, tuple(objects), seed=0, copies={})
 
 

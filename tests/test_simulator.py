@@ -215,7 +215,7 @@ def reference_generate_room(
             if clash or not separation_ok(bmin, bmax, cls_name):
                 continue
             color, material = next_attrs(cls_name)
-            objects.append(SceneObject(len(objects), cls_name, color, material, bmin, bmax))
+            objects.append(SceneObject(len(objects), cls_name, color, material, bmin, bmax, None))
             placed = True
             break
         if not placed:
