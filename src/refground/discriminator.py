@@ -23,6 +23,7 @@ from .config import PipelineConfig
 from .graph import GraphStructureError, ObjectGraph, attribute_paths, to_dict
 
 MISSING_QUERY = "I could not find that."
+Candidates = tuple[tuple[InstanceRecord, frozenset[tuple[tuple[str, str], ...]]], ...]
 
 
 class DialogueState(Enum):
@@ -34,14 +35,14 @@ class DialogueState(Enum):
 
 @dataclass(frozen=True)
 class GroundingOutcome:
-    """A dialogue state and the instances it names, each with the requested
-    attribute paths it lacks. A confirm names its match as its one
-    candidate, with an empty difference; `matched` is that instance, else
-    None."""
+    """A dialogue state, the instances it names, each with the requested
+    attribute paths it lacks, and the query drawn from them. A confirm
+    names its match as its one candidate, with an empty difference;
+    `matched` is that instance, else None."""
 
     state: DialogueState
-    candidates: tuple[tuple[InstanceRecord, frozenset[tuple[tuple[str, str], ...]]], ...]
-    query: str = ""
+    candidates: Candidates
+    query: str
     matched: InstanceRecord | None = field(init=False)
 
     def __post_init__(self):
@@ -52,12 +53,9 @@ class GroundingOutcome:
             raise ValueError("missing outcome carries no candidates")
         object.__setattr__(self, "matched", self.candidates[0][0] if confirm else None)
 
-    def with_query(self, query: str) -> "GroundingOutcome":
-        return GroundingOutcome(self.state, self.candidates, query)
 
-
-def classify(g: ObjectGraph, instances: list[InstanceRecord]) -> GroundingOutcome:
-    """Decide the dialogue state from the per-instance difference sets.
+def classify(g: ObjectGraph, instances: list[InstanceRecord]) -> tuple[DialogueState, Candidates]:
+    """Decide the dialogue state and its candidates from the difference sets.
 
     The input graph's attribute paths minus an instance's list the
     requested attributes that instance lacks; an instance of another root
@@ -83,7 +81,7 @@ def classify(g: ObjectGraph, instances: list[InstanceRecord]) -> GroundingOutcom
         state, indices = DialogueState.INFORM_MISMATCH, [0]
     else:
         state, indices = DialogueState.INFORM_AMBIGUITY, range(len(instances))
-    return GroundingOutcome(state, tuple((instances[i], diffs[i]) for i in indices))
+    return state, tuple((instances[i], diffs[i]) for i in indices)
 
 
 def _strip_article(text: str) -> str:
@@ -105,20 +103,20 @@ def _descriptions(candidates) -> list[str]:
     return out
 
 
-def generate_query(outcome: GroundingOutcome, rng_seed: int, config: PipelineConfig) -> str:
-    """Fill the state's question template from the config's phrase lists;
-    deterministic under the seed."""
-    if outcome.state is DialogueState.INFORM_MISSING:
+def generate_query(state: DialogueState, candidates: Candidates, rng_seed: int, config: PipelineConfig) -> str:
+    """Fill the state's question template from the config's phrase lists and
+    the candidates' descriptions; deterministic under the seed."""
+    if state is DialogueState.INFORM_MISSING:
         return MISSING_QUERY
     rng = random.Random(rng_seed)
-    if outcome.state is DialogueState.CONFIRM:
+    if state is DialogueState.CONFIRM:
         return config.acknowledgements[rng.randrange(len(config.acknowledgements))]
-    if outcome.state is DialogueState.INFORM_MISMATCH:
+    if state is DialogueState.INFORM_MISMATCH:
         suffix = config.mismatch_suffixes[rng.randrange(len(config.mismatch_suffixes))]
-        desc = _descriptions(outcome.candidates)[0]
+        desc = _descriptions(candidates)[0]
         return f"I found one {desc} {suffix}"
     suffix = config.wh_suffixes[rng.randrange(len(config.wh_suffixes))]
-    listed = ", and ".join(f"one {d}" for d in _descriptions(outcome.candidates))
+    listed = ", and ".join(f"one {d}" for d in _descriptions(candidates))
     return f"I found {listed}. {suffix}"
 
 

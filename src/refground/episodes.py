@@ -169,6 +169,7 @@ def load_instructions(episode_dir: str | Path) -> list[InstructionCase]:
 
 def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
     episode_dir = Path(episode_dir)
+    seen: set[int] = set()
 
     def frame(rec: dict) -> FrameRecord:
         pose = Pose.from_matrix(np.asarray(rec["pose"], dtype=np.float64).reshape(4, 4))
@@ -177,9 +178,10 @@ def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
             k["fx"], k["fy"], k["cx"], k["cy"], int(k["width"]), int(k["height"])
         )
         detections = tuple(_detection_from_dict(d, intrinsics) for d in rec["detections"])
-        index = int(rec["frame"])
-        if index < 0:  # it seeds the frame's noise draws
-            raise ValueError(f"frame index {index} is negative")
+        index = rec["frame"]  # it seeds the frame's noise draws
+        if type(index) is not int or index < 0 or index in seen:
+            raise ValueError(f"frame index {index!r} is not a non-negative integer unused by an earlier frame")
+        seen.add(index)
         return FrameRecord(index, pose, intrinsics, detections, episode_dir / rec["depth_file"])
 
     return read_json_lines(episode_dir / "episode.jsonl", frame)

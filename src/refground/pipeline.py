@@ -128,10 +128,8 @@ def ground_in_session(
     """Parse the instruction, fuse instances of its class, classify, phrase."""
     g = phrase_to_graph(instruction, lexicon)
     records = session.fuse_across_graphs(g.root, config.region_dx, config.region_dy, config.gamma)
-    records = _sorted_records(records)
-    outcome = classify(g, records)
-    outcome = outcome.with_query(generate_query(outcome, query_seed, config))
-    return outcome, g
+    state, candidates = classify(g, _sorted_records(records))
+    return GroundingOutcome(state, candidates, generate_query(state, candidates, query_seed, config)), g
 
 
 def session_for_episode(
@@ -199,5 +197,4 @@ def oracle_outcome(
     state, indices = oracle_classify(g, [r.graph for r in records])
     want = oracle_paths(g)
     cands = tuple((records[i], frozenset(want - oracle_paths(records[i].graph))) for i in indices)
-    outcome = GroundingOutcome(state, cands)
-    return outcome.with_query(generate_query(outcome, query_seed, config))
+    return GroundingOutcome(state, cands, generate_query(state, cands, query_seed, config))

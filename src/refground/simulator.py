@@ -96,6 +96,8 @@ class SceneObject:
         corners = [tuple(float(v) for v in d[key]) for key in ("box_min", "box_max")]
         if any(len(corner) != 3 for corner in corners):
             raise ValueError(f"box_min and box_max must hold three numbers, got {corners!r}")
+        if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(*corners)):
+            raise ValueError(f"box_min must lie below box_max on every axis, both finite, got {corners!r}")
         support = None if d.get("support") is None else int(d["support"])
         return cls(id=int(d["id"]), cls=names[0], color=names[1], material=names[2],
                    box_min=corners[0], box_max=corners[1], support=support)

@@ -17,7 +17,7 @@ from refground import episodes
 from refground.aggregation import InstanceRecord
 from refground.cli import main
 from refground.config import PipelineConfig
-from refground.discriminator import DialogueState, classify
+from refground.discriminator import DialogueState, GroundingOutcome, classify
 from refground.evaluation import (
     build_parser_corpus,
     eval_counting,
@@ -225,17 +225,17 @@ def test_c5_discriminator_oracle_equivalence():
         for size in (0, 1, 2, 3):
             for combo in itertools.combinations_with_replacement(range(len(graphs)), size):
                 instances = [_record(graphs[i], pos) for pos, i in enumerate(combo)]
-                outcome = classify(g, instances)
+                got_state, candidates = classify(g, instances)
                 state, indices = oracle_classify(g, [graphs[i] for i in combo])
                 cases += 1
-                if outcome.state is not state:
+                if got_state is not state:
                     disagreements += 1
                     continue
                 if state is DialogueState.CONFIRM:
-                    if outcome.matched is not instances[indices[0]]:
+                    if GroundingOutcome(got_state, candidates, "").matched is not instances[indices[0]]:
                         disagreements += 1
                 elif state is not DialogueState.INFORM_MISSING:
-                    got = [rec for rec, _ in outcome.candidates]
+                    got = [rec for rec, _ in candidates]
                     want = [instances[i] for i in indices]
                     if got != want:
                         disagreements += 1
@@ -244,12 +244,12 @@ def test_c5_discriminator_oracle_equivalence():
     red = ObjectGraph("cup", [("color", "red")])
     black = ObjectGraph("cup", [("color", "black")])
     red_glass = ObjectGraph("cup", [("color", "red"), ("material", "metal")])
-    exact_plus_extras = classify(red, [_record(black, 0), _record(red, 1)])
-    two_exacts = classify(red, [_record(red, 0), _record(red_glass, 1), _record(black, 2)])
+    exact_plus_extras, _ = classify(red, [_record(black, 0), _record(red, 1)])
+    two_exacts, two_candidates = classify(red, [_record(red, 0), _record(red_glass, 1), _record(black, 2)])
     pinned = (
-        exact_plus_extras.state is DialogueState.CONFIRM
-        and two_exacts.state is DialogueState.INFORM_AMBIGUITY
-        and len(two_exacts.candidates) == 2
+        exact_plus_extras is DialogueState.CONFIRM
+        and two_exacts is DialogueState.INFORM_AMBIGUITY
+        and len(two_candidates) == 2
     )
     ok = disagreements == 0 and cases > 5000 and pinned
     report(

@@ -5,8 +5,9 @@ The dataset and bank digests were recorded before the simulator's room
 recipes, episode writer and bank were merged into one trajectory loop; the
 corpus digest before the corpus and the episode instructions shared one
 template function; the report and session digests before fusion was
-memoized per session. Any change to the bytes a seed produces fails here,
-not only a rerun mismatch.
+memoized per session; the outcome digest before a grounding built its
+outcome once. Any change to the bytes a seed produces fails here, not only
+a rerun mismatch.
 """
 
 import hashlib
@@ -15,7 +16,10 @@ import json
 import pytest
 
 from refground import evaluation
+from refground.aggregation import AggregationSession
 from refground.config import PipelineConfig
+from refground.discriminator import outcome_to_dict
+from refground.episodes import load_instructions, load_room
 from refground.evaluation import (
     CountingResult,
     DialogueResult,
@@ -27,7 +31,13 @@ from refground.evaluation import (
     write_report,
 )
 from refground.graph import serialize
-from refground.pipeline import build_observation_bank, session_for_episode
+from refground.pipeline import (
+    build_observation_bank,
+    ground_in_session,
+    oracle_outcome,
+    query_seed_for,
+    session_for_episode,
+)
 
 COUNTING_SHA256 = "2d472d020dfefb87daeea71509b81a98fbb51562d57d43b19f02c613c92986f6"
 DIALOGUE_SHA256 = "9a6d96cfe310d6cc3d305c96fac5196ea1d1c750f7574b51991ffdf2401ac2bf"
@@ -40,6 +50,7 @@ REPORT_SHA256 = {  # .json then .txt
     ("dialogue", "cs+sd+fn"): "9fed392fa873ff1a27afe3fa9077754a7963068616cd24d4e3c5616b494a74ed",
 }
 SESSION_SHA256 = "6fe014f32c1a38d374c62ba4698fc7e1e67c8e9831e56792c6c813d5fc0c963d"
+OUTCOME_SHA256 = "bdab07878a995d6e33a9ce056037c443bcd89341c3479476be439ef1ec7e72c9"
 
 
 def tree_sha256(root) -> str:
@@ -119,6 +130,28 @@ def test_session_dump_bytes(dialogue, tmp_path):
     session = session_for_episode(dialogue / "episode_00000", config, "cs+sd+fn", config.lexicon())
     session.dump(tmp_path / "session.json")
     assert hashlib.sha256((tmp_path / "session.json").read_bytes()).hexdigest() == SESSION_SHA256
+
+
+def test_grounded_outcome_bytes(dialogue, tmp_path):
+    # every instruction grounded under both presets, on the session as built
+    # and as reloaded from its dump, then the oracle's reference outcome
+    config = PipelineConfig()
+    lexicon = config.lexicon()
+    h = hashlib.sha256()
+    for preset in ("none", "cs+sd+fn"):
+        for episode_dir in sorted(dialogue.glob("episode_*")):
+            built = session_for_episode(episode_dir, config, preset, lexicon)
+            built.dump(tmp_path / "session.json")
+            loaded = AggregationSession.load(tmp_path / "session.json")
+            room = load_room(episode_dir)
+            for case in load_instructions(episode_dir):
+                seed = query_seed_for(config.seed, f"{episode_dir.name}:{case.text}")
+                outcomes = [ground_in_session(s, case.text, config, lexicon, seed) for s in (built, loaded)]
+                outcomes.append((oracle_outcome(room, outcomes[0][1], config, seed), None))
+                for outcome, _ in outcomes:
+                    h.update(json.dumps(outcome_to_dict(outcome), sort_keys=True).encode())
+                    h.update(b"\n")
+    assert h.hexdigest() == OUTCOME_SHA256
 
 
 def test_observation_bank_bytes():

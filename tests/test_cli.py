@@ -525,6 +525,43 @@ def test_eval_wrongly_typed_dataset_value_is_io_error(dataset, tmp_path, capsys,
     assert line.startswith(f"error: {path}: line {lineno}: ")
 
 
+@pytest.mark.parametrize(
+    "damage, lineno, reason",
+    [
+        pytest.param("box_swapped", 1, "box_min must lie below box_max", id="box_swapped"),
+        pytest.param("box_nan", 1, "box_min must lie below box_max", id="box_nan"),
+        pytest.param("box_flat", 1, "box_min must lie below box_max", id="box_flat"),
+        pytest.param("frames_0_0_2.7", 2, "frame index 0 is not a", id="frames_0_0_2.7"),
+        pytest.param("frame_2.7", 3, "frame index 2.7 is not a", id="frame_2.7"),
+        pytest.param("frame_true", 2, "frame index True is not a", id="frame_true"),
+    ],
+)
+def test_eval_refuses_a_disordered_box_or_a_reused_frame_index(dataset, tmp_path, capsys, damage, lineno, reason):
+    # a swapped or NaN corner moves the oracle's centroids and is-near edges;
+    # a repeated frame index draws a second frame's noise from the same stream
+    copy = tmp_path / "dataset"
+    shutil.copytree(dataset, copy)
+    name = "room.json" if damage.startswith("box") else "episode.jsonl"
+    path = copy / "episode_00000" / name
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    box = records[0]["objects"][0] if name == "room.json" else None
+    if damage == "box_swapped":
+        box["box_min"], box["box_max"] = box["box_max"], box["box_min"]
+    elif damage == "box_nan":
+        box["box_min"][0] = "nan"
+    elif damage == "box_flat":
+        box["box_max"][2] = box["box_min"][2]
+    elif damage == "frames_0_0_2.7":
+        for record, index in zip(records, (0, 0, 2.7)):
+            record["frame"] = index
+    else:
+        records[lineno - 1]["frame"] = {"frame_2.7": 2.7, "frame_true": True}[damage]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert main(["eval", str(copy)]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: {path}: line {lineno}: {reason}")
+
+
 def test_eval_instruction_outside_configured_lexicon_is_parse_failure(dataset, tmp_path, capsys):
     lexicon = tmp_path / "tables.lex"
     lexicon.write_text("object_classes = table\n")

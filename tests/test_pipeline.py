@@ -7,7 +7,7 @@ import pytest
 
 from refground.aggregation import AggregationSession, InstanceRecord
 from refground.config import PipelineConfig
-from refground.discriminator import MISSING_QUERY, DialogueState, outcome_to_dict
+from refground.discriminator import MISSING_QUERY, DialogueState, GroundingOutcome, outcome_to_dict
 from refground.episodes import (
     DatasetError,
     load_episode,
@@ -212,6 +212,31 @@ def test_grounding_reads_the_same_cold_warm_reloaded_and_after_new_evidence(epis
             assert record.paths == attribute_paths(record.graph)
             copy = InstanceRecord(record.regions, record.centroid, record.score, record.contributors)
             assert copy == record and hash(copy) == hash(record)
+
+
+def test_each_grounding_and_oracle_outcome_builds_one_outcome(episode, monkeypatch):
+    # the confirm and missing checks of __post_init__ run once per outcome
+    cfg, room, out = episode
+    lexicon = cfg.lexicon()
+    session = session_for_episode(out, cfg, "cs+sd+fn", lexicon)
+    built, post_init = [], GroundingOutcome.__post_init__
+
+    def counted(outcome):
+        built.append(outcome)
+        post_init(outcome)
+
+    monkeypatch.setattr(GroundingOutcome, "__post_init__", counted)
+    texts = [case.text for case in load_instructions(out)] + ["bring the cup", "bring the plant"]
+    states = set()
+    for text in texts:
+        seed = query_seed_for(cfg.seed, f"{out.name}:{text}")
+        outcome, g = ground_in_session(session, text, cfg, lexicon, seed)
+        assert len(built) == 1 and built[0] is outcome, text
+        reference = oracle_outcome(room, g, cfg, seed)
+        assert len(built) == 2 and built[1] is reference, text
+        built.clear()
+        states.add(outcome.state)
+    assert len(states) >= 3  # confirm, ambiguity and missing at least
 
 
 def test_a_missing_class_draws_no_query_seed(episode, monkeypatch):
