@@ -82,7 +82,10 @@ def _detection_from_dict(d: dict, k: CameraIntrinsics) -> Detection:
         raise ValueError(f"bbox {d['bbox']} is not a box inside the {k.width}x{k.height} frame")
     if not isinstance(d["caption"], str):
         raise TypeError(f"caption must be a string, got {d['caption']!r}")
-    return Detection(BoundingBox(u0, v0, u1, v1), d["caption"], d.get("gt_id"))
+    gt_id = d.get("gt_id")
+    if gt_id is not None and type(gt_id) is not int:
+        raise TypeError(f"gt_id must be an integer or null, got {gt_id!r}")
+    return Detection(BoundingBox(u0, v0, u1, v1), d["caption"], gt_id)
 
 
 def trajectory_frames(room: RoomSpec, config: PipelineConfig, graphs: dict | None = None):
@@ -174,9 +177,9 @@ def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
     def frame(rec: dict) -> FrameRecord:
         pose = Pose.from_matrix(np.asarray(rec["pose"], dtype=np.float64).reshape(4, 4))
         k = rec["intrinsics"]
-        intrinsics = CameraIntrinsics(
-            k["fx"], k["fy"], k["cx"], k["cy"], int(k["width"]), int(k["height"])
-        )
+        if type(k["width"]) is not int or type(k["height"]) is not int:
+            raise TypeError(f"intrinsics width and height must be integers, got {k['width']!r} and {k['height']!r}")
+        intrinsics = CameraIntrinsics(k["fx"], k["fy"], k["cx"], k["cy"], k["width"], k["height"])
         detections = tuple(_detection_from_dict(d, intrinsics) for d in rec["detections"])
         index = rec["frame"]  # it seeds the frame's noise draws
         if type(index) is not int or index < 0 or index in seen:

@@ -64,6 +64,8 @@ class Pose:
         m = np.asarray(m, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError("pose matrix must be 4x4")
+        if m[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
+            raise ValueError(f"pose matrix bottom row must be 0 0 0 1, got {' '.join(map(str, m[3].tolist()))}")
         return cls(m[:3, :3], m[:3, 3])
 
     def matrix(self) -> np.ndarray:

@@ -46,20 +46,6 @@ def bio_span(symbol: str, n: int) -> list[str]:
     return [f"B-{symbol}"] + [f"I-{symbol}"] * (n - 1)
 
 
-def bio_valid(labels: Sequence[str]) -> bool:
-    """Every label is O, B-<symbol> or I-<symbol>, and an I- label continues
-    a B- or I- span of the same symbol."""
-    prev = "O"
-    for lab in labels:
-        if lab != "O":
-            if lab[:2] not in ("B-", "I-") or len(lab) < 3:
-                return False
-            if lab[0] == "I" and prev[2:] != lab[2:]:
-                return False
-        prev = lab
-    return True
-
-
 def tag(tokens: Sequence[str], lexicon: Lexicon) -> list[str]:
     """Label each token with a BIO tag.
 
@@ -109,20 +95,26 @@ def parse_tags(tokens: Sequence[str], labels: Sequence[str]) -> ObjectGraph:
     relational edge opens a landmark node that expands the same way. A self
     value span attaches to the nearest following noun; a relational span
     connects the nearest preceding noun to the nearest following noun, which
-    no other relation may bind. A graph nesting more than MAX_TREE_DEPTH
-    relations, a noun the root's graph does not reach, or a graph that
-    ObjectGraph refuses, such as two colors on one noun, is a PhraseError.
+    no other relation may bind. A label other than O, B-<symbol> or an
+    I-<symbol> that continues a span of its symbol, a graph nesting more
+    than MAX_TREE_DEPTH relations, a noun the root's graph does not reach,
+    or a graph that ObjectGraph refuses, such as two colors on one noun, is
+    a PhraseError.
     """
     if len(tokens) != len(labels):
         raise PhraseError(f"{len(tokens)} tokens vs {len(labels)} labels")
-    if not bio_valid(labels):
-        raise PhraseError("label sequence violates the BIO scheme")
     spans: list[list] = []  # [symbol, text, start] per B-/I- run
+    open_symbol = None  # the symbol of the span the previous label is in
     for i, (token, label) in enumerate(zip(tokens, labels)):
-        if label[0] == "B":
-            spans.append([label[2:], token.lower(), i])
-        elif label[0] == "I":
+        if label == "O":
+            open_symbol = None
+        elif label[:2] == "I-" and label[2:] == open_symbol:
             spans[-1][1] += " " + token.lower()
+        elif label[:2] == "B-" and label[2:]:
+            open_symbol = label[2:]
+            spans.append([open_symbol, token.lower(), i])
+        else:
+            raise PhraseError("label sequence violates the BIO scheme")
 
     # noun start -> (text, self edges, [(relation, child start)])
     nouns = {start: (text, [], []) for symbol, text, start in spans if symbol in _NOUN_SYMBOLS}

@@ -6,8 +6,9 @@ recipes, episode writer and bank were merged into one trajectory loop; the
 corpus digest before the corpus and the episode instructions shared one
 template function; the report and session digests before fusion was
 memoized per session; the outcome digest before a grounding built its
-outcome once. Any change to the bytes a seed produces fails here, not only
-a rerun mismatch.
+outcome once; the mismatch outcome digest before the parser checked its
+labels in the pass that collects spans. Any change to the bytes a seed
+produces fails here, not only a rerun mismatch.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import pytest
 from refground import evaluation
 from refground.aggregation import AggregationSession
 from refground.config import PipelineConfig
-from refground.discriminator import outcome_to_dict
+from refground.discriminator import DialogueState, outcome_to_dict
 from refground.episodes import load_instructions, load_room
 from refground.evaluation import (
     CountingResult,
@@ -31,6 +32,7 @@ from refground.evaluation import (
     write_report,
 )
 from refground.graph import serialize
+from refground.lexicon import COLORS
 from refground.pipeline import (
     build_observation_bank,
     ground_in_session,
@@ -51,6 +53,7 @@ REPORT_SHA256 = {  # .json then .txt
 }
 SESSION_SHA256 = "6fe014f32c1a38d374c62ba4698fc7e1e67c8e9831e56792c6c813d5fc0c963d"
 OUTCOME_SHA256 = "bdab07878a995d6e33a9ce056037c443bcd89341c3479476be439ef1ec7e72c9"
+MISMATCH_OUTCOME_SHA256 = "f6355f8809565295e73df53c7caddeb75448ddff5339349b59319344288ca689"
 
 
 def tree_sha256(root) -> str:
@@ -132,26 +135,50 @@ def test_session_dump_bytes(dialogue, tmp_path):
     assert hashlib.sha256((tmp_path / "session.json").read_bytes()).hexdigest() == SESSION_SHA256
 
 
-def test_grounded_outcome_bytes(dialogue, tmp_path):
-    # every instruction grounded under both presets, on the session as built
-    # and as reloaded from its dump, then the oracle's reference outcome
+def grounded_outcome_digest(dialogue, tmp_path, texts):
+    """Every text of texts(episode_dir, room) grounded under both presets, on
+    the session as built and as reloaded from its dump, then the oracle's
+    reference outcome: the digest of those outcomes and the built session's
+    states."""
     config = PipelineConfig()
     lexicon = config.lexicon()
     h = hashlib.sha256()
+    states = []
     for preset in ("none", "cs+sd+fn"):
         for episode_dir in sorted(dialogue.glob("episode_*")):
             built = session_for_episode(episode_dir, config, preset, lexicon)
             built.dump(tmp_path / "session.json")
             loaded = AggregationSession.load(tmp_path / "session.json")
             room = load_room(episode_dir)
-            for case in load_instructions(episode_dir):
-                seed = query_seed_for(config.seed, f"{episode_dir.name}:{case.text}")
-                outcomes = [ground_in_session(s, case.text, config, lexicon, seed) for s in (built, loaded)]
+            for text in texts(episode_dir, room):
+                seed = query_seed_for(config.seed, f"{episode_dir.name}:{text}")
+                outcomes = [ground_in_session(s, text, config, lexicon, seed) for s in (built, loaded)]
+                states.append(outcomes[0][0].state)
                 outcomes.append((oracle_outcome(room, outcomes[0][1], config, seed), None))
                 for outcome, _ in outcomes:
                     h.update(json.dumps(outcome_to_dict(outcome), sort_keys=True).encode())
                     h.update(b"\n")
-    assert h.hexdigest() == OUTCOME_SHA256
+    return h.hexdigest(), states
+
+
+def test_grounded_outcome_bytes(dialogue, tmp_path):
+    digest, _ = grounded_outcome_digest(
+        dialogue, tmp_path, lambda episode_dir, room: [case.text for case in load_instructions(episode_dir)]
+    )
+    assert digest == OUTCOME_SHA256
+
+
+def test_grounded_mismatch_outcome_bytes(dialogue, tmp_path):
+    # the dialogue instructions ground no mismatch, so each class with one
+    # object in the room is asked for in the first color it lacks
+    def texts(episode_dir, room):
+        for cls in room.classes():
+            if len(room.objects_of(cls)) == 1:
+                yield f"bring the {next(c for c in COLORS if c != room.objects_of(cls)[0].color)} {cls}"
+
+    digest, states = grounded_outcome_digest(dialogue, tmp_path, texts)
+    assert DialogueState.INFORM_MISMATCH in states
+    assert digest == MISMATCH_OUTCOME_SHA256
 
 
 def test_observation_bank_bytes():

@@ -492,6 +492,14 @@ def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, dama
         pytest.param("episode.jsonl", ("pose", 0), 1e308, id="pose_1e308"),
         pytest.param("episode.jsonl", ("intrinsics", "fx"), float("nan"), id="focal_nan"),
         pytest.param("episode.jsonl", ("frame",), -1, id="frame_negative"),
+        pytest.param("episode.jsonl", ("intrinsics", "width"), 128.7, id="width_float"),
+        pytest.param("episode.jsonl", ("intrinsics", "width"), "128", id="width_string"),
+        pytest.param("episode.jsonl", ("intrinsics", "height"), 128.0, id="height_float"),
+        pytest.param("episode.jsonl", ("detections", 0, "gt_id"), {"x": 1}, id="gt_id_object"),
+        pytest.param("episode.jsonl", ("detections", 0, "gt_id"), 1.5, id="gt_id_float"),
+        pytest.param("episode.jsonl", ("detections", 0, "gt_id"), True, id="gt_id_true"),
+        pytest.param("episode.jsonl", ("pose", 12), 5, id="pose_bottom_row_5_0_0_1"),
+        pytest.param("episode.jsonl", ("pose", 15), 9, id="pose_bottom_row_0_0_0_9"),
         pytest.param("room.json", ("objects", 0, "class"), 3, id="room_class_int"),
         pytest.param("room.json", ("objects", 0, "color"), [], id="room_color_list"),
         pytest.param("room.json", ("objects", 0, "box_max"), [0, 0], id="room_box_two_numbers"),

@@ -120,6 +120,16 @@ def test_pose_validation():
         Pose(reflect, np.zeros(3))
 
 
+@pytest.mark.parametrize("bottom", [[5.0, 1.0, 2.0, 9.0], [0.0, 0.0, 0.0, 9.0], [0.0, 0.0, 1e-12, 1.0], [0.0, 0.0, 0.0, np.nan]])
+def test_pose_from_matrix_refuses_a_bottom_row_other_than_0_0_0_1(bottom):
+    m = np.eye(4)
+    m[:3, 3] = [1.0, 2.0, 3.0]
+    assert Pose.from_matrix(m).matrix().tobytes() == m.tobytes()
+    m[3] = bottom
+    with pytest.raises(ValueError, match="bottom row must be 0 0 0 1"):
+        Pose.from_matrix(m)
+
+
 def reference_pose_error(rotation, translation):
     """Reference: the numpy form of Pose's checks; the message it raises, or None."""
     R, t = np.asarray(rotation, dtype=np.float64), np.asarray(translation, dtype=np.float64)

@@ -11,7 +11,6 @@ from refground.language import (
     ROOT_SYMBOL,
     PhraseError,
     bio_span,
-    bio_valid,
     parse_tags,
     phrase_to_graph,
     realize,
@@ -25,6 +24,21 @@ from conftest import lexicon_pieces, random_expressible_graph
 
 def labels_of(text, lexicon):
     return tag(tokenize(text), lexicon)
+
+
+def bio_valid(labels):
+    """Reference for the label check in parse_tags, as a pass of its own:
+    every label is O, B-<symbol> or I-<symbol>, and an I- label continues a
+    B- or I- span of the same symbol."""
+    prev = "O"
+    for lab in labels:
+        if lab != "O":
+            if lab[:2] not in ("B-", "I-") or len(lab) < 3:
+                return False
+            if lab[0] == "I" and prev[2:] != lab[2:]:
+                return False
+        prev = lab
+    return True
 
 
 # -- tokenize -----------------------------------------------------------------
@@ -319,10 +333,10 @@ def test_parse_dangling_relation(lexicon):
 
 
 def test_parse_rejects_bio_invalid():
-    tokens = tokenize("red cup")
-    labels = ["I-color", "B-r(g)"]
-    with pytest.raises(PhraseError, match="^label sequence violates the BIO scheme$"):
-        parse_tags(tokens, labels)
+    # an I- label first, after O, after O that ends its own symbol's span, or after another symbol
+    for labels in (["I-color", "B-r(g)"], ["O", "I-color"], ["B-color", "O", "I-color"], ["B-material", "I-color"]):
+        with pytest.raises(PhraseError, match="^label sequence violates the BIO scheme$"):
+            parse_tags(tokenize("the red cup")[: len(labels)], labels)
 
 
 @pytest.mark.parametrize("label", ["X-color", "O-color", "b-color", "B-", "I-", "", "B", "Bcolor"])
@@ -576,3 +590,29 @@ def test_bio_valid_rules():
     assert not bio_valid(["I-color"])
     assert not bio_valid(["O", "I-color"])
     assert not bio_valid(["B-material", "I-color"])
+
+
+BIO_ERROR = "label sequence violates the BIO scheme"
+
+
+def raises_bio_error(labels):
+    try:
+        parse_tags([f"w{i}" for i in range(len(labels))], labels)
+    except PhraseError as exc:
+        return str(exc) == BIO_ERROR
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parse_tags_refuses_exactly_what_bio_valid_refuses(data):
+    """Runs of O and spans of two or three symbols, then at times one label
+    replaced: an I- label that may come first, after O or after another
+    symbol's span, or a malformed label."""
+    symbols = data.draw(st.sampled_from([(ROOT_SYMBOL, "color"), (ROOT_SYMBOL, "color", "is-on")]))
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(["O", *symbols]), st.integers(1, 3)), max_size=5))
+    labels = [lab for symbol, n in runs for lab in (["O"] * n if symbol == "O" else bio_span(symbol, n))]
+    if labels and data.draw(st.booleans()):
+        replacement = st.sampled_from(["O", *(f"I-{s}" for s in symbols), "B-", "I-", "X-color", ""])
+        labels[data.draw(st.integers(0, len(labels) - 1))] = data.draw(replacement)
+    assert raises_bio_error(labels) == (not bio_valid(labels))
