@@ -35,6 +35,7 @@ from .simulator import (
     InstructionCase,
     RoomSpec,
     emit_instructions,
+    json_floats,
     plan_trajectory,
     scene_graphs,
 )
@@ -77,7 +78,7 @@ def _detection_dict(det: Detection) -> dict:
 
 
 def _detection_from_dict(d: dict, k: CameraIntrinsics) -> Detection:
-    u0, v0, u1, v1 = (float(x) for x in d["bbox"])
+    u0, v0, u1, v1 = json_floats(d["bbox"], "bbox corners")
     if not (0 <= u0 < u1 <= k.width and 0 <= v0 < v1 <= k.height):
         raise ValueError(f"bbox {d['bbox']} is not a box inside the {k.width}x{k.height} frame")
     if not isinstance(d["caption"], str):
@@ -141,17 +142,23 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
     return out
 
 
-def read_json_lines(path: Path, parse) -> list:
+def read_json_lines(path: Path, parse, unique: str | None = None) -> list:
     """parse(record) for every non-blank UTF-8 JSON line of path; a missing
-    file, or a line that fails to decode or parse, is a DatasetError."""
+    file, a line that fails to decode or parse, or a line whose parsed
+    `unique` field repeats an earlier line's, is a DatasetError."""
     if not path.exists():
         raise DatasetError(f"{path.parent}: missing {path.name}")
     out = []
+    first_line: dict = {}  # unique field value -> the line that gave it
     for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             out.append(parse(json.loads(line.decode("utf-8"))))
+            if unique is not None:
+                value = out[-1][unique]
+                if first_line.setdefault(value, lineno) != lineno:
+                    raise ValueError(f"{unique} {value!r} already listed on line {first_line[value]}")
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return out
@@ -175,11 +182,12 @@ def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
     seen: set[int] = set()
 
     def frame(rec: dict) -> FrameRecord:
-        pose = Pose.from_matrix(np.asarray(rec["pose"], dtype=np.float64).reshape(4, 4))
+        pose = Pose.from_matrix(np.asarray(json_floats(rec["pose"], "pose entries")).reshape(4, 4))
         k = rec["intrinsics"]
         if type(k["width"]) is not int or type(k["height"]) is not int:
             raise TypeError(f"intrinsics width and height must be integers, got {k['width']!r} and {k['height']!r}")
-        intrinsics = CameraIntrinsics(k["fx"], k["fy"], k["cx"], k["cy"], k["width"], k["height"])
+        fx, fy, cx, cy = json_floats((k["fx"], k["fy"], k["cx"], k["cy"]), "intrinsics fx, fy, cx and cy")
+        intrinsics = CameraIntrinsics(fx, fy, cx, cy, k["width"], k["height"])
         detections = tuple(_detection_from_dict(d, intrinsics) for d in rec["detections"])
         index = rec["frame"]  # it seeds the frame's noise draws
         if type(index) is not int or index < 0 or index in seen:

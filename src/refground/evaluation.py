@@ -177,7 +177,8 @@ def simulate_dialogue_dataset(
 
 
 def load_manifest(dataset_dir: str | Path) -> list[dict]:
-    return read_json_lines(Path(dataset_dir) / "manifest.jsonl", _manifest_entry)
+    """The manifest's entries; an episode dir listed twice is refused with both lines."""
+    return read_json_lines(Path(dataset_dir) / "manifest.jsonl", _manifest_entry, unique="dir")
 
 
 def _manifest_entry(record) -> dict:

@@ -64,17 +64,17 @@ def tag(tokens: Sequence[str], lexicon: Lexicon) -> list[str]:
     root_found = False
     i = 0
     while i < n:
-        for words, role, symbol in index.get(lowered[i], ()):
+        for words, symbol in index.get(lowered[i], ()):
             k = len(words)
             if i + k <= n and tuple(lowered[i : i + k]) == words:
-                if role == "cue":
+                if symbol.startswith("is-"):
                     pending_relation = True
-                elif role == "noun":
+                elif not symbol:
                     if pending_relation:
                         symbol, pending_relation = LANDMARK_SYMBOL, False
                     elif not root_found:
                         symbol, root_found = ROOT_SYMBOL, True
-                if symbol:  # verbs and extra ungoverned nouns stay O
+                if symbol:  # a class noun after the root that no cue governs stays O
                     labels[i : i + k] = bio_span(symbol, k)
                 i += k
                 break

@@ -14,10 +14,10 @@ from typing import Iterator, Mapping
 
 from .graph import GraphStructureError, check_kind
 
-# A tagger entry: (token tuple, span role, symbol). Roles: "verb" produces O
-# labels, "cue" a relational kind span, "noun" an object class span, "value"
-# a self attribute kind span.
-PhraseEntry = tuple[tuple[str, ...], str, str]
+# A tagger entry: (token tuple, symbol). The symbol names the span's role:
+# an "is-" kind is a relation cue, an empty symbol an object class, and any
+# other kind a self attribute value (check_kind keeps the three apart).
+PhraseEntry = tuple[tuple[str, ...], str]
 
 
 class LexiconError(ValueError):
@@ -51,7 +51,6 @@ RELATION_CUES = {
     "next to": "is-near",
     "at": "is-at",
 }
-VERBS = ("bring", "take", "fetch", "grab", "find", "get", "pick up", "pick", "place", "give")
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,10 @@ class Lexicon:
     object_classes: frozenset[str]
     self_values: Mapping[str, frozenset[str]]
     relation_cues: Mapping[str, str]
-    verbs: frozenset[str]
     phrase_index: Mapping[str, tuple[PhraseEntry, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        words = [*self.object_classes, *self.relation_cues, *self.verbs]
+        words = [*self.object_classes, *self.relation_cues]
         for values in self.self_values.values():
             words.extend(values)
         blank = sorted({w for w in words if not w.strip()})
@@ -97,19 +95,17 @@ class Lexicon:
         object.__setattr__(self, "phrase_index", self._build_phrase_index())
 
     def _build_phrase_index(self) -> dict[str, tuple[PhraseEntry, ...]]:
-        # A stable sort on length, longest first, over verbs, cues, classes
-        # and values in that order: within one first token the entries keep
-        # the order a scan of the whole sorted table would try them in.
+        # A stable sort on length, longest first, over cues, classes and
+        # values in that order: within one first token the entries keep the
+        # order a scan of the whole sorted table would try them in.
         entries: list[PhraseEntry] = []
-        for phrase in self.verbs:
-            entries.append((tuple(phrase.split()), "verb", ""))
         for cue, kind in self.relation_cues.items():
-            entries.append((tuple(cue.split()), "cue", kind))
+            entries.append((tuple(cue.split()), kind))
         for cls in self.object_classes:
-            entries.append((tuple(cls.split()), "noun", ""))
+            entries.append((tuple(cls.split()), ""))
         for kind, values in self.self_values.items():
             for value in values:
-                entries.append(((value,), "value", kind))
+                entries.append(((value,), kind))
         entries.sort(key=lambda e: -len(e[0]))
         index: dict[str, list[PhraseEntry]] = {}
         for entry in entries:
@@ -122,7 +118,6 @@ def default_lexicon() -> Lexicon:
         object_classes=frozenset(OBJECT_CLASSES),
         self_values={"color": frozenset(COLORS), "material": frozenset(MATERIALS)},
         relation_cues=dict(RELATION_CUES),
-        verbs=frozenset(VERBS),
     )
 
 
@@ -159,7 +154,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
     object_classes: set[str] = set()
     self_values: dict[str, frozenset[str]] = {}
     relation_cues: dict[str, str] = {}
-    verbs: set[str] = set()
     named: dict[tuple[str, str], tuple[str, int]] = {}  # (role, token) -> (kind, line)
 
     def name(role: str, token: str, kind: str, lineno: int) -> None:
@@ -180,8 +174,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 for cue in tokens:
                     name("cue", cue, key[4:], lineno)
                     relation_cues[cue] = key[4:]
-            elif key == "verbs":
-                verbs.update(tokens)
             else:
                 raise LexiconError(f"line {lineno}: unknown key {key!r}")
         if not object_classes:
@@ -190,7 +182,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
             object_classes=frozenset(object_classes),
             self_values=self_values,
             relation_cues=relation_cues,
-            verbs=frozenset(verbs),
         )
     except LexiconError as exc:
         raise LexiconError(f"{path}: {exc}") from exc

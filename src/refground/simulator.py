@@ -59,6 +59,14 @@ PALETTE: dict[str, ClassSpec] = {
 assert set(PALETTE) == set(OBJECT_CLASSES)
 
 
+def json_floats(values, name: str) -> tuple[float, ...]:
+    """values as floats, each a JSON number: a string or a boolean, which
+    float() would take, is refused."""
+    if not all(type(v) in (int, float) for v in values):
+        raise TypeError(f"{name} must be JSON numbers, got {values!r}")
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class SceneObject:
     id: int
@@ -98,8 +106,10 @@ class SceneObject:
             raise ValueError(f"box_min and box_max must hold three numbers, got {corners!r}")
         if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(*corners)):
             raise ValueError(f"box_min must lie below box_max on every axis, both finite, got {corners!r}")
-        support = None if d.get("support") is None else int(d["support"])
-        return cls(id=int(d["id"]), cls=names[0], color=names[1], material=names[2],
+        support = d.get("support")
+        if type(d["id"]) is not int or not (support is None or type(support) is int):
+            raise TypeError(f"object id must be an integer and support an integer or null, got {d['id']!r} and {support!r}")
+        return cls(id=d["id"], cls=names[0], color=names[1], material=names[2],
                    box_min=corners[0], box_max=corners[1], support=support)
 
 
@@ -134,7 +144,7 @@ class RoomSpec:
             if o.support == o.id:  # scene_graphs would put it on top of itself
                 raise ValueError(f"object {o.id} is its own support")
         return cls(
-            tuple(float(v) for v in d["extents"]),
+            json_floats(d["extents"], "extents"),
             objects,
             int(d["seed"]),
             {k: int(v) for k, v in d.get("copies", {}).items()},

@@ -51,9 +51,15 @@ def save_config(config: PipelineConfig, path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# The verb table the lexicon held until it was shown to label nothing: its
+# phrases tagged O, as unknown words do. Texts still open with them.
+FORMER_VERBS = ("bring", "take", "fetch", "grab", "find", "get", "pick up", "pick", "place", "give")
+
+
 def lexicon_pieces(lexicon):
-    """Every lexicon phrase and each of its tokens, plus unknown words."""
-    words = {*lexicon.object_classes, *lexicon.relation_cues, *lexicon.verbs}
+    """Every lexicon phrase and each of its tokens, plus the former verbs
+    and unknown words."""
+    words = {*lexicon.object_classes, *lexicon.relation_cues, *FORMER_VERBS}
     for values in lexicon.self_values.values():
         words |= values
     words |= {token for phrase in words for token in phrase.split()}

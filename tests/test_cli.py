@@ -433,6 +433,17 @@ def test_eval_manifest_without_counting_or_dialogue_entries_is_dataset_error(dat
     assert one_error_line(capsys) == f"error: {copy}: no counting or dialogue episodes in manifest"
 
 
+def test_eval_refuses_a_manifest_that_lists_an_episode_twice(dataset, tmp_path, capsys):
+    # each listing would evaluate the episode's instructions once more
+    copy = tmp_path / "dataset"
+    shutil.copytree(dataset, copy)
+    manifest = copy / "manifest.jsonl"
+    entries = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([*entries, "", entries[0]]) + "\n")
+    assert main(["eval", str(copy)]) == 3
+    assert one_error_line(capsys) == f"error: {manifest}: line 4: dir 'episode_00000' already listed on line 1"
+
+
 def one_error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -505,6 +516,21 @@ def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, dama
         pytest.param("room.json", ("objects", 0, "box_max"), [0, 0], id="room_box_two_numbers"),
         pytest.param("room.json", ("copies", "cup"), float("-inf"), id="room_copies_inf"),
         pytest.param("room.json", ("objects", 0, "support"), 0, id="room_object_on_itself"),
+        # a value float() or int() would take though it is not a JSON number of its kind
+        pytest.param("room.json", ("objects", 1, "id"), "1", id="room_id_string"),
+        pytest.param("room.json", ("objects", 1, "id"), 1.5, id="room_id_float"),
+        pytest.param("room.json", ("objects", 1, "id"), True, id="room_id_true"),
+        pytest.param("room.json", ("objects", 0, "support"), 1.5, id="room_support_float"),
+        pytest.param("room.json", ("extents", 0), "6.5", id="room_extent_string"),
+        pytest.param("room.json", ("extents",), "653", id="room_extents_string"),
+        pytest.param("episode.jsonl", ("intrinsics", "fx"), True, id="fx_true"),
+        pytest.param("episode.jsonl", ("intrinsics", "fy"), True, id="fy_true"),
+        pytest.param("episode.jsonl", ("intrinsics", "cx"), True, id="cx_true"),
+        pytest.param("episode.jsonl", ("intrinsics", "cy"), True, id="cy_true"),
+        pytest.param("episode.jsonl", ("pose", 3), "0.5", id="pose_string"),
+        pytest.param("episode.jsonl", ("pose", 15), True, id="pose_true"),
+        pytest.param("episode.jsonl", ("detections", 0, "bbox", 0), "1", id="bbox_string"),
+        pytest.param("episode.jsonl", ("detections", 0, "bbox", 0), True, id="bbox_true"),
         pytest.param("instructions.jsonl", ("text",), 2.5, id="instruction_text_float"),
         pytest.param("manifest.jsonl", ("kind",), {"k": 1}, id="kind_object"),
         pytest.param("manifest.jsonl", ("kind",), ["dialogue"], id="kind_list"),
@@ -781,8 +807,12 @@ def test_cli_non_utf8_config_is_io_error(tmp_path, capsys):
         (b"object_classes = cup\nrel.is-ON = on\n", "attribute kind must be lowercase"),
         (b"object_classes = cup\nself.my color = red\n", "attribute kind must not contain whitespace"),
         (b"object_classes = cup\nself. = red\n", "attribute kind must be lowercase, non-empty"),
+        # the tagger reads a phrase's role from its kind: "is-" a cue, any other a value
+        (b"object_classes = cup\nself.is-shiny = glossy\n", "kind 'is-shiny' on a self edge"),
+        (b"object_classes = cup\nrel.near = by\n", "kind 'near' on a relational edge"),
         # the tagger leaves every word outside the tables as O, so no key lists such words
         (b"object_classes = cup\nstopwords = a, the\n", "line 2: unknown key 'stopwords'"),
+        (b"object_classes = cup\nverbs = bring\n", "line 2: unknown key 'verbs'"),
         # a second list would replace the first and its words would tag as O
         (b"object_classes = cup\nself.color = red\nself.color = blue\n", "line 3: key 'self.color' already set on line 2"),
         # the later kind would silently win; a cue or value names one kind

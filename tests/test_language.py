@@ -19,7 +19,7 @@ from refground.language import (
 )
 from refground.lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
 
-from conftest import lexicon_pieces, random_expressible_graph
+from conftest import FORMER_VERBS, lexicon_pieces, random_expressible_graph
 
 
 def labels_of(text, lexicon):
@@ -120,13 +120,15 @@ def test_tag_output_is_bio_valid(lexicon):
 # -- indexed tagger against the linear table scan ------------------------------
 
 
-def reference_tag(tokens, lexicon):
+def reference_tag(tokens, lexicon, verbs):
     """The tagger before the per-lexicon phrase index: it rebuilds and sorts
-    the whole phrase table on every call and scans all of it at every token."""
+    the whole phrase table on every call and scans all of it at every token.
+    Its table leads with a verb table, whose phrases label O, as the
+    lexicon's did before the verb table went."""
     if not tokens:
         raise PhraseError("cannot tag an empty token sequence")
     table = []
-    for phrase in lexicon.verbs:
+    for phrase in verbs:
         table.append((tuple(phrase.split()), "verb", ""))
     for cue, kind in lexicon.relation_cues.items():
         table.append((tuple(cue.split()), "cue", kind))
@@ -182,20 +184,19 @@ def reference_tag(tokens, lexicon):
     return labels
 
 
-def tag_outcome(tagger, text, lexicon):
+def tag_outcome(tagger, text, lexicon, *verbs):
     try:
-        return tagger(tokenize(text), lexicon)
+        return tagger(tokenize(text), lexicon, *verbs)
     except PhraseError as exc:
         return (type(exc).__name__, str(exc))
 
 
-# "pick up" is a verb, a cue and a class, "red" a class and a value: the
-# stable sort puts verbs before cues before classes before values.
+# "pick up" is a cue and a class, "red" a class and a value: the stable
+# sort puts cues before classes before values.
 AMBIGUOUS_LEXICON = Lexicon(
     object_classes=frozenset({"cup", "pick up", "table", "dining table", "red"}),
     self_values={"color": frozenset({"red", "blue"})},
     relation_cues={"on": "is-on", "on top of": "is-on", "pick up": "is-near", "next to": "is-near"},
-    verbs=frozenset({"pick", "pick up", "bring"}),
 )
 
 
@@ -209,7 +210,7 @@ def test_tag_writes_the_corpus_gold_labels(lexicon, seed):
 @pytest.mark.parametrize("seed", [0, 7, 11])
 def test_indexed_tag_matches_table_scan_on_parser_corpus(lexicon, seed):
     for case in build_parser_corpus(600, seed):
-        assert tag_outcome(tag, case.text, lexicon) == tag_outcome(reference_tag, case.text, lexicon)
+        assert tag_outcome(tag, case.text, lexicon) == tag_outcome(reference_tag, case.text, lexicon, ())
 
 
 @settings(max_examples=300, deadline=None)
@@ -218,7 +219,21 @@ def test_indexed_tag_matches_table_scan_on_token_sequences(data):
     lexicon = data.draw(st.sampled_from([default_lexicon(), AMBIGUOUS_LEXICON]))
     pieces = data.draw(st.lists(st.sampled_from(lexicon_pieces(lexicon)), min_size=1, max_size=12))
     text = " ".join(pieces)
-    assert tag_outcome(tag, text, lexicon) == tag_outcome(reference_tag, text, lexicon)
+    assert tag_outcome(tag, text, lexicon) == tag_outcome(reference_tag, text, lexicon, ())
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_former_verb_table_labelled_nothing_on_parser_corpus(lexicon, seed):
+    for case in build_parser_corpus(600, seed):
+        assert tag_outcome(tag, case.text, lexicon) == tag_outcome(reference_tag, case.text, lexicon, FORMER_VERBS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(lexicon_pieces(default_lexicon())), min_size=1, max_size=12))
+def test_former_verb_table_labelled_nothing_on_token_sequences(pieces):
+    text = " ".join(pieces)
+    lexicon = default_lexicon()
+    assert tag_outcome(tag, text, lexicon) == tag_outcome(reference_tag, text, lexicon, FORMER_VERBS)
 
 
 def test_overlapping_phrases_take_the_longest_match(lexicon):
@@ -232,13 +247,12 @@ def test_overlapping_phrases_take_the_longest_match(lexicon):
 
 
 @pytest.mark.parametrize("blank", ["", " ", "\t"])
-@pytest.mark.parametrize("field", ["object_classes", "value", "cue", "verbs"])
+@pytest.mark.parametrize("field", ["object_classes", "value", "cue"])
 def test_lexicon_refuses_blank_words(field, blank):
     tables = {
         "object_classes": frozenset({"cup"}),
         "self_values": {"color": frozenset({"red"})},
         "relation_cues": {"on": "is-on"},
-        "verbs": frozenset({"bring"}),
     }
     if field == "value":
         tables["self_values"] = {"color": frozenset({"red", blank})}
@@ -250,31 +264,30 @@ def test_lexicon_refuses_blank_words(field, blank):
         Lexicon(**tables)
 
 
-@pytest.mark.parametrize("field", ["object_classes", "value", "cue", "verbs"])
+@pytest.mark.parametrize("field", ["object_classes", "value", "cue"])
 def test_lexicon_refuses_words_the_tagger_cannot_match(field):
     # the tagger lowercases every token, so "Cup" would never be tagged
     tables = {
         "object_classes": frozenset({"cup", "table"}),
         "self_values": {"color": frozenset({"red"})},
         "relation_cues": {"on": "is-on"},
-        "verbs": frozenset({"bring"}),
     }
     if field == "value":
         tables["self_values"] = {"color": frozenset({"red", "Blue"})}
     elif field == "cue":
         tables["relation_cues"] = {"on": "is-on", "Next to": "is-near"}
     else:
-        tables[field] = tables[field] | {"Pick up" if field == "verbs" else "Cup"}
+        tables[field] = tables[field] | {"Cup"}
     with pytest.raises(LexiconError, match="must be lowercase"):
         Lexicon(**tables)
 
 
 def test_lexicon_file_drops_empty_tokens(tmp_path):
     path = tmp_path / "lexicon.txt"
-    path.write_text("object_classes = cup, , table\nself.color = red,\nverbs = , bring\n")
+    path.write_text("object_classes = cup, , table\nself.color = red,\nrel.is-on = , on\n")
     lexicon = load_lexicon(path)
-    assert lexicon.object_classes == {"cup", "table"} and lexicon.verbs == {"bring"}
-    assert labels_of("bring a red cup", lexicon) == ["O", "O", "B-color", "B-r(g)"]
+    assert lexicon.object_classes == {"cup", "table"} and lexicon.relation_cues == {"on": "is-on"}
+    assert labels_of("bring a red cup on the table", lexicon) == ["O", "O", "B-color", "B-r(g)", "B-is-on", "O", "B-av_R"]
 
 
 # -- parsing ------------------------------------------------------------------
