@@ -375,8 +375,8 @@ class AggregationSession:
         a non-finite grid origin or cell size, an oid that is not an
         integer, a graph listed under two oids, a cells key that is not str(oid) of a
         listed oid, cells outside the grid or with a
-        non-integer index, frequencies that are not whole numbers in
-        [1, 2**63) and non-finite or negative weights are refused.
+        non-integer index, frequencies that are not whole numbers in [1, 2**63),
+        non-finite or negative weights and rows unlike [int, int, number, int] are refused.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -434,6 +434,9 @@ class AggregationSession:
             (freq < 2.0**63, "has frequency 2**63 or more"),
             (np.isfinite(w), "has a non-finite weight"),
             (w >= 0, "has a negative weight"),
+            # float64 above reads "1.0", "3" and true as numbers too
+            (np.array([type(x) is type(y) is type(f) is int and type(v) in (float, int) for x, y, v, f in cells]),
+             "is not the [int, int, number, int] row a dump writes"),
         ):
             if not ok.all():
                 bad = cells[int(np.argmin(ok))]

@@ -8,13 +8,14 @@
         frame_00000.depth    DORODPTH binary depth frames
 
 All JSON is written with sorted keys and plain Python floats so reruns with
-the same seed produce byte-identical files.
+the same seed produce byte-identical files. A record loads only if writing
+the loaded value back gives the same JSON values (`json_diff`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from .simulator import (
     InstructionCase,
     RoomSpec,
     emit_instructions,
-    json_floats,
     plan_trajectory,
     scene_graphs,
 )
@@ -69,24 +69,20 @@ class FrameRecord:
         return depth
 
 
-def _detection_dict(det: Detection) -> dict:
+def _frame_dict(frame: FrameRecord) -> dict:
+    """The episode.jsonl record of one frame; its depth file is named by its index."""
+    k = frame.intrinsics
     return {
-        "bbox": [det.bbox.u_min, det.bbox.v_min, det.bbox.u_max, det.bbox.v_max],
-        "caption": det.caption,
-        "gt_id": det.gt_object_id,
+        "frame": frame.index,
+        "pose": frame.pose.matrix().reshape(-1).tolist(),
+        "intrinsics": {"cx": k.cx, "cy": k.cy, "fx": k.fx, "fy": k.fy, "height": k.height, "width": k.width},
+        "detections": [
+            {"bbox": [d.bbox.u_min, d.bbox.v_min, d.bbox.u_max, d.bbox.v_max], "caption": d.caption,
+             "gt_id": d.gt_object_id}
+            for d in frame.detections
+        ],
+        "depth_file": f"frame_{frame.index:05d}.depth",
     }
-
-
-def _detection_from_dict(d: dict, k: CameraIntrinsics) -> Detection:
-    u0, v0, u1, v1 = json_floats(d["bbox"], "bbox corners")
-    if not (0 <= u0 < u1 <= k.width and 0 <= v0 < v1 <= k.height):
-        raise ValueError(f"bbox {d['bbox']} is not a box inside the {k.width}x{k.height} frame")
-    if not isinstance(d["caption"], str):
-        raise TypeError(f"caption must be a string, got {d['caption']!r}")
-    gt_id = d.get("gt_id")
-    if gt_id is not None and type(gt_id) is not int:
-        raise TypeError(f"gt_id must be an integer or null, got {gt_id!r}")
-    return Detection(BoundingBox(u0, v0, u1, v1), d["caption"], gt_id)
 
 
 def trajectory_frames(room: RoomSpec, config: PipelineConfig, graphs: dict | None = None):
@@ -116,23 +112,12 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
     out.mkdir(parents=True, exist_ok=True)
     (out / "room.json").write_text(dump_json_line(room.to_dict()) + "\n", encoding="utf-8")
     k = config.intrinsics()
-    intrinsics = asdict(k)
     graphs = scene_graphs(room, config.tau_near)
     frame_lines = []
     for index, (pose, depth, detections) in enumerate(trajectory_frames(room, config, graphs=graphs)):
-        depth_name = f"frame_{index:05d}.depth"
-        write_depth_file(out / depth_name, DepthFrame(k.width, k.height, depth, config.max_range))
-        frame_lines.append(
-            dump_json_line(
-                {
-                    "frame": index,
-                    "pose": pose.matrix().reshape(-1).tolist(),
-                    "intrinsics": intrinsics,
-                    "detections": [_detection_dict(d) for d in detections],
-                    "depth_file": depth_name,
-                }
-            )
-        )
+        frame = FrameRecord(index, pose, k, tuple(detections), out / f"frame_{index:05d}.depth")
+        write_depth_file(frame.depth_path, DepthFrame(k.width, k.height, depth, config.max_range))
+        frame_lines.append(dump_json_line(_frame_dict(frame)))
     (out / "episode.jsonl").write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
     instructions = emit_instructions(room, graphs)
     (out / "instructions.jsonl").write_text(
@@ -142,10 +127,28 @@ def simulate_episode(out_dir: str | Path, room: RoomSpec, config: PipelineConfig
     return out
 
 
-def read_json_lines(path: Path, parse, unique: str | None = None) -> list:
-    """parse(record) for every non-blank UTF-8 JSON line of path; a missing
-    file, a line that fails to decode or parse, or a line whose parsed
-    `unique` field repeats an earlier line's, is a DatasetError."""
+def json_diff(written, record) -> list | None:
+    """None when record holds the JSON values of written, else the key path of
+    the first that differs: a boolean is never a number, a JSON int stands for
+    the float of its value, and an object holds exactly the written keys."""
+    kind = type(written)
+    if kind is not dict and kind is not list:
+        same_kind = type(record) is kind or kind is float and type(record) is int
+        return None if same_kind and record == written else []
+    if type(record) is not kind or len(record) != len(written) or kind is dict and record.keys() != written.keys():
+        return []
+    for key in written.keys() if kind is dict else range(len(written)):
+        if record[key] is not written[key]:  # float(), int() and str() keep a value of their type
+            where = json_diff(written[key], record[key])
+            if where is not None:
+                return [key, *where]
+    return None
+
+
+def read_json_lines(path: Path, parse, write, unique: str | None = None) -> list:
+    """parse(record) for every non-blank UTF-8 JSON line of path; a missing file,
+    a line that fails to decode or parse, whose loaded value write() does not give
+    back as read, or whose `unique` field repeats an earlier line's, is a DatasetError."""
     if not path.exists():
         raise DatasetError(f"{path.parent}: missing {path.name}")
     out = []
@@ -154,7 +157,11 @@ def read_json_lines(path: Path, parse, unique: str | None = None) -> list:
         if not line.strip():
             continue
         try:
-            out.append(parse(json.loads(line.decode("utf-8"))))
+            record = json.loads(line.decode("utf-8"))
+            out.append(parse(record))
+            where = json_diff(write(out[-1]), record)
+            if where is not None:
+                raise ValueError(f"field {'.'.join(map(str, where)) or '(the record)'} changes when written back")
             if unique is not None:
                 value = out[-1][unique]
                 if first_line.setdefault(value, lineno) != lineno:
@@ -167,14 +174,15 @@ def read_json_lines(path: Path, parse, unique: str | None = None) -> list:
 def load_room(episode_dir: str | Path) -> RoomSpec:
     """The one JSON line of room.json that simulate_episode writes."""
     path = Path(episode_dir) / "room.json"
-    rooms = read_json_lines(path, RoomSpec.from_dict)
+    rooms = read_json_lines(path, RoomSpec.from_dict, RoomSpec.to_dict)
     if len(rooms) != 1:
         raise DatasetError(f"{path}: expected one room record, found {len(rooms)}")
     return rooms[0]
 
 
 def load_instructions(episode_dir: str | Path) -> list[InstructionCase]:
-    return read_json_lines(Path(episode_dir) / "instructions.jsonl", InstructionCase.from_dict)
+    path = Path(episode_dir) / "instructions.jsonl"
+    return read_json_lines(path, InstructionCase.from_dict, InstructionCase.to_dict)
 
 
 def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
@@ -182,17 +190,21 @@ def load_episode(episode_dir: str | Path) -> list[FrameRecord]:
     seen: set[int] = set()
 
     def frame(rec: dict) -> FrameRecord:
-        pose = Pose.from_matrix(np.asarray(json_floats(rec["pose"], "pose entries")).reshape(4, 4))
-        k = rec["intrinsics"]
-        if type(k["width"]) is not int or type(k["height"]) is not int:
-            raise TypeError(f"intrinsics width and height must be integers, got {k['width']!r} and {k['height']!r}")
-        fx, fy, cx, cy = json_floats((k["fx"], k["fy"], k["cx"], k["cy"]), "intrinsics fx, fy, cx and cy")
-        intrinsics = CameraIntrinsics(fx, fy, cx, cy, k["width"], k["height"])
-        detections = tuple(_detection_from_dict(d, intrinsics) for d in rec["detections"])
+        pose = Pose.from_matrix(np.asarray(rec["pose"], dtype=np.float64).reshape(4, 4))
+        json_k = rec["intrinsics"]
+        fx, fy, cx, cy = (float(json_k[key]) for key in ("fx", "fy", "cx", "cy"))
+        k = CameraIntrinsics(fx, fy, cx, cy, int(json_k["width"]), int(json_k["height"]))
+        detections = []
+        for d in rec["detections"]:
+            u0, v0, u1, v1 = map(float, d["bbox"])
+            if not (0 <= u0 < u1 <= k.width and 0 <= v0 < v1 <= k.height):
+                raise ValueError(f"bbox {d['bbox']} is not a box inside the {k.width}x{k.height} frame")
+            gt_id = None if d["gt_id"] is None else int(d["gt_id"])
+            detections.append(Detection(BoundingBox(u0, v0, u1, v1), str(d["caption"]), gt_id))
         index = rec["frame"]  # it seeds the frame's noise draws
         if type(index) is not int or index < 0 or index in seen:
             raise ValueError(f"frame index {index!r} is not a non-negative integer unused by an earlier frame")
         seen.add(index)
-        return FrameRecord(index, pose, intrinsics, detections, episode_dir / rec["depth_file"])
+        return FrameRecord(index, pose, k, tuple(detections), episode_dir / str(rec["depth_file"]))
 
-    return read_json_lines(episode_dir / "episode.jsonl", frame)
+    return read_json_lines(episode_dir / "episode.jsonl", frame, _frame_dict)

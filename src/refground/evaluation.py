@@ -178,7 +178,7 @@ def simulate_dialogue_dataset(
 
 def load_manifest(dataset_dir: str | Path) -> list[dict]:
     """The manifest's entries; an episode dir listed twice is refused with both lines."""
-    return read_json_lines(Path(dataset_dir) / "manifest.jsonl", _manifest_entry, unique="dir")
+    return read_json_lines(Path(dataset_dir) / "manifest.jsonl", _manifest_entry, dict, unique="dir")
 
 
 def _manifest_entry(record) -> dict:

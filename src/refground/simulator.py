@@ -59,14 +59,6 @@ PALETTE: dict[str, ClassSpec] = {
 assert set(PALETTE) == set(OBJECT_CLASSES)
 
 
-def json_floats(values, name: str) -> tuple[float, ...]:
-    """values as floats, each a JSON number: a string or a boolean, which
-    float() would take, is refused."""
-    if not all(type(v) in (int, float) for v in values):
-        raise TypeError(f"{name} must be JSON numbers, got {values!r}")
-    return tuple(map(float, values))
-
-
 @dataclass(frozen=True)
 class SceneObject:
     id: int
@@ -98,19 +90,16 @@ class SceneObject:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneObject":
-        names = (d["class"], d["color"], d["material"])
-        if not all(isinstance(name, str) and name.strip() for name in names):
+        names = tuple(str(d[key]) for key in ("class", "color", "material"))
+        if not all(name.strip() for name in names):
             raise ValueError(f"object class, color and material must be non-empty strings, got {names!r}")
-        corners = [tuple(float(v) for v in d[key]) for key in ("box_min", "box_max")]
+        corners = [tuple(map(float, d[key])) for key in ("box_min", "box_max")]
         if any(len(corner) != 3 for corner in corners):
             raise ValueError(f"box_min and box_max must hold three numbers, got {corners!r}")
         if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(*corners)):
             raise ValueError(f"box_min must lie below box_max on every axis, both finite, got {corners!r}")
-        support = d.get("support")
-        if type(d["id"]) is not int or not (support is None or type(support) is int):
-            raise TypeError(f"object id must be an integer and support an integer or null, got {d['id']!r} and {support!r}")
-        return cls(id=d["id"], cls=names[0], color=names[1], material=names[2],
-                   box_min=corners[0], box_max=corners[1], support=support)
+        support = None if d["support"] is None else int(d["support"])
+        return cls(int(d["id"]), *names, *corners, support)
 
 
 @dataclass(frozen=True)
@@ -143,12 +132,8 @@ class RoomSpec:
         for o in objects:
             if o.support == o.id:  # scene_graphs would put it on top of itself
                 raise ValueError(f"object {o.id} is its own support")
-        return cls(
-            json_floats(d["extents"], "extents"),
-            objects,
-            int(d["seed"]),
-            {k: int(v) for k, v in d.get("copies", {}).items()},
-        )
+        copies = {k: int(v) for k, v in d["copies"].items()}
+        return cls(tuple(map(float, d["extents"])), objects, int(d["seed"]), copies)
 
 
 _SURFACE_CLEARANCE = 0.05  # edge gap between two objects on one supporter
@@ -506,15 +491,10 @@ class InstructionCase:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstructionCase":
-        if not isinstance(d["text"], str):
-            raise TypeError(f"instruction text must be a string, got {d['text']!r}")
         return cls(
-            d["text"],
-            d["target_class"],
-            d["expected_state"],
-            d["re_type"],
-            d.get("target_id"),
-            None if d.get("graph") is None else graph_from_dict(d["graph"]),
+            *(str(d[key]) for key in ("text", "target_class", "expected_state", "re_type")),
+            None if d["target_id"] is None else int(d["target_id"]),
+            None if d["graph"] is None else graph_from_dict(d["graph"]),
         )
 
 

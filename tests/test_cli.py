@@ -309,6 +309,12 @@ def write_bad_session(kind, path, dataset):
             row = next(rows for rows in payload["cells"].values() if rows)[0]
             if kind == "cell_outside_grid":
                 row[0] = -3
+            elif kind == "text_weight":  # float() would read each of these three as a number
+                row[2] = "1.0"
+            elif kind == "text_index":
+                row[1] = str(row[1])
+            elif kind == "true_frequency":
+                row[3] = True
             elif kind == "non_integer_cell":
                 row[0], row[3] = row[0] + 0.5, 1.5
             else:  # huge_frequency: an int64 cast would wrap it negative
@@ -321,7 +327,7 @@ def write_bad_session(kind, path, dataset):
     [
         "not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph",
         "negative_weight", "repeated_graph", "non_integer_cell", "huge_frequency", "padded_oid_key",
-        "true_oid", "nan_origin",
+        "true_oid", "nan_origin", "text_weight", "text_index", "true_frequency",
     ],
 )
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
@@ -352,6 +358,9 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
         assert lines[0].endswith("has oid True, not an integer")
     if kind == "nan_origin":
         assert lines[0].endswith("grid origin must be finite")
+    if kind in ("text_weight", "text_index", "true_frequency"):
+        assert re.search(r": oid \d+: cell \(.+, .+\) is not the \[int, int, number, int\] row a dump writes$",
+                         lines[0])
 
 
 @pytest.mark.parametrize("command", ["ground", "aggregate", "eval", "eval_counting"])
@@ -534,6 +543,20 @@ def test_eval_malformed_dataset_file_is_io_error(dataset, tmp_path, capsys, dama
         pytest.param("instructions.jsonl", ("text",), 2.5, id="instruction_text_float"),
         pytest.param("manifest.jsonl", ("kind",), {"k": 1}, id="kind_object"),
         pytest.param("manifest.jsonl", ("kind",), ["dialogue"], id="kind_list"),
+        # a value the writer would not write, though the reader's float(), int() or str() takes it
+        pytest.param("room.json", ("objects", 0, "box_min", 0), "1.0", id="room_corner_string"),
+        pytest.param("room.json", ("objects", 0, "box_max", 2), True, id="room_corner_true"),
+        pytest.param("room.json", ("seed",), "3", id="room_seed_string"),
+        pytest.param("room.json", ("seed",), 1.5, id="room_seed_float"),
+        pytest.param("room.json", ("copies", "cup"), True, id="room_copies_true"),
+        pytest.param("room.json", ("copies", "cup"), 1e308, id="room_copies_1e308"),
+        pytest.param("episode.jsonl", ("depth_file",), "/etc/hostname", id="depth_file_absolute"),
+        pytest.param(
+            "episode.jsonl", ("depth_file",), "../episode_00000/frame_00000.depth", id="depth_file_outside"
+        ),
+        pytest.param("episode.jsonl", ("depth_file",), "frame_00003.depth", id="depth_file_of_another_frame"),
+        pytest.param("instructions.jsonl", ("target_class",), 5, id="instruction_class_int"),
+        pytest.param("instructions.jsonl", ("target_id",), "2", id="instruction_target_string"),
     ],
 )
 def test_eval_wrongly_typed_dataset_value_is_io_error(dataset, tmp_path, capsys, name, key_path, value):
@@ -557,6 +580,8 @@ def test_eval_wrongly_typed_dataset_value_is_io_error(dataset, tmp_path, capsys,
         assert main(["eval", str(copy)]) == 3
     line = one_error_line(capsys)
     assert line.startswith(f"error: {path}: line {lineno}: ")
+    if "written back" in line:  # the round trip names the damaged field
+        assert f"field {'.'.join(map(str, key_path))} changes when written back" in line
 
 
 @pytest.mark.parametrize(

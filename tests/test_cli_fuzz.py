@@ -12,7 +12,9 @@ lexicon with 3, never blame the text with 2; `simulate` never parses text.
 Each example of the third runs `parse` and `ground --session` on a text of
 lexicon pieces followed by a relation chain of up to 600 links, each link
 bound by one cue or two; a text can only parse or not, so every run exits
-0 or 2.
+0 or 2. Each example of the fourth swaps one value of a room, episode,
+instruction or manifest record, and the file's reader must either refuse
+it or load values that write back as the JSON the file holds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from hypothesis import given, note, settings, strategies as st
 
 from refground.cli import main
 from refground.config import PipelineConfig
-from refground.evaluation import simulate_counting_dataset, simulate_dialogue_dataset
+from refground.episodes import DatasetError, _frame_dict, load_episode, load_instructions, load_room
+from refground.evaluation import load_manifest, simulate_counting_dataset, simulate_dialogue_dataset
 from refground.lexicon import default_lexicon
 
 from conftest import lexicon_pieces, save_config
@@ -43,6 +46,9 @@ JSON_VALUES = (
     0, -1, 2.5, 1e308, -1e308, math.nan, math.inf, -math.inf,
     "x", "", None, True, [], {}, [0, 0], {"k": 1},
 )
+# values swapped in for a dataset record value: a reader's float(), int() or
+# str() would take the last three (true is one of JSON_VALUES)
+READER_VALUES = JSON_VALUES + ("1.0", "3", False)
 # values swapped in for a config value; none gives a grid between a few cells
 # and one too large to allocate, so no example fills memory
 CONFIG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-9", "2.5", "1e9", "1e308", "1e-300", "x", "", "True")
@@ -263,3 +269,40 @@ def test_any_text_under_parse_and_ground_exits_0_or_2_with_one_line(world, data)
         code, out, err = run(args)
         note(f"{args[0]} -> {code}: {err}")
         assert_one_line_rule(code, out, err, (0, 2))
+
+
+# dataset file -> (reader of its directory, writer of the reader's result as records)
+READERS = {
+    "dialogue/episode_00000/room.json": (load_room, lambda room: [room.to_dict()]),
+    "dialogue/episode_00000/episode.jsonl": (load_episode, lambda frames: [_frame_dict(f) for f in frames]),
+    "dialogue/episode_00000/instructions.jsonl": (load_instructions, lambda cases: [c.to_dict() for c in cases]),
+    "counting/manifest.jsonl": (load_manifest, list),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_reader_refuses_a_record_or_loads_what_writes_back_as_read(world, name, data):
+    path = world / name
+    raw = path.read_bytes()
+    records = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
+    index = data.draw(st.integers(0, len(records) - 1))
+    (*parents, key), old = draw_node(records[index], data, lambda node: node is not records[index])
+    value = data.draw(st.sampled_from(READER_VALUES))
+    note(f"{name}: line {index + 1}: {[*parents, key]} = {value!r}, was {old!r}")
+    node = records[index]
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    read, write = READERS[name]
+    try:
+        loaded = read(path.parent)
+    except DatasetError:
+        return
+    finally:
+        path.write_bytes(raw)
+    if type(old) is float and type(value) is int:  # a JSON int stands for the float of its value
+        node[key] = float(value)
+    assert json.dumps(write(loaded), sort_keys=True) == json.dumps(records, sort_keys=True)

@@ -436,6 +436,7 @@ def test_scene_graphs_with_a_support_missing_from_the_room():
         {
             "extents": [6.0, 6.0, 2.5],
             "seed": 0,
+            "copies": {},
             "objects": [
                 box_obj(0, "lamp", 1.0, 1.0, 0.3, 0.3, 0.4).to_dict(),
                 box_obj(1, "cup", 1.3, 1.0, 0.1, 0.1, 0.12, support=9, z=0.75).to_dict(),
