@@ -8,7 +8,12 @@ The session keeps each id's occupied cells, in row-major order, until the
 id's next accumulate: a newly registered graph has none, a flat scan of the
 frequency map finds them on first use after an accumulate, and load takes
 them from the sorted cell list it checks, so queries on a loaded session
-scan no dense map.
+scan no dense map. Beside them it keeps each cell's region index and mean
+weight for the last region size asked, until the same accumulate, so a cold
+fusion reads each graph's cells in one pass: region scores and the group
+sums share one region index and one weight gather. Cell centres come from
+one table per grid axis, built by the session's first fusion, so nothing
+sized by a grid side is allocated before a query needs it.
 Every sum over cells runs in row-major cell order, so a session and its
 dump-and-reload give bit-identical results. Region scoring normalizes
 summed cell weights into a distribution over fixed-size regions, greedy non-maximal merging groups
@@ -109,9 +114,6 @@ def _cell_index(flat: np.ndarray, d2: int) -> tuple[np.ndarray, np.ndarray, np.n
 # the index of a graph that holds no cell: register_graph gives it to every new graph
 _NO_CELLS = _cell_index(np.empty(0, dtype=np.intp), 1)
 
-_NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
-
 def _find(parent, x):
     """Union-find root of x with path halving; parent is a dict or a list."""
     while parent[x] != x:
@@ -143,8 +145,11 @@ def merge_regions(scores: np.ndarray, gamma: float) -> dict[tuple[int, int], int
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     for region in order:
         parent[region] = region
-        for dx, dy in _NEIGHBORS:
-            nb = (region[0] + dx, region[1] + dy)
+        x, y = region
+        for nb in (
+            (x - 1, y - 1), (x - 1, y), (x - 1, y + 1), (x, y - 1),
+            (x, y + 1), (x + 1, y - 1), (x + 1, y), (x + 1, y + 1),
+        ):  # the eight neighbours
             if nb in parent:
                 ra, rb = _find(parent, nb), _find(parent, region)
                 if ra != rb:
@@ -169,6 +174,12 @@ class AggregationSession:
         self._mean: list[np.ndarray] = []
         self._freq: list[np.ndarray] = []
         self._cells: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
+        # indexed by oid: (dx, dy, region index, mean weight) of the occupied
+        # cells as _weighted_regions returns them (None from an accumulate
+        # until the next use)
+        self._regions: list[tuple[int, int, np.ndarray, np.ndarray] | None] = []
+        # the cell centres of every grid column and row, built by the first fusion
+        self._centres: tuple[np.ndarray, np.ndarray] | None = None
         self._fused: dict[tuple[str, int, int, float], list[InstanceRecord]] = {}
 
     # -- accumulation ------------------------------------------------------
@@ -179,6 +190,7 @@ class AggregationSession:
             self._mean.append(np.zeros((self.grid.d1, self.grid.d2)))
             self._freq.append(np.zeros((self.grid.d1, self.grid.d2), dtype=np.int64))
             self._cells.append(_NO_CELLS)
+            self._regions.append(None)
         return oid
 
     def accumulate(self, oid: int, cells: np.ndarray, weights: np.ndarray) -> None:
@@ -191,7 +203,7 @@ class AggregationSession:
         if oid not in self.registry:
             raise KeyError(oid)
         self._fused.clear()
-        self._cells[oid] = None
+        self._cells[oid] = self._regions[oid] = None
         # flat indices into views of the C-ordered arrays register_graph made
         index = cells[:, 0] * self.grid.d2 + cells[:, 1]
         mean, freq = self._mean[oid].reshape(-1), self._freq[oid].reshape(-1)
@@ -224,6 +236,19 @@ class AggregationSession:
             )
         return cells
 
+    def _weighted_regions(self, oid: int, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each occupied cell's flat index among the dx-by-dy regions and its
+        mean weight, in _occupied's order; kept until the graph's next
+        accumulate or a call with another region size."""
+        entry = self._regions[oid]
+        if entry is None or entry[0] != dx or entry[1] != dy:
+            flat, ix, iy = self._occupied(oid)
+            ny = -(-self.grid.d2 // dy)
+            entry = self._regions[oid] = (
+                dx, dy, (ix // dx) * ny + iy // dy, self._mean[oid].reshape(-1)[flat]
+            )
+        return entry[2], entry[3]
+
     def region_scores(self, oid: int, dx: int, dy: int) -> np.ndarray:
         """Sum cell weights per dx-by-dy region and normalize over the whole grid.
 
@@ -238,11 +263,9 @@ class AggregationSession:
             raise KeyError(oid)
         nx = -(-self.grid.d1 // dx)
         ny = -(-self.grid.d2 // dy)
-        flat, ix, iy = self._occupied(oid)
+        region, weights = self._weighted_regions(oid, dx, dy)
         # bincount adds in input order, here row-major cell order
-        weights = self._mean[oid].reshape(-1)[flat]
-        sums = np.bincount((ix // dx) * ny + iy // dy, weights=weights, minlength=nx * ny)
-        sums = sums.reshape(nx, ny)
+        sums = np.bincount(region, weights=weights, minlength=nx * ny).reshape(nx, ny)
         total = float(sums.sum())
         return sums / total if total > 0 else sums
 
@@ -276,34 +299,41 @@ class AggregationSession:
         whose regions score at least gamma, has positive mass. A region's
         pooled score is its best over the graphs that label it.
         """
+        if self._centres is None:
+            g = self.grid
+            self._centres = (
+                g.origin_x + (np.arange(g.d1) + 0.5) * g.cell_size,
+                g.origin_y + (np.arange(g.d2) + 0.5) * g.cell_size,
+            )
+        centre_x, centre_y = self._centres
         groups: list[tuple[int, frozenset[tuple[int, int]], float, float, float]] = []
         pooled: dict[tuple[int, int], float] = {}
         for oid in self.registry.oids_for_root(root):
             scores = self.region_scores(oid, dx, dy)
-            ny = scores.shape[1]
             labels = merge_regions(scores, gamma)
+            if not labels:
+                continue
+            ny = scores.shape[1]
             # a group's bincount bin is its label + 1; bin 0 takes the cells of no group
-            index = [x * ny + y for x, y in labels]
-            bins = [label + 1 for label in labels.values()]
             region_bin = np.zeros(scores.size, dtype=np.int64)
-            region_bin[index] = bins
+            # labels are numbered in iteration order, so members lists them in label order
             members: dict[int, list[tuple[int, int]]] = {}
-            for region, b, score in zip(labels, bins, scores.reshape(-1)[index].tolist()):
-                members.setdefault(b, []).append(region)
-                pooled[region] = max(pooled.get(region, 0.0), score)
+            for region, label in labels.items():
+                x, y = region
+                region_bin[x * ny + y] = label + 1
+                members.setdefault(label, []).append(region)
+                pooled[region] = max(pooled.get(region, 0.0), scores.item(x, y))
+            cell_region, weights = self._weighted_regions(oid, dx, dy)
             flat, ix, iy = self._occupied(oid)
             # each bin adds its cells in row-major order, as over the group's cells alone
-            cell_bin = region_bin[(ix // dx) * ny + iy // dy]
-            mass = self._mean[oid].reshape(-1)[flat] * self._freq[oid].reshape(-1)[flat]
-            xs = self.grid.origin_x + (ix + 0.5) * self.grid.cell_size
-            ys = self.grid.origin_y + (iy + 0.5) * self.grid.cell_size
+            cell_bin = region_bin[cell_region]
+            mass = weights * self._freq[oid].reshape(-1)[flat]
             n = len(members) + 1
             acc = np.bincount(cell_bin, weights=mass, minlength=n).tolist()
-            wx = np.bincount(cell_bin, weights=mass * xs, minlength=n).tolist()
-            wy = np.bincount(cell_bin, weights=mass * ys, minlength=n).tolist()
-            for b in sorted(members):
-                a = acc[b]
-                groups.append((oid, frozenset(members[b]), wx[b] / a, wy[b] / a, a))
+            wx = np.bincount(cell_bin, weights=mass * centre_x[ix], minlength=n).tolist()
+            wy = np.bincount(cell_bin, weights=mass * centre_y[iy], minlength=n).tolist()
+            for regions, a, x, y in zip(members.values(), acc[1:], wx[1:], wy[1:]):
+                groups.append((oid, frozenset(regions), x / a, y / a, a))
 
         # union-find over groups sharing any region
         parent = list(range(len(groups)))

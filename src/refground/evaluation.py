@@ -37,7 +37,7 @@ from .pipeline import (
     query_seed_for,
     session_for_episode,
 )
-from .simulator import INSTRUCTION_VERBS, PALETTE, GenerationError, generate_room, instruction
+from .simulator import INSTRUCTION_VERBS, PALETTE, GenerationError, generate_room, instruction, retry_room
 
 COUNTING_TARGETS = ("cup", "book", "lamp", "bowl", "laptop", "chair", "plant", "armchair")
 DIALOGUE_MULTI = ("cup", "book", "lamp", "bowl", "chair")
@@ -123,14 +123,10 @@ def _room_recipe(target: str, count: int, seed: int, stream: int) -> dict[str, i
 
 
 def _generate_with_retries(kind: str, seed: int, target: str, count: int, config: PipelineConfig):
-    last: GenerationError | None = None
-    for bump in range(8):
-        room_seed = seed + bump * 97
-        try:
-            return generate_room(room_seed, _room_recipe(target, count, room_seed, _STREAMS[kind]), config)
-        except GenerationError as exc:
-            last = exc
-    raise GenerationError(f"{kind} room {target} x{count} (seed {seed}): {last}")
+    try:
+        return retry_room(seed, lambda s: generate_room(s, _room_recipe(target, count, s, _STREAMS[kind]), config))
+    except GenerationError as exc:
+        raise GenerationError(f"{kind} room {target} x{count} (seed {seed}): {exc}") from None
 
 
 def _write_dataset(out_dir: str | Path, config: PipelineConfig, kind: str, rooms) -> Path:

@@ -126,8 +126,9 @@ def from_dict(d: object) -> ObjectGraph:
     root = d.get("root")
     if not isinstance(root, str):
         raise GraphStructureError("missing or non-string 'root'")
-    selfs = d.get("self", [])
-    rels = d.get("rel", [])
+    if d.keys() != {"root", "self", "rel"}:  # exactly what to_dict writes
+        raise GraphStructureError(f"graph node has keys {list(d)}, not root, self and rel")
+    selfs, rels = d["self"], d["rel"]
     if not isinstance(selfs, list) or not isinstance(rels, list):
         raise GraphStructureError("'self' and 'rel' must be arrays")
     self_attrs = []

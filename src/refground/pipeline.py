@@ -21,7 +21,7 @@ from .graph import ObjectGraph, root_key
 from .language import PhraseError, phrase_to_graph
 from .lexicon import Lexicon
 from .oracle import oracle_classify, oracle_paths
-from .simulator import RoomSpec, apply_errors, generate_room, scene_graphs
+from .simulator import GenerationError, RoomSpec, apply_errors, generate_room, retry_room, scene_graphs
 
 
 def stream_seed_for(name: str) -> int:
@@ -43,11 +43,16 @@ _BANK_CLASSES = (
 def build_observation_bank(config: PipelineConfig) -> tuple:
     """(bbox, caption) of every detection along 10 poses of a different seeded
     room, at least 6.5 m a side, with one object of each bank class; used by
-    the false-positive model."""
+    the false-positive model. A room that cannot be placed is retried under
+    bumped seeds, as a dataset room is."""
     bank_config = replace(
         config, room_x=max(6.5, config.room_x), room_y=max(6.5, config.room_y), n_waypoints=10
     )
-    room = generate_room(config.seed + 9999, dict.fromkeys(_BANK_CLASSES, 1), bank_config)
+    seed = config.seed + 9999
+    try:
+        room = retry_room(seed, lambda s: generate_room(s, dict.fromkeys(_BANK_CLASSES, 1), bank_config))
+    except GenerationError as exc:
+        raise GenerationError(f"false-positive bank room (seed {seed}): {exc}") from None
     return tuple(
         (det.bbox, det.caption)
         for _, _, detections in trajectory_frames(room, bank_config)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -160,6 +160,17 @@ def _uniform_draws(rng: np.random.Generator):
         return lo + (hi - lo) * random()
 
     return uniform
+
+
+def retry_room(seed: int, attempt: Callable[[int], RoomSpec]) -> RoomSpec:
+    """attempt(room_seed) under seed, then under up to seven seeds bumped by 97,
+    until one places its room; the last GenerationError if none does."""
+    for bump in range(8):
+        try:
+            return attempt(seed + bump * 97)
+        except GenerationError as exc:
+            last = exc
+    raise last
 
 
 def generate_room(seed: int, copies: dict[str, int], config: PipelineConfig) -> RoomSpec:

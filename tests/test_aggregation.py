@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from refground import aggregation
 from refground.aggregation import (
-    _NEIGHBORS,
     AggregationSession,
     GraphRegistry,
     InstanceRecord,
@@ -24,6 +23,9 @@ from refground.graph import ObjectGraph
 from conftest import cell_center
 
 GRID = GridSpec(0.0, 0.0, 0.05, 100, 100)
+
+# a region's eight neighbours, in the order merge_regions probes them
+NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 CUP_RED = ObjectGraph("cup", [("color", "red")])
 CUP_BLACK = ObjectGraph("cup", [("color", "black")])
@@ -300,7 +302,7 @@ def reference_merge_regions(scores, gamma):
         if scores[region] < gamma:
             continue
         parent[region] = region
-        for dx, dy in _NEIGHBORS:
+        for dx, dy in NEIGHBORS:
             nb = (region[0] + dx, region[1] + dy)
             if nb in parent:
                 ra, rb = find(nb), find(region)
@@ -637,11 +639,11 @@ def record_fields(records):
     return [(r.regions, r.centroid, r.score, r.contributors) for r in records]
 
 
-def test_fuse_matches_the_code_it_replaced():
+def assert_fuse_matches_the_code_it_replaced(grid):
     rng = np.random.default_rng(24)
     seen = set()
     for _ in range(30):
-        s = random_session(rng)
+        s = random_session(rng, grid)
         for (dx, dy), gamma in itertools.product([(10, 10), (7, 13), (5, 5)], [0.01, 0.05, 0.2]):
             fused = {root: s.fuse_across_graphs(root, dx, dy, gamma) for root in ("cup", "lamp")}
             for root, records in fused.items():
@@ -653,6 +655,16 @@ def test_fuse_matches_the_code_it_replaced():
         "two groups of one graph joined through another graph",
         "three graphs in a chain",
     }
+
+
+def test_fuse_matches_the_code_it_replaced():
+    assert_fuse_matches_the_code_it_replaced(GRID)
+
+
+def test_fuse_matches_the_code_it_replaced_on_an_offset_non_square_grid():
+    # x reads the column table and y the row table: on a square grid at the origin a
+    # swapped pair of tables reads the same, on this one it does not
+    assert_fuse_matches_the_code_it_replaced(GridSpec(-1.3, 0.7, 0.05, 80, 120))
 
 
 # -- the flat occupied-cell scan against the 2D one -------------------------------
@@ -1069,6 +1081,22 @@ def test_load_refuses_a_graph_listed_under_two_oids(tmp_path, cells):
         payload["cells"]["2"] = cells
     path.write_text(json.dumps(payload))
     with pytest.raises(SessionFormatError, match=f"^{re.escape(str(path))}: oid 2 repeats the graph of oid 0$"):
+        AggregationSession.load(path)
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda node: node.pop("self"), lambda node: node.update(zz=5)], ids=["no_self", "unknown_key"]
+)
+def test_load_refuses_a_graph_unlike_the_one_dump_writes(tmp_path, damage):
+    # at load the graph's reader defaulted a missing key and ignored an unknown one
+    s = session()
+    s.register_graph(CUP_RED)
+    path = tmp_path / "session.json"
+    s.dump(path)
+    payload = json.loads(path.read_text())
+    damage(payload["graphs"][0]["graph"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SessionFormatError, match=r"malformed session payload: graph node has keys \["):
         AggregationSession.load(path)
 
 

@@ -864,3 +864,12 @@ def test_malformed_lexicon_is_io_error(dataset, tmp_path, capsys, command, conte
 def test_cli_seed_override(dataset, capsys):
     assert main(["ground", str(episode_dir(dataset)), "bring a cup", "--seed", "99"]) == 0
     capsys.readouterr()
+
+
+def test_eval_with_false_positives_at_a_seed_whose_first_bank_room_cannot_be_placed(tmp_path, capsys):
+    # seed 47's bank room cannot place its plant at seed 10046; the bank retries at 10143
+    out = tmp_path / "d"
+    assert main(["simulate", "--seed", "47", "--out", str(out), "--kind", "dialogue", "--rooms", "1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(out), "--seed", "47", "--noise", "fp"]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -330,6 +331,21 @@ def test_from_dict_rejects_wrong_shapes():
         from_dict({"root": 3})
     with pytest.raises(GraphStructureError, match=r"^bad self attribute entry: \['color'\]$"):
         from_dict({"root": "cup", "self": [["color"]], "rel": []})
+
+
+@pytest.mark.parametrize(
+    "node, keys",
+    [
+        ({"root": "cup", "rel": []}, "['root', 'rel']"),
+        ({"root": "cup", "self": []}, "['root', 'self']"),
+        ({"root": "cup", "self": [], "rel": [], "zz": 5}, "['root', 'self', 'rel', 'zz']"),
+        ({"root": "cup", "self": [], "rel": [["is-on", {"root": "table", "self": []}]]}, "['root', 'self']"),
+    ],
+    ids=["no_self", "no_rel", "unknown_key", "nested_node"],
+)
+def test_from_dict_takes_exactly_the_keys_to_dict_writes(node, keys):
+    with pytest.raises(GraphStructureError, match=f"^graph node has keys {re.escape(keys)}, not root, self and rel$"):
+        from_dict(node)
 
 
 def test_to_dict_field_order():

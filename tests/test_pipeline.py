@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from refground import pipeline
 from refground.aggregation import AggregationSession, InstanceRecord
 from refground.config import PipelineConfig
 from refground.discriminator import MISSING_QUERY, DialogueState, GroundingOutcome, outcome_to_dict
@@ -35,7 +36,7 @@ from refground.pipeline import (
     session_for_episode,
     stream_seed_for,
 )
-from refground.simulator import Detection, generate_room
+from refground.simulator import Detection, GenerationError, generate_room
 
 from test_graph import graph_difference
 
@@ -357,3 +358,38 @@ def test_stream_and_query_seeds_stable():
 def test_observation_bank_deterministic():
     cfg = PipelineConfig()
     assert build_observation_bank(cfg) == build_observation_bank(cfg)
+
+
+@pytest.mark.parametrize("seed", [47, 122, 341])
+def test_observation_bank_retries_a_room_it_cannot_place(seed, monkeypatch):
+    # the first bank room of these seeds cannot place its plant; the room at the
+    # first bumped seed, seed + 9999 + 97, can, as a dataset room would be retried
+    tried = []
+    place = pipeline.generate_room
+
+    def counted(room_seed, copies, config):
+        tried.append(room_seed)
+        return place(room_seed, copies, config)
+
+    monkeypatch.setattr(pipeline, "generate_room", counted)
+    bank = build_observation_bank(PipelineConfig(seed=seed))
+    assert tried == [seed + 9999, seed + 9999 + 97]
+    assert bank and all(isinstance(caption, str) for _, caption in bank)
+
+
+def test_observation_bank_that_places_first_time_tries_one_room(monkeypatch):
+    tried = []
+    place = pipeline.generate_room
+    monkeypatch.setattr(pipeline, "generate_room", lambda s, *a: tried.append(s) or place(s, *a))
+    build_observation_bank(PipelineConfig())
+    assert tried == [PipelineConfig().seed + 9999]
+
+
+def test_observation_bank_names_its_room_when_no_seed_places(monkeypatch):
+    def unplaceable(room_seed, copies, config):
+        raise GenerationError(f"nothing fits at {room_seed}")
+
+    monkeypatch.setattr(pipeline, "generate_room", unplaceable)
+    last = 1 + 9999 + 7 * 97
+    with pytest.raises(GenerationError, match=f"^false-positive bank room \\(seed 10000\\): nothing fits at {last}$"):
+        build_observation_bank(PipelineConfig(seed=1))
