@@ -402,11 +402,13 @@ class AggregationSession:
         """Read a dump; SessionFormatError names the first malformed entry.
 
         Grid sizes that are not positive integers or cannot be allocated,
-        a non-finite grid origin or cell size, an oid that is not an
-        integer, a graph listed under two oids, a cells key that is not str(oid) of a
-        listed oid, cells outside the grid or with a
-        non-integer index, frequencies that are not whole numbers in [1, 2**63),
-        non-finite or negative weights and rows unlike [int, int, number, int] are refused.
+        a grid origin or cell size that is not a finite JSON number, an oid
+        that is not an integer, a graph listed under two oids or not in the
+        canonical form `to_dict` writes, a cells key that is not str(oid) of a
+        listed oid, a listed oid with no cells list, cells outside the grid,
+        with a non-integer index, listed twice or out of row-major order,
+        frequencies that are not whole numbers in [1, 2**63), non-finite or
+        negative weights and rows unlike [int, int, number, int] are refused.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -422,6 +424,9 @@ class AggregationSession:
                 raise SessionFormatError(
                     f"{path}: grid size {g['d1']!r}x{g['d2']!r} is not two positive integers"
                 )
+            for k in ("origin_x", "origin_y", "cell_size"):
+                if type(g[k]) not in (int, float):  # a boolean is never a number
+                    raise SessionFormatError(f"{path}: grid {k} {g[k]!r} is not a number")
             session = cls(GridSpec(g["origin_x"], g["origin_y"], g["cell_size"], g["d1"], g["d2"]))
             for position, entry in enumerate(payload["graphs"]):
                 if type(entry["oid"]) is not int:  # dump writes true or 1.0 back as 1
@@ -439,8 +444,13 @@ class AggregationSession:
             for key, cells in payload["cells"].items():
                 if key not in oids:  # "02" or " 2" would overwrite oid 2's cells
                     raise SessionFormatError(f"{path}: cells for unknown oid {key}; a key is str(oid)")
+                if type(cells) is not list:
+                    raise SessionFormatError(f"{path}: cells for oid {key} are {cells!r}, not a list")
                 if cells:
                     session._load_cells(path, oids[key], cells)
+            missing = oids.keys() - payload["cells"].keys()
+            if missing:  # a dump lists every oid's cells, an empty list for none
+                raise SessionFormatError(f"{path}: no cells for oid {min(map(int, missing))}")
         except MemoryError as exc:
             raise SessionFormatError(f"{path}: cannot allocate the {g['d1']}x{g['d2']} grid") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -473,13 +483,11 @@ class AggregationSession:
                 raise SessionFormatError(f"{path}: oid {oid}: cell ({bad[0]}, {bad[1]}) {problem}")
         index = (cx.astype(np.int64), cy.astype(np.int64))
         flat = np.ravel_multi_index(index, (self.grid.d1, self.grid.d2))
-        occupied, first = np.unique(flat, return_index=True)
-        if first.size < len(rows):
-            listed_before = np.ones(len(rows), dtype=bool)
-            listed_before[first] = False
-            bad = cells[int(np.argmax(listed_before))]
-            raise SessionFormatError(f"{path}: oid {oid}: cell ({bad[0]}, {bad[1]}) is listed twice")
+        ascending = flat[1:] > flat[:-1]  # a dump lists each cell once, in the scan's row-major order
+        if not ascending.all():
+            at = int(np.argmin(ascending)) + 1
+            problem = "is listed twice" if flat[at] in flat[:at] else "comes before a cell listed above it"
+            raise SessionFormatError(f"{path}: oid {oid}: cell ({cells[at][0]}, {cells[at][1]}) {problem}")
         self._mean[oid][index] = w
         self._freq[oid][index] = freq.astype(np.int64)
-        # np.unique sorts, so its flat indices are the scan's row-major cells
-        self._cells[oid] = _cell_index(occupied, self.grid.d2)
+        self._cells[oid] = _cell_index(flat, self.grid.d2)

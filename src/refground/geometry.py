@@ -9,6 +9,7 @@ bird's-eye view projects world (x, y) onto the ground plane.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,6 +122,8 @@ class DepthFrame:
     max_range: float
 
     def __post_init__(self):
+        if self.width < 1 or self.height < 1:  # before any reduction: an empty map has no max
+            raise ValueError(f"depth frame is {self.width}x{self.height}; width and height must be at least 1")
         d = np.asarray(self.depth, dtype=np.float32).reshape(self.height, self.width)
         top = d.max()
         if not (0 <= d.min() and top <= self.max_range and top < np.inf):  # false for NaN too
@@ -269,20 +272,22 @@ def write_depth_file(path: str | Path, frame: DepthFrame) -> None:
 
 
 def read_depth_file(path: str | Path, max_range: float) -> DepthFrame:
-    raw = Path(path).read_bytes()
+    """Read a DORODPTH file with one read into a buffer of the file's size;
+    the frame's depth is a float32 view of that buffer past the header, not a copy."""
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]  # a short read leaves a shorter file
     if raw[:8] != DEPTH_MAGIC:
-        raise OSError(f"{path}: bad magic {raw[:8]!r}")
+        raise OSError(f"{path}: bad magic {bytes(raw[:8])!r}")
     if len(raw) < 16:
         raise OSError(f"{path}: truncated header")
-    width, height = struct.unpack("<II", raw[8:16])
+    width, height = struct.unpack_from("<II", raw, 8)
     expected = 16 + 4 * width * height
     if len(raw) != expected:
         raise OSError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    depth = np.frombuffer(raw[16:], dtype="<f4").reshape(height, width)
+    depth = np.frombuffer(raw, dtype="<f4", offset=16)
     try:
-        return DepthFrame(width, height, depth.copy(), max_range=max_range)
+        return DepthFrame(width, height, depth, max_range=max_range)
     except ValueError as exc:  # e.g. written under a larger max_range than configured
-        raise OSError(
-            f"{path}: {exc}: largest depth {float(depth.max(initial=0.0))}, "
-            f"configured max_range {max_range}"
-        ) from exc
+        largest = f": largest depth {float(depth.max())}, configured max_range {max_range}" if depth.size else ""
+        raise OSError(f"{path}: {exc}{largest}") from exc

@@ -121,6 +121,8 @@ def to_dict(g: ObjectGraph) -> dict:
 
 
 def from_dict(d: object) -> ObjectGraph:
+    """The graph of a node as `to_dict` writes it; any other node, including
+    one that would load in another order or case, is a GraphStructureError."""
     if not isinstance(d, dict):
         raise GraphStructureError("graph node must be an object")
     root = d.get("root")
@@ -141,7 +143,11 @@ def from_dict(d: object) -> ObjectGraph:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise GraphStructureError(f"bad relational attribute entry: {entry!r}")
         rel_attrs.append((entry[0], from_dict(entry[1])))
-    return ObjectGraph(root, self_attrs, rel_attrs)
+    g = ObjectGraph(root, self_attrs, rel_attrs)
+    # to_dict writes the canonical node: lowercase, edges sorted, no duplicates
+    if (g.root, g.self_attrs, g.rel_attrs) != (root, tuple(self_attrs), tuple(rel_attrs)):
+        raise GraphStructureError(f"graph node {root!r} is not in the canonical form to_dict writes")
+    return g
 
 
 def serialize(g: ObjectGraph) -> str:

@@ -41,6 +41,13 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
+def may_name(text: str, key: str) -> bool:
+    """False when no parse of `text` can have the root `key` (a `root_key`):
+    a parsed root is one run of the text's lowercased tokens joined by single
+    spaces, and no token holds a space, so the text must hold that run."""
+    return f" {key} " in f" {' '.join([t.lower() for t in tokenize(text)])} "
+
+
 def bio_span(symbol: str, n: int) -> list[str]:
     """The labels of one n-token span: B-<symbol>, then I-<symbol> for the rest."""
     return [f"B-{symbol}"] + [f"I-{symbol}"] * (n - 1)

@@ -18,7 +18,7 @@ from .discriminator import GroundingOutcome, classify, generate_query
 from .episodes import FrameRecord, load_episode, trajectory_frames
 from .geometry import bbox_cloud_arrays, voxelize_bev_arrays
 from .graph import ObjectGraph, root_key
-from .language import PhraseError, phrase_to_graph
+from .language import PhraseError, may_name, phrase_to_graph
 from .lexicon import Lexicon
 from .oracle import oracle_classify, oracle_paths
 from .simulator import GenerationError, RoomSpec, apply_errors, generate_room, retry_room, scene_graphs
@@ -81,9 +81,12 @@ def build_session(
     caption fails to parse are skipped. With a `root`, only detections
     whose graph has that root class are accumulated:
     fusing the root reads no other graph and keeps its graphs' relative
-    order, so it gives the full session's records. Errors are still drawn
-    for every detection and depth still read for every frame with one, so
-    the noise streams and the depth checks are those of the full session.
+    order, so it gives the full session's records. A caption that cannot
+    name the root (`language.may_name`) is then skipped unparsed; only
+    the captions holding the root's words are parsed. Errors are still
+    drawn for every detection and depth still read (one read, no copy)
+    for every frame with one, so the noise streams and the depth checks
+    are those of the full session.
     """
     key = None if root is None else root_key(root)
     session = AggregationSession(config.grid_spec())
@@ -101,10 +104,12 @@ def build_session(
         for det in detections:
             graph = graph_cache.get(det.caption, Ellipsis)
             if graph is Ellipsis:
-                try:
-                    graph = phrase_to_graph(det.caption, lexicon)
-                except PhraseError:
-                    graph = None
+                graph = None
+                if key is None or may_name(det.caption, key):
+                    try:
+                        graph = phrase_to_graph(det.caption, lexicon)
+                    except PhraseError:
+                        pass
                 if graph is not None and key is not None and graph.root != key:
                     graph = None
                 graph_cache[det.caption] = graph

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -38,12 +39,18 @@ _fuse_in_full = AggregationSession._fuse
 AggregationSession._fuse = lambda self, *args: _fuse_in_full(self, *args)[1:]
 """
 
+# appended to a copy's pipeline.py: no caption can name a counting target, so
+# every counting session comes out empty while dialogue sessions keep theirs
+NAME_NO_TARGET = """
+may_name = lambda text, key: False
+"""
 
-def changed_copy(tmp_path, appended: str) -> Path:
-    """A copy of src/ with `appended` added to the end of its aggregation.py."""
+
+def changed_copy(tmp_path, appended: str, module: str = "aggregation") -> Path:
+    """A copy of src/ with `appended` added to the end of its `module`.py."""
     copy = tmp_path / "src"
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(copy / "refground" / "aggregation.py", "a", encoding="utf-8") as f:
+    with open(copy / "refground" / f"{module}.py", "a", encoding="utf-8") as f:
         f.write(appended)
     return copy
 
@@ -54,6 +61,7 @@ def test_a_tree_against_itself_reads_no_gain():
     assert {name: row["verdict"] for name, row in table.items()} == {
         "cold fusion": "no gain",
         "warm grounding": "no gain",
+        "eval_counting": "no gain",
     }
     for row in table.values():
         assert row["ops"] > 0 and len(row["a"]) == len(row["b"]) == 20
@@ -69,6 +77,13 @@ def test_a_copy_with_slowed_fusion_reads_a_loss_there_only(tmp_path):
 def test_trees_that_ground_differently_are_not_timed(tmp_path):
     with pytest.raises(SystemExit, match=r"^error: the trees disagree: \d+ of \d+ results identical$"):
         ab.compare(SRC, changed_copy(tmp_path, DROP_A_RECORD), rounds=2, rooms=1, seed=1)
+
+
+def test_trees_that_count_differently_are_not_timed(tmp_path):
+    with pytest.raises(SystemExit, match=r"^error: the trees disagree: \d+ of \d+ results identical$") as refused:
+        ab.compare(SRC, changed_copy(tmp_path, NAME_NO_TARGET, "pipeline"), rounds=2, rooms=1, seed=1)
+    same, total = map(int, re.findall(r"\d+", str(refused.value)))
+    assert same == total - len(ab.COUNT_PRESETS)  # every dialogue result agreed, no counting preset did
 
 
 def test_loading_a_tree_leaves_the_imported_refground_in_place():
@@ -99,4 +114,4 @@ def test_main_prints_one_row_per_probe(capsys):
     assert ab.main([str(SRC), str(SRC), "--rounds", "2", "--rooms", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("results identical; 2 rounds, per-op µs")
-    assert [line.split()[0] + " " + line.split()[1] for line in lines[2:]] == ["cold fusion", "warm grounding"]
+    assert [line[:16].rstrip() for line in lines[2:]] == ["cold fusion", "warm grounding", "eval_counting"]

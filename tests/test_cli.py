@@ -270,6 +270,14 @@ def deep_graph_json(relations: int) -> str:
     return '{"root": "box", "self": [], "rel": [["is-on", ' * relations + leaf + "]]}" * relations
 
 
+# a grid number set to a JSON boolean, which Python reads as 0 or 1
+BOOLEAN_GRID_NUMBERS = {
+    "false_origin_x": ("origin_x", False),
+    "true_origin_y": ("origin_y", True),
+    "false_cell_size": ("cell_size", False),
+}
+
+
 def write_bad_session(kind, path, dataset):
     if kind == "not_json":
         path.write_text("this is not a session\n")
@@ -305,6 +313,9 @@ def write_bad_session(kind, path, dataset):
             next(e for e in payload["graphs"] if e["oid"] == 1)["oid"] = True
         elif kind == "nan_origin":
             payload["grid"]["origin_x"] = float("nan")
+        elif kind in BOOLEAN_GRID_NUMBERS:  # false compared equal to the config's 0.0 origin
+            key, value = BOOLEAN_GRID_NUMBERS[kind]
+            payload["grid"][key] = value
         else:  # one cell row edited in place
             row = next(rows for rows in payload["cells"].values() if rows)[0]
             if kind == "cell_outside_grid":
@@ -327,7 +338,7 @@ def write_bad_session(kind, path, dataset):
     [
         "not_json", "not_utf8", "other_grid", "cell_outside_grid", "huge_grid", "deep_graph",
         "negative_weight", "repeated_graph", "non_integer_cell", "huge_frequency", "padded_oid_key",
-        "true_oid", "nan_origin", "text_weight", "text_index", "true_frequency",
+        "true_oid", "nan_origin", "text_weight", "text_index", "true_frequency", *BOOLEAN_GRID_NUMBERS,
     ],
 )
 def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
@@ -358,6 +369,9 @@ def test_ground_bad_session_is_io_error(dataset, tmp_path, capsys, kind):
         assert lines[0].endswith("has oid True, not an integer")
     if kind == "nan_origin":
         assert lines[0].endswith("grid origin must be finite")
+    if kind in BOOLEAN_GRID_NUMBERS:
+        key, value = BOOLEAN_GRID_NUMBERS[kind]
+        assert lines[0].endswith(f": grid {key} {value!r} is not a number")
     if kind in ("text_weight", "text_index", "true_frequency"):
         assert re.search(r": oid \d+: cell \(.+, .+\) is not the \[int, int, number, int\] row a dump writes$",
                          lines[0])

@@ -14,7 +14,9 @@ lexicon pieces followed by a relation chain of up to 600 links, each link
 bound by one cue or two; a text can only parse or not, so every run exits
 0 or 2. Each example of the fourth swaps one value of a room, episode,
 instruction or manifest record, and the file's reader must either refuse
-it or load values that write back as the JSON the file holds.
+it or load values that write back as the JSON the file holds. The last
+tests hold the session-dump and graph readers to the same rule, and also
+require a loaded value to have the JSON type its writer writes there.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import reprlib
 import struct
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -31,10 +34,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
+from refground.aggregation import AggregationSession, SessionFormatError
 from refground.cli import main
 from refground.config import PipelineConfig
-from refground.episodes import DatasetError, _frame_dict, load_episode, load_instructions, load_room
+from refground.episodes import DatasetError, _frame_dict, json_diff, load_episode, load_instructions, load_room
 from refground.evaluation import load_manifest, simulate_counting_dataset, simulate_dialogue_dataset
+from refground.graph import GraphStructureError, ObjectGraph, from_dict, to_dict
+from refground.language import phrase_to_graph
 from refground.lexicon import default_lexicon
 
 from conftest import lexicon_pieces, save_config
@@ -306,3 +312,79 @@ def test_a_reader_refuses_a_record_or_loads_what_writes_back_as_read(world, name
     if type(old) is float and type(value) is int:  # a JSON int stands for the float of its value
         node[key] = float(value)
     assert json.dumps(write(loaded), sort_keys=True) == json.dumps(records, sort_keys=True)
+
+
+def swap_one_value(record, data) -> tuple[object, object, object]:
+    """(record with one node, drawn by draw_node, swapped for one of
+    READER_VALUES; the old node; the new value). record is left as it was."""
+    record = json.loads(json.dumps(record))
+    path, old = draw_node(record, data)
+    value = data.draw(st.sampled_from(READER_VALUES))
+    note(f"{list(path)} = {value!r}, was {reprlib.repr(old)}")
+    if not path:
+        return value, old, value
+    node = record
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return record, old, value
+
+
+def assert_refused_or_written_back_as_read(read, write, refusal, record, old, value) -> None:
+    """read() raises `refusal`, or the swapped value has the JSON type the
+    writer wrote in its place (a boolean is never a number, a JSON int
+    stands for a float) and write() of what it loaded gives the JSON
+    values of record."""
+    try:
+        loaded = read()
+    except refusal:
+        return
+    assert type(value) is type(old) or type(old) is float and type(value) is int, "a value of another type loaded"
+    assert json_diff(write(loaded), record) is None
+
+
+def assert_session_reader_rule(world: Path, payload, old, value) -> None:
+    path, again = world / "swapped_session.json", world / "swapped_again.json"
+    path.write_text(json.dumps(payload))
+
+    def dumped(session):
+        session.dump(again)
+        return json.loads(again.read_text())
+
+    assert_refused_or_written_back_as_read(
+        lambda: AggregationSession.load(path), dumped, SessionFormatError, payload, old, value
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_session_reader_refuses_a_dump_or_loads_what_dumps_back_as_read(world, data):
+    payload, old, value = swap_one_value(json.loads((world / "session.json").read_text()), data)
+    assert_session_reader_rule(world, payload, old, value)
+
+
+@pytest.mark.parametrize("key", ["origin_x", "origin_y", "cell_size"])
+@pytest.mark.parametrize("value", [False, True])
+def test_the_session_reader_refuses_a_boolean_grid_number(world, key, value):
+    # false read as an origin of 0, so the grid compared equal to the config's
+    payload = json.loads((world / "session.json").read_text())
+    old, payload["grid"][key] = payload["grid"][key], value
+    assert_session_reader_rule(world, payload, old, value)
+
+
+# two self attributes and two relations, so a swapped kind or root can change the edge order
+GRAPHS = (
+    to_dict(phrase_to_graph(INSTRUCTION, default_lexicon())),
+    to_dict(ObjectGraph(
+        "dining table",
+        [("color", "white"), ("material", "wooden")],
+        [("is-near", ObjectGraph("lamp")), ("is-on", ObjectGraph("rug", [("color", "red")]))],
+    )),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_graph_reader_refuses_a_node_or_loads_what_writes_back_as_read(data):
+    node, old, value = swap_one_value(data.draw(st.sampled_from(GRAPHS)), data)
+    assert_refused_or_written_back_as_read(lambda: from_dict(node), to_dict, GraphStructureError, node, old, value)

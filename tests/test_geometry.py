@@ -571,6 +571,31 @@ def test_depth_file_truncated(tmp_path):
         read_depth_file(path, 10.0)
 
 
+@pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (0, 0)])
+def test_depth_file_with_no_pixels_names_its_size(tmp_path, width, height):
+    # the header's size matches the file, so only the frame can refuse it; no max_range is to blame
+    path = tmp_path / "empty.depth"
+    path.write_bytes(DEPTH_MAGIC + struct.pack("<II", width, height))
+    message = f"depth frame is {width}x{height}; width and height must be at least 1$"
+    with pytest.raises(OSError, match=rf"empty\.depth: {message}"):
+        read_depth_file(path, 10.0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        DepthFrame(width, height, np.zeros((height, width), dtype=np.float32), 10.0)
+
+
+def test_each_depth_read_gets_its_own_buffer_and_the_frame_views_it(tmp_path):
+    path = tmp_path / "frame.depth"
+    write_depth_file(path, DepthFrame(5, 3, np.full((3, 5), 2.5, dtype=np.float32), 10.0))
+    first, second = read_depth_file(path, 10.0), read_depth_file(path, 10.0)
+    buffer = first.depth
+    while isinstance(buffer, np.ndarray):
+        buffer = buffer.base
+    assert isinstance(buffer.obj, bytearray)  # a view of the buffer the file was read into, not a copy
+    assert first.depth.flags.writeable
+    assert not np.shares_memory(first.depth, second.depth)  # a frame someone holds never changes
+    assert first.depth.dtype == np.float32 and first.depth.shape == (3, 5)
+
+
 # -- type validation ------------------------------------------------------------
 
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refground.evaluation import build_parser_corpus
-from refground.graph import MAX_TREE_DEPTH, GraphStructureError, ObjectGraph
+from refground.graph import MAX_TREE_DEPTH, GraphStructureError, ObjectGraph, root_key
 from refground.language import (
     LANDMARK_SYMBOL,
     ROOT_SYMBOL,
     PhraseError,
     bio_span,
+    may_name,
     parse_tags,
     phrase_to_graph,
     realize,
@@ -220,6 +221,58 @@ def test_indexed_tag_matches_table_scan_on_token_sequences(data):
     pieces = data.draw(st.lists(st.sampled_from(lexicon_pieces(lexicon)), min_size=1, max_size=12))
     text = " ".join(pieces)
     assert tag_outcome(tag, text, lexicon) == tag_outcome(reference_tag, text, lexicon, ())
+
+
+def target_spellings(cls: str) -> tuple[str, ...]:
+    """A counting target as a manifest may spell it: any case, padded with whitespace."""
+    return (cls, cls.upper(), cls.title(), f" {cls} ", f"\t{cls.title()}  ")
+
+
+def assert_may_name_keeps_its_root(text: str, lexicon: Lexicon, targets) -> int:
+    """may_name keeps text for every target whose key is the root of text's
+    parse; returns how many targets it skips."""
+    try:
+        root = phrase_to_graph(text, lexicon).root
+    except PhraseError:
+        root = None
+    skipped = 0
+    for target in targets:
+        key = root_key(target)
+        if not may_name(text, key):
+            assert root != key, (text, target)
+            skipped += 1
+    return skipped
+
+
+def test_may_name_keeps_every_parser_corpus_caption_of_its_root(lexicon):
+    targets = [t for cls in sorted(lexicon.object_classes) for t in target_spellings(cls)]
+    assert "dining table" in lexicon.object_classes
+    texts = [case.text for seed in (0, 7, 11) for case in build_parser_corpus(600, seed)]
+    for spell in (str, str.upper, str.title):
+        skipped = sum(assert_may_name_keeps_its_root(spell(text), lexicon, targets) for text in texts)
+        assert skipped > len(texts) * len(targets) // 2  # most (caption, class) pairs need no parse
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_may_name_keeps_every_token_sequence_of_its_root(data):
+    lexicon = data.draw(st.sampled_from([default_lexicon(), AMBIGUOUS_LEXICON]))
+    pieces = data.draw(st.lists(st.sampled_from(lexicon_pieces(lexicon)), min_size=1, max_size=12))
+    text = data.draw(st.sampled_from((str, str.upper, str.title)))(" ".join(pieces))
+    try:
+        roots = [phrase_to_graph(text, lexicon).root]
+    except PhraseError:
+        roots = []
+    cls = data.draw(st.sampled_from(sorted(lexicon.object_classes) + roots))
+    assert_may_name_keeps_its_root(text, lexicon, target_spellings(cls))
+
+
+def test_may_name_asks_for_the_root_words_as_one_run_of_tokens():
+    assert may_name("bring the Dining  Table, please", "dining table")
+    assert may_name("the dining table", "table")  # kept; the parse then names another root
+    assert not may_name("the table by the dining room", "dining table")
+    assert not may_name("a red cup", "table")
+    assert not may_name("cupboard", "cup")
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])

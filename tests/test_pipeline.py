@@ -130,6 +130,28 @@ def test_build_session_skips_unparseable_captions(episode, tmp_path):
     assert (tmp_path / "patched.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
+@pytest.mark.parametrize("root", ["cup", " Table "])
+def test_a_target_session_parses_only_captions_that_can_name_its_root(episode, tmp_path, monkeypatch, root):
+    cfg, _, out = episode
+    frames, models = load_episode(out), cfg.noise_models("cs+sd+fn")
+    parsed = []
+
+    def counting_parse(text, lexicon):
+        parsed.append(text)
+        return phrase_to_graph(text, lexicon)
+
+    monkeypatch.setattr(pipeline, "phrase_to_graph", counting_parse)
+    build_session(frames, cfg, cfg.lexicon(), models, (), 5, root).dump(tmp_path / "checked.json")
+    checked = list(parsed)
+    parsed.clear()
+    monkeypatch.setattr(pipeline, "may_name", lambda text, key: True)
+    build_session(frames, cfg, cfg.lexicon(), models, (), 5, root).dump(tmp_path / "every.json")
+    assert (tmp_path / "checked.json").read_bytes() == (tmp_path / "every.json").read_bytes()
+    word = root.strip().lower()
+    assert checked and all(word in text.lower().split() for text in checked)
+    assert len(checked) < len(parsed)
+
+
 def test_false_positives_without_a_bank_are_refused(episode):
     # without a bank the fp model would add nothing, and its session would read as noise-free
     cfg, _, out = episode

@@ -6,15 +6,21 @@ Both trees are imported into this process, each under its own copy of the
 `refground` modules, so they share one machine state and one set of inputs.
 A simulates a dialogue dataset of N rooms and dumps every episode's session
 under the presets `none` and `cs+sd+fn`; each tree then loads those dumps
-with its own `AggregationSession.load`. Probes, each timed per op:
+with its own `AggregationSession.load`. A also simulates a counting dataset
+of about N rooms (N // 3 per instance count, at least one). Probes, each
+timed per op:
 
 - `cold fusion`: `fuse_across_graphs` for every instruction root of a freshly
   loaded session, the root's first fusion there;
 - `warm grounding`: `ground_in_session` for every instruction, on a session
-  that has already fused each root once.
+  that has already fused each root once;
+- `eval_counting`: `evaluation.eval_counting` of the counting dataset under
+  each of the paper's five counting presets; an op is one (episode, preset)
+  evaluation, so the time reads per episode.
 
 Before timing, both trees ground every instruction and must give the same
-outcomes and the same fused records, float bits included. Each round then
+outcomes and the same fused records, float bits included, and the same
+counting records under every counting preset. Each round then
 times every probe on both trees, alternating which tree runs first, and the
 tool prints each probe's minimum and median over the rounds and the rounds
 in which B was faster. A probe reads "gain" when B was faster in at least 9
@@ -41,6 +47,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 PRESETS = ("none", "cs+sd+fn")
+COUNT_PRESETS = ("none", "cs", "cs+sd", "cs+sd+fn", "fp")  # the paper's counting columns
 MODULES = ("aggregation", "config", "discriminator", "episodes", "evaluation", "graph", "language", "pipeline")
 
 
@@ -81,13 +88,21 @@ def make_sessions(tree: SimpleNamespace, work: Path, rooms: int, seed: int) -> l
     return dumps
 
 
-class Side:
-    """One tree's probes over the shared session dumps."""
+def make_counting(tree: SimpleNamespace, work: Path, rooms: int, seed: int) -> Path:
+    """A counting dataset of N // 3 rooms per instance count, at least one."""
+    config = tree.config.PipelineConfig(seed=seed)
+    return tree.evaluation.simulate_counting_dataset(work / "counting", config, rooms_per_count=max(1, rooms // 3))
 
-    def __init__(self, tree: SimpleNamespace, dumps, seed: int):
+
+class Side:
+    """One tree's probes over the shared session dumps and counting dataset."""
+
+    def __init__(self, tree: SimpleNamespace, dumps, counting: Path, seed: int):
         self.tree = tree
         self.config = tree.config.PipelineConfig(seed=seed)
         self.lexicon = self.config.lexicon()
+        self.counting = counting
+        self.manifest = tree.evaluation.load_manifest(counting)
         # (dump, [(instruction, query seed, root)]), skipping instructions that do not parse
         self.cases = []
         for path, name, texts in dumps:
@@ -104,7 +119,8 @@ class Side:
         return [self.tree.aggregation.AggregationSession.load(path) for path, _ in self.cases]
 
     def results(self) -> list[str]:
-        """Every outcome and every fused record, as text that keeps each float's bits."""
+        """Every outcome and every fused record, as text that keeps each float's
+        bits, then the counting records of every counting preset."""
         c = self.config
         out = []
         for session, (_, rows) in zip(self.load(), self.cases):
@@ -114,7 +130,12 @@ class Side:
                 for r in session.fuse_across_graphs(root, c.region_dx, c.region_dy, c.gamma):
                     contributors = [(self.tree.graph.serialize(g), w.hex()) for g, w in r.contributors]
                     out.append(repr((sorted(r.regions), [v.hex() for v in r.centroid], r.score.hex(), contributors)))
+        for preset in COUNT_PRESETS:
+            out.append(repr(self.count(preset).records))
         return out
+
+    def count(self, preset: str):
+        return self.tree.evaluation.eval_counting(self.counting, self.config, preset, self.manifest, self.lexicon)
 
     def cold_fusion(self) -> tuple[float, int]:
         c = self.config
@@ -141,8 +162,14 @@ class Side:
             ground(session, text, c, self.lexicon, qseed)
         return time.perf_counter() - start, len(calls)
 
+    def eval_counting(self) -> tuple[float, int]:
+        start = time.perf_counter()
+        for preset in COUNT_PRESETS:
+            self.count(preset)
+        return time.perf_counter() - start, len(COUNT_PRESETS) * len(self.manifest)
 
-PROBES = {"cold fusion": Side.cold_fusion, "warm grounding": Side.warm_grounding}
+
+PROBES = {"cold fusion": Side.cold_fusion, "warm grounding": Side.warm_grounding, "eval_counting": Side.eval_counting}
 
 
 def timed(side: Side, probe) -> tuple[float, int]:
@@ -174,7 +201,8 @@ def compare(a_src: Path, b_src: Path, rounds: int, rooms: int, seed: int) -> tup
     trees = load_tree(a_src), load_tree(b_src)
     with tempfile.TemporaryDirectory() as work:
         dumps = make_sessions(trees[0], Path(work), rooms, seed)
-        sides = [Side(tree, dumps, seed) for tree in trees]
+        counting = make_counting(trees[0], Path(work), rooms, seed)
+        sides = [Side(tree, dumps, counting, seed) for tree in trees]
         a_results, b_results = (side.results() for side in sides)
         if a_results != b_results:
             same = sum(x == y for x, y in zip(a_results, b_results))
