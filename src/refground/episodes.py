@@ -72,9 +72,10 @@ class FrameRecord:
 def _frame_dict(frame: FrameRecord) -> dict:
     """The episode.jsonl record of one frame; its depth file is named by its index."""
     k = frame.intrinsics
+    (r0, r1, r2), (t0, t1, t2) = frame.pose.rotation.tolist(), frame.pose.translation.tolist()
     return {
         "frame": frame.index,
-        "pose": frame.pose.matrix().reshape(-1).tolist(),
+        "pose": [*r0, t0, *r1, t1, *r2, t2, 0.0, 0.0, 0.0, 1.0],
         "intrinsics": {"cx": k.cx, "cy": k.cy, "fx": k.fx, "fy": k.fy, "height": k.height, "width": k.width},
         "detections": [
             {"bbox": [d.bbox.u_min, d.bbox.v_min, d.bbox.u_max, d.bbox.v_max], "caption": d.caption,
@@ -138,10 +139,12 @@ def json_diff(written, record) -> list | None:
     if type(record) is not kind or len(record) != len(written) or kind is dict and record.keys() != written.keys():
         return []
     for key in written.keys() if kind is dict else range(len(written)):
-        if record[key] is not written[key]:  # float(), int() and str() keep a value of their type
-            where = json_diff(written[key], record[key])
-            if where is not None:
-                return [key, *where]
+        w, r = written[key], record[key]
+        if r is w or type(w) is float and type(r) is float and r == w:
+            continue  # float(), int() and str() keep a value of their type; an equal float leaf needs no recursion
+        where = json_diff(w, r)
+        if where is not None:
+            return [key, *where]
     return None
 
 

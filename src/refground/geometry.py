@@ -48,13 +48,16 @@ class Pose:
         m = R.tolist()  # the checks run on Python floats: 3x3 is too small for numpy to pay
         if not all(abs(x) <= 1 + 1e-6 for row in m for x in row) or not all(map(math.isfinite, t.tolist())):
             raise ValueError("rotation entries must lie in [-1, 1] and translation must be finite")
-        cols = list(zip(*m))
-        for j in range(3):  # R.T @ R against the identity, one column pair at a time
-            for k in range(j, 3):
-                dot = cols[j][0] * cols[k][0] + cols[j][1] * cols[k][1] + cols[j][2] * cols[k][2]
-                if abs(dot - (j == k)) > 1e-6:
-                    raise ValueError("rotation is not orthonormal within 1e-6")
         (a, b, c), (d, e, f), (g, h, i) = m
+        if (  # R.T @ R against the identity: the six column dot products of (a, d, g), (b, e, h), (c, f, i)
+            abs(a * a + d * d + g * g - 1) > 1e-6
+            or abs(a * b + d * e + g * h) > 1e-6
+            or abs(a * c + d * f + g * i) > 1e-6
+            or abs(b * b + e * e + h * h - 1) > 1e-6
+            or abs(b * c + e * f + h * i) > 1e-6
+            or abs(c * c + f * f + i * i - 1) > 1e-6
+        ):
+            raise ValueError("rotation is not orthonormal within 1e-6")
         if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-6:
             raise ValueError("rotation must be proper (det +1)")
         object.__setattr__(self, "rotation", R)
@@ -68,12 +71,6 @@ class Pose:
         if m[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
             raise ValueError(f"pose matrix bottom row must be 0 0 0 1, got {' '.join(map(str, m[3].tolist()))}")
         return cls(m[:3, :3], m[:3, 3])
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
 
 @dataclass(frozen=True)
@@ -272,9 +269,9 @@ def write_depth_file(path: str | Path, frame: DepthFrame) -> None:
 
 
 def read_depth_file(path: str | Path, max_range: float) -> DepthFrame:
-    """Read a DORODPTH file with one read into a buffer of the file's size;
-    the frame's depth is a float32 view of that buffer past the header, not a copy."""
-    with open(path, "rb") as fh:
+    """Read a DORODPTH file with one unbuffered read into a buffer of the file's
+    size; the frame's depth is a float32 view of that buffer past the header, not a copy."""
+    with open(path, "rb", buffering=0) as fh:
         raw = bytearray(os.fstat(fh.fileno()).st_size)
         del raw[fh.readinto(raw):]  # a short read leaves a shorter file
     if raw[:8] != DEPTH_MAGIC:

@@ -431,27 +431,35 @@ def apply_errors(
     )
     out: list[Detection] = []
     for det in detections:
+        # the box as four floats: each step is BoundingBox's arithmetic, and a
+        # degenerate step builds the box only for its ValueError
         box = det.bbox
+        u0, v0, u1, v1 = box.u_min, box.v_min, box.u_max, box.v_max
         if shifts:
-            magnitude = float(rng.normal(config.mu_c, config.sigma_c)) * math.sqrt(box.area)
+            magnitude = float(rng.normal(config.mu_c, config.sigma_c)) * math.sqrt((u1 - u0) * (v1 - v0))
             quadrant = int(rng.integers(4))
             su, sv = [(1, 1), (1, -1), (-1, 1), (-1, -1)][quadrant]
             du = su * magnitude / math.sqrt(2.0)
             dv = sv * magnitude / math.sqrt(2.0)
-            box = BoundingBox(box.u_min + du, box.v_min + dv, box.u_max + du, box.v_max + dv)
+            u0, v0, u1, v1 = u0 + du, v0 + dv, u1 + du, v1 + dv
+            if not (u0 < u1 and v0 < v1):
+                BoundingBox(u0, v0, u1, v1)
         if distorts:
             magnitude = abs(float(rng.normal(config.mu_s, config.sigma_s)))
             sign = 1.0 if rng.random() < 0.5 else -1.0
             factor = max(0.05, 1.0 + sign * magnitude)
-            uc, vc = box.center
-            half_w, half_h = factor * box.width / 2.0, factor * box.height / 2.0
-            box = BoundingBox(uc - half_w, vc - half_h, uc + half_w, vc + half_h)
-        clamped = box.clamp(width, height)
-        if clamped is None:
+            uc, vc = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
+            half_w, half_h = factor * (u1 - u0) / 2.0, factor * (v1 - v0) / 2.0
+            u0, v0, u1, v1 = uc - half_w, vc - half_h, uc + half_w, vc + half_h
+            if not (u0 < u1 and v0 < v1):
+                BoundingBox(u0, v0, u1, v1)
+        u0, v0 = max(u0, 0.0), max(v0, 0.0)  # BoundingBox.clamp
+        u1, v1 = min(u1, float(width)), min(v1, float(height))
+        if u0 >= u1 or v0 >= v1:
             continue  # box pushed fully outside the frame
         if p_fn > 0 and rng.random() < p_fn:
             continue
-        out.append(Detection(clamped, det.caption, det.gt_object_id))
+        out.append(Detection(BoundingBox(u0, v0, u1, v1), det.caption, det.gt_object_id))
 
     if p_fp > 0:
         rolls = len(detections) if config.fp_per_detection else 1

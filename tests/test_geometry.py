@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -124,7 +125,9 @@ def test_pose_validation():
 def test_pose_from_matrix_refuses_a_bottom_row_other_than_0_0_0_1(bottom):
     m = np.eye(4)
     m[:3, 3] = [1.0, 2.0, 3.0]
-    assert Pose.from_matrix(m).matrix().tobytes() == m.tobytes()
+    pose = Pose.from_matrix(m)
+    assert pose.rotation.tobytes() == m[:3, :3].tobytes()
+    assert pose.translation.tobytes() == m[:3, 3].tobytes()
     m[3] = bottom
     with pytest.raises(ValueError, match="bottom row must be 0 0 0 1"):
         Pose.from_matrix(m)
@@ -594,6 +597,30 @@ def test_each_depth_read_gets_its_own_buffer_and_the_frame_views_it(tmp_path):
     assert first.depth.flags.writeable
     assert not np.shares_memory(first.depth, second.depth)  # a frame someone holds never changes
     assert first.depth.dtype == np.float32 and first.depth.shape == (3, 5)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open descriptors")
+def test_depth_reads_leave_no_descriptor_open(tmp_path):
+    good = tmp_path / "good.depth"
+    write_depth_file(good, DepthFrame(4, 3, np.full((3, 4), 2.0, dtype=np.float32), 10.0))
+    data = good.read_bytes()
+    refused = {  # the refusal -> the file's bytes
+        "bad magic": b"NOTDEPTH" + data[8:],
+        "truncated header": data[:12],
+        "expected 64 bytes, found 60": data[:-4],
+        "depth values must lie in": data,  # a 2.0 m frame read with max_range 1.0
+    }
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        read_depth_file(good, 10.0)
+    assert len(os.listdir("/proc/self/fd")) == before
+    for refusal, content in refused.items():
+        path = tmp_path / "refused.depth"
+        path.write_bytes(content)
+        for _ in range(50):
+            with pytest.raises(OSError, match=refusal):
+                read_depth_file(path, 1.0)
+        assert len(os.listdir("/proc/self/fd")) == before, refusal
 
 
 # -- type validation ------------------------------------------------------------

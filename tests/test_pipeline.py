@@ -23,7 +23,7 @@ from refground.evaluation import (
     simulate_counting_dataset,
     simulate_dialogue_dataset,
 )
-from refground.geometry import bbox_cloud_arrays
+from refground.geometry import BoundingBox, bbox_cloud_arrays, voxelize_bev_arrays
 from refground.graph import ObjectGraph, attribute_paths
 from refground.language import phrase_to_graph, realize
 from refground.pipeline import (
@@ -107,6 +107,25 @@ def test_build_session_registers_graphs(episode):
     session = build_session(load_episode(out), cfg, cfg.lexicon(), frozenset(), (), 0, None)
     roots = {g.root for _, g in session.registry.items()}
     assert roots == set(room.classes())
+
+
+def test_build_session_keeps_a_detection_that_lands_in_one_cell(episode):
+    """A one-pixel box gives one point and so one cell; the session holds that cell."""
+    cfg, _, out = episode
+    frame = load_episode(out)[0]
+    det = frame.detections[0]
+    u, v = (int(c) for c in det.bbox.center)
+    tiny = Detection(BoundingBox(float(u), float(v), u + 1.0, v + 1.0), det.caption, det.gt_object_id)
+    points, weights = bbox_cloud_arrays(
+        tiny.bbox, frame.load_depth(cfg.max_range), frame.intrinsics, frame.pose, cfg.sigma_frac, cfg.stride
+    )
+    cells, _, _, _ = voxelize_bev_arrays(points, weights, cfg.grid_spec())
+    assert len(cells) == 1
+    session = build_session([replace(frame, detections=(tiny,))], cfg, cfg.lexicon(), frozenset(), (), 0, None)
+    ((oid, graph),) = session.registry.items()
+    assert graph == phrase_to_graph(det.caption, cfg.lexicon())
+    _, freq = session.occupancy(oid)
+    assert freq[tuple(cells[0])] == 1 and freq.sum() == 1
 
 
 def test_build_session_skips_unparseable_captions(episode, tmp_path):

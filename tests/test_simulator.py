@@ -513,7 +513,9 @@ def test_trajectory_deterministic():
     room = generate_room(4, COPIES, CONFIG)
     a = plan_trajectory(room, dataclasses.replace(CONFIG, n_waypoints=8))
     b = plan_trajectory(room, dataclasses.replace(CONFIG, n_waypoints=8))
-    assert all(np.array_equal(p.matrix(), q.matrix()) for p, q in zip(a, b))
+    assert all(
+        np.array_equal(p.rotation, q.rotation) and np.array_equal(p.translation, q.translation) for p, q in zip(a, b)
+    )
 
 
 def test_trajectory_requires_four_waypoints():
@@ -823,6 +825,121 @@ def test_noise_models_refuse_out_of_range_parameters_without_validate():
 def test_noise_models_refuse_an_unknown_preset():
     with pytest.raises(ConfigError, match="unknown noise preset 'loud'"):
         PipelineConfig().noise_models("loud")
+
+
+def reference_apply_errors(detections, frame_index, width, height, config, models, bank, stream_seed):
+    """Reference: apply_errors as first written, one BoundingBox per step of the box."""
+    shifts = "cs" in models and (config.mu_c != 0 or config.sigma_c != 0)
+    distorts = "sd" in models and (config.mu_s != 0 or config.sigma_s != 0)
+    p_fn = config.p_fn if "fn" in models else 0.0
+    p_fp = config.p_fp if "fp" in models else 0.0
+    if p_fp > 0 and not bank:
+        raise ValueError("the false-positive model runs, but its observation bank is empty")
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed, stream_seed, frame_index, 303])
+    )
+    out = []
+    for det in detections:
+        box = det.bbox
+        if shifts:
+            magnitude = float(rng.normal(config.mu_c, config.sigma_c)) * math.sqrt(box.area)
+            quadrant = int(rng.integers(4))
+            su, sv = [(1, 1), (1, -1), (-1, 1), (-1, -1)][quadrant]
+            du = su * magnitude / math.sqrt(2.0)
+            dv = sv * magnitude / math.sqrt(2.0)
+            box = BoundingBox(box.u_min + du, box.v_min + dv, box.u_max + du, box.v_max + dv)
+        if distorts:
+            magnitude = abs(float(rng.normal(config.mu_s, config.sigma_s)))
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            factor = max(0.05, 1.0 + sign * magnitude)
+            uc, vc = box.center
+            half_w, half_h = factor * box.width / 2.0, factor * box.height / 2.0
+            box = BoundingBox(uc - half_w, vc - half_h, uc + half_w, vc + half_h)
+        clamped = box.clamp(width, height)
+        if clamped is None:
+            continue  # box pushed fully outside the frame
+        if p_fn > 0 and rng.random() < p_fn:
+            continue
+        out.append(Detection(clamped, det.caption, det.gt_object_id))
+
+    if p_fp > 0:
+        rolls = len(detections) if config.fp_per_detection else 1
+        for _ in range(rolls):
+            if rng.random() < p_fp:
+                bbox, caption = bank[int(rng.integers(len(bank)))]
+                clamped = bbox.clamp(width, height)
+                if clamped is not None:
+                    out.append(Detection(clamped, caption, None))
+    return out
+
+
+def errors_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def noise_boxes(draw):
+    """A box anywhere around a frame of up to 160 pixels, some of it or all of
+    it outside; its width or height is at times a single ulp."""
+    u0, v0 = draw(st.floats(-60.0, 220.0)), draw(st.floats(-60.0, 220.0))
+    side = st.one_of(st.floats(0.5, 120.0), st.just(0.0))  # 0.0 stands for one ulp
+    w, h = draw(side), draw(side)
+    u1 = u0 + w if w else math.nextafter(u0, math.inf)
+    v1 = v0 + h if h else math.nextafter(v0, math.inf)
+    return BoundingBox(u0, v0, u1, v1)
+
+
+def config_floats(lo, hi):
+    """Floats PipelineConfig takes: 0 or a magnitude of at least 1e-9."""
+    return st.floats(lo, hi).map(lambda x: x if abs(x) >= 1e-9 else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    boxes=st.lists(noise_boxes(), max_size=5),
+    bank=st.lists(noise_boxes(), max_size=3),
+    width=st.integers(1, 160),
+    height=st.integers(1, 160),
+    models=st.sets(st.sampled_from(["cs", "sd", "fn", "fp"])),
+    mu_c=st.one_of(config_floats(-2.0, 2.0), st.just(1e9)),  # 1e9 can shift a one-ulp box into a point
+    sigma_c=config_floats(0.0, 1.0),
+    mu_s=config_floats(-3.0, 3.0),  # past +-0.95 the distortion floor binds on a shrink
+    sigma_s=config_floats(0.0, 1.0),
+    p_fn=config_floats(0.0, 1.0),
+    p_fp=config_floats(0.0, 1.0),
+    fp_per_detection=st.booleans(),
+    seed=st.integers(0, 2**32),
+    frame=st.integers(0, 1000),
+)
+@example(  # the floor binds: a shrink by 1.5 is held at a factor of 0.05
+    boxes=[BoundingBox(10.0, 10.0, 50.0, 40.0)] * 4, bank=[], width=128, height=128, models={"sd"},
+    mu_c=0.0, sigma_c=0.0, mu_s=1.5, sigma_s=0.0, p_fn=0.0, p_fp=0.0, fp_per_detection=False, seed=0, frame=0,
+).via("the distortion floor")
+@example(  # a shift of 1e9 times the root of its area leaves a one-ulp box degenerate, refused by BoundingBox
+    boxes=[BoundingBox(100.0, 10.0, math.nextafter(100.0, math.inf), 50.0)], bank=[], width=128, height=128,
+    models={"cs"}, mu_c=1e9, sigma_c=0.0, mu_s=0.0, sigma_s=0.0, p_fn=0.0, p_fp=0.0, fp_per_detection=False,
+    seed=0, frame=0,
+).via("a degenerate shift")
+@example(  # a shrink of a one-ulp box leaves it degenerate, refused by BoundingBox
+    boxes=[BoundingBox(100.0, 10.0, math.nextafter(100.0, math.inf), 50.0)] * 4, bank=[], width=128, height=128,
+    models={"sd"}, mu_c=0.0, sigma_c=0.0, mu_s=0.5, sigma_s=0.0, p_fn=0.0, p_fp=0.0, fp_per_detection=False,
+    seed=0, frame=0,
+).via("a degenerate distortion")
+def test_apply_errors_matches_the_reference(
+    boxes, bank, width, height, models, mu_c, sigma_c, mu_s, sigma_s, p_fn, p_fp, fp_per_detection, seed, frame
+):
+    """apply_errors on four floats gives the object path's detections, draws
+    and refusals: every noise model, boxes pushed out of frame, an empty bank."""
+    config = PipelineConfig(
+        seed=seed, mu_c=mu_c, sigma_c=sigma_c, mu_s=mu_s, sigma_s=sigma_s,
+        p_fn=p_fn, p_fp=p_fp, fp_per_detection=fp_per_detection,
+    )
+    dets = [Detection(box, f"a cup {i}", i) for i, box in enumerate(boxes)]
+    args = (dets, frame, width, height, config, frozenset(models), tuple((b, "a blue lamp") for b in bank), 7)
+    assert errors_or_refusal(apply_errors, *args) == errors_or_refusal(reference_apply_errors, *args)
 
 
 # -- instructions --------------------------------------------------------------------
